@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: config, then CPU count)")
+                       help="worker pool size, >= 1 (default: config, then CPU count)")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 
@@ -234,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         cfg = parse_config(Path(args.config).read_text())
     except OSError as exc:

@@ -111,6 +111,10 @@ class FieldSeries:
     def __getitem__(self, n: int) -> GridFunction:
         return GridFunction(self.grid, self.values[n])
 
+    def __sub__(self, other: "FieldSeries") -> "FieldSeries":
+        _same_grid(self, other)
+        return FieldSeries(self.grid, self.values - other.values)
+
     def norms(self, q: float) -> np.ndarray:
         """lq_norm of every snapshot, vectorized over time."""
         if q < 1:

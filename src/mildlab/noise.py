@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write_text, atomic_writer
 from .errors import InvalidTimeGrid
 from .grid_space import FieldSeries, Grid
 from .semigroup import HeatSemigroup
@@ -130,19 +131,14 @@ def path_seeds(master_seed: int, n_paths: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n_paths, dtype=np.uint64)
 
 
-def _ou_step_coefficients(sg: HeatSemigroup, spec: DiffusionSpec, delta: float):
-    mu = sg.eigenvalues
-    b = spec.mode_weights(sg.grid.M)
-    decay = np.exp(-mu * delta)
-    sigma = b * np.sqrt((1.0 - np.exp(-2.0 * mu * delta)) / (2.0 * mu))
-    return decay, sigma
-
-
 def sample_path(sg: HeatSemigroup, spec: DiffusionSpec, T: float, delta: float,
                 seed: int) -> NoisePath:
     """Sample one path; deterministic given (sg, spec, T, delta, seed)."""
     n_steps = _steps(T, delta)
-    decay, sigma = _ou_step_coefficients(sg, spec, delta)
+    mu = sg.eigenvalues
+    decay = np.exp(-mu * delta)
+    sigma = spec.mode_weights(sg.grid.M) * np.sqrt(
+        (1.0 - np.exp(-2.0 * mu * delta)) / (2.0 * mu))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     xi = rng.standard_normal((n_steps, sg.grid.M))
     modes = np.zeros((n_steps + 1, sg.grid.M))
@@ -154,28 +150,23 @@ def sample_path(sg: HeatSemigroup, spec: DiffusionSpec, T: float, delta: float,
 def sample_mode_ensemble(sg: HeatSemigroup, spec: DiffusionSpec, T: float,
                          delta: float, seeds: Sequence[int],
                          keep: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Mode trajectories for many seeds at once, (n_paths, n_kept+1?, ...).
+    """Mode trajectories for many seeds, shape (n_paths, n_times, M).
 
-    Returns an array of shape (n_paths, n_steps + 1, M) unless ``keep`` lists
-    time indices to retain (memory control for large Monte Carlo sweeps).
-    Each path uses exactly the stream :func:`sample_path` would use.
+    Every time index 0..n_steps is returned unless ``keep`` lists the time
+    indices to retain, in ascending order (memory control for large Monte
+    Carlo sweeps); an index outside [0, n_steps] raises InvalidTimeGrid.
+    Each path is exactly the one :func:`sample_path` returns for its seed.
     """
     n_steps = _steps(T, delta)
-    decay, sigma = _ou_step_coefficients(sg, spec, delta)
-    keep_idx = list(range(n_steps + 1)) if keep is None else sorted(keep)
-    out = np.zeros((len(seeds), len(keep_idx), sg.grid.M))
+    if keep is None:
+        idx = np.arange(n_steps + 1)
+    else:
+        idx = np.sort(np.asarray(keep, dtype=int))
+        if idx.size and (idx[0] < 0 or idx[-1] > n_steps):
+            raise InvalidTimeGrid(f"keep indices must lie in [0, {n_steps}]")
+    out = np.empty((len(seeds), len(idx), sg.grid.M))
     for p, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed))))
-        xi = rng.standard_normal((n_steps, sg.grid.M))
-        state = np.zeros(sg.grid.M)
-        pos = 0
-        if keep_idx[pos] == 0:
-            pos += 1
-        for n in range(n_steps):
-            state = decay * state + sigma * xi[n]
-            if pos < len(keep_idx) and keep_idx[pos] == n + 1:
-                out[p, pos] = state
-                pos += 1
+        out[p] = sample_path(sg, spec, T, delta, int(seed)).mode_values[idx]
     return out
 
 
@@ -218,8 +209,11 @@ def norm_ld_lqd(path: NoisePath, d: float, q: float) -> float:
 
 
 def export_series_csv(fields: FieldSeries, times: np.ndarray, dest: Path) -> None:
-    """Write a field series as rows (time, node, value), 17 significant digits."""
-    with open(dest, "w", newline="") as fh:
+    """Write a field series as rows (time, node, value), 17 significant digits.
+
+    Rows stream into a temp file that replaces dest only once complete.
+    """
+    with atomic_writer(dest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "node", "value"])
         vals = fields.values
@@ -242,7 +236,7 @@ def export_noise_sidecar(path: NoisePath, dest: Path) -> None:
         "grid": {"M": path.grid.M, "nu": path.sg.nu},
         "time": {"T": path.T, "delta": path.delta},
     }
-    dest.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(dest, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def load_sidecar_and_resample(src: Path) -> NoisePath:

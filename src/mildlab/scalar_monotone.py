@@ -56,9 +56,9 @@ __all__ = [
     "TEST_DRIFTS",
 ]
 
-# Bracket expansion bound for the bisection resolvent.  Doubling from an
-# interval of width >= 2 reaches width 2^61 > 2e18 before giving up, far
-# beyond any input a genuine monotone graph can require.
+# Bracket expansion bound for the bracket-and-bisect root engine.  Doubling
+# from an interval of width >= 2 reaches width 2^61 > 2e18 before giving up,
+# far beyond any input a genuine monotone graph can require.
 _MAX_BRACKET_DOUBLINGS = 60
 _MAX_BISECTIONS = 200
 _DEFAULT_ROOT_TOL = 1e-12
@@ -214,19 +214,16 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 # -- resolvent and Yosida approximation -------------------------------------
 
 
-def _bisection_resolvent(
-    graph: MonotoneGraph, lam: float, x: np.ndarray, tol: float
+def _bracket_and_bisect(
+    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, tol: float, what: str
 ) -> np.ndarray:
-    """Solve y + lam*f(y) = x by bracketing + bisection, vectorized.
+    """Zero of an increasing map g, elementwise, by bracketing + bisection.
 
-    The target map is strictly increasing with only upward jumps, so sign
-    bisection on g(y) = y + lam*f_mid(y) - x converges to the unique point
-    whose filled-graph image contains x.
+    The bracket starts at [x - |x| - 1, x + |x| + 1] and doubles its width on
+    each side where g has no sign change; bisection then halves it until
+    every interval is at most tol wide.  g may jump upward, in which case the
+    result is the jump location.
     """
-
-    def g(y):
-        return y + lam * graph.mid_values(y) - x
-
     lo = x - np.abs(x) - 1.0
     hi = x + np.abs(x) + 1.0
     width = hi - lo
@@ -240,7 +237,7 @@ def _bisection_resolvent(
         width = hi - lo
     else:
         raise BracketFailure(
-            f"no bracket after {_MAX_BRACKET_DOUBLINGS} doublings for {graph.name!r}"
+            f"no bracket after {_MAX_BRACKET_DOUBLINGS} doublings for {what}"
         )
     for _ in range(_MAX_BISECTIONS):
         if np.max(hi - lo) <= tol:
@@ -250,6 +247,20 @@ def _bisection_resolvent(
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _bisection_resolvent(
+    graph: MonotoneGraph, lam: float, x: np.ndarray, tol: float
+) -> np.ndarray:
+    """Solve y + lam*f(y) = x by bracketing + bisection, vectorized.
+
+    The target map is strictly increasing with only upward jumps, so sign
+    bisection on g(y) = y + lam*f_mid(y) - x converges to the unique point
+    whose filled-graph image contains x.
+    """
+    return _bracket_and_bisect(
+        lambda y: y + lam * graph.mid_values(y) - x, x, tol, repr(graph.name)
+    )
 
 
 def resolvent_array(
@@ -296,31 +307,10 @@ def yosida_of_yosida_array(
     the algebraic reduction to f_{lam+mu}, which is what tests compare it to.
     """
     x = np.asarray(x, dtype=float)
-    lo = x - np.abs(x) - 1.0
-    hi = x + np.abs(x) + 1.0
-
-    def g(rho):
-        return rho + mu * yosida_array(graph, lam, rho, tol) - x
-
-    width = hi - lo
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        bad_lo = g(lo) > 0.0
-        bad_hi = g(hi) < 0.0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = hi - lo
-    else:
-        raise BracketFailure("no bracket for composed Yosida resolvent")
-    for _ in range(_MAX_BISECTIONS):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    rho = 0.5 * (lo + hi)
+    rho = _bracket_and_bisect(
+        lambda r: r + mu * yosida_array(graph, lam, r, tol) - x,
+        x, tol, f"the composed Yosida resolvent of {graph.name!r}",
+    )
     return (x - rho) / mu
 
 

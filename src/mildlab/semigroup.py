@@ -31,7 +31,8 @@ from .errors import EmptyInput, GridMismatch, NegativeTime
 from .grid_space import FieldSeries, Grid, GridFunction
 
 __all__ = ["HeatSemigroup", "to_modes", "from_modes", "apply_semigroup",
-           "apply_resolvent", "apply_generator", "convolve", "convolve_series"]
+           "semigroup_series", "apply_resolvent", "apply_generator",
+           "convolve_series"]
 
 
 class HeatSemigroup:
@@ -51,8 +52,8 @@ class HeatSemigroup:
         self.basis.flags.writeable = False
 
     @cached_property
-    def _analysis(self) -> np.ndarray:
-        # h * basis^T, so that _analysis @ basis = I
+    def analysis(self) -> np.ndarray:
+        """Mode-coefficient map h * basis^T, so that analysis @ basis = I."""
         return self.grid.h * self.basis.T
 
     def eigenvector(self, k: int) -> GridFunction:
@@ -67,7 +68,7 @@ class HeatSemigroup:
 
 def to_modes(sg: HeatSemigroup, phi: GridFunction) -> np.ndarray:
     """Coefficients of phi in the orthonormal eigenbasis."""
-    return sg._analysis @ sg._require(phi)
+    return sg.analysis @ sg._require(phi)
 
 
 def from_modes(sg: HeatSemigroup, coeffs: np.ndarray) -> GridFunction:
@@ -86,6 +87,13 @@ def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunct
         return phi
     coeffs = to_modes(sg, phi) * np.exp(-sg.eigenvalues * t)
     return from_modes(sg, coeffs)
+
+
+def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
+                     times: np.ndarray) -> FieldSeries:
+    """S(t_n) phi for every t_n in ``times``, one snapshot per time."""
+    coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * to_modes(sg, phi)
+    return FieldSeries(sg.grid, coeffs @ sg.basis.T)
 
 
 def apply_resolvent(sg: HeatSemigroup, phi: GridFunction, eps: float) -> GridFunction:
@@ -117,7 +125,7 @@ def _mode_series(sg: HeatSemigroup, fields: Union[FieldSeries, Sequence[GridFunc
         vals = np.stack([sg._require(f) for f in fields])
     if vals.shape[0] == 0:
         raise EmptyInput("convolution needs at least one field")
-    return vals @ sg._analysis.T  # (n_times, M) mode coefficients
+    return vals @ sg.analysis.T  # (n_times, M) mode coefficients
 
 
 def convolve_series(
@@ -140,16 +148,3 @@ def convolve_series(
     for n in range(n_times - 1):
         chat[n + 1] = decay * chat[n] + weight * fhat[n]
     return FieldSeries(sg.grid, chat @ sg.basis.T)
-
-
-def convolve(
-    sg: HeatSemigroup,
-    fields: Union[FieldSeries, Sequence[GridFunction]],
-    delta: float,
-    n: int,
-) -> GridFunction:
-    """(S*F)(t_n) with F frozen at left endpoints on the delta grid."""
-    series = convolve_series(sg, fields, delta)
-    if not 0 <= n < len(series):
-        raise ValueError(f"time index {n} outside series of length {len(series)}")
-    return series[n]

@@ -17,16 +17,17 @@ The scheme is unconditionally stable in delta (every substep is a pointwise
 contraction), which matters because f_lam has Lipschitz constant 1/lam along
 the continuation schedule.
 
-The continuation runs a decreasing lambda schedule and certifies the Cauchy
-property in sup-L^q; exhaustion of the schedule without meeting the Cauchy
-tolerance is a reported outcome with full gap diagnostics, never an
-exception.
+The continuation (:func:`continuation`, consumed by :func:`solve_mild` and
+the verification studies) runs a decreasing lambda schedule, and
+:func:`solve_mild` certifies the Cauchy property in sup-L^q; exhaustion of
+the schedule without meeting the Cauchy tolerance is a reported outcome
+with full gap diagnostics, never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -34,12 +35,13 @@ from .errors import GridMismatch, InvalidExponents
 from .grid_space import FieldSeries, GridFunction
 from .noise import NoisePath
 from .scalar_monotone import MonotoneGraph, yosida_array
-from .semigroup import HeatSemigroup, convolve_series, to_modes
+from .semigroup import HeatSemigroup, convolve_series, semigroup_series
 
 __all__ = [
     "SolverConfig",
     "MildSolution",
     "solve_regularized",
+    "continuation",
     "extract_g",
     "solve_mild",
     "residual_check",
@@ -118,7 +120,7 @@ def solve_regularized(
     z = path.fields.values
     n_steps = path.n_steps
     decay = np.exp(-sg.eigenvalues * delta)
-    analysis = sg._analysis
+    analysis = sg.analysis
     basis = sg.basis
     out = np.empty((n_steps + 1, sg.grid.M))
     out[0] = u0.values
@@ -139,6 +141,23 @@ def extract_g(u_traj: FieldSeries, f: MonotoneGraph, lam: float,
     return FieldSeries(u_traj.grid, yosida_array(f, lam, u_traj.values, root_tol))
 
 
+def continuation(
+    f: MonotoneGraph,
+    u0: GridFunction,
+    path: NoisePath,
+    sg: HeatSemigroup,
+    config: SolverConfig,
+) -> Iterator[tuple[float, FieldSeries]]:
+    """Regularized trajectories along the decreasing lambda schedule.
+
+    Yields ``(lam, trajectory)`` per schedule entry.  Each level is solved
+    only when the consumer asks for it, so a consumer that stops early never
+    pays for the remaining levels and holds only the trajectories it keeps.
+    """
+    for lam in config.lambda_schedule:
+        yield lam, solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
+
+
 def solve_mild(
     f: MonotoneGraph,
     u0: GridFunction,
@@ -151,21 +170,18 @@ def solve_mild(
     gaps: list[float] = []
     sup_norms: list[float] = []
     prev: Optional[FieldSeries] = None
-    current: Optional[FieldSeries] = None
     converged = False
-    final_lambda = config.lambda_schedule[0]
-    for lam in config.lambda_schedule:
-        current = solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
+    for lam, current in continuation(f, u0, path, sg, config):
         lambdas.append(lam)
         sup_norms.append(current.sup_norm(config.q))
-        final_lambda = lam
         if prev is not None:
-            gap = FieldSeries(sg.grid, current.values - prev.values).sup_norm(config.q)
+            gap = (current - prev).sup_norm(config.q)
             gaps.append(gap)
             if gap < config.cauchy_tol:
                 converged = True
                 break
         prev = current
+    final_lambda = lambdas[-1]
     g = extract_g(current, f, final_lambda, config.root_tol)
     res = residual_check(current, g, u0, path, sg, config.r)
     return MildSolution(
@@ -191,10 +207,8 @@ def residual_check(
 ) -> float:
     """sup_n || u(t_n) + (S*g)(t_n) - S(t_n) u_0 - z(t_n) ||_r."""
     conv = convolve_series(sg, g_traj, path.delta)
-    times = path.times
-    u0_modes = to_modes(sg, u0)
-    su0 = (np.exp(-np.outer(times, sg.eigenvalues)) * u0_modes) @ sg.basis.T
-    defect = u_traj.values + conv.values - su0 - path.fields.values
+    su0 = semigroup_series(sg, u0, path.times)
+    defect = u_traj.values + conv.values - su0.values - path.fields.values
     return FieldSeries(sg.grid, defect).sup_norm(r)
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
+
+from ..atomic import atomic_write_text
 
 __all__ = ["StudyReport", "config_digest", "atomic_write_text", "map_ordered"]
 
@@ -26,21 +26,6 @@ def config_digest(payload: dict) -> str:
     """sha256 of the canonical JSON encoding of a config mapping."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def atomic_write_text(dest: Path, text: str) -> None:
-    """Write via a temp file + rename so partial artifacts never appear."""
-    dest = Path(dest)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, dest)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def map_ordered(fn: Callable, items: Sequence, workers: int = 1) -> list:

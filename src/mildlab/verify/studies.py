@@ -15,13 +15,19 @@ Each study measures a claim on realized solver trajectories and returns a
 
 from __future__ import annotations
 
+import dataclasses
+from itertools import pairwise
+
 import numpy as np
 
-from ..grid_space import FieldSeries, Grid, GridFunction, lq_norm
+from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm
 from ..noise import NoisePath, norm_c_lq, norm_ld_lqd
-from ..scalar_monotone import MonotoneGraph, section_max_abs, yosida_array
-from ..semigroup import HeatSemigroup, convolve_series, to_modes
-from ..solver import SolverConfig, qstar, solve_mild, solve_regularized
+from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
+                               yosida_array)
+from ..semigroup import HeatSemigroup, convolve_series, semigroup_series
+from ..solver import SolverConfig, continuation, qstar, solve_mild
+# not called here, but perfbench/spans.py wraps this module's attribute
+from ..solver import solve_regularized  # noqa: F401
 from .report import StudyReport, map_ordered
 
 __all__ = [
@@ -43,20 +49,6 @@ NUMERICAL_ZERO = 1e-10
 def expected_rate(q: float) -> float:
     """Predicted Cauchy-gap exponent in lambda: 1/q for q >= 2, (q-1)/q below."""
     return 1.0 / q if q >= 2.0 else (q - 1.0) / q
-
-
-def _solve_schedule(f, u0, path, sg, config) -> list[FieldSeries]:
-    return [
-        solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
-        for lam in config.lambda_schedule
-    ]
-
-
-def _consecutive_gaps(trajs: list[FieldSeries], q: float, grid: Grid) -> list[float]:
-    return [
-        FieldSeries(grid, a.values - b.values).sup_norm(q)
-        for a, b in zip(trajs, trajs[1:])
-    ]
 
 
 def cauchy_rate_study(
@@ -85,8 +77,8 @@ def cauchy_rate_study(
     )
 
     def run(path: NoisePath) -> list[float]:
-        trajs = _solve_schedule(f, u0, path, sg, config)
-        return _consecutive_gaps(trajs, q, sg.grid)
+        trajs = (traj for _, traj in continuation(f, u0, path, sg, config))
+        return [(a - b).sup_norm(q) for a, b in pairwise(trajs)]
 
     all_gaps = map_ordered(run, paths, workers)
     lams = np.asarray(config.lambda_schedule[:-1])
@@ -141,41 +133,30 @@ def l1_convergence_study(
     sched = config.lambda_schedule
 
     def run(path: NoisePath):
-        trajs = _solve_schedule(f, u0, path, sg, config)
-        gaps = _consecutive_gaps(trajs, 1.0, grid)
         cell = grid.h * path.delta
-        gamma_sups, dev_ok = [], True
-        for (lam, mu), (ta, tb) in zip(zip(sched, sched[1:]), zip(trajs, trajs[1:])):
-            eps = lam + mu
-            diff = ta.values - tb.values
-            gam = grid.h * np.sum(
-                np.where(
-                    np.abs(diff) <= 0.5 * np.sqrt(eps),
-                    0.25 * np.sqrt(eps) + diff * diff / np.sqrt(eps),
-                    np.abs(diff),
-                ),
-                axis=1,
-            )
-            l1 = grid.h * np.sum(np.abs(diff), axis=1)
-            dev = gam - l1
-            dev_ok &= bool(np.all(dev >= -1e-12) and np.all(dev <= np.sqrt(eps) / 4 + 1e-12))
-            gamma_sups.append(float(np.max(gam)))
-        proxies = {}
+        gaps, gamma_sups, dev_ok = [], [], True
+        proxies = {m: 0.0 for m in small_set_measures}
         product_sup = 0.0
-        for m in small_set_measures:
-            k = int(np.floor(m / cell))
-            worst = 0.0
-            for lam, traj in zip(sched, trajs):
-                g_abs = np.abs(yosida_array(f, lam, traj.values[:-1], config.root_tol))
-                flat = g_abs.reshape(-1)
+        prev = prev_lam = None
+        for lam, traj in continuation(f, u0, path, sg, config):
+            if prev is not None:
+                eps = prev_lam + lam
+                diff = prev - traj
+                gam = grid.h * np.sum(big_gamma0(diff.values, eps), axis=1)
+                l1 = diff.norms(1.0)
+                gaps.append(float(np.max(l1)))
+                dev = gam - l1
+                dev_ok &= bool(np.all(dev >= -1e-12) and np.all(dev <= np.sqrt(eps) / 4 + 1e-12))
+                gamma_sups.append(float(np.max(gam)))
+            u = traj.values[:-1]
+            g_vals = yosida_array(f, lam, u, config.root_tol)
+            flat = np.abs(g_vals).reshape(-1)
+            for m in small_set_measures:
+                k = int(np.floor(m / cell))
                 top = np.partition(flat, len(flat) - k)[-k:] if k > 0 else np.array([0.0])
-                worst = max(worst, cell * float(np.sum(top)))
-            proxies[m] = worst
-        for lam, traj in zip(sched, trajs):
-            g_vals = yosida_array(f, lam, traj.values[:-1], config.root_tol)
-            product_sup = max(
-                product_sup, cell * float(np.sum(np.abs(g_vals * traj.values[:-1])))
-            )
+                proxies[m] = max(proxies[m], cell * float(np.sum(top)))
+            product_sup = max(product_sup, cell * float(np.sum(np.abs(g_vals * u))))
+            prev, prev_lam = traj, lam
         return gaps, gamma_sups, dev_ok, proxies, product_sup
 
     results = map_ordered(run, paths, workers)
@@ -241,9 +222,7 @@ def chain_rule_study(
         fvals = np.asarray(forcing(times), dtype=float)
         fseries = FieldSeries(grid, fvals)
         conv = convolve_series(sg, fseries, delta)
-        v0_modes = to_modes(sg, v0)
-        sv0 = (np.exp(-np.outer(times, sg.eigenvalues)) * v0_modes) @ sg.basis.T
-        v = sv0 + conv.values
+        v = semigroup_series(sg, v0, times).values + conv.values
         norms_q = grid.h * np.sum(np.abs(v) ** q, axis=1)
         zeta = np.sign(v) * np.abs(v) ** (q - 1.0)
         pair = grid.h * np.sum(fvals * zeta, axis=1)
@@ -395,18 +374,15 @@ def moment_study(
     )
 
     def run(path: NoisePath):
-        z = path.fields.values
-        fmax = np.abs(section_max_abs(f, z))
-        fq = (grid.h * np.sum(fmax**q, axis=1)) ** (1.0 / q)
+        fmax = FieldSeries(grid, np.abs(section_max_abs(f, path.fields.values)))
+        fq = fmax.norms(q)
         bound_base = (
             lq_norm(u0, q)
             + path.fields.sup_norm(q)
             + 4.0 * path.delta * float(np.sum(fq[:-1]))
         )
-        sups = []
-        for lam in config.lambda_schedule:
-            traj = solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
-            sups.append(traj.sup_norm(q) ** p)
+        sups = [traj.sup_norm(q) ** p
+                for _, traj in continuation(f, u0, path, sg, config)]
         return sups, bound_base**p
 
     results = map_ordered(run, paths, workers)
@@ -529,10 +505,7 @@ def contraction_extension_study(
         lambda u0: solve_mild(f, u0, path, sg, config), data, workers
     )
     data_gaps = [lq_norm(b - a, q) for a, b in zip(data, data[1:])]
-    sol_gaps = [
-        FieldSeries(grid, b.u.values - a.u.values).sup_norm(q)
-        for a, b in zip(sols, sols[1:])
-    ]
+    sol_gaps = [(b.u - a.u).sup_norm(q) for a, b in zip(sols, sols[1:])]
     report.series["data_gaps"] = data_gaps
     report.series["solution_gaps"] = sol_gaps
     report.checks["solution_gaps_dominated"] = all(
@@ -545,12 +518,9 @@ def contraction_extension_study(
     probes = []
     for ratio in (2.0, 3.0):
         sched = tuple(lam0 * ratio**-j for j in range(24))
-        probe_config = SolverConfig(
-            q=config.q, r=config.r, delta=config.delta, lambda_schedule=sched,
-            cauchy_tol=config.cauchy_tol, root_tol=config.root_tol,
-        )
+        probe_config = dataclasses.replace(config, lambda_schedule=sched)
         probes.append(solve_mild(f, data[-1], path, sg, probe_config))
-    drift_gap = FieldSeries(grid, probes[0].u.values - probes[1].u.values).sup_norm(q)
+    drift_gap = (probes[0].u - probes[1].u).sup_norm(q)
     report.fitted["independent_schedule_gap"] = drift_gap
     both_converged = probes[0].converged and probes[1].converged
     report.checks["independent_schedules_agree"] = (
@@ -577,8 +547,6 @@ def apriori_constants_study(
     Squared form (every q in qs_square, q >= 2):
         ||v(t_n)||_q^2 <= ||u0||_q^2 + 2 sum_{j<n} delta ||phi(z(t_j))||_{q/2} + slack
     """
-    from ..scalar_monotone import primitive_array
-
     grid = sg.grid
     report = StudyReport(
         study="apriori_constants",
@@ -595,27 +563,28 @@ def apriori_constants_study(
     )
 
     def run(path: NoisePath):
-        z = path.fields.values
-        fmax = np.abs(section_max_abs(f, z))
-        phi_z = primitive_array(f, z)
+        z = path.fields
+        fmax = FieldSeries(grid, np.abs(section_max_abs(f, z.values)))
+        phi_z = FieldSeries(grid, primitive_array(f, z.values))
+
+        def left_sums(norms: np.ndarray) -> np.ndarray:
+            # sum_{j<n} delta * norms[j] for every n
+            return path.delta * np.concatenate([[0.0], np.cumsum(norms[:-1])])
+
+        # the lambda-independent sides: (q, ||u0||_q, summed forcing norms)
+        linear = [(q, lq_norm(u0, q), left_sums(fmax.norms(q))) for q in qs_linear]
+        square = [(q, lq_norm(u0, q), left_sums(phi_z.norms(q / 2.0)))
+                  for q in qs_square]
         worst_linear = worst_square = -np.inf
-        for lam in config.lambda_schedule:
-            traj = solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
-            v = traj.values - z
-            for q in qs_linear:
-                vq = (grid.h * np.sum(np.abs(v) ** q, axis=1)) ** (1.0 / q)
-                fq = (grid.h * np.sum(fmax**q, axis=1)) ** (1.0 / q)
-                csum = path.delta * np.concatenate([[0.0], np.cumsum(fq[:-1])])
+        for _, traj in continuation(f, u0, path, sg, config):
+            v = traj - z
+            for q, u0q, csum in linear:
                 worst_linear = max(
-                    worst_linear, float(np.max(vq - lq_norm(u0, q) - 4.0 * csum))
+                    worst_linear, float(np.max(v.norms(q) - u0q - 4.0 * csum))
                 )
-            for q in qs_square:
-                vq = (grid.h * np.sum(np.abs(v) ** q, axis=1)) ** (1.0 / q)
-                pq = (grid.h * np.sum(phi_z ** (q / 2.0), axis=1)) ** (2.0 / q)
-                csum = path.delta * np.concatenate([[0.0], np.cumsum(pq[:-1])])
+            for q, u0q, csum in square:
                 worst_square = max(
-                    worst_square,
-                    float(np.max(vq**2 - lq_norm(u0, q) ** 2 - 2.0 * csum)),
+                    worst_square, float(np.max(v.norms(q) ** 2 - u0q**2 - 2.0 * csum))
                 )
         return worst_linear, worst_square
 

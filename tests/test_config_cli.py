@@ -143,6 +143,14 @@ class TestCli:
         assert self.run_cli("solve", str(bad)) == 1
         assert "q >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "out"))
+        cfg = write_config(tmp_path)
+        assert self.run_cli("solve", str(cfg), "--workers", workers) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, capsys):
         assert self.run_cli("solve", "/nonexistent/config.json") == 1
 

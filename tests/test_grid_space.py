@@ -277,3 +277,10 @@ class TestFieldSeries:
         assert series.norms(2.0)[3] == pytest.approx(lq_norm(series[3], 2.0))
         assert series.sup_norm(2.0) == pytest.approx(max(
             lq_norm(series[i], 2.0) for i in range(5)))
+
+    def test_subtraction(self, grid, rng):
+        a = FieldSeries(grid, rng.standard_normal((3, grid.M)))
+        b = FieldSeries(grid, rng.standard_normal((3, grid.M)))
+        assert np.array_equal((a - b).values, a.values - b.values)
+        with pytest.raises(GridMismatch):
+            a - FieldSeries(Grid(grid.M + 1), np.zeros((3, grid.M + 1)))

@@ -6,9 +6,9 @@ import pytest
 from mildlab.errors import InvalidTimeGrid
 from mildlab.grid_space import Grid, lq_norm
 from mildlab.noise import (DiffusionSpec, export_noise_csv, export_noise_sidecar,
-                           load_sidecar_and_resample, norm_c_lq, norm_ld_lqd,
-                           path_seeds, restrict_path, sample_mode_ensemble,
-                           sample_path)
+                           export_series_csv, load_sidecar_and_resample,
+                           norm_c_lq, norm_ld_lqd, path_seeds, restrict_path,
+                           sample_mode_ensemble, sample_path)
 from mildlab.semigroup import HeatSemigroup, to_modes
 
 
@@ -105,6 +105,21 @@ class TestSampling:
             means.append(total / len(seeds))
         assert means[0] > means[1] > means[2]
 
+    def test_ensemble_rejects_keep_outside_time_grid(self, sg):
+        seeds = path_seeds(5, 2)
+        with pytest.raises(InvalidTimeGrid):
+            sample_mode_ensemble(sg, DiffusionSpec(), 0.25, 2.0**-6, seeds,
+                                 keep=[16, 99, -1])
+
+    def test_ensemble_repeated_keep_index(self, sg):
+        spec = DiffusionSpec(c=1.0, gamma=1.0)
+        seeds = path_seeds(5, 2)
+        ens = sample_mode_ensemble(sg, spec, 0.25, 2.0**-6, seeds, keep=[5, 5])
+        for i, s in enumerate(seeds):
+            snap = sample_path(sg, spec, 0.25, 2.0**-6, int(s)).mode_values[5]
+            assert np.array_equal(ens[i, 0], snap)
+            assert np.array_equal(ens[i, 1], snap)
+
     def test_ensemble_matches_individual_paths(self, sg):
         spec = DiffusionSpec(c=1.0, gamma=1.0)
         seeds = path_seeds(5, 3)
@@ -180,3 +195,16 @@ class TestExport:
         lines = dest.read_text().strip().splitlines()
         assert lines[0] == "time,node,value"
         assert len(lines) == 1 + (p.n_steps + 1) * sg.grid.M
+
+    def test_failed_export_leaves_no_file(self, sg, tmp_path):
+        p = sample_path(sg, DiffusionSpec(), 0.25, 2.0**-4, seed=1)
+        dest = tmp_path / "n.csv"
+        # one time short: the export raises after writing three snapshots
+        with pytest.raises(IndexError):
+            export_series_csv(p.fields, p.times[:3], dest)
+        assert list(tmp_path.iterdir()) == []
+        dest.write_text("previous\n")
+        with pytest.raises(IndexError):
+            export_series_csv(p.fields, p.times[:3], dest)
+        assert list(tmp_path.iterdir()) == [dest]
+        assert dest.read_text() == "previous\n"

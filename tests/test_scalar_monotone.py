@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mildlab.errors import NonFiniteInput
+from mildlab.errors import BracketFailure, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, YosidaView, linear_graph,
                                      make_graph, moreau, piecewise_graph,
                                      power_graph, primitive, primitive_array,
@@ -94,6 +94,17 @@ class TestResolvent:
                 fast = resolvent_array(f, lam, xs)
                 slow = resolvent_array(generic, lam, xs)
                 assert np.max(np.abs(fast - slow)) < 1e-10, (name, lam)
+
+    def test_bracket_failure_raises(self):
+        # a branch far below anything the doubling bracket can reach
+        g = MonotoneGraph(name="abyss", breakpoints=(),
+                          branch_fns=(lambda x: np.full_like(x, -1e300),),
+                          growth_exponent=0.0, growth_constant=1.0, _validate=False)
+        xs = np.array([-1.0, 0.0, 2.0])
+        with pytest.raises(BracketFailure):
+            resolvent_array(g, 0.5, xs)
+        with pytest.raises(BracketFailure):
+            yosida_of_yosida_array(g, 0.25, 0.125, xs)
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)

@@ -7,8 +7,8 @@ from mildlab.errors import EmptyInput, GridMismatch, NegativeTime
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
                                 gamma_eps, lq_norm, max_norm, pairing)
 from mildlab.semigroup import (HeatSemigroup, apply_generator, apply_resolvent,
-                               apply_semigroup, convolve, convolve_series,
-                               from_modes, to_modes)
+                               apply_semigroup, convolve_series,
+                               from_modes, semigroup_series, to_modes)
 
 
 class TestEigenstructure:
@@ -81,6 +81,14 @@ class TestSemigroupAxioms:
         t = 0.01
         got = apply_semigroup(sg, ek, t).values
         assert np.allclose(got, np.exp(-sg.eigenvalues[3] * t) * ek.values, atol=1e-13)
+
+    def test_series_matches_pointwise(self, sg, rng):
+        phi = GridFunction(sg.grid, rng.standard_normal(sg.grid.M))
+        times = 0.01 * np.arange(5)
+        series = semigroup_series(sg, phi, times)
+        for n, t in enumerate(times):
+            want = apply_semigroup(sg, phi, t).values
+            assert np.max(np.abs(series.values[n] - want)) < 1e-12
 
     def test_composition(self, sg, rng):
         for _ in range(20):
@@ -169,7 +177,7 @@ class TestConvolution:
         fields = FieldSeries(sg.grid, np.tile(ek.values, (N + 1, 1)))
         mu = sg.eigenvalues[2]
         for n in (1, 17, 64):
-            got = convolve(sg, fields, delta, n).values
+            got = convolve_series(sg, fields, delta)[n].values
             want = ek.values * (1 - np.exp(-mu * n * delta)) / mu
             assert np.max(np.abs(got - want)) < 1e-13
 
