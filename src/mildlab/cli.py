@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import STUDY_NAMES, RunConfig, parse_config
+from .config import STUDY_KEYS, RunConfig, parse_config
 from .errors import MildlabError
 from .noise import (export_noise_csv, export_noise_sidecar, export_series_csv,
                     path_seeds, sample_path)
@@ -165,8 +165,8 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
 
 
 def _cmd_study(name: str, cfg: RunConfig, out: Path, workers: int) -> int:
-    if name not in STUDY_NAMES:
-        print(f"error: unknown study {name!r}; known: {', '.join(STUDY_NAMES)}",
+    if name not in STUDY_KEYS:
+        print(f"error: unknown study {name!r}; known: {', '.join(STUDY_KEYS)}",
               file=sys.stderr)
         return EXIT_ERROR
     if name not in cfg.studies:
@@ -189,8 +189,7 @@ def _cmd_study(name: str, cfg: RunConfig, out: Path, workers: int) -> int:
 def _cmd_check_invariants(cfg: RunConfig, out: Path) -> int:
     from .verify import run_invariant_battery
 
-    checks = run_invariant_battery(M=cfg.M, nu=cfg.nu, seed=cfg.master_seed,
-                                   root_tol=cfg.root_tol)
+    checks = run_invariant_battery(M=cfg.M, nu=cfg.nu, seed=cfg.master_seed)
     payload = {
         "checks": [
             {"name": c.name, "violation": c.violation,
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sample-noise", help="sample and export noise paths"))
     common(sub.add_parser("solve", help="run the continuation and export trajectories"))
     study = sub.add_parser("study", help="run one named verification study")
-    study.add_argument("name", help=f"one of: {', '.join(STUDY_NAMES)}")
+    study.add_argument("name", help=f"one of: {', '.join(STUDY_KEYS)}")
     common(study)
     common(sub.add_parser("check-invariants", help="run the invariant battery"))
     return parser

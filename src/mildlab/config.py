@@ -1,8 +1,8 @@
 """Run configuration: documented JSON schema, parsing, full validation.
 
 A config is a JSON object with the sections below; unknown keys anywhere are
-rejected, and validation reports every violated constraint at once, not just
-the first.
+rejected (a study section accepts the keys listed in STUDY_KEYS), and
+validation reports every violated constraint at once, not just the first.
 
     {
       "grid":   {"M": 127, "nu": 1.0},
@@ -13,7 +13,6 @@ the first.
       "initial": {"kind": "sine", "amplitude": 0.5, "mode": 1},
       "lambda_schedule": [0.25, 0.125, ...],        // strictly decreasing
       "cauchy_tol": 1e-3,
-      "root_tol": 1e-12,
       "seeds": {"master": 12345, "n_paths": 4},
       "output_dir": "runs/demo",
       "workers": 1,                                 // optional
@@ -40,23 +39,25 @@ from .scalar_monotone import MonotoneGraph, make_graph
 from .semigroup import HeatSemigroup
 from .solver import SolverConfig, default_lambda_schedule
 
-__all__ = ["RunConfig", "parse_config", "STUDY_NAMES"]
+__all__ = ["RunConfig", "parse_config", "STUDY_KEYS"]
 
-STUDY_NAMES = (
-    "cauchy",
-    "l1",
-    "chain_rule",
-    "bernoulli",
-    "eiconv",
-    "moment",
-    "propagation",
-    "contraction_extension",
-    "apriori",
-)
+# Each study's name and the keys its section under "studies" accepts.
+STUDY_KEYS = {
+    "cauchy": ("n_paths", "q"),
+    "l1": ("n_paths",),
+    "chain_rule": ("q", "deltas"),
+    "bernoulli": ("n_samples",),
+    "eiconv": ("n_max",),
+    "moment": ("n_paths", "q"),
+    "propagation": ("n_paths", "frozen_constant"),
+    "contraction_extension": (),
+    "apriori": ("n_paths", "qs_linear", "qs_square"),
+}
+_STUDY_LIST_KEYS = {"deltas", "qs_linear", "qs_square"}
 
 _TOP_KEYS = {
     "grid", "time", "drift", "noise", "exponents", "initial",
-    "lambda_schedule", "cauchy_tol", "root_tol", "seeds", "output_dir",
+    "lambda_schedule", "cauchy_tol", "seeds", "output_dir",
     "workers", "studies",
 }
 
@@ -68,7 +69,6 @@ _DEFAULTS = {
     "exponents": {"q": 2.0, "r": 2.0, "p": 2.0},
     "initial": {"kind": "sine", "amplitude": 0.5, "mode": 1},
     "cauchy_tol": 1e-3,
-    "root_tol": 1e-12,
     "seeds": {"master": 20260101, "n_paths": 4},
     "output_dir": "runs/out",
 }
@@ -91,7 +91,6 @@ class RunConfig:
     initial: dict
     lambda_schedule: tuple[float, ...]
     cauchy_tol: float
-    root_tol: float
     master_seed: int
     n_paths: int
     output_dir: str
@@ -109,9 +108,7 @@ class RunConfig:
         return make_graph(self.drift)
 
     def build_noise_spec(self) -> DiffusionSpec:
-        if "weights" in self.noise:
-            return DiffusionSpec(weights=tuple(self.noise["weights"]))
-        return DiffusionSpec(c=self.noise.get("c", 1.0), gamma=self.noise.get("gamma", 1.0))
+        return DiffusionSpec.from_dict(self.noise)
 
     def build_initial(self, grid: Grid) -> GridFunction:
         kind = self.initial["kind"]
@@ -137,14 +134,36 @@ class RunConfig:
         return SolverConfig(
             q=self.q, r=self.r, delta=self.delta,
             lambda_schedule=self.lambda_schedule,
-            cauchy_tol=self.cauchy_tol, root_tol=self.root_tol,
+            cauchy_tol=self.cauchy_tol,
         )
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list):
+def _reject_unknown(mapping: dict, allowed, where: str, problems: list):
     for key in mapping:
         if key not in allowed:
             problems.append(f"{where}: unknown key {key!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_study(name: str, body: dict, problems: list):
+    """Study keys: n_* are integers >= 1, list keys hold numbers, the rest are numbers."""
+    where = f"studies.{name}"
+    _reject_unknown(body, STUDY_KEYS[name], where, problems)
+    for key in STUDY_KEYS[name]:
+        if key not in body:
+            continue
+        value = body[key]
+        if key.startswith("n_"):
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+                problems.append(f"{where}.{key}: must be an integer >= 1")
+        elif key in _STUDY_LIST_KEYS:
+            if not (isinstance(value, list) and all(_is_number(x) for x in value)):
+                problems.append(f"{where}.{key}: must be a list of numbers")
+        elif not _is_number(value):
+            problems.append(f"{where}.{key}: must be a number")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -254,9 +273,6 @@ def parse_config(text: str) -> RunConfig:
     cauchy_tol = data.get("cauchy_tol", _DEFAULTS["cauchy_tol"])
     if not (isinstance(cauchy_tol, (int, float)) and cauchy_tol > 0):
         problems.append("cauchy_tol: must be > 0")
-    root_tol = data.get("root_tol", _DEFAULTS["root_tol"])
-    if not (isinstance(root_tol, (int, float)) and root_tol > 0):
-        problems.append("root_tol: must be > 0")
 
     master = seeds.get("master")
     if not (isinstance(master, int) and master >= 0):
@@ -279,10 +295,12 @@ def parse_config(text: str) -> RunConfig:
         studies = {}
     else:
         for name, body in studies.items():
-            if name not in STUDY_NAMES:
+            if name not in STUDY_KEYS:
                 problems.append(f"studies: unknown study {name!r}")
             elif not isinstance(body, dict):
                 problems.append(f"studies.{name}: must be an object")
+            else:
+                _check_study(name, body, problems)
 
     if problems:
         raise ValidationError(problems)
@@ -296,7 +314,6 @@ def parse_config(text: str) -> RunConfig:
         "initial": initial,
         "lambda_schedule": [float(x) for x in schedule],
         "cauchy_tol": float(cauchy_tol),
-        "root_tol": float(root_tol),
         "seeds": {"master": master, "n_paths": n_paths},
         "output_dir": output_dir,
         "workers": workers,
@@ -308,7 +325,7 @@ def parse_config(text: str) -> RunConfig:
         q=float(q), r=float(r), p=float(p), d=float(d),
         initial=initial,
         lambda_schedule=tuple(float(x) for x in schedule),
-        cauchy_tol=float(cauchy_tol), root_tol=float(root_tol),
+        cauchy_tol=float(cauchy_tol),
         master_seed=master, n_paths=n_paths,
         output_dir=output_dir, workers=workers,
         studies=studies, raw=merged,

@@ -31,7 +31,7 @@ import numpy as np
 from .atomic import atomic_write_text, atomic_writer
 from .errors import InvalidTimeGrid
 from .grid_space import FieldSeries, Grid
-from .semigroup import HeatSemigroup
+from .semigroup import HeatSemigroup, modal_recursion
 
 __all__ = [
     "DiffusionSpec",
@@ -80,6 +80,13 @@ class DiffusionSpec:
         if self.weights is not None:
             return {"weights": list(self.weights)}
         return {"c": self.c, "gamma": self.gamma}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "DiffusionSpec":
+        """Inverse of :meth:`to_dict`; a missing c or gamma takes its default."""
+        if "weights" in data:
+            return cls(weights=tuple(data["weights"]))
+        return cls(**data)
 
 
 class NoisePath:
@@ -141,10 +148,7 @@ def sample_path(sg: HeatSemigroup, spec: DiffusionSpec, T: float, delta: float,
         (1.0 - np.exp(-2.0 * mu * delta)) / (2.0 * mu))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     xi = rng.standard_normal((n_steps, sg.grid.M))
-    modes = np.zeros((n_steps + 1, sg.grid.M))
-    for n in range(n_steps):
-        modes[n + 1] = decay * modes[n] + sigma * xi[n]
-    return NoisePath(sg, spec, T, delta, seed, modes)
+    return NoisePath(sg, spec, T, delta, seed, modal_recursion(decay, sigma, xi))
 
 
 def sample_mode_ensemble(sg: HeatSemigroup, spec: DiffusionSpec, T: float,
@@ -244,10 +248,6 @@ def load_sidecar_and_resample(src: Path) -> NoisePath:
     meta = json.loads(Path(src).read_text())
     grid = Grid(int(meta["grid"]["M"]))
     sg = HeatSemigroup(grid, float(meta["grid"]["nu"]))
-    noise = meta["noise"]
-    if "weights" in noise:
-        spec = DiffusionSpec(weights=tuple(noise["weights"]))
-    else:
-        spec = DiffusionSpec(c=float(noise["c"]), gamma=float(noise["gamma"]))
+    spec = DiffusionSpec.from_dict(meta["noise"])
     return sample_path(sg, spec, float(meta["time"]["T"]),
                        float(meta["time"]["delta"]), int(meta["seed"]))

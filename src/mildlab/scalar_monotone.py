@@ -19,7 +19,9 @@ the convex primitive phi(x) = int_0^x f, and its Moreau envelope
 Resolvents are computed by guarded vectorized root solves: closed forms or
 guarded Newton where a fast path is attached to the graph, otherwise
 bracketing + bisection of the strictly increasing map y -> y + lam*f(y),
-which is unconditionally safe for discontinuous monotone maps.
+which is unconditionally safe for discontinuous monotone maps.  Bisection
+stops at the fixed absolute width ROOT_TOL.  Resolvent, Yosida and Moreau
+functions all take the arguments (graph, lam, x).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import BracketFailure, NonFiniteInput
 
 __all__ = [
     "MonotoneGraph",
-    "YosidaView",
+    "ROOT_TOL",
     "section",
     "section_min_abs",
     "section_max_abs",
@@ -61,7 +63,9 @@ __all__ = [
 # far beyond any input a genuine monotone graph can require.
 _MAX_BRACKET_DOUBLINGS = 60
 _MAX_BISECTIONS = 200
-_DEFAULT_ROOT_TOL = 1e-12
+# Absolute width at which bisection stops; the closed-form and Newton fast
+# paths do not read it, the invariant battery scales its bounds by it.
+ROOT_TOL = 1e-12
 
 Choice = Literal["min", "max", "mid"]
 
@@ -83,7 +87,6 @@ class MonotoneGraph:
     growth_exponent: float
     growth_constant: float
     zero_in_graph: bool = True
-    jump_points: tuple[float, ...] = ()
     # Optional fast paths; must agree with the generic engine (tested).
     fast_resolvent: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     fast_primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -115,11 +118,6 @@ class MonotoneGraph:
             left, right = self.left_limit(b), self.right_limit(b)
             if left > right + 1e-12:
                 raise ValueError(f"graph {self.name!r} decreases across {b}")
-        for b in self.jump_points:
-            if b not in self.breakpoints:
-                raise ValueError("jump points must be breakpoints")
-            if not self.left_limit(b) < self.right_limit(b):
-                raise ValueError(f"declared jump at {b} is not a strict jump")
         bound = self.growth_constant * (1.0 + np.abs(probes) ** self.growth_exponent)
         vals = np.maximum(np.abs(self.left_limits(probes)), np.abs(self.right_limits(probes)))
         if np.any(vals > bound + 1e-9):
@@ -128,6 +126,13 @@ class MonotoneGraph:
             self.left_limit(0.0) <= 0.0 <= self.right_limit(0.0)
         ):
             raise ValueError(f"graph {self.name!r} declared 0 in f(0) but it is not")
+
+    @property
+    def jump_points(self) -> tuple[float, ...]:
+        """The breakpoints b with f(b-) < f(b+)."""
+        return tuple(
+            b for b in self.breakpoints if self.left_limit(b) < self.right_limit(b)
+        )
 
     # -- one-sided limits ---------------------------------------------------
 
@@ -160,21 +165,6 @@ class MonotoneGraph:
     def mid_values(self, x: np.ndarray) -> np.ndarray:
         """Midpoint section of the filled graph, vectorized."""
         return 0.5 * (self.left_limits(x) + self.right_limits(x))
-
-
-@dataclass(frozen=True)
-class YosidaView:
-    """A monotone graph together with a regularization parameter lam > 0."""
-
-    graph: MonotoneGraph
-    lam: float
-    root_tol: float = _DEFAULT_ROOT_TOL
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be > 0")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be > 0")
 
 
 # -- sections ---------------------------------------------------------------
@@ -215,14 +205,14 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 
 
 def _bracket_and_bisect(
-    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, tol: float, what: str
+    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, what: str
 ) -> np.ndarray:
     """Zero of an increasing map g, elementwise, by bracketing + bisection.
 
     The bracket starts at [x - |x| - 1, x + |x| + 1] and doubles its width on
     each side where g has no sign change; bisection then halves it until
-    every interval is at most tol wide.  g may jump upward, in which case the
-    result is the jump location.
+    every interval is at most ROOT_TOL wide.  g may jump upward, in which
+    case the result is the jump location.
     """
     lo = x - np.abs(x) - 1.0
     hi = x + np.abs(x) + 1.0
@@ -240,7 +230,7 @@ def _bracket_and_bisect(
             f"no bracket after {_MAX_BRACKET_DOUBLINGS} doublings for {what}"
         )
     for _ in range(_MAX_BISECTIONS):
-        if np.max(hi - lo) <= tol:
+        if np.max(hi - lo) <= ROOT_TOL:
             break
         mid = 0.5 * (lo + hi)
         below = g(mid) < 0.0
@@ -249,9 +239,7 @@ def _bracket_and_bisect(
     return 0.5 * (lo + hi)
 
 
-def _bisection_resolvent(
-    graph: MonotoneGraph, lam: float, x: np.ndarray, tol: float
-) -> np.ndarray:
+def _bisection_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
     """Solve y + lam*f(y) = x by bracketing + bisection, vectorized.
 
     The target map is strictly increasing with only upward jumps, so sign
@@ -259,13 +247,11 @@ def _bisection_resolvent(
     whose filled-graph image contains x.
     """
     return _bracket_and_bisect(
-        lambda y: y + lam * graph.mid_values(y) - x, x, tol, repr(graph.name)
+        lambda y: y + lam * graph.mid_values(y) - x, x, repr(graph.name)
     )
 
 
-def resolvent_array(
-    graph: MonotoneGraph, lam: float, x, tol: float = _DEFAULT_ROOT_TOL
-) -> np.ndarray:
+def resolvent_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
     """R_lam(x) = (I + lam*f)^{-1}(x), vectorized over x."""
     if not lam > 0:
         raise ValueError("lambda must be > 0")
@@ -274,32 +260,26 @@ def resolvent_array(
         raise NonFiniteInput("resolvent input must be finite")
     if graph.fast_resolvent is not None:
         return graph.fast_resolvent(x, lam)
-    return _bisection_resolvent(graph, lam, x, tol)
+    return _bisection_resolvent(graph, lam, x)
 
 
-def resolvent(
-    graph: MonotoneGraph, lam: float, x: float, tol: float = _DEFAULT_ROOT_TOL
-) -> float:
+def resolvent(graph: MonotoneGraph, lam: float, x: float) -> float:
     """Scalar resolvent; see :func:`resolvent_array`."""
-    return float(resolvent_array(graph, lam, np.asarray([x]), tol)[0])
+    return float(resolvent_array(graph, lam, np.asarray([x]))[0])
 
 
-def yosida_array(
-    graph: MonotoneGraph, lam: float, x, tol: float = _DEFAULT_ROOT_TOL
-) -> np.ndarray:
+def yosida_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
     """Yosida approximation f_lam(x) = (x - R_lam(x)) / lam, vectorized."""
     x = np.asarray(x, dtype=float)
-    return (x - resolvent_array(graph, lam, x, tol)) / lam
+    return (x - resolvent_array(graph, lam, x)) / lam
 
 
-def yosida(view: YosidaView, x: float) -> float:
-    """Scalar Yosida approximation at the view's lambda."""
-    return float(yosida_array(view.graph, view.lam, np.asarray([x]), view.root_tol)[0])
+def yosida(graph: MonotoneGraph, lam: float, x: float) -> float:
+    """Scalar Yosida approximation; see :func:`yosida_array`."""
+    return float(yosida_array(graph, lam, np.asarray([x]))[0])
 
 
-def yosida_of_yosida_array(
-    graph: MonotoneGraph, lam: float, mu: float, x, tol: float = _DEFAULT_ROOT_TOL
-) -> np.ndarray:
+def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np.ndarray:
     """(f_lam)_mu(x): Yosida approximation of the function f_lam.
 
     f_lam is continuous and monotone, so its resolvent is found by plain
@@ -308,8 +288,8 @@ def yosida_of_yosida_array(
     """
     x = np.asarray(x, dtype=float)
     rho = _bracket_and_bisect(
-        lambda r: r + mu * yosida_array(graph, lam, r, tol) - x,
-        x, tol, f"the composed Yosida resolvent of {graph.name!r}",
+        lambda r: r + mu * yosida_array(graph, lam, r) - x,
+        x, f"the composed Yosida resolvent of {graph.name!r}",
     )
     return (x - rho) / mu
 
@@ -371,11 +351,11 @@ def primitive_array(graph: MonotoneGraph, x, quad_tol: float = 1e-10) -> np.ndar
     return out.reshape(x.shape)
 
 
-def moreau(view: YosidaView, x: float, quad_tol: float = 1e-10) -> float:
+def moreau(graph: MonotoneGraph, lam: float, x: float, quad_tol: float = 1e-10) -> float:
     """Moreau envelope phi_lam(x) = phi(R_lam x) + (lam/2) f_lam(x)^2."""
-    rx = resolvent(view.graph, view.lam, x, view.root_tol)
-    flam = (x - rx) / view.lam
-    return primitive(view.graph, rx, quad_tol) + 0.5 * view.lam * flam * flam
+    rx = resolvent(graph, lam, x)
+    flam = (x - rx) / lam
+    return primitive(graph, rx, quad_tol) + 0.5 * lam * flam * flam
 
 
 # -- built-in graphs ----------------------------------------------------------
@@ -470,7 +450,6 @@ def sign_graph() -> MonotoneGraph:
         branch_fns=(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, 1.0)),
         growth_exponent=0.0,
         growth_constant=1.0,
-        jump_points=(0.0,),
         fast_resolvent=_sign_resolvent,
         fast_primitive=lambda x: np.abs(x),
     )
@@ -489,7 +468,6 @@ def sign_plus_linear_graph() -> MonotoneGraph:
         branch_fns=(lambda x: x - 1.0, lambda x: x + 1.0),
         growth_exponent=1.0,
         growth_constant=1.0,
-        jump_points=(0.0,),
         fast_resolvent=_sign_plus_linear_resolvent,
         fast_primitive=lambda x: np.abs(x) + 0.5 * x * x,
     )
@@ -505,29 +483,15 @@ def piecewise_graph(
 ) -> MonotoneGraph:
     """Generic graph from ordered breakpoints and branch evaluators.
 
-    Jump points are detected from the one-sided limits; no fast paths are
-    attached, so resolvents go through the bisection engine.
+    No fast paths are attached, so resolvents go through the bisection engine.
     """
-    probe = MonotoneGraph(
+    return MonotoneGraph(
         name=name,
         breakpoints=tuple(float(b) for b in breakpoints),
         branch_fns=tuple(branch_fns),
         growth_exponent=growth_exponent,
         growth_constant=growth_constant,
         zero_in_graph=zero_in_graph,
-        _validate=False,
-    )
-    jumps = tuple(
-        b for b in probe.breakpoints if probe.left_limit(b) < probe.right_limit(b)
-    )
-    return MonotoneGraph(
-        name=name,
-        breakpoints=probe.breakpoints,
-        branch_fns=probe.branch_fns,
-        growth_exponent=growth_exponent,
-        growth_constant=growth_constant,
-        zero_in_graph=zero_in_graph,
-        jump_points=jumps,
     )
 
 

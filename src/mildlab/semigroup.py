@@ -32,7 +32,7 @@ from .grid_space import FieldSeries, Grid, GridFunction
 
 __all__ = ["HeatSemigroup", "to_modes", "from_modes", "apply_semigroup",
            "semigroup_series", "apply_resolvent", "apply_generator",
-           "convolve_series"]
+           "modal_recursion", "convolve_series"]
 
 
 class HeatSemigroup:
@@ -128,6 +128,19 @@ def _mode_series(sg: HeatSemigroup, fields: Union[FieldSeries, Sequence[GridFunc
     return vals @ sg.analysis.T  # (n_times, M) mode coefficients
 
 
+def modal_recursion(decay: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c[0] = 0 and c[n+1] = decay * c[n] + weight * x[n]; one row more than x.
+
+    Rows are times and columns modes: the exact one-step update of modewise
+    exponential decay driven by x, shared by the OU sampler and the
+    deterministic convolution.
+    """
+    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    for n in range(x.shape[0]):
+        out[n + 1] = decay * out[n] + weight * x[n]
+    return out
+
+
 def convolve_series(
     sg: HeatSemigroup,
     fields: Union[FieldSeries, Sequence[GridFunction]],
@@ -141,10 +154,7 @@ def convolve_series(
     if not delta > 0:
         raise ValueError("delta must be > 0")
     fhat = _mode_series(sg, fields)
-    n_times = fhat.shape[0]
     decay = np.exp(-sg.eigenvalues * delta)
     weight = (1.0 - decay) / sg.eigenvalues
-    chat = np.zeros_like(fhat)
-    for n in range(n_times - 1):
-        chat[n + 1] = decay * chat[n] + weight * fhat[n]
+    chat = modal_recursion(decay, weight, fhat[:-1])
     return FieldSeries(sg.grid, chat @ sg.basis.T)

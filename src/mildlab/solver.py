@@ -58,14 +58,13 @@ def default_lambda_schedule(n: int = 7, start: float = 0.25) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponents, time step, continuation schedule and tolerances."""
+    """Exponents, time step, continuation schedule and Cauchy tolerance."""
 
     q: float = 2.0
     r: float = 2.0
     delta: float = 2.0**-10
     lambda_schedule: tuple[float, ...] = field(default_factory=default_lambda_schedule)
     cauchy_tol: float = 1e-3
-    root_tol: float = 1e-12
 
     def __post_init__(self):
         if self.q < 1 or self.r < 1 or self.r > self.q:
@@ -79,8 +78,6 @@ class SolverConfig:
             raise ValueError("lambda schedule must be strictly decreasing")
         if not self.cauchy_tol > 0:
             raise ValueError("cauchy_tol must be > 0")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be > 0")
         object.__setattr__(self, "lambda_schedule", sched)
 
 
@@ -106,7 +103,6 @@ def solve_regularized(
     path: NoisePath,
     sg: HeatSemigroup,
     delta: Optional[float] = None,
-    root_tol: float = 1e-12,
 ) -> FieldSeries:
     """Trajectory of the regularized equation at a fixed lambda > 0."""
     if not lam > 0:
@@ -129,16 +125,15 @@ def solve_regularized(
     for n in range(n_steps):
         a = basis @ (decay * (analysis @ v))
         r = a + z[n + 1]
-        w = r - delta * yosida_array(f, shifted, r, root_tol)
+        w = r - delta * yosida_array(f, shifted, r)
         out[n + 1] = w
         v = w - z[n + 1]
     return FieldSeries(sg.grid, out)
 
 
-def extract_g(u_traj: FieldSeries, f: MonotoneGraph, lam: float,
-              root_tol: float = 1e-12) -> FieldSeries:
+def extract_g(u_traj: FieldSeries, f: MonotoneGraph, lam: float) -> FieldSeries:
     """Drift selection g(t_n) = f_lam(u(t_n)) pointwise."""
-    return FieldSeries(u_traj.grid, yosida_array(f, lam, u_traj.values, root_tol))
+    return FieldSeries(u_traj.grid, yosida_array(f, lam, u_traj.values))
 
 
 def continuation(
@@ -155,7 +150,7 @@ def continuation(
     pays for the remaining levels and holds only the trajectories it keeps.
     """
     for lam in config.lambda_schedule:
-        yield lam, solve_regularized(f, lam, u0, path, sg, config.delta, config.root_tol)
+        yield lam, solve_regularized(f, lam, u0, path, sg, config.delta)
 
 
 def solve_mild(
@@ -182,7 +177,7 @@ def solve_mild(
                 break
         prev = current
     final_lambda = lambdas[-1]
-    g = extract_g(current, f, final_lambda, config.root_tol)
+    g = extract_g(current, f, final_lambda)
     res = residual_check(current, g, u0, path, sg, config.r)
     return MildSolution(
         u=current,

@@ -14,8 +14,9 @@ import numpy as np
 from ..grid_space import (Grid, GridFunction, big_gamma, big_gamma0, bracket_l1,
                           duality_map, gamma_eps, lq_norm, pairing)
 from ..noise import DiffusionSpec, sample_path
-from ..scalar_monotone import (TEST_DRIFTS, resolvent_array, section_min_abs,
-                               yosida_array, yosida_of_yosida_array, zero_graph)
+from ..scalar_monotone import (ROOT_TOL, TEST_DRIFTS, resolvent_array,
+                               section_min_abs, yosida_array,
+                               yosida_of_yosida_array, zero_graph)
 from ..semigroup import (HeatSemigroup, apply_generator, apply_semigroup,
                          apply_resolvent, from_modes, to_modes)
 from ..solver import solve_regularized
@@ -34,51 +35,51 @@ class InvariantCheck:
         return self.violation <= self.tolerance
 
 
-def _scalar_checks(rng, n_samples: int, root_tol: float) -> list[InvariantCheck]:
+def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
     checks = []
     x = rng.uniform(-5.0, 5.0, n_samples)
     y = rng.uniform(-5.0, 5.0, n_samples)
     lams = rng.uniform(1e-3, 1.0, n_samples)
     mus = rng.uniform(1e-3, 1.0, n_samples)
     for name, f in TEST_DRIFTS().items():
-        rx = resolvent_array(f, 0.5, x, root_tol)
-        ry = resolvent_array(f, 0.5, y, root_tol)
+        rx = resolvent_array(f, 0.5, x)
+        ry = resolvent_array(f, 0.5, y)
         fx = (x - rx) / 0.5
         fy = (y - ry) / 0.5
         checks.append(InvariantCheck(
             f"resolvent_contraction[{name}]",
-            float(np.max(np.abs(rx - ry) - np.abs(x - y))), 10 * root_tol))
+            float(np.max(np.abs(rx - ry) - np.abs(x - y))), 10 * ROOT_TOL))
         checks.append(InvariantCheck(
             f"yosida_lipschitz[{name}]",
-            float(np.max(np.abs(fx - fy) - np.abs(x - y) / 0.5)), 10 * root_tol / 0.5))
+            float(np.max(np.abs(fx - fy) - np.abs(x - y) / 0.5)), 10 * ROOT_TOL / 0.5))
         checks.append(InvariantCheck(
             f"yosida_monotone[{name}]",
-            float(np.max(-(fx - fy) * (x - y))), 10 * root_tol))
+            float(np.max(-(fx - fy) * (x - y))), 10 * ROOT_TOL))
         # identity: x - y = R_lam x - R_mu y + lam f_lam(x) - mu f_mu(y)
-        rlx = np.array([resolvent_array(f, l, np.asarray([xx]), root_tol)[0]
+        rlx = np.array([resolvent_array(f, l, np.asarray([xx]))[0]
                         for l, xx in zip(lams[:200], x[:200])])
-        rmy = np.array([resolvent_array(f, m, np.asarray([yy]), root_tol)[0]
+        rmy = np.array([resolvent_array(f, m, np.asarray([yy]))[0]
                         for m, yy in zip(mus[:200], y[:200])])
         flx = (x[:200] - rlx) / lams[:200]
         fmy = (y[:200] - rmy) / mus[:200]
         ident = (x[:200] - y[:200]) - (rlx - rmy + lams[:200] * flx - mus[:200] * fmy)
         checks.append(InvariantCheck(
-            f"resolvent_identity[{name}]", float(np.max(np.abs(ident))), 10 * root_tol))
+            f"resolvent_identity[{name}]", float(np.max(np.abs(ident))), 10 * ROOT_TOL))
         lower = (flx - fmy) * (x[:200] - y[:200]) - (flx - fmy) * (
             lams[:200] * flx - mus[:200] * fmy)
         chain = (flx - fmy) * (lams[:200] * flx - mus[:200] * fmy) + (
             lams[:200] + mus[:200]) * (flx**2 + fmy**2)
         checks.append(InvariantCheck(
             f"yosida_product_lower_bound[{name}]",
-            float(max(np.max(-lower), np.max(-chain))), 10 * root_tol))
-        comp = yosida_of_yosida_array(f, 0.25, 0.125, x[:200], root_tol)
-        direct = yosida_array(f, 0.375, x[:200], root_tol)
+            float(max(np.max(-lower), np.max(-chain))), 10 * ROOT_TOL))
+        comp = yosida_of_yosida_array(f, 0.25, 0.125, x[:200])
+        direct = yosida_array(f, 0.375, x[:200])
         checks.append(InvariantCheck(
             f"yosida_semigroup_property[{name}]",
-            float(np.max(np.abs(comp - direct))), 10 * root_tol))
-        dom = np.abs(yosida_array(f, 0.5, x, root_tol)) - np.abs(section_min_abs(f, x))
+            float(np.max(np.abs(comp - direct))), 10 * ROOT_TOL))
+        dom = np.abs(yosida_array(f, 0.5, x)) - np.abs(section_min_abs(f, x))
         checks.append(InvariantCheck(
-            f"yosida_domination[{name}]", float(np.max(dom)), 10 * root_tol))
+            f"yosida_domination[{name}]", float(np.max(dom)), 10 * ROOT_TOL))
     return checks
 
 
@@ -221,14 +222,13 @@ def _noise_solver_checks(sg: HeatSemigroup, seed: int) -> list[InvariantCheck]:
 
 def run_invariant_battery(
     M: int = 127, nu: float = 1.0, seed: int = 20260101, n_samples: int = 2000,
-    root_tol: float = 1e-12,
 ) -> list[InvariantCheck]:
     """Run the full battery; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     grid = Grid(M)
     sg = HeatSemigroup(grid, nu)
     checks = []
-    checks += _scalar_checks(rng, n_samples, root_tol)
+    checks += _scalar_checks(rng, n_samples)
     checks += _lemma_checks(rng, max(n_samples, 10000))
     checks += _grid_checks(rng, grid)
     checks += _semigroup_checks(rng, sg, 100)

@@ -149,7 +149,7 @@ def l1_convergence_study(
                 dev_ok &= bool(np.all(dev >= -1e-12) and np.all(dev <= np.sqrt(eps) / 4 + 1e-12))
                 gamma_sups.append(float(np.max(gam)))
             u = traj.values[:-1]
-            g_vals = yosida_array(f, lam, u, config.root_tol)
+            g_vals = yosida_array(f, lam, u)
             flat = np.abs(g_vals).reshape(-1)
             for m in small_set_measures:
                 k = int(np.floor(m / cell))
@@ -251,6 +251,15 @@ def chain_rule_study(
     return report.finalize()
 
 
+def _extremal_path(y0: float, g: np.ndarray, delta: float) -> np.ndarray:
+    """y_0 = y0 and y_{n+1} = sqrt(y_n^2 + delta g_n y_n): the extremal trajectory."""
+    y = np.empty(len(g) + 1)
+    y[0] = y0
+    for n in range(len(g)):
+        y[n + 1] = np.sqrt(y[n] ** 2 + delta * g[n] * y[n])
+    return y
+
+
 def bernoulli_study(
     n_samples: int = 1000,
     seed: int = 0,
@@ -275,10 +284,7 @@ def bernoulli_study(
     for _ in range(n_samples):
         g = rng.uniform(0.0, 2.0, size=n_steps)
         y0 = rng.uniform(0.1, 2.0)
-        y = np.empty(n_steps + 1)
-        y[0] = y0
-        for n in range(n_steps):
-            y[n + 1] = np.sqrt(y[n] ** 2 + delta * g[n] * y[n])
+        y = _extremal_path(y0, g, delta)
         bound = y0 + 2.0 * delta * np.concatenate([[0.0], np.cumsum(g)])
         worst = max(worst, float(np.max(y - bound)))
     report.fitted["worst_margin"] = worst
@@ -286,10 +292,7 @@ def bernoulli_study(
 
     # constant forcing: closed form y = y0 + c t / 2, bound y0 + 2 c t
     c, y0 = 1.5, 1.0
-    y = np.empty(n_steps + 1)
-    y[0] = y0
-    for n in range(n_steps):
-        y[n + 1] = np.sqrt(y[n] ** 2 + delta * c * y[n])
+    y = _extremal_path(y0, np.full(n_steps, c), delta)
     t = delta * np.arange(n_steps + 1)
     exact = y0 + 0.5 * c * t
     report.fitted["constant_g_closed_form_error"] = float(np.max(np.abs(y - exact)))

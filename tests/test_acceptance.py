@@ -65,8 +65,8 @@ def test_criterion_01_scalar_identities(drifts, rng):
             lam, mu = rng.uniform(1e-3, 1.0, 2)
             x = rng.uniform(-5.0, 5.0, 1000)
             y = rng.uniform(-5.0, 5.0, 1000)
-            rx = resolvent_array(f, lam, x, ROOT_TOL)
-            ry = resolvent_array(f, mu, y, ROOT_TOL)
+            rx = resolvent_array(f, lam, x)
+            ry = resolvent_array(f, mu, y)
             flx, fmy = (x - rx) / lam, (y - ry) / mu
             ident = (x - y) - (rx - ry + lam * flx - mu * fmy)
             assert np.max(np.abs(ident)) <= 10 * ROOT_TOL, name
@@ -77,8 +77,8 @@ def test_criterion_01_scalar_identities(drifts, rng):
             assert np.min(second - floor) >= -10 * ROOT_TOL, name
         for lam, mu in [(0.25, 0.125), (0.8, 0.04)]:
             x = rng.uniform(-5.0, 5.0, 10000)
-            comp = yosida_of_yosida_array(f, lam, mu, x, ROOT_TOL)
-            direct = yosida_array(f, lam + mu, x, ROOT_TOL)
+            comp = yosida_of_yosida_array(f, lam, mu, x)
+            direct = yosida_array(f, lam + mu, x)
             assert np.max(np.abs(comp - direct)) <= 10 * ROOT_TOL, name
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -94,12 +94,12 @@ def test_criterion_02_closed_form_resolvents(rng):
         [lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, 1.0)],
         growth_exponent=0.0, growth_constant=1.0)
     for lam in (0.5, 0.03):
-        got = resolvent_array(generic_sign, lam, xs, ROOT_TOL)
+        got = resolvent_array(generic_sign, lam, xs)
         want = np.sign(xs) * np.maximum(np.abs(xs) - lam, 0.0)
         assert np.max(np.abs(got - want)) <= 1e-10
     generic_linear = piecewise_graph("linear-generic", [], [lambda x: x], 1.0, 1.0)
     for lam in (1.0, 0.1):
-        got = resolvent_array(generic_linear, lam, xs, ROOT_TOL)
+        got = resolvent_array(generic_linear, lam, xs)
         assert np.max(np.abs(got - xs / (1 + lam))) <= 1e-10
     elapsed = time.time() - start
     assert elapsed < 5.0

@@ -69,10 +69,52 @@ class TestParseConfig:
             parse_config(json.dumps({"grid": {"M": 31, "color": "red"}}))
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(json.dumps({"mystery_section": {}}))
+        with pytest.raises(ValidationError, match="top level: unknown key 'root_tol'"):
+            parse_config(json.dumps({"root_tol": 1e-12}))
 
     def test_unknown_study_rejected(self):
         with pytest.raises(ValidationError, match="unknown study"):
             parse_config(json.dumps({"studies": {"nope": {}}}))
+
+    def test_study_unknown_key_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"studies": {"bernoulli": {"n_sample": 5},
+                                                 "contraction_extension": {"q": 2.0}}}))
+        assert err.value.violations == [
+            "studies.bernoulli: unknown key 'n_sample'",
+            "studies.contraction_extension: unknown key 'q'",
+        ]
+
+    @pytest.mark.parametrize("study, key, value", [
+        ("cauchy", "q", "abc"),
+        ("cauchy", "n_paths", 0),
+        ("moment", "n_paths", 2.5),
+        ("bernoulli", "n_samples", True),
+        ("eiconv", "n_max", "64"),
+        ("propagation", "frozen_constant", None),
+        ("chain_rule", "deltas", [0.01, "x"]),
+        ("apriori", "qs_linear", 2.0),
+        ("apriori", "qs_square", [[2.0]]),
+    ])
+    def test_study_value_types_checked(self, study, key, value):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"studies": {study: {key: value}}}))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"studies.{study}.{key}: must be")
+
+    def test_every_study_key_accepted(self):
+        studies = {
+            "cauchy": {"n_paths": 2, "q": 1.5},
+            "l1": {"n_paths": 1},
+            "chain_rule": {"q": 2, "deltas": [0.01, 0.005]},
+            "bernoulli": {"n_samples": 10},
+            "eiconv": {"n_max": 64},
+            "moment": {"n_paths": 100, "q": 2.0},
+            "propagation": {"n_paths": 3, "frozen_constant": 1.2},
+            "contraction_extension": {},
+            "apriori": {"n_paths": 2, "qs_linear": [1.5, 2], "qs_square": []},
+        }
+        assert parse_config(json.dumps({"studies": studies})).studies == studies
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError, match="line"):
@@ -142,6 +184,17 @@ class TestCli:
         bad.write_text(json.dumps({"exponents": {"q": 0.5}}))
         assert self.run_cli("solve", str(bad)) == 1
         assert "q >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"root_tol": 1e-12}, "unknown key 'root_tol'"),
+        ({"studies": {"cauchy": {"q": "abc"}}}, "studies.cauchy.q: must be a number"),
+    ])
+    def test_rejected_keys_exit_one(self, tmp_path, capsys, monkeypatch, overrides, message):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = write_config(tmp_path, overrides)
+        assert self.run_cli("study", "cauchy", str(cfg)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):

@@ -24,6 +24,15 @@ class TestDiffusionSpec:
         with pytest.raises(ValueError):
             spec.mode_weights(5)
 
+    def test_from_dict_inverts_to_dict(self):
+        for spec in (DiffusionSpec(c=1, gamma=2), DiffusionSpec(c=0.5, gamma=1.5),
+                     DiffusionSpec(weights=(0.0, 1.5))):
+            again = DiffusionSpec.from_dict(spec.to_dict())
+            assert again == spec
+            assert again.to_dict() == spec.to_dict()
+        assert type(DiffusionSpec.from_dict({"c": 1, "gamma": 2}).c) is int
+        assert DiffusionSpec.from_dict({"c": 2.0}) == DiffusionSpec(c=2.0, gamma=1.0)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DiffusionSpec(c=-1.0)
@@ -187,6 +196,15 @@ class TestExport:
         csv_file2 = tmp_path / "noise2.csv"
         export_noise_csv(again, csv_file2)
         assert csv_file.read_bytes() == csv_file2.read_bytes()
+
+    def test_sidecar_keeps_integer_amplitudes(self, sg, tmp_path):
+        p = sample_path(sg, DiffusionSpec(c=1, gamma=2), 0.25, 2.0**-6, seed=5)
+        export_noise_sidecar(p, tmp_path / "a.json")
+        assert '"c": 1,' in (tmp_path / "a.json").read_text()
+        again = load_sidecar_and_resample(tmp_path / "a.json")
+        assert np.array_equal(again.mode_values, p.mode_values)
+        export_noise_sidecar(again, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_csv_header_and_shape(self, sg, tmp_path):
         p = sample_path(sg, DiffusionSpec(), 0.25, 2.0**-4, seed=1)

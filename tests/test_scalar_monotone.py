@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mildlab.errors import BracketFailure, NonFiniteInput
-from mildlab.scalar_monotone import (MonotoneGraph, YosidaView, linear_graph,
+from mildlab.scalar_monotone import (MonotoneGraph, linear_graph,
                                      make_graph, moreau, piecewise_graph,
                                      power_graph, primitive, primitive_array,
                                      resolvent, resolvent_array, section,
@@ -88,7 +88,7 @@ class TestResolvent:
             generic = MonotoneGraph(
                 name=f.name + "-generic", breakpoints=f.breakpoints,
                 branch_fns=f.branch_fns, growth_exponent=f.growth_exponent,
-                growth_constant=f.growth_constant, jump_points=f.jump_points,
+                growth_constant=f.growth_constant,
             )
             for lam in (1e-3, 0.1, 1.0):
                 fast = resolvent_array(f, lam, xs)
@@ -116,19 +116,18 @@ class TestResolvent:
 
 class TestYosida:
     def test_sign_clamp(self):
-        view = YosidaView(sign_graph(), 0.5)
-        assert yosida(view, 0.2) == pytest.approx(0.4, abs=1e-12)
-        assert yosida(view, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert yosida(sign_graph(), 0.5, 0.2) == pytest.approx(0.4, abs=1e-12)
+        assert yosida(sign_graph(), 0.5, 3.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear(self):
-        assert yosida(YosidaView(linear_graph(1.0), 1.0), 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert yosida(linear_graph(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
     def test_lipschitz_and_monotone(self, x, y, lam):
         f = sign_plus_linear_graph()
-        fx = yosida(YosidaView(f, lam), x)
-        fy = yosida(YosidaView(f, lam), y)
+        fx = yosida(f, lam, x)
+        fy = yosida(f, lam, y)
         assert abs(fx - fy) <= abs(x - y) / lam + 1e-9
         assert (fx - fy) * (x - y) >= -1e-12
 
@@ -141,7 +140,7 @@ class TestYosida:
                 assert np.max(fl - bound) <= 1e-10, (name, lam)
         # jump points separately
         g = sign_graph()
-        assert abs(yosida(YosidaView(g, 0.3), 0.0)) <= abs(section_min_abs(g, 0.0)) + 1e-12
+        assert abs(yosida(g, 0.3, 0.0)) <= abs(section_min_abs(g, 0.0)) + 1e-12
 
     def test_semigroup_property(self, drifts, rng):
         xs = rng.uniform(-5, 5, 300)
@@ -220,16 +219,16 @@ class TestMoreau:
 
     def test_linear_example(self):
         # phi(y) = y^2/2, R_1(2) = 1, f_1(2) = 1 => 0.5 + 0.5
-        got = moreau(YosidaView(linear_graph(1.0), 1.0), 2.0)
+        got = moreau(linear_graph(1.0), 1.0, 2.0)
         assert got == pytest.approx(1.0, abs=1e-10)
         assert got == pytest.approx(self.brute_force(linear_graph(1.0), 1.0, 2.0), abs=1e-6)
 
     def test_zero_at_origin(self, drifts):
         for f in drifts.values():
-            assert moreau(YosidaView(f, 0.7), 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert moreau(f, 0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_grid_minimization_oracle(self):
-        got = moreau(YosidaView(sign_graph(), 1.0), 0.5)
+        got = moreau(sign_graph(), 1.0, 0.5)
         want = self.brute_force(sign_graph(), 1.0, 0.5)
         assert got == pytest.approx(want, abs=1e-6)
         assert got == pytest.approx(0.125, abs=1e-10)  # min attained at y = 0
@@ -240,7 +239,7 @@ class TestMoreau:
                 phi = primitive(f, x)
                 prev = -np.inf
                 for lam in (1.0, 0.1, 0.01):
-                    env = moreau(YosidaView(f, lam), x)
+                    env = moreau(f, lam, x)
                     assert -1e-12 <= env <= phi + 1e-9
                     assert env >= prev - 1e-9
                     prev = env
@@ -277,6 +276,18 @@ class TestGraphConstruction:
         for f in drifts.values():
             for b in f.jump_points:
                 assert f.left_limit(b) < f.right_limit(b)
+
+    def test_jump_points_derived_from_limits(self):
+        assert sign_graph().jump_points == (0.0,)
+        assert sign_plus_linear_graph().jump_points == (0.0,)
+        kinked = MonotoneGraph(
+            name="kink", breakpoints=(0.0, 1.0),
+            branch_fns=(lambda x: x, lambda x: 2.0 * x, lambda x: 2.0 * x + 1.0),
+            growth_exponent=1.0, growth_constant=3.0,
+        )
+        assert kinked.jump_points == (1.0,)
+        with pytest.raises(AttributeError):
+            kinked.jump_points = (0.0,)
 
     def test_make_graph_from_declarative_spec(self):
         g = make_graph({"kind": "piecewise", "breakpoints": [0.0],
