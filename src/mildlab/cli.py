@@ -56,9 +56,8 @@ def _write_manifest(cfg: RunConfig, out: Path, subcommand: str, artifacts: list[
     atomic_write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _paths(cfg: RunConfig, sg, n: int | None = None):
-    count = cfg.n_paths if n is None else n
-    seeds = path_seeds(cfg.master_seed, count)
+def _paths(cfg: RunConfig, sg, n: int):
+    seeds = path_seeds(cfg.master_seed, n)
     spec = cfg.build_noise_spec()
     return [sample_path(sg, spec, cfg.T, cfg.delta, int(s)) for s in seeds]
 
@@ -66,7 +65,7 @@ def _paths(cfg: RunConfig, sg, n: int | None = None):
 def _cmd_sample_noise(cfg: RunConfig, out: Path) -> int:
     sg = cfg.build_semigroup()
     artifacts = []
-    for i, path in enumerate(_paths(cfg, sg)):
+    for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
         csv_name, json_name = f"noise_path{i}.csv", f"noise_path{i}.json"
         out.mkdir(parents=True, exist_ok=True)
         export_noise_csv(path, out / csv_name)
@@ -84,14 +83,14 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     artifacts = []
     inconclusive = False
     out.mkdir(parents=True, exist_ok=True)
-    for i, path in enumerate(_paths(cfg, sg)):
+    for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
         sol = solve_mild(graph, u0, path, sg, solver_cfg)
         times = path.times
         export_series_csv(sol.u, times, out / f"solution{i}_u.csv")
         export_series_csv(sol.g, times, out / f"solution{i}_g.csv")
         run_record = {
             "seed": path.seed,
-            "drift": cfg.drift,
+            "drift": cfg.raw["drift"],
             "final_lambda": sol.final_lambda,
             "residual": sol.residual,
             "converged": sol.converged,
@@ -126,40 +125,37 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     u0 = cfg.build_initial(sg.grid)
     solver_cfg = cfg.solver_config()
     if name == "cauchy":
-        paths = _paths(cfg, sg, params.get("n_paths"))
-        return cauchy_rate_study(graph, params.get("q", cfg.q), paths, sg,
+        paths = _paths(cfg, sg, params["n_paths"])
+        return cauchy_rate_study(graph, params["q"], paths, sg,
                                  solver_cfg, u0, workers=workers)
     if name == "l1":
-        paths = _paths(cfg, sg, params.get("n_paths"))
+        paths = _paths(cfg, sg, params["n_paths"])
         return l1_convergence_study(graph, paths, sg, solver_cfg, u0, workers=workers)
     if name == "chain_rule":
-        deltas = tuple(params.get("deltas", (2.0 * cfg.delta, cfg.delta)))
-        return chain_rule_study(params.get("q", cfg.q), sg,
-                                _default_forcing(cfg, sg), u0, T=cfg.T, deltas=deltas)
+        return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
+                                T=cfg.T, deltas=tuple(params["deltas"]))
     if name == "bernoulli":
-        return bernoulli_study(n_samples=params.get("n_samples", 1000),
-                               seed=cfg.master_seed)
+        return bernoulli_study(n_samples=params["n_samples"], seed=cfg.master_seed)
     if name == "eiconv":
-        return eiconv_demo(n_max=params.get("n_max", 1024))
+        return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
-        paths = _paths(cfg, sg, params.get("n_paths", max(cfg.n_paths, 100)))
-        return moment_study(graph, params.get("q", cfg.q), cfg.p, paths, sg,
+        paths = _paths(cfg, sg, params["n_paths"])
+        return moment_study(graph, params["q"], cfg.p, paths, sg,
                             solver_cfg, u0, workers=workers)
     if name == "propagation":
-        paths = _paths(cfg, sg, params.get("n_paths"))
+        paths = _paths(cfg, sg, params["n_paths"])
         return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, sg,
                                  solver_cfg, u0,
-                                 frozen_constant=params.get("frozen_constant"),
+                                 frozen_constant=params["frozen_constant"],
                                  workers=workers)
     if name == "contraction_extension":
         path = _paths(cfg, sg, 1)[0]
         return contraction_extension_study(graph, cfg.q, path, sg, solver_cfg,
                                            workers=workers)
     if name == "apriori":
-        paths = _paths(cfg, sg, params.get("n_paths"))
-        qs_linear = tuple(params.get("qs_linear", (1.5, 2.0, 3.0)))
-        qs_square = tuple(params.get("qs_square", (2.0, 4.0)))
-        return apriori_constants_study(graph, qs_linear, qs_square, paths, sg,
+        paths = _paths(cfg, sg, params["n_paths"])
+        return apriori_constants_study(graph, tuple(params["qs_linear"]),
+                                       tuple(params["qs_square"]), paths, sg,
                                        solver_cfg, u0, workers=workers)
     raise MildlabError(f"unknown study {name!r}")
 

@@ -1,8 +1,10 @@
 """Run configuration: documented JSON schema, parsing, full validation.
 
-A config is a JSON object with the sections below; unknown keys anywhere are
-rejected (a study section accepts the keys listed in STUDY_KEYS), and
-validation reports every violated constraint at once, not just the first.
+A config is a JSON object with the sections below.  Each key's default, type
+and range is stated once, in the rule tables below (scalar_monotone.DRIFT_KEYS
+holds each drift kind's keys), and one checker applies them: unknown keys
+anywhere are rejected, bools are not numbers, non-finite numbers are
+rejected, and every violated constraint is reported at once.
 
     {
       "grid":   {"M": 127, "nu": 1.0},
@@ -20,13 +22,20 @@ validation reports every violated constraint at once, not just the first.
     }
 
 Defaults: M = 127, nu = 1, T = 1, delta = 2^-10, lambda schedule
-0.25 * 2^-j for j = 0..6.  A study subcommand refuses to run unless its
-section is present under "studies".
+0.25 * 2^-j for j = 0..6, exponents.d = the drift's growth exponent.  An
+absent drift, noise or initial section takes the whole section shown above;
+a given one takes per-key defaults instead (noise c = gamma = 1, initial
+amplitude = 1).  The drift graph and the initial datum are built once, while
+parsing.  A study subcommand refuses to run unless its section is present
+under "studies".
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,56 +48,173 @@ from .scalar_monotone import MonotoneGraph, make_graph
 from .semigroup import HeatSemigroup
 from .solver import SolverConfig, default_lambda_schedule
 
-__all__ = ["RunConfig", "parse_config", "STUDY_KEYS"]
+__all__ = ["RunConfig", "parse_config", "STUDY_KEYS", "INITIAL_KEYS"]
 
-# Each study's name and the keys its section under "studies" accepts.
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# Each type: its name in a violation and its test.
+_TYPES = {
+    "int": ("an integer", _is_int),
+    "int or null": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "number": ("a number", _is_number),
+    "numbers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "string": ("a nonempty string", lambda v: isinstance(v, str) and bool(v)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
+
+
+def _inherit(section: str, key: str, derive=lambda v: v):
+    """A default taken from a checked top-level key (None while that key is invalid)."""
+    return lambda top: None if top[section][key] is None else derive(top[section][key])
+
+
+# A rule is (default, type, range).  The range bounds the value, or each entry
+# of a list, as "<op> <limit>".  A default of None leaves the key unset; a
+# callable default is computed from the checked top-level sections.
+_TOP = {
+    "grid": ({}, "object", None),
+    "time": ({}, "object", None),
+    "drift": ({"kind": "power", "d": 3.0}, "object", None),
+    "noise": ({"c": 1.0, "gamma": 2.0}, "object", None),
+    "exponents": ({}, "object", None),
+    "initial": ({"kind": "sine", "amplitude": 0.5, "mode": 1}, "object", None),
+    "lambda_schedule": (list(default_lambda_schedule()), "numbers", "> 0"),
+    "cauchy_tol": (1e-3, "number", "> 0"),
+    "seeds": ({}, "object", None),
+    "output_dir": ("runs/out", "string", None),
+    "workers": (None, "int or null", ">= 1"),     # manifests record "unset" as null
+    "studies": ({}, "object", None),
+}
+_SECTIONS = {
+    "grid": {"M": (127, "int", ">= 2"), "nu": (1.0, "number", "> 0")},
+    "time": {"T": (1.0, "number", "> 0"), "delta": (2.0**-10, "number", "> 0")},
+    "exponents": {"q": (2.0, "number", ">= 1"), "r": (2.0, "number", ">= 1"),
+                  "p": (2.0, "number", "> 0"), "d": (None, "number", ">= 0")},
+    "seeds": {"master": (20260101, "int", ">= 0"), "n_paths": (4, "int", ">= 1")},
+    # an absent c or gamma takes DiffusionSpec's default, 1.0
+    "noise": {"c": (None, "number", ">= 0"), "gamma": (None, "number", ">= 0"),
+              "weights": (None, "numbers", ">= 0")},
+}
+_N_PATHS = (_inherit("seeds", "n_paths"), "int", ">= 1")
+_Q_ABOVE_1 = (_inherit("exponents", "q"), "number", "> 1")
+# Each study's name and the rules of the keys its section under "studies" accepts.
 STUDY_KEYS = {
-    "cauchy": ("n_paths", "q"),
-    "l1": ("n_paths",),
-    "chain_rule": ("q", "deltas"),
-    "bernoulli": ("n_samples",),
-    "eiconv": ("n_max",),
-    "moment": ("n_paths", "q"),
-    "propagation": ("n_paths", "frozen_constant"),
-    "contraction_extension": (),
-    "apriori": ("n_paths", "qs_linear", "qs_square"),
-}
-_STUDY_LIST_KEYS = {"deltas", "qs_linear", "qs_square"}
-
-_TOP_KEYS = {
-    "grid", "time", "drift", "noise", "exponents", "initial",
-    "lambda_schedule", "cauchy_tol", "seeds", "output_dir",
-    "workers", "studies",
+    "cauchy": {"n_paths": _N_PATHS, "q": _Q_ABOVE_1},
+    "l1": {"n_paths": _N_PATHS},
+    "chain_rule": {"q": _Q_ABOVE_1,
+                   "deltas": (_inherit("time", "delta", lambda d: [2.0 * d, d]),
+                              "numbers", "> 0")},
+    "bernoulli": {"n_samples": (1000, "int", ">= 1")},
+    "eiconv": {"n_max": (1024, "int", ">= 1")},
+    "moment": {"n_paths": (_inherit("seeds", "n_paths", lambda n: max(n, 100)), "int", ">= 100"),
+               "q": (_inherit("exponents", "q"), "number", None)},
+    "propagation": {"n_paths": _N_PATHS, "frozen_constant": (None, "number", None)},
+    "contraction_extension": {},
+    "apriori": {"n_paths": _N_PATHS, "qs_linear": ([1.5, 2.0, 3.0], "numbers", None),
+                "qs_square": ([2.0, 4.0], "numbers", None)},
 }
 
-_DEFAULTS = {
-    "grid": {"M": 127, "nu": 1.0},
-    "time": {"T": 1.0, "delta": 2.0**-10},
-    "drift": {"kind": "power", "d": 3.0},
-    "noise": {"c": 1.0, "gamma": 2.0},
-    "exponents": {"q": 2.0, "r": 2.0, "p": 2.0},
-    "initial": {"kind": "sine", "amplitude": 0.5, "mode": 1},
-    "cauchy_tol": 1e-3,
-    "seeds": {"master": 20260101, "n_paths": 4},
-    "output_dir": "runs/out",
+
+def _in_range(value, bound: Optional[str]) -> bool:
+    """Whether a value, or each entry of a list, satisfies its "<op> <limit>" bound."""
+    if bound is None or value is None:
+        return True
+    op, limit = bound.split()
+    entries = value if isinstance(value, list) else [value]
+    return all(_COMPARE[op](x, float(limit)) for x in entries)
+
+
+def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[dict] = None) -> dict:
+    """Each key's value under `rules`: the given one, else its default.
+
+    Reports unknown keys and every value of the wrong type or out of range;
+    such a value comes back as None, so cross-field rules can skip it.
+    Numbers come back as floats.
+    """
+    prefix = f"{where}." if where else ""
+    problems.extend(f"{where or 'top level'}: unknown key {key!r}"
+                    for key in body if key not in rules)
+    values = {}
+    for key, (default, kind, bound) in rules.items():
+        if key in body:
+            value = body[key]
+        else:
+            value = default(top) if callable(default) else copy.deepcopy(default)
+            if value is None:
+                values[key] = None
+                continue
+        noun, is_kind = _TYPES[kind]
+        listed = kind == "numbers"
+        if is_kind(value) and _in_range(value, bound):
+            values[key] = ([float(x) for x in value] if listed
+                           else float(value) if kind == "number" else value)
+            continue
+        values[key] = None
+        in_range = f", {'each' if listed else key} {bound}" if bound else ""
+        problems.append(f"{prefix}{key}: must be {noun}{in_range}"
+                        + ("" if key in body else f" (its default {value!r})"))
+    return values
+
+
+# Each initial-datum kind: the rules of the keys it reads besides "kind", and
+# its values at the grid nodes x.
+INITIAL_KEYS = {
+    "zero": ({}, lambda p, x: np.zeros_like(x)),
+    "sine": ({"amplitude": (1.0, "number", None), "mode": (1, "int", None)},
+             lambda p, x: p["amplitude"] * np.sin(p["mode"] * np.pi * x)),
+    "spike": ({"exponent": (0.4, "number", None), "amplitude": (1.0, "number", None),
+               "cap": (None, "number", None)},
+              lambda p, x: np.minimum(p["amplitude"] * x ** (-p["exponent"]),
+                                      np.inf if p["cap"] is None else p["cap"])),
+    "values": ({"values": ([], "numbers", None)}, lambda p, x: p["values"]),
 }
+
+
+def _initial_datum(spec: dict, grid: Grid, problems: list) -> Optional[GridFunction]:
+    """The initial datum `spec` describes on `grid`, or None once the reasons are reported."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in INITIAL_KEYS:
+        problems.append(f"initial.kind: must be one of {', '.join(INITIAL_KEYS)}")
+        return None
+    rules, values = INITIAL_KEYS[kind]
+    found = len(problems)
+    p = _check({k: v for k, v in spec.items() if k != "kind"}, rules, "initial", problems)
+    if len(problems) > found:
+        return None
+    try:
+        return GridFunction(grid, values(p, grid.nodes))
+    except ValueError as exc:
+        problems.append(f"initial: {exc}")
+        return None
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; `raw` is the canonical merged mapping."""
+    """Validated run parameters; `raw` is the canonical merged mapping.
+
+    Made by parse_config, which also builds the graph and the initial datum
+    that build_graph() and build_initial() return.  `studies` holds each
+    present study's parameters, defaults filled in.
+    """
 
     M: int
     nu: float
     T: float
     delta: float
-    drift: dict
     noise: dict
     q: float
     r: float
     p: float
     d: float
-    initial: dict
     lambda_schedule: tuple[float, ...]
     cauchy_tol: float
     master_seed: int
@@ -105,65 +231,21 @@ class RunConfig:
         return HeatSemigroup(self.build_grid(), self.nu)
 
     def build_graph(self) -> MonotoneGraph:
-        return make_graph(self.drift)
+        return self._graph
 
     def build_noise_spec(self) -> DiffusionSpec:
         return DiffusionSpec.from_dict(self.noise)
 
     def build_initial(self, grid: Grid) -> GridFunction:
-        kind = self.initial["kind"]
-        if kind == "zero":
-            return GridFunction(grid, np.zeros(grid.M))
-        if kind == "sine":
-            amp = float(self.initial.get("amplitude", 1.0))
-            mode = int(self.initial.get("mode", 1))
-            return GridFunction(grid, amp * np.sin(mode * np.pi * grid.nodes))
-        if kind == "spike":
-            a = float(self.initial.get("exponent", 0.4))
-            amp = float(self.initial.get("amplitude", 1.0))
-            cap = self.initial.get("cap")
-            vals = amp * grid.nodes ** (-a)
-            if cap is not None:
-                vals = np.minimum(vals, float(cap))
-            return GridFunction(grid, vals)
-        if kind == "values":
-            return GridFunction(grid, np.asarray(self.initial["values"], dtype=float))
-        raise ValueError(f"unknown initial kind {kind!r}")
+        """The datum on the config's grid; the solver rejects any other `grid`."""
+        return self._u0
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
-            q=self.q, r=self.r, delta=self.delta,
+            q=self.q, r=self.r,
             lambda_schedule=self.lambda_schedule,
             cauchy_tol=self.cauchy_tol,
         )
-
-
-def _reject_unknown(mapping: dict, allowed, where: str, problems: list):
-    for key in mapping:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_study(name: str, body: dict, problems: list):
-    """Study keys: n_* are integers >= 1, list keys hold numbers, the rest are numbers."""
-    where = f"studies.{name}"
-    _reject_unknown(body, STUDY_KEYS[name], where, problems)
-    for key in STUDY_KEYS[name]:
-        if key not in body:
-            continue
-        value = body[key]
-        if key.startswith("n_"):
-            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-                problems.append(f"{where}.{key}: must be an integer >= 1")
-        elif key in _STUDY_LIST_KEYS:
-            if not (isinstance(value, list) and all(_is_number(x) for x in value)):
-                problems.append(f"{where}.{key}: must be a list of numbers")
-        elif not _is_number(value):
-            problems.append(f"{where}.{key}: must be a number")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -176,157 +258,64 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("top level must be a JSON object")
 
     problems: list[str] = []
-    _reject_unknown(data, _TOP_KEYS, "top level", problems)
+    top = _check(data, _TOP, "", problems)
+    raw = dict(top)   # drift, noise, initial and studies are recorded as given
+    for name, rules in _SECTIONS.items():
+        top[name] = _check(top[name] or {}, rules, name, problems)
+    grid, time_sec, exponents = top["grid"], top["time"], top["exponents"]
+    M, T, delta = grid["M"], time_sec["T"], time_sec["delta"]
 
-    def section(name: str, keys: set) -> dict:
-        merged = dict(_DEFAULTS.get(name, {}))
-        given = data.get(name, {})
-        if not isinstance(given, dict):
-            problems.append(f"{name}: must be an object")
-            return merged
-        _reject_unknown(given, keys, name, problems)
-        merged.update({k: v for k, v in given.items() if k in keys})
-        return merged
-
-    grid = section("grid", {"M", "nu"})
-    time_sec = section("time", {"T", "delta"})
-    drift = data.get("drift", dict(_DEFAULTS["drift"]))
-    noise = data.get("noise", dict(_DEFAULTS["noise"]))
-    exponents = section("exponents", {"q", "r", "p", "d"})
-    initial = data.get("initial", dict(_DEFAULTS["initial"]))
-    seeds = section("seeds", {"master", "n_paths"})
-
-    M = grid.get("M")
-    if not (isinstance(M, int) and M >= 2):
-        problems.append("grid.M: must be an integer >= 2")
-    nu = grid.get("nu")
-    if not (isinstance(nu, (int, float)) and nu > 0):
-        problems.append("grid.nu: must be > 0")
-    T = time_sec.get("T")
-    if not (isinstance(T, (int, float)) and T > 0):
-        problems.append("time.T: must be > 0")
-    delta = time_sec.get("delta")
-    if not (isinstance(delta, (int, float)) and delta > 0):
-        problems.append("time.delta: must be > 0")
-    elif isinstance(T, (int, float)) and T > 0:
-        n = round(T / delta)
-        if n < 1 or abs(n * delta - T) > 1e-9 * T:
+    if None not in (T, delta):
+        steps = T / delta
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(round(steps) * delta - T) <= 1e-9 * T):
             problems.append("time.delta: must divide the horizon T")
-
-    q = exponents.get("q")
-    if not (isinstance(q, (int, float)) and q >= 1):
-        problems.append("exponents.q: q >= 1")
-    r = exponents.get("r")
-    if not (isinstance(r, (int, float)) and r >= 1):
-        problems.append("exponents.r: r >= 1")
-    elif isinstance(q, (int, float)) and r > q:
+    if None not in (exponents["q"], exponents["r"]) and exponents["r"] > exponents["q"]:
         problems.append("exponents.r: r <= q (a (q,r)-mild solution requires q >= r)")
-    p = exponents.get("p")
-    if not (isinstance(p, (int, float)) and p > 0):
-        problems.append("exponents.p: p > 0")
+    weights = top["noise"]["weights"]
+    if None not in (weights, M) and len(weights) != M:
+        problems.append(f"noise.weights: need exactly M={M} entries")
+    schedule = top["lambda_schedule"]
+    if schedule is not None and (
+            not schedule or any(b >= a for a, b in zip(schedule, schedule[1:]))):
+        problems.append("lambda_schedule: must be nonempty and strictly decreasing")
 
-    drift_graph = None
-    if not isinstance(drift, dict):
-        problems.append("drift: must be an object")
-        drift = dict(_DEFAULTS["drift"])
-    else:
+    graph = u0 = None
+    if raw["drift"] is not None:
         try:
-            drift_graph = make_graph(drift)
+            graph = make_graph(raw["drift"])
         except Exception as exc:
             problems.append(f"drift: {exc}")
-    d = exponents.get("d")
-    if d is None:
-        d = drift_graph.growth_exponent if drift_graph is not None else 0.0
-    elif not (isinstance(d, (int, float)) and d >= 0):
-        problems.append("exponents.d: d >= 0")
+    if exponents["d"] is None and graph is not None:
+        exponents["d"] = float(graph.growth_exponent)
+    if raw["initial"] is not None and M is not None:
+        u0 = _initial_datum(raw["initial"], Grid(M), problems)
 
-    if not isinstance(noise, dict):
-        problems.append("noise: must be an object")
-        noise = dict(_DEFAULTS["noise"])
-    else:
-        _reject_unknown(noise, {"c", "gamma", "weights"}, "noise", problems)
-        if "weights" in noise:
-            w = noise["weights"]
-            if not (isinstance(w, list) and all(isinstance(x, (int, float)) and x >= 0 for x in w)):
-                problems.append("noise.weights: must be a list of reals >= 0")
-            elif isinstance(M, int) and len(w) != M:
-                problems.append(f"noise.weights: need exactly M={M} entries")
+    studies = {}
+    for name, body in (raw["studies"] or {}).items():
+        if name not in STUDY_KEYS:
+            problems.append(f"studies: unknown study {name!r}")
+        elif not isinstance(body, dict):
+            problems.append(f"studies.{name}: must be an object")
         else:
-            if not (isinstance(noise.get("c", 1.0), (int, float)) and noise.get("c", 1.0) >= 0):
-                problems.append("noise.c: amplitude >= 0")
-            if not (isinstance(noise.get("gamma", 1.0), (int, float)) and noise.get("gamma", 1.0) >= 0):
-                problems.append("noise.gamma: smoothness >= 0")
-
-    if not isinstance(initial, dict) or "kind" not in initial:
-        problems.append("initial: must be an object with a 'kind'")
-        initial = dict(_DEFAULTS["initial"])
-    elif initial["kind"] not in ("zero", "sine", "spike", "values"):
-        problems.append(f"initial.kind: unknown kind {initial['kind']!r}")
-
-    schedule = data.get("lambda_schedule", list(default_lambda_schedule()))
-    if not (isinstance(schedule, list) and schedule
-            and all(isinstance(x, (int, float)) and x > 0 for x in schedule)):
-        problems.append("lambda_schedule: must be a nonempty list of positive reals")
-    elif any(b >= a for a, b in zip(schedule, schedule[1:])):
-        problems.append("lambda_schedule: must be strictly decreasing")
-
-    cauchy_tol = data.get("cauchy_tol", _DEFAULTS["cauchy_tol"])
-    if not (isinstance(cauchy_tol, (int, float)) and cauchy_tol > 0):
-        problems.append("cauchy_tol: must be > 0")
-
-    master = seeds.get("master")
-    if not (isinstance(master, int) and master >= 0):
-        problems.append("seeds.master: must be a nonnegative integer")
-    n_paths = seeds.get("n_paths")
-    if not (isinstance(n_paths, int) and n_paths >= 1):
-        problems.append("seeds.n_paths: must be an integer >= 1")
-
-    output_dir = data.get("output_dir", _DEFAULTS["output_dir"])
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("output_dir: must be a nonempty string")
-
-    workers = data.get("workers")
-    if workers is not None and not (isinstance(workers, int) and workers >= 1):
-        problems.append("workers: must be an integer >= 1")
-
-    studies = data.get("studies", {})
-    if not isinstance(studies, dict):
-        problems.append("studies: must be an object")
-        studies = {}
-    else:
-        for name, body in studies.items():
-            if name not in STUDY_KEYS:
-                problems.append(f"studies: unknown study {name!r}")
-            elif not isinstance(body, dict):
-                problems.append(f"studies.{name}: must be an object")
-            else:
-                _check_study(name, body, problems)
+            # given values pass through unconverted, so reports record them as written
+            checked = _check(body, STUDY_KEYS[name], f"studies.{name}", problems, top)
+            studies[name] = {**checked, **body}
 
     if problems:
         raise ValidationError(problems)
 
-    merged = {
-        "grid": {"M": M, "nu": float(nu)},
-        "time": {"T": float(T), "delta": float(delta)},
-        "drift": drift,
-        "noise": noise,
-        "exponents": {"q": float(q), "r": float(r), "p": float(p), "d": float(d)},
-        "initial": initial,
-        "lambda_schedule": [float(x) for x in schedule],
-        "cauchy_tol": float(cauchy_tol),
-        "seeds": {"master": master, "n_paths": n_paths},
-        "output_dir": output_dir,
-        "workers": workers,
-        "studies": studies,
-    }
-    return RunConfig(
-        M=M, nu=float(nu), T=float(T), delta=float(delta),
-        drift=drift, noise=noise,
-        q=float(q), r=float(r), p=float(p), d=float(d),
-        initial=initial,
-        lambda_schedule=tuple(float(x) for x in schedule),
-        cauchy_tol=float(cauchy_tol),
-        master_seed=master, n_paths=n_paths,
-        output_dir=output_dir, workers=workers,
-        studies=studies, raw=merged,
+    raw.update({name: top[name] for name in ("grid", "time", "exponents", "seeds")})
+    cfg = RunConfig(
+        M=M, nu=grid["nu"], T=T, delta=delta,
+        noise=raw["noise"],
+        q=exponents["q"], r=exponents["r"], p=exponents["p"], d=exponents["d"],
+        lambda_schedule=tuple(schedule),
+        cauchy_tol=top["cauchy_tol"],
+        master_seed=top["seeds"]["master"], n_paths=top["seeds"]["n_paths"],
+        output_dir=top["output_dir"], workers=top["workers"],
+        studies=studies, raw=raw,
     )
+    object.__setattr__(cfg, "_graph", graph)
+    object.__setattr__(cfg, "_u0", u0)
+    return cfg

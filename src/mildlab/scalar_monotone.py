@@ -55,6 +55,7 @@ __all__ = [
     "sign_plus_linear_graph",
     "piecewise_graph",
     "make_graph",
+    "DRIFT_KEYS",
     "TEST_DRIFTS",
 ]
 
@@ -514,36 +515,53 @@ def _compile_branch(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
+def _number(spec: dict, key: str, default: Optional[float] = None) -> float:
+    """spec[key] (or the default) as a float; bools and non-finite values are refused."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _piecewise_from_spec(spec: dict) -> MonotoneGraph:
+    return piecewise_graph(
+        name=spec.get("name", "piecewise"),
+        breakpoints=[float(b) for b in spec["breakpoints"]],
+        branch_fns=[_compile_branch(e) for e in spec["expressions"]],
+        growth_exponent=_number(spec, "d"),
+        growth_constant=_number(spec, "C_f", 1.0),
+        zero_in_graph=bool(spec.get("zero_in_graph", True)),
+    )
+
+
+# Each drift kind: the keys it reads besides "kind" (make_graph rejects any
+# other), and how it builds the graph from them.
+DRIFT_KEYS = {
+    "zero": ((), lambda spec: zero_graph()),
+    "linear": (("c",), lambda spec: linear_graph(_number(spec, "c", 1.0))),
+    "power": (("d", "coef"),
+              lambda spec: power_graph(_number(spec, "d", 3.0), _number(spec, "coef", 1.0))),
+    "sign": ((), lambda spec: sign_graph()),
+    "sign_linear": ((), lambda spec: sign_plus_linear_graph()),
+    "piecewise": (("breakpoints", "expressions", "d", "C_f", "name", "zero_in_graph"),
+                  _piecewise_from_spec),
+}
+
+
 def make_graph(spec: dict) -> MonotoneGraph:
     """Build a graph from a declarative description (config surface).
 
-    Built-ins: {"kind": "zero" | "linear" | "power" | "sign" | "sign_linear"}
-    with their parameters, or {"kind": "piecewise", "breakpoints": [...],
-    "expressions": [...], "d": ..., "C_f": ...} with branch expressions in
-    the variable x.
+    {"kind": <a DRIFT_KEYS kind>, <that kind's keys>...}; piecewise branch
+    expressions are in the variable x.
     """
     kind = spec.get("kind")
-    if kind == "zero":
-        return zero_graph()
-    if kind == "linear":
-        return linear_graph(float(spec.get("c", 1.0)))
-    if kind == "power":
-        return power_graph(float(spec.get("d", 3.0)), float(spec.get("coef", 1.0)))
-    if kind == "sign":
-        return sign_graph()
-    if kind == "sign_linear":
-        return sign_plus_linear_graph()
-    if kind == "piecewise":
-        fns = [_compile_branch(e) for e in spec["expressions"]]
-        return piecewise_graph(
-            name=spec.get("name", "piecewise"),
-            breakpoints=[float(b) for b in spec["breakpoints"]],
-            branch_fns=fns,
-            growth_exponent=float(spec["d"]),
-            growth_constant=float(spec.get("C_f", 1.0)),
-            zero_in_graph=bool(spec.get("zero_in_graph", True)),
-        )
-    raise ValueError(f"unknown drift kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DRIFT_KEYS:
+        raise ValueError(f"unknown drift kind {kind!r}")
+    keys, build = DRIFT_KEYS[kind]
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"unknown key {key!r} for kind {kind!r}")
+    return build(spec)
 
 
 def TEST_DRIFTS() -> dict[str, MonotoneGraph]:

@@ -58,19 +58,16 @@ def default_lambda_schedule(n: int = 7, start: float = 0.25) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exponents, time step, continuation schedule and Cauchy tolerance."""
+    """Exponents, continuation schedule and Cauchy tolerance; the step is the path's delta."""
 
     q: float = 2.0
     r: float = 2.0
-    delta: float = 2.0**-10
     lambda_schedule: tuple[float, ...] = field(default_factory=default_lambda_schedule)
     cauchy_tol: float = 1e-3
 
     def __post_init__(self):
         if self.q < 1 or self.r < 1 or self.r > self.q:
             raise InvalidExponents(f"need 1 <= r <= q, got q={self.q}, r={self.r}")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
         sched = tuple(float(l) for l in self.lambda_schedule)
         if not sched or any(l <= 0 for l in sched):
             raise ValueError("lambda schedule must be positive")
@@ -102,17 +99,13 @@ def solve_regularized(
     u0: GridFunction,
     path: NoisePath,
     sg: HeatSemigroup,
-    delta: Optional[float] = None,
 ) -> FieldSeries:
-    """Trajectory of the regularized equation at a fixed lambda > 0."""
+    """Trajectory of the regularized equation at a fixed lambda > 0, stepped at path.delta."""
     if not lam > 0:
         raise ValueError("lambda must be > 0")
     if u0.grid != sg.grid or path.grid != sg.grid:
         raise GridMismatch("initial datum, path and semigroup must share a grid")
-    if delta is None:
-        delta = path.delta
-    elif abs(delta - path.delta) > 1e-15:
-        raise ValueError("solver delta must match the path's time grid")
+    delta = path.delta
     z = path.fields.values
     n_steps = path.n_steps
     decay = np.exp(-sg.eigenvalues * delta)
@@ -150,7 +143,7 @@ def continuation(
     pays for the remaining levels and holds only the trajectories it keeps.
     """
     for lam in config.lambda_schedule:
-        yield lam, solve_regularized(f, lam, u0, path, sg, config.delta)
+        yield lam, solve_regularized(f, lam, u0, path, sg)
 
 
 def solve_mild(

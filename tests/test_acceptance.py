@@ -48,7 +48,7 @@ def sweep_reports(lab):
     paths = [sample_path(sg, spec, 1.0, 2.0**-10, int(s))
              for s in path_seeds(606, 20)]
     u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
-    config = SolverConfig(q=2.0, r=2.0, delta=2.0**-10,
+    config = SolverConfig(q=2.0, r=2.0,
                           lambda_schedule=SCHEDULE7, cauchy_tol=1e-14)
     reports = {}
     for graph in (power_graph(3.0), sign_graph(), sign_plus_linear_graph()):
@@ -216,7 +216,7 @@ def test_criterion_08_cauchy_rates(lab):
         (power_graph(2.0), 1.5, 1.0 / 3.0 - 0.15) # theory (q-1)/q = 1/3
     ]
     for graph, q, floor in cases:
-        config = SolverConfig(q=q, r=q, delta=2.0**-10,
+        config = SolverConfig(q=q, r=q,
                               lambda_schedule=SCHEDULE7, cauchy_tol=1e-14)
         rep = cauchy_rate_study(graph, q, paths, sg, config, u0, workers=2)
         assert rep.checks["gaps_strictly_decreasing"], graph.name
@@ -284,10 +284,10 @@ def test_criterion_11_mild_identity_and_inclusion(lab):
     fine = sample_path(sg, DiffusionSpec(c=1.0, gamma=2.0), 1.0, 2.0**-11, seed=808)
     sched = tuple(0.25 * 2.0**-j for j in range(15))  # down to 2^-16
     cal = solve_mild(cubic, u0, restrict_path(fine, 8), sg,
-                     SolverConfig(q=2., r=2., delta=2.0**-8,
+                     SolverConfig(q=2., r=2.,
                                   lambda_schedule=sched, cauchy_tol=1e-14))
     run = solve_mild(cubic, u0, restrict_path(fine, 2), sg,
-                     SolverConfig(q=2., r=2., delta=2.0**-10,
+                     SolverConfig(q=2., r=2.,
                                   lambda_schedule=sched, cauchy_tol=1e-14))
     budget_constant = cal.residual / 2.0**-8
     assert run.residual <= 10.0 * budget_constant * 2.0**-10
@@ -298,10 +298,10 @@ def test_criterion_11_mild_identity_and_inclusion(lab):
     fine_s = sample_path(sg, DiffusionSpec(c=2.0, gamma=2.0), 1.0, 2.0**-11, seed=809)
     sched17 = tuple(0.25 * 2.0**-j for j in range(16))
     cal_s = solve_mild(sgn, u0s, restrict_path(fine_s, 8), sg,
-                       SolverConfig(q=2., r=2., delta=2.0**-8,
+                       SolverConfig(q=2., r=2.,
                                     lambda_schedule=sched17, cauchy_tol=1e-14))
     run_s = solve_mild(sgn, u0s, restrict_path(fine_s, 2), sg,
-                       SolverConfig(q=2., r=2., delta=2.0**-10,
+                       SolverConfig(q=2., r=2.,
                                     lambda_schedule=sched17, cauchy_tol=1e-14))
     assert run_s.residual <= 10.0 * (cal_s.residual / 2.0**-8) * 2.0**-10
     assert inclusion_check(run_s.u, run_s.g, sgn, 1e-3) >= 0.99
@@ -317,7 +317,7 @@ def test_criterion_12_l1_study(lab):
     paths = [sample_path(sg, spec, 1.0, 2.0**-10, int(s))
              for s in path_seeds(1212, 3)]
     u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
-    config = SolverConfig(q=2.0, r=1.0, delta=2.0**-10,
+    config = SolverConfig(q=2.0, r=1.0,
                           lambda_schedule=tuple(0.25 * 2.0**-j for j in range(15)),
                           cauchy_tol=1e-3)
     rep = l1_convergence_study(sign_graph(), paths, sg, config, u0, workers=2)

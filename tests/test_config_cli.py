@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from mildlab.cli import main
-from mildlab.config import parse_config
+from mildlab.config import INITIAL_KEYS, STUDY_KEYS, parse_config
 from mildlab.errors import ParseError, ValidationError
+from mildlab.scalar_monotone import DRIFT_KEYS
 
 SMALL_CONFIG = {
     "grid": {"M": 21, "nu": 1.0},
@@ -134,8 +136,10 @@ class TestParseConfig:
         assert sgp.grid.M == 21
         graph = cfg.build_graph()
         assert graph.growth_exponent == 3.0
+        assert cfg.build_graph() is graph
         u0 = cfg.build_initial(sgp.grid)
         assert u0.values.shape == (21,)
+        assert cfg.build_initial(cfg.build_grid()) is u0
         solver_cfg = cfg.solver_config()
         assert solver_cfg.lambda_schedule == (0.25, 0.125, 0.0625)
 
@@ -195,6 +199,43 @@ class TestCli:
         assert self.run_cli("study", "cauchy", str(cfg)) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("solve", '{"grid": {"nu": true}}', "grid.nu: must be a number"),
+        ("solve", '{"cauchy_tol": true}', "cauchy_tol: must be a number"),
+        ("solve", '{"noise": {"c": true}}', "noise.c: must be a number"),
+        ("solve", '{"seeds": {"master": true}}', "seeds.master: must be an integer"),
+        ("solve", '{"time": {"T": 1e400}}', "time.T: must be a number"),
+        ("solve", '{"initial": {"kind": "values", "values": [0.0, 1.0]}}',
+         "initial: expected 127 values"),
+        ("solve", '{"initial": {"kind": "values", "values": ["a", "b"]}}',
+         "initial.values: must be a list of numbers"),
+        ("solve", '{"initial": {"kind": "spike", "cap": "x"}}', "initial.cap: must be a number"),
+        ("solve", '{"initial": {"kind": "sine", "mode": 1.5}}', "initial.mode: must be an integer"),
+        ("solve", '{"drift": {"kind": "power", "dd": 5}}', "drift: unknown key 'dd'"),
+        ("solve", '{"initial": {"kind": "sine", "amplitud": 3}}',
+         "initial: unknown key 'amplitud'"),
+        ("study cauchy", '{"studies": {"cauchy": {"q": 1.0}}}',
+         "studies.cauchy.q: must be a number, q > 1"),
+        ("study cauchy", '{"exponents": {"q": 1.0, "r": 1.0}, "studies": {"cauchy": {}}}',
+         "studies.cauchy.q: must be a number, q > 1 (its default 1.0)"),
+        ("study chain_rule", '{"studies": {"chain_rule": {"q": 1}}}',
+         "studies.chain_rule.q: must be a number, q > 1"),
+        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": [0.01, 0]}}}',
+         "studies.chain_rule.deltas: must be a list of numbers, each > 0"),
+        ("study moment", '{"studies": {"moment": {"n_paths": 5}}}',
+         "studies.moment.n_paths: must be an integer, n_paths >= 100"),
+    ])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, monkeypatch,
+                                        command, text, message):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "out"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert self.run_cli(*command.split(), str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
@@ -314,3 +355,26 @@ class TestCli:
         assert self.run_cli("solve", str(cfg)) in (0, 2)
         record = json.loads((tmp_path / "run" / "solution0.json").read_text())
         assert record["drift"]["kind"] == "piecewise"
+
+
+def readme_key_table(first_header: str) -> dict:
+    """The README table headed `| <first_header> | accepted keys | ...`: name -> keys."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    header = f"| {first_header} | accepted keys |"
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, keys = line.split("|")[1:3]
+        table[name.strip().strip("`")] = tuple(re.findall(r"`([^`]+)`", keys))
+    return table
+
+
+@pytest.mark.parametrize("header, keys", [
+    ("study", {name: tuple(rules) for name, rules in STUDY_KEYS.items()}),
+    ("drift kind", {kind: keys for kind, (keys, _) in DRIFT_KEYS.items()}),
+    ("initial kind", {kind: tuple(rules) for kind, (rules, _) in INITIAL_KEYS.items()}),
+])
+def test_readme_key_tables_match_checker(header, keys):
+    assert readme_key_table(header) == keys

@@ -70,11 +70,6 @@ class TestSolveRegularized:
         with pytest.raises(GridMismatch):
             solve_regularized(sign_graph(), 0.1, u0, smooth_path, sg)
 
-    def test_delta_must_match_path(self, sg, smooth_path, sine_u0):
-        with pytest.raises(ValueError, match="match the path"):
-            solve_regularized(sign_graph(), 0.1, sine_u0, smooth_path, sg,
-                              delta=smooth_path.delta / 2)
-
     def test_unconditional_stability_small_lambda(self, sg, smooth_path, sine_u0):
         # lambda far below delta: the Lipschitz constant 1/lambda dwarfs 1/delta
         traj = solve_regularized(power_graph(3.0), 1e-10, sine_u0, smooth_path, sg)
@@ -111,15 +106,15 @@ class TestExtractG:
 
 
 class TestSolveMild:
-    def config(self, path, **kw):
-        defaults = dict(q=2.0, r=2.0, delta=path.delta,
+    def config(self, **kw):
+        defaults = dict(q=2.0, r=2.0,
                         lambda_schedule=tuple(0.25 * 2.0**-j for j in range(7)),
                         cauchy_tol=1e-3)
         defaults.update(kw)
         return SolverConfig(**defaults)
 
     def test_zero_drift_converges_immediately(self, sg, smooth_path, sine_u0):
-        sol = solve_mild(zero_graph(), sine_u0, smooth_path, sg, self.config(smooth_path))
+        sol = solve_mild(zero_graph(), sine_u0, smooth_path, sg, self.config())
         assert sol.converged
         assert sol.gaps == [0.0]
         assert sol.residual <= 1e-12
@@ -128,7 +123,7 @@ class TestSolveMild:
 
     def test_gap_sequence_recorded_and_decreasing(self, sg, smooth_path, sine_u0):
         sol = solve_mild(power_graph(3.0), sine_u0, smooth_path, sg,
-                         self.config(smooth_path, cauchy_tol=1e-12))
+                         self.config(cauchy_tol=1e-12))
         assert sol.schedule_exhausted
         assert len(sol.gaps) == 6
         assert all(b < a for a, b in zip(sol.gaps, sol.gaps[1:]))
@@ -136,14 +131,14 @@ class TestSolveMild:
     def test_halving_gap_ratio_tracks_rate(self, sg, smooth_path, sine_u0):
         # q = 2: rate 1/q = 1/2, so gap(lam/2)/gap(lam) ~ 2^-1/2 or better
         sol = solve_mild(power_graph(3.0), sine_u0, smooth_path, sg,
-                         self.config(smooth_path, cauchy_tol=1e-12))
+                         self.config(cauchy_tol=1e-12))
         ratios = [b / a for a, b in zip(sol.gaps, sol.gaps[1:])]
         assert all(r <= 2.0**-0.5 + 0.15 for r in ratios)
 
     def test_contraction_on_paired_runs(self, sg, smooth_path, drifts):
         u0a = GridFunction(sg.grid, 0.5 * np.sin(np.pi * sg.grid.nodes))
         u0b = GridFunction(sg.grid, 0.2 * np.sin(2 * np.pi * sg.grid.nodes))
-        cfg = self.config(smooth_path, cauchy_tol=1e-12, r=1.5)
+        cfg = self.config(cauchy_tol=1e-12, r=1.5)
         for f in (drifts["cubic"], drifts["sign"]):
             for lam in cfg.lambda_schedule:
                 ta = solve_regularized(f, lam, u0a, smooth_path, sg)
@@ -157,10 +152,10 @@ class TestSolveMild:
         f = power_graph(3.0)
         tol = 1e-4
         a = solve_mild(f, sine_u0, smooth_path, sg,
-                       self.config(smooth_path, cauchy_tol=tol,
+                       self.config(cauchy_tol=tol,
                                    lambda_schedule=tuple(0.25 * 2.0**-j for j in range(12))))
         b = solve_mild(f, sine_u0, smooth_path, sg,
-                       self.config(smooth_path, cauchy_tol=tol,
+                       self.config(cauchy_tol=tol,
                                    lambda_schedule=tuple(0.25 * 3.0**-j for j in range(9))))
         gap = FieldSeries(sg.grid, a.u.values - b.u.values).sup_norm(2.0)
         assert a.converged and b.converged

@@ -28,7 +28,7 @@ def small():
     spec = DiffusionSpec(c=1.0, gamma=2.0)
     paths = [sample_path(sg, spec, T, delta, int(s)) for s in path_seeds(2024, 3)]
     u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
-    config = SolverConfig(q=2.0, r=2.0, delta=delta, lambda_schedule=SCHEDULE,
+    config = SolverConfig(q=2.0, r=2.0, lambda_schedule=SCHEDULE,
                           cauchy_tol=1e-3)
     return grid, sg, paths, u0, config
 
@@ -58,7 +58,7 @@ class TestCauchyStudy:
 class TestL1Study:
     def test_sign_drift(self, small):
         grid, sg, paths, u0, config = small
-        cfg = SolverConfig(q=2.0, r=2.0, delta=config.delta,
+        cfg = SolverConfig(q=2.0, r=2.0,
                            lambda_schedule=tuple(0.25 * 2.0**-j for j in range(13)),
                            cauchy_tol=1e-3)
         rep = l1_convergence_study(sign_graph(), paths[:2], sg, cfg, u0)
@@ -171,7 +171,7 @@ class TestMoment:
         spec = DiffusionSpec(c=1.0, gamma=2.0)
         paths = [sample_path(sg, spec, 0.25, delta, int(s))
                  for s in path_seeds(77, 100)]
-        config = SolverConfig(q=2.0, r=2.0, delta=delta,
+        config = SolverConfig(q=2.0, r=2.0,
                               lambda_schedule=SCHEDULE[:4], cauchy_tol=1e-3)
         rep = moment_study(power_graph(3.0), 2.0, 2.0, paths, sg, config, u0)
         assert rep.verdict == "pass"
@@ -183,7 +183,7 @@ class TestMoment:
         spec = DiffusionSpec(c=1.0, gamma=2.0)
         paths = [sample_path(sg, spec, 0.25, delta, int(s))
                  for s in path_seeds(78, 100)]
-        config = SolverConfig(q=2.0, r=2.0, delta=delta,
+        config = SolverConfig(q=2.0, r=2.0,
                               lambda_schedule=SCHEDULE[:3], cauchy_tol=1e-3)
         rep = moment_study(zero_graph(), 2.0, 2.0, paths, sg, config, u0)
         assert rep.verdict == "pass"
