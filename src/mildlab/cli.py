@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .config import STUDY_KEYS, RunConfig, parse_config
 from .errors import MildlabError
-from .noise import (export_noise_csv, export_noise_sidecar, export_series_csv,
-                    path_seeds, sample_path)
+from .noise import export_noise_sidecar, export_series_csv, path_seeds, sample_path
 from .solver import solve_mild
 from .verify import (apriori_constants_study, bernoulli_study,
                      cauchy_rate_study, chain_rule_study,
@@ -67,8 +66,7 @@ def _cmd_sample_noise(cfg: RunConfig, out: Path) -> int:
     artifacts = []
     for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
         csv_name, json_name = f"noise_path{i}.csv", f"noise_path{i}.json"
-        out.mkdir(parents=True, exist_ok=True)
-        export_noise_csv(path, out / csv_name)
+        export_series_csv(path.fields, path.times, out / csv_name)
         export_noise_sidecar(path, out / json_name)
         artifacts += [csv_name, json_name]
     _write_manifest(cfg, out, "sample-noise", artifacts)
@@ -82,7 +80,6 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     solver_cfg = cfg.solver_config()
     artifacts = []
     inconclusive = False
-    out.mkdir(parents=True, exist_ok=True)
     for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
         sol = solve_mild(graph, u0, path, sg, solver_cfg)
         times = path.times
@@ -94,7 +91,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
             "final_lambda": sol.final_lambda,
             "residual": sol.residual,
             "converged": sol.converged,
-            "schedule_exhausted": sol.schedule_exhausted,
+            "schedule_exhausted": not sol.converged,
             "lambdas": sol.lambdas,
             "gaps": sol.gaps,
             "sup_norms": sol.sup_norms,
@@ -102,7 +99,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
         atomic_write_text(out / f"solution{i}.json",
                           json.dumps(run_record, sort_keys=True, indent=2) + "\n")
         artifacts += [f"solution{i}_u.csv", f"solution{i}_g.csv", f"solution{i}.json"]
-        inconclusive |= sol.schedule_exhausted
+        inconclusive |= not sol.converged
     _write_manifest(cfg, out, "solve", artifacts)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS
 
@@ -194,7 +191,6 @@ def _cmd_check_invariants(cfg: RunConfig, out: Path) -> int:
         ],
         "all_passed": all(c.passed for c in checks),
     }
-    out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "invariants" / "report.json",
                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
     _write_manifest(cfg, out, "check-invariants", ["invariants/report.json"])

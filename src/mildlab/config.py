@@ -1,10 +1,10 @@
 """Run configuration: documented JSON schema, parsing, full validation.
 
 A config is a JSON object with the sections below.  Each key's default, type
-and range is stated once, in the rule tables below (scalar_monotone.DRIFT_KEYS
-holds each drift kind's keys), and one checker applies them: unknown keys
-anywhere are rejected, bools are not numbers, non-finite numbers are
-rejected, and every violated constraint is reported at once.
+and range is stated once, in the rule tables below (DRIFT_KEYS and
+INITIAL_KEYS per kind), and one checker applies them: unknown keys anywhere
+are rejected, bools are not numbers, non-finite numbers are rejected, and
+every violated constraint is reported at once.
 
     {
       "grid":   {"M": 127, "nu": 1.0},
@@ -26,7 +26,8 @@ Defaults: M = 127, nu = 1, T = 1, delta = 2^-10, lambda schedule
 absent drift, noise or initial section takes the whole section shown above;
 a given one takes per-key defaults instead (noise c = gamma = 1, initial
 amplitude = 1).  The drift graph and the initial datum are built once, while
-parsing.  A study subcommand refuses to run unless its section is present
+parsing; whatever building raises (say, a malformed branch expression) is a
+violation.  A study subcommand refuses to run unless its section is present
 under "studies".
 """
 
@@ -44,11 +45,13 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .grid_space import Grid, GridFunction
 from .noise import DiffusionSpec
-from .scalar_monotone import MonotoneGraph, make_graph
+from .scalar_monotone import (MonotoneGraph, compile_branch, linear_graph,
+                              piecewise_graph, power_graph, sign_graph,
+                              sign_plus_linear_graph, zero_graph)
 from .semigroup import HeatSemigroup
 from .solver import SolverConfig, default_lambda_schedule
 
-__all__ = ["RunConfig", "parse_config", "STUDY_KEYS", "INITIAL_KEYS"]
+__all__ = ["RunConfig", "parse_config", "STUDY_KEYS", "DRIFT_KEYS", "INITIAL_KEYS"]
 
 
 def _is_int(value) -> bool:
@@ -67,6 +70,9 @@ _TYPES = {
     "number": ("a number", _is_number),
     "numbers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "string": ("a nonempty string", lambda v: isinstance(v, str) and bool(v)),
+    "strings": ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
 _COMPARE = {">=": operator.ge, ">": operator.gt}
@@ -78,8 +84,10 @@ def _inherit(section: str, key: str, derive=lambda v: v):
 
 
 # A rule is (default, type, range).  The range bounds the value, or each entry
-# of a list, as "<op> <limit>".  A default of None leaves the key unset; a
-# callable default is computed from the checked top-level sections.
+# of a list, as "<op> <limit>".  A default of None leaves the key unset, a
+# REQUIRED key must be given, and a callable default is computed from the
+# checked top-level sections.
+REQUIRED = object()
 _TOP = {
     "grid": ({}, "object", None),
     "time": ({}, "object", None),
@@ -116,11 +124,11 @@ STUDY_KEYS = {
     "bernoulli": {"n_samples": (1000, "int", ">= 1")},
     "eiconv": {"n_max": (1024, "int", ">= 1")},
     "moment": {"n_paths": (_inherit("seeds", "n_paths", lambda n: max(n, 100)), "int", ">= 100"),
-               "q": (_inherit("exponents", "q"), "number", None)},
+               "q": (_inherit("exponents", "q"), "number", ">= 1")},
     "propagation": {"n_paths": _N_PATHS, "frozen_constant": (None, "number", None)},
     "contraction_extension": {},
-    "apriori": {"n_paths": _N_PATHS, "qs_linear": ([1.5, 2.0, 3.0], "numbers", None),
-                "qs_square": ([2.0, 4.0], "numbers", None)},
+    "apriori": {"n_paths": _N_PATHS, "qs_linear": ([1.5, 2.0, 3.0], "numbers", ">= 1"),
+                "qs_square": ([2.0, 4.0], "numbers", ">= 2")},
 }
 
 
@@ -147,6 +155,10 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
     for key, (default, kind, bound) in rules.items():
         if key in body:
             value = body[key]
+        elif default is REQUIRED:
+            values[key] = None
+            problems.append(f"{prefix}{key}: required")
+            continue
         else:
             value = default(top) if callable(default) else copy.deepcopy(default)
             if value is None:
@@ -165,35 +177,66 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
     return values
 
 
+def _divides(delta: float, T: float) -> bool:
+    """Whether a step of `delta` takes at least one step and lands on the horizon T."""
+    steps = T / delta
+    return (math.isfinite(steps) and round(steps) >= 1
+            and abs(round(steps) * delta - T) <= 1e-9 * T)
+
+
+# Each drift kind: the rules of the keys it reads besides "kind", and its
+# graph.  Piecewise branch expressions are in the variable x.
+DRIFT_KEYS = {
+    "zero": ({}, lambda p: zero_graph()),
+    "linear": ({"c": (1.0, "number", ">= 0")}, lambda p: linear_graph(p["c"])),
+    "power": ({"d": (3.0, "number", ">= 1"), "coef": (1.0, "number", "> 0")},
+              lambda p: power_graph(p["d"], p["coef"])),
+    "sign": ({}, lambda p: sign_graph()),
+    "sign_linear": ({}, lambda p: sign_plus_linear_graph()),
+    "piecewise": ({"breakpoints": (REQUIRED, "numbers", None),
+                   "expressions": (REQUIRED, "strings", None),
+                   "d": (REQUIRED, "number", ">= 0"), "C_f": (1.0, "number", "> 0"),
+                   "name": ("piecewise", "string", None), "zero_in_graph": (True, "bool", None)},
+                  lambda p: piecewise_graph(p["name"], p["breakpoints"],
+                                            [compile_branch(e) for e in p["expressions"]],
+                                            p["d"], p["C_f"], p["zero_in_graph"])),
+}
 # Each initial-datum kind: the rules of the keys it reads besides "kind", and
-# its values at the grid nodes x.
+# the datum on a grid.
 INITIAL_KEYS = {
-    "zero": ({}, lambda p, x: np.zeros_like(x)),
+    "zero": ({}, lambda p, grid: GridFunction(grid, np.zeros(grid.M))),
     "sine": ({"amplitude": (1.0, "number", None), "mode": (1, "int", None)},
-             lambda p, x: p["amplitude"] * np.sin(p["mode"] * np.pi * x)),
+             lambda p, grid: GridFunction(
+                 grid, p["amplitude"] * np.sin(p["mode"] * np.pi * grid.nodes))),
     "spike": ({"exponent": (0.4, "number", None), "amplitude": (1.0, "number", None),
                "cap": (None, "number", None)},
-              lambda p, x: np.minimum(p["amplitude"] * x ** (-p["exponent"]),
-                                      np.inf if p["cap"] is None else p["cap"])),
-    "values": ({"values": ([], "numbers", None)}, lambda p, x: p["values"]),
+              lambda p, grid: GridFunction(grid, np.minimum(
+                  p["amplitude"] * grid.nodes ** (-p["exponent"]),
+                  np.inf if p["cap"] is None else p["cap"]))),
+    "values": ({"values": ([], "numbers", None)}, lambda p, grid: GridFunction(grid, p["values"])),
 }
 
 
-def _initial_datum(spec: dict, grid: Grid, problems: list) -> Optional[GridFunction]:
-    """The initial datum `spec` describes on `grid`, or None once the reasons are reported."""
+def _from_kind(table: dict, where: str, spec: dict, problems: list, *args):
+    """What `spec` describes under `table`, or None once the reasons are reported.
+
+    spec["kind"] picks the table entry (rules, builder); the other keys are
+    checked against the rules and the builder gets their values and `args`.
+    Whatever the builder raises is reported as a violation.
+    """
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in INITIAL_KEYS:
-        problems.append(f"initial.kind: must be one of {', '.join(INITIAL_KEYS)}")
+    if not isinstance(kind, str) or kind not in table:
+        problems.append(f"{where}.kind: must be one of {', '.join(table)}")
         return None
-    rules, values = INITIAL_KEYS[kind]
+    rules, build = table[kind]
     found = len(problems)
-    p = _check({k: v for k, v in spec.items() if k != "kind"}, rules, "initial", problems)
+    p = _check({k: v for k, v in spec.items() if k != "kind"}, rules, where, problems)
     if len(problems) > found:
         return None
     try:
-        return GridFunction(grid, values(p, grid.nodes))
-    except ValueError as exc:
-        problems.append(f"initial: {exc}")
+        return build(p, *args)
+    except Exception as exc:
+        problems.append(f"{where}: {exc}")
         return None
 
 
@@ -265,11 +308,8 @@ def parse_config(text: str) -> RunConfig:
     grid, time_sec, exponents = top["grid"], top["time"], top["exponents"]
     M, T, delta = grid["M"], time_sec["T"], time_sec["delta"]
 
-    if None not in (T, delta):
-        steps = T / delta
-        if not (math.isfinite(steps) and round(steps) >= 1
-                and abs(round(steps) * delta - T) <= 1e-9 * T):
-            problems.append("time.delta: must divide the horizon T")
+    if None not in (T, delta) and not _divides(delta, T):
+        problems.append("time.delta: must divide the horizon T")
     if None not in (exponents["q"], exponents["r"]) and exponents["r"] > exponents["q"]:
         problems.append("exponents.r: r <= q (a (q,r)-mild solution requires q >= r)")
     weights = top["noise"]["weights"]
@@ -282,14 +322,11 @@ def parse_config(text: str) -> RunConfig:
 
     graph = u0 = None
     if raw["drift"] is not None:
-        try:
-            graph = make_graph(raw["drift"])
-        except Exception as exc:
-            problems.append(f"drift: {exc}")
+        graph = _from_kind(DRIFT_KEYS, "drift", raw["drift"], problems)
     if exponents["d"] is None and graph is not None:
         exponents["d"] = float(graph.growth_exponent)
     if raw["initial"] is not None and M is not None:
-        u0 = _initial_datum(raw["initial"], Grid(M), problems)
+        u0 = _from_kind(INITIAL_KEYS, "initial", raw["initial"], problems, Grid(M))
 
     studies = {}
     for name, body in (raw["studies"] or {}).items():
@@ -301,6 +338,9 @@ def parse_config(text: str) -> RunConfig:
             # given values pass through unconverted, so reports record them as written
             checked = _check(body, STUDY_KEYS[name], f"studies.{name}", problems, top)
             studies[name] = {**checked, **body}
+            deltas = checked.get("deltas")   # chain_rule's refinement steps
+            if None not in (deltas, T) and not (deltas and all(_divides(d, T) for d in deltas)):
+                problems.append(f"studies.{name}.deltas: must be nonempty, each dividing T")
 
     if problems:
         raise ValidationError(problems)

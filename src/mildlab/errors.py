@@ -37,6 +37,10 @@ class EmptyInput(MildlabError):
     """A sequence argument that must be nonempty is empty."""
 
 
+class StudyPrecondition(MildlabError):
+    """A study's inputs violate a precondition the study needs to run."""
+
+
 class ParseError(MildlabError):
     """Config text is not well-formed; carries position and message."""
 

@@ -43,7 +43,6 @@ __all__ = [
     "norm_c_lq",
     "norm_ld_lqd",
     "export_series_csv",
-    "export_noise_csv",
     "export_noise_sidecar",
     "load_sidecar_and_resample",
 ]
@@ -225,11 +224,6 @@ def export_series_csv(fields: FieldSeries, times: np.ndarray, dest: Path) -> Non
             t = f"{times[n]:.17g}"
             for i in range(vals.shape[1]):
                 writer.writerow([t, i + 1, f"{vals[n, i]:.17g}"])
-
-
-def export_noise_csv(path: NoisePath, dest: Path) -> None:
-    """Write the path's physical snapshots as (time, node, value) rows."""
-    export_series_csv(path.fields, path.times, dest)
 
 
 def export_noise_sidecar(path: NoisePath, dest: Path) -> None:

@@ -22,6 +22,10 @@ bracketing + bisection of the strictly increasing map y -> y + lam*f(y),
 which is unconditionally safe for discontinuous monotone maps.  Bisection
 stops at the fixed absolute width ROOT_TOL.  Resolvent, Yosida and Moreau
 functions all take the arguments (graph, lam, x).
+
+This module holds the math only.  The config's drift section is checked and
+built by config.DRIFT_KEYS from the graph constructors here, and
+compile_branch turns a piecewise branch expression in x into an evaluator.
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ __all__ = [
     "sign_graph",
     "sign_plus_linear_graph",
     "piecewise_graph",
-    "make_graph",
-    "DRIFT_KEYS",
+    "compile_branch",
     "TEST_DRIFTS",
 ]
 
@@ -503,7 +506,12 @@ _SAFE_EXPR_NAMES = {
 }
 
 
-def _compile_branch(expr: str) -> Callable[[np.ndarray], np.ndarray]:
+def compile_branch(expr: str) -> Callable[[np.ndarray], np.ndarray]:
+    """A branch evaluator from an expression in x over a fixed set of numpy names.
+
+    An expression that does not parse raises SyntaxError, one using any other
+    name ValueError.
+    """
     code = compile(expr, "<branch>", "eval")
     for name in code.co_names:
         if name not in _SAFE_EXPR_NAMES and name != "x":
@@ -513,55 +521,6 @@ def _compile_branch(expr: str) -> Callable[[np.ndarray], np.ndarray]:
         return np.asarray(eval(code, {"__builtins__": {}}, {**_SAFE_EXPR_NAMES, "x": x}), dtype=float) + np.zeros_like(x)
 
     return fn
-
-
-def _number(spec: dict, key: str, default: Optional[float] = None) -> float:
-    """spec[key] (or the default) as a float; bools and non-finite values are refused."""
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _piecewise_from_spec(spec: dict) -> MonotoneGraph:
-    return piecewise_graph(
-        name=spec.get("name", "piecewise"),
-        breakpoints=[float(b) for b in spec["breakpoints"]],
-        branch_fns=[_compile_branch(e) for e in spec["expressions"]],
-        growth_exponent=_number(spec, "d"),
-        growth_constant=_number(spec, "C_f", 1.0),
-        zero_in_graph=bool(spec.get("zero_in_graph", True)),
-    )
-
-
-# Each drift kind: the keys it reads besides "kind" (make_graph rejects any
-# other), and how it builds the graph from them.
-DRIFT_KEYS = {
-    "zero": ((), lambda spec: zero_graph()),
-    "linear": (("c",), lambda spec: linear_graph(_number(spec, "c", 1.0))),
-    "power": (("d", "coef"),
-              lambda spec: power_graph(_number(spec, "d", 3.0), _number(spec, "coef", 1.0))),
-    "sign": ((), lambda spec: sign_graph()),
-    "sign_linear": ((), lambda spec: sign_plus_linear_graph()),
-    "piecewise": (("breakpoints", "expressions", "d", "C_f", "name", "zero_in_graph"),
-                  _piecewise_from_spec),
-}
-
-
-def make_graph(spec: dict) -> MonotoneGraph:
-    """Build a graph from a declarative description (config surface).
-
-    {"kind": <a DRIFT_KEYS kind>, <that kind's keys>...}; piecewise branch
-    expressions are in the variable x.
-    """
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in DRIFT_KEYS:
-        raise ValueError(f"unknown drift kind {kind!r}")
-    keys, build = DRIFT_KEYS[kind]
-    for key in spec:
-        if key != "kind" and key not in keys:
-            raise ValueError(f"unknown key {key!r} for kind {kind!r}")
-    return build(spec)
 
 
 def TEST_DRIFTS() -> dict[str, MonotoneGraph]:

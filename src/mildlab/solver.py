@@ -86,8 +86,7 @@ class MildSolution:
     g: FieldSeries
     final_lambda: float
     residual: float
-    converged: bool
-    schedule_exhausted: bool
+    converged: bool            # False: the schedule ran out before a gap fell below tolerance
     lambdas: list[float]
     gaps: list[float]          # sup-L^q gaps between consecutive iterates
     sup_norms: list[float]     # sup-L^q norm of each iterate
@@ -178,7 +177,6 @@ def solve_mild(
         final_lambda=final_lambda,
         residual=res,
         converged=converged,
-        schedule_exhausted=not converged,
         lambdas=lambdas,
         gaps=gaps,
         sup_norms=sup_norms,

@@ -20,6 +20,7 @@ from itertools import pairwise
 
 import numpy as np
 
+from ..errors import StudyPrecondition
 from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm
 from ..noise import NoisePath, norm_c_lq, norm_ld_lqd
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
@@ -62,7 +63,7 @@ def cauchy_rate_study(
 ) -> StudyReport:
     """Measure sup-in-time L^q gaps along the halving schedule and fit the rate."""
     if not q > 1:
-        raise ValueError("cauchy rate study needs q > 1")
+        raise StudyPrecondition("cauchy rate study needs q > 1")
     rate = expected_rate(q)
     report = StudyReport(
         study="cauchy_rate",
@@ -117,7 +118,7 @@ def l1_convergence_study(
     """L^1 continuation for bounded drifts: gaps, smoothed-modulus control,
     equiintegrability proxy, and the product-boundedness measurement."""
     if f.growth_exponent != 0.0:
-        raise ValueError("the L^1 study requires a bounded drift (d = 0)")
+        raise StudyPrecondition("the L^1 study requires a bounded drift (d = 0)")
     report = StudyReport(
         study="l1_convergence",
         claim="sup-L1 gaps decrease below tolerance; smoothed-modulus deviation <= sqrt(eps)/4",
@@ -205,7 +206,9 @@ def chain_rule_study(
     convexity theorem at every step.
     """
     if not q > 1:
-        raise ValueError("chain rule study needs q > 1")
+        raise StudyPrecondition("chain rule study needs q > 1")
+    if not deltas or any(not d > 0 or round(T / d) < 1 for d in deltas):
+        raise StudyPrecondition("chain rule study needs deltas, each taking at least one step")
     report = StudyReport(
         study="chain_rule",
         claim="integrated norm-power inequality violated at most O(delta); "
@@ -359,7 +362,7 @@ def moment_study(
     (||u0||_q + sup_t ||z||_q + 4 sum delta ||fmax(z)||_q)^p.
     """
     if len(paths) < 100:
-        raise ValueError("moment study needs at least 100 paths")
+        raise StudyPrecondition("moment study needs at least 100 paths")
     grid = sg.grid
     report = StudyReport(
         study="moment_stability",
@@ -435,7 +438,7 @@ def propagation_study(
     """
     qs = qstar(q, r, d)
     if qs < q:
-        raise ValueError(f"propagation study needs q* >= q, got q*={qs}")
+        raise StudyPrecondition(f"propagation study needs q* >= q, got q*={qs}")
     report = StudyReport(
         study="integrability_propagation",
         claim="sup-in-time L^{q*} norm of the solution is controlled by "

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mildlab import config
 from mildlab.cli import main
-from mildlab.config import INITIAL_KEYS, STUDY_KEYS, parse_config
+from mildlab.config import DRIFT_KEYS, INITIAL_KEYS, STUDY_KEYS, parse_config
 from mildlab.errors import ParseError, ValidationError
-from mildlab.scalar_monotone import DRIFT_KEYS
 
 SMALL_CONFIG = {
     "grid": {"M": 21, "nu": 1.0},
@@ -25,6 +25,11 @@ SMALL_CONFIG = {
     "output_dir": "run",
     "studies": {"cauchy": {}, "bernoulli": {"n_samples": 30}},
 }
+
+
+# a valid piecewise drift with one key replaced or added
+PIECEWISE = ('{"drift": {"kind": "piecewise", "breakpoints": [0.0], '
+             '"expressions": ["x - 1", "x + 1"], "d": 1, %s}}')
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -152,6 +157,31 @@ class TestParseConfig:
             u0 = cfg.build_initial(cfg.build_grid())
             assert np.all(np.isfinite(u0.values))
 
+    def test_drift_from_declarative_spec(self):
+        piecewise = {"kind": "piecewise", "breakpoints": [0.0],
+                     "expressions": ["x - 1", "x + 1"], "d": 1.0, "C_f": 1.0}
+        g = parse_config(json.dumps({"drift": piecewise})).build_graph()
+        assert g.jump_points == (0.0,)
+        assert g.right_limit(0.0) == 1.0
+        for kind, probe, want in [
+            ("zero", 3.0, 0.0), ("linear", 3.0, 3.0), ("power", 2.0, 8.0),
+            ("sign", 2.0, 1.0), ("sign_linear", 2.0, 3.0),
+        ]:
+            made = parse_config(json.dumps({"drift": {"kind": kind}})).build_graph()
+            assert made.mid_values(np.asarray([probe]))[0] == pytest.approx(want)
+
+    def test_drift_rejects_unknown_kind(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"drift": {"kind": "mystery"}}))
+        assert err.value.violations == [
+            "drift.kind: must be one of zero, linear, power, sign, sign_linear, piecewise"]
+
+    def test_drift_rejects_rogue_expression(self):
+        with pytest.raises(ValidationError, match="unknown name '__import__'"):
+            parse_config(json.dumps({"drift": {
+                "kind": "piecewise", "breakpoints": [],
+                "expressions": ["__import__('os').getcwd() and x"], "d": 1.0}}))
+
     def test_d_defaults_to_drift_growth(self):
         cfg = parse_config(json.dumps(SMALL_CONFIG))
         assert cfg.d == 3.0
@@ -213,6 +243,16 @@ class TestCli:
         ("solve", '{"initial": {"kind": "spike", "cap": "x"}}', "initial.cap: must be a number"),
         ("solve", '{"initial": {"kind": "sine", "mode": 1.5}}', "initial.mode: must be an integer"),
         ("solve", '{"drift": {"kind": "power", "dd": 5}}', "drift: unknown key 'dd'"),
+        ("solve", PIECEWISE % '"zero_in_graph": "no"', "drift.zero_in_graph: must be true or false"),
+        ("solve", PIECEWISE % '"name": 5', "drift.name: must be a nonempty string"),
+        ("solve", '{"drift": {"kind": "piecewise", "breakpoints": [0.0], "d": 1}}',
+         "drift.expressions: required"),
+        ("solve", '{"drift": {"kind": "piecewise", "breakpoints": [0.0], '
+         '"expressions": ["x - 1", "x + 1"]}}', "drift.d: required"),
+        ("solve", PIECEWISE % '"expressions": [1, 2]', "drift.expressions: must be a list of strings"),
+        ("solve", PIECEWISE % '"breakpoints": true', "drift.breakpoints: must be a list of numbers"),
+        ("solve", PIECEWISE % '"breakpoints": ["a"]', "drift.breakpoints: must be a list of numbers"),
+        ("solve", PIECEWISE % '"expressions": ["x +", "x"]', "drift: invalid syntax"),
         ("solve", '{"initial": {"kind": "sine", "amplitud": 3}}',
          "initial: unknown key 'amplitud'"),
         ("study cauchy", '{"studies": {"cauchy": {"q": 1.0}}}',
@@ -225,6 +265,16 @@ class TestCli:
          "studies.chain_rule.deltas: must be a list of numbers, each > 0"),
         ("study moment", '{"studies": {"moment": {"n_paths": 5}}}',
          "studies.moment.n_paths: must be an integer, n_paths >= 100"),
+        ("study moment", '{"studies": {"moment": {"q": 0.5}}}',
+         "studies.moment.q: must be a number, q >= 1"),
+        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": []}}}',
+         "studies.chain_rule.deltas: must be nonempty, each dividing T"),
+        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": [4.0]}}}',
+         "studies.chain_rule.deltas: must be nonempty, each dividing T"),
+        ("study apriori", '{"studies": {"apriori": {"qs_linear": [0.5]}}}',
+         "studies.apriori.qs_linear: must be a list of numbers, each >= 1"),
+        ("study apriori", '{"studies": {"apriori": {"qs_square": [1.0]}}}',
+         "studies.apriori.qs_square: must be a list of numbers, each >= 2"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                         command, text, message):
@@ -235,6 +285,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid config:")
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"studies": {"l1": {}}}, "error: the L^1 study requires a bounded drift"),
+        ({"drift": {"kind": "sign"}, "studies": {"propagation": {}}},
+         "error: propagation study needs q* >= q"),
+    ])
+    def test_study_precondition_exits_one(self, tmp_path, capsys, monkeypatch,
+                                          overrides, message):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "out"))
+        cfg = write_config(tmp_path, overrides)
+        study = next(iter(overrides["studies"]))
+        assert self.run_cli("study", study, str(cfg)) == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -373,8 +437,23 @@ def readme_key_table(first_header: str) -> dict:
 
 @pytest.mark.parametrize("header, keys", [
     ("study", {name: tuple(rules) for name, rules in STUDY_KEYS.items()}),
-    ("drift kind", {kind: keys for kind, (keys, _) in DRIFT_KEYS.items()}),
+    ("drift kind", {kind: tuple(rules) for kind, (rules, _) in DRIFT_KEYS.items()}),
     ("initial kind", {kind: tuple(rules) for kind, (rules, _) in INITIAL_KEYS.items()}),
 ])
 def test_readme_key_tables_match_checker(header, keys):
     assert readme_key_table(header) == keys
+
+
+def test_rule_defaults_satisfy_their_own_rules():
+    # a default that breaks its own type or range would only surface when a
+    # config leaves that key out
+    top = {name: config._check({}, rules, name, []) for name, rules in config._SECTIONS.items()}
+    tables = {"": config._TOP, **config._SECTIONS,
+              **{f"studies.{name}": rules for name, rules in STUDY_KEYS.items()},
+              **{f"drift {kind}": rules for kind, (rules, _) in DRIFT_KEYS.items()},
+              **{f"initial {kind}": rules for kind, (rules, _) in INITIAL_KEYS.items()}}
+    for where, rules in tables.items():
+        problems = []
+        config._check({}, rules, where, problems, top)
+        required = [key for key, (default, _, _) in rules.items() if default is config.REQUIRED]
+        assert problems == [f"{where}.{key}: required" for key in required], where

@@ -5,7 +5,7 @@ import pytest
 
 from mildlab.errors import InvalidTimeGrid
 from mildlab.grid_space import Grid, lq_norm
-from mildlab.noise import (DiffusionSpec, export_noise_csv, export_noise_sidecar,
+from mildlab.noise import (DiffusionSpec, export_noise_sidecar,
                            export_series_csv, load_sidecar_and_resample,
                            norm_c_lq, norm_ld_lqd, path_seeds, restrict_path,
                            sample_mode_ensemble, sample_path)
@@ -189,12 +189,12 @@ class TestExport:
         p = sample_path(sg, spec, 0.25, 2.0**-6, seed=77)
         csv_file = tmp_path / "noise.csv"
         side_file = tmp_path / "noise.json"
-        export_noise_csv(p, csv_file)
+        export_series_csv(p.fields, p.times, csv_file)
         export_noise_sidecar(p, side_file)
         again = load_sidecar_and_resample(side_file)
         assert np.array_equal(again.mode_values, p.mode_values)
         csv_file2 = tmp_path / "noise2.csv"
-        export_noise_csv(again, csv_file2)
+        export_series_csv(again.fields, again.times, csv_file2)
         assert csv_file.read_bytes() == csv_file2.read_bytes()
 
     def test_sidecar_keeps_integer_amplitudes(self, sg, tmp_path):
@@ -209,7 +209,7 @@ class TestExport:
     def test_csv_header_and_shape(self, sg, tmp_path):
         p = sample_path(sg, DiffusionSpec(), 0.25, 2.0**-4, seed=1)
         dest = tmp_path / "n.csv"
-        export_noise_csv(p, dest)
+        export_series_csv(p.fields, p.times, dest)
         lines = dest.read_text().strip().splitlines()
         assert lines[0] == "time,node,value"
         assert len(lines) == 1 + (p.n_steps + 1) * sg.grid.M

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mildlab.errors import BracketFailure, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, linear_graph,
-                                     make_graph, moreau, piecewise_graph,
+                                     moreau, piecewise_graph,
                                      power_graph, primitive, primitive_array,
                                      resolvent, resolvent_array, section,
                                      section_max_abs, section_min_abs,
@@ -288,27 +288,6 @@ class TestGraphConstruction:
         assert kinked.jump_points == (1.0,)
         with pytest.raises(AttributeError):
             kinked.jump_points = (0.0,)
-
-    def test_make_graph_from_declarative_spec(self):
-        g = make_graph({"kind": "piecewise", "breakpoints": [0.0],
-                        "expressions": ["x - 1", "x + 1"], "d": 1.0, "C_f": 1.0})
-        assert g.jump_points == (0.0,)
-        assert g.right_limit(0.0) == 1.0
-        for kind, probe, want in [
-            ("zero", 3.0, 0.0), ("linear", 3.0, 3.0), ("power", 2.0, 8.0),
-            ("sign", 2.0, 1.0), ("sign_linear", 2.0, 3.0),
-        ]:
-            made = make_graph({"kind": kind} if kind != "power" else {"kind": "power", "d": 3.0})
-            assert made.mid_values(np.asarray([probe]))[0] == pytest.approx(want)
-
-    def test_make_graph_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown drift kind"):
-            make_graph({"kind": "mystery"})
-
-    def test_make_graph_rejects_rogue_expression(self):
-        with pytest.raises(ValueError, match="unknown name"):
-            make_graph({"kind": "piecewise", "breakpoints": [],
-                        "expressions": ["__import__('os').getcwd() and x"], "d": 1.0})
 
     def test_zero_graph_is_identity_resolvent(self):
         xs = np.linspace(-3, 3, 11)

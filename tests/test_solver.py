@@ -124,7 +124,7 @@ class TestSolveMild:
     def test_gap_sequence_recorded_and_decreasing(self, sg, smooth_path, sine_u0):
         sol = solve_mild(power_graph(3.0), sine_u0, smooth_path, sg,
                          self.config(cauchy_tol=1e-12))
-        assert sol.schedule_exhausted
+        assert not sol.converged
         assert len(sol.gaps) == 6
         assert all(b < a for a, b in zip(sol.gaps, sol.gaps[1:]))
 

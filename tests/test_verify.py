@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mildlab.errors import StudyPrecondition
 from mildlab.grid_space import Grid, GridFunction
 from mildlab.noise import DiffusionSpec, path_seeds, sample_path
 from mildlab.scalar_monotone import power_graph, sign_graph, zero_graph
@@ -74,7 +75,7 @@ class TestL1Study:
 
     def test_unbounded_drift_rejected(self, small):
         grid, sg, paths, u0, config = small
-        with pytest.raises(ValueError, match="bounded drift"):
+        with pytest.raises(StudyPrecondition, match="bounded drift"):
             l1_convergence_study(power_graph(3.0), paths, sg, config, u0)
 
     def test_degenerate_drift(self, small):
@@ -100,6 +101,13 @@ class TestChainRule:
                                deltas=(2.0**-8, 2.0**-9))
         assert rep.verdict == "pass"
         assert rep.checks["one_sided_derivative_inequality"]
+
+    @pytest.mark.parametrize("deltas", [(), (2.0,)])
+    def test_needs_a_step(self, small, deltas):
+        # with no delta, or one rounding to zero steps, no inequality is checked
+        grid, sg, paths, u0, config = small
+        with pytest.raises(StudyPrecondition, match="at least one step"):
+            chain_rule_study(2.0, sg, self.forcing(grid), u0, T=0.5, deltas=deltas)
 
     def test_zero_forcing_norm_decreasing(self, small):
         grid, sg, paths, u0, config = small
@@ -162,7 +170,7 @@ class TestEiconv:
 class TestMoment:
     def test_needs_hundred_paths(self, small):
         grid, sg, paths, u0, config = small
-        with pytest.raises(ValueError, match="100"):
+        with pytest.raises(StudyPrecondition, match="100"):
             moment_study(power_graph(3.0), 2.0, 2.0, paths, sg, config, u0)
 
     def test_lambda_stable_and_bounded(self, small):
@@ -210,7 +218,7 @@ class TestPropagation:
 
     def test_qstar_below_q_rejected(self, small):
         grid, sg, paths, u0, config = small
-        with pytest.raises(ValueError, match="q\\*"):
+        with pytest.raises(StudyPrecondition, match="q\\*"):
             propagation_study(power_graph(3.0), 4.0, 1.0, 0.5, paths, sg, config, u0)
 
     def test_zero_drift_zero_data_under_unit_constant(self, small):
