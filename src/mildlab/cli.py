@@ -210,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size, >= 1 (default: config, then CPU count)")
+                       help="size of the pool study runs paths on, >= 1 (default: "
+                            "config, then CPU count); solve, sample-noise and "
+                            "check-invariants accept it and run paths in order")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 

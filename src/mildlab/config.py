@@ -184,6 +184,26 @@ def _divides(delta: float, T: float) -> bool:
             and abs(round(steps) * delta - T) <= 1e-9 * T)
 
 
+class _KeyFault(ValueError):
+    """A builder's objection to one key, reported as "<section>.<key>: <text>"."""
+
+    def __init__(self, key: str, text: str):
+        super().__init__(text)
+        self.key = key
+
+
+def _piecewise(p: dict) -> MonotoneGraph:
+    """The piecewise graph; a branch that fails on a probe array is named by index."""
+    branches = [compile_branch(expr) for expr in p["expressions"]]
+    for i, (expr, fn) in enumerate(zip(p["expressions"], branches)):
+        try:
+            fn(np.array([-1.0, 0.0, 1.0]))
+        except Exception as exc:
+            raise _KeyFault(f"expressions[{i}]", f"{expr!r} fails on evaluation: {exc}") from exc
+    return piecewise_graph(p["name"], p["breakpoints"], branches,
+                           p["d"], p["C_f"], p["zero_in_graph"])
+
+
 # Each drift kind: the rules of the keys it reads besides "kind", and its
 # graph.  Piecewise branch expressions are in the variable x.
 DRIFT_KEYS = {
@@ -197,9 +217,7 @@ DRIFT_KEYS = {
                    "expressions": (REQUIRED, "strings", None),
                    "d": (REQUIRED, "number", ">= 0"), "C_f": (1.0, "number", "> 0"),
                    "name": ("piecewise", "string", None), "zero_in_graph": (True, "bool", None)},
-                  lambda p: piecewise_graph(p["name"], p["breakpoints"],
-                                            [compile_branch(e) for e in p["expressions"]],
-                                            p["d"], p["C_f"], p["zero_in_graph"])),
+                  _piecewise),
 }
 # Each initial-datum kind: the rules of the keys it reads besides "kind", and
 # the datum on a grid.
@@ -222,7 +240,8 @@ def _from_kind(table: dict, where: str, spec: dict, problems: list, *args):
 
     spec["kind"] picks the table entry (rules, builder); the other keys are
     checked against the rules and the builder gets their values and `args`.
-    Whatever the builder raises is reported as a violation.
+    Whatever the builder raises is reported as a violation, under the key a
+    _KeyFault names.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in table:
@@ -236,7 +255,8 @@ def _from_kind(table: dict, where: str, spec: dict, problems: list, *args):
     try:
         return build(p, *args)
     except Exception as exc:
-        problems.append(f"{where}: {exc}")
+        at = f"{where}.{exc.key}" if isinstance(exc, _KeyFault) else where
+        problems.append(f"{at}: {exc}")
         return None
 
 

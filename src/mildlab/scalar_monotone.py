@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
@@ -144,7 +145,7 @@ class MonotoneGraph:
         out = np.empty_like(x, dtype=float)
         for i, fn in enumerate(self.branch_fns):
             mask = idx == i
-            if np.any(mask):
+            if mask.any():
                 out[mask] = fn(x[mask])
         return out
 
@@ -167,8 +168,21 @@ class MonotoneGraph:
         return float(self.left_limits(np.asarray([x]))[0])
 
     def mid_values(self, x: np.ndarray) -> np.ndarray:
-        """Midpoint section of the filled graph, vectorized."""
-        return 0.5 * (self.left_limits(x) + self.right_limits(x))
+        """Midpoint section of the filled graph, vectorized.
+
+        The one-sided limits differ only at a breakpoint, so the branches
+        are evaluated once for f(x+) and again only there for f(x-); the
+        result is bit-equal to 0.5 * (left_limits(x) + right_limits(x)).
+        """
+        x = np.asarray(x, dtype=float)
+        right = self.right_limits(x)
+        left = right.copy()
+        on = np.zeros(x.shape, dtype=bool)
+        for b in self.breakpoints:
+            on |= x == b
+        if on.any():
+            left[on] = self.left_limits(x[on])
+        return 0.5 * (left + right)
 
 
 # -- sections ---------------------------------------------------------------
@@ -504,21 +518,32 @@ _SAFE_EXPR_NAMES = {
     "log": np.log, "sin": np.sin, "cos": np.cos, "tanh": np.tanh,
     "minimum": np.minimum, "maximum": np.maximum, "pi": math.pi, "e": math.e,
 }
+# Shared by every evaluation.  compile_branch admits no attribute, no other
+# name and no nested scope (lambda, comprehension), so no expression can
+# reach into this mapping or bind a name in it.
+_EXPR_GLOBALS = {"__builtins__": {}, **_SAFE_EXPR_NAMES}
 
 
 def compile_branch(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     """A branch evaluator from an expression in x over a fixed set of numpy names.
 
-    An expression that does not parse raises SyntaxError, one using any other
-    name ValueError.
+    An expression that does not parse raises SyntaxError; one using any other
+    name or attribute, a lambda or a comprehension raises ValueError.  The
+    evaluator returns a new float array shaped like x (a constant expression
+    is broadcast), with -0.0 written as 0.0.
     """
     code = compile(expr, "<branch>", "eval")
     for name in code.co_names:
         if name not in _SAFE_EXPR_NAMES and name != "x":
             raise ValueError(f"branch expression uses unknown name {name!r}")
+    if any(isinstance(const, CodeType) for const in code.co_consts):
+        raise ValueError("branch expression may not hold a lambda or a comprehension")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.asarray(eval(code, {"__builtins__": {}}, {**_SAFE_EXPR_NAMES, "x": x}), dtype=float) + np.zeros_like(x)
+        y = np.asarray(eval(code, _EXPR_GLOBALS, {"x": x}), dtype=float)
+        if y.shape != x.shape:
+            y = np.broadcast_to(y, x.shape)
+        return y + 0.0
 
     return fn
 

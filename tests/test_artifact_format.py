@@ -2,11 +2,13 @@
 
 The inputs are built by exact arithmetic, without the solver or BLAS, so the
 digests do not depend on the platform.  They pin the bytes the export layer
-writes: CRLF rows in the solution and noise CSVs (the csv.writer default),
-LF rows in a study's series.csv, the .17g digits and the report's JSON
-layout.  A rewrite of the export layer must keep both digests.
+writes: CRLF rows "time,node,value" in the solution and noise CSVs, LF rows
+in a study's series.csv, the .17g digits and the report's JSON layout.  A
+rewrite of the export layer must keep both digests, and the series export
+must write what a plain csv.writer loop writes for any values.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -55,6 +57,31 @@ def test_export_series_csv_bytes(tmp_path):
     data = dest.read_bytes()
     assert data.count(b"\r\n") == 1 + 4 * 3
     assert sha256(dest) == SERIES_CSV_SHA256
+
+
+def reference_series_csv(fields: FieldSeries, times: np.ndarray, dest) -> None:
+    """The series export written one csv.writer row at a time."""
+    with open(dest, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "node", "value"])
+        for n, row in enumerate(fields.values):
+            t = f"{times[n]:.17g}"
+            for i, value in enumerate(row):
+                writer.writerow([t, i + 1, f"{value:.17g}"])
+
+
+def test_export_series_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(20260101)
+    values = rng.standard_normal((65, 31)) * 10.0 ** rng.integers(-300, 300, (65, 31))
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 1.0 / 3.0]
+    values[rng.integers(0, 65, 40), rng.integers(0, 31, 40)] = rng.choice(specials, 40)
+    values[0, :len(specials)] = specials
+    times = np.arange(65) / 3.0
+    times[1] = -0.0
+    fields = FieldSeries(Grid(31), values)
+    export_series_csv(fields, times, tmp_path / "fast.csv")
+    reference_series_csv(fields, times, tmp_path / "reference.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_study_report_save_bytes(tmp_path):

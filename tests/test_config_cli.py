@@ -253,6 +253,10 @@ class TestCli:
         ("solve", PIECEWISE % '"breakpoints": true', "drift.breakpoints: must be a list of numbers"),
         ("solve", PIECEWISE % '"breakpoints": ["a"]', "drift.breakpoints: must be a list of numbers"),
         ("solve", PIECEWISE % '"expressions": ["x +", "x"]', "drift: invalid syntax"),
+        ("solve", PIECEWISE % '"expressions": ["x(1)", "x"]',
+         "drift.expressions[0]: 'x(1)' fails on evaluation: "),
+        ("solve", PIECEWISE % '"expressions": ["x", "[y for y in x]"]',
+         "drift: branch expression may not hold a lambda or a comprehension"),
         ("solve", '{"initial": {"kind": "sine", "amplitud": 3}}',
          "initial: unknown key 'amplitud'"),
         ("study cauchy", '{"studies": {"cauchy": {"q": 1.0}}}',

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mildlab.errors import BracketFailure, NonFiniteInput
-from mildlab.scalar_monotone import (MonotoneGraph, linear_graph,
-                                     moreau, piecewise_graph,
+from mildlab.scalar_monotone import (MonotoneGraph, compile_branch,
+                                     linear_graph, moreau, piecewise_graph,
                                      power_graph, primitive, primitive_array,
                                      resolvent, resolvent_array, section,
                                      section_max_abs, section_min_abs,
@@ -52,6 +52,60 @@ class TestSection:
         assert section_min_abs(g, 0.0) == 0.0
         assert abs(section_max_abs(g, 0.0)) == 1.0
         assert section_min_abs(g, 2.0) == 1.0
+
+
+def mid_value_graphs() -> list[MonotoneGraph]:
+    """Graphs with breakpoints: jumps, and a breakpoint where f is continuous."""
+    return [
+        sign_plus_linear_graph(),
+        # the benchmark's piecewise cubic with a jump at 0
+        piecewise_graph("cubic-jump", [0.0],
+                        [compile_branch("x**3 - 1"), compile_branch("x**3 + 1")], 3.0, 2.0),
+        # continuous at -1, a jump of 2 at 1
+        piecewise_graph("kink-jump", [-1.0, 1.0],
+                        [compile_branch(e) for e in ("x - 1", "2*x", "x + 3")], 1.0, 3.0),
+    ]
+
+
+on_breakpoints = st.sampled_from([-1.0, 0.0, -0.0, 1.0])
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMidValues:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.one_of(any_finite, finite_floats, on_breakpoints),
+                       min_size=1, max_size=40))
+    def test_bit_equal_to_mean_of_limits(self, xs):
+        x = np.array(xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f in mid_value_graphs():
+                want = 0.5 * (f.left_limits(x) + f.right_limits(x))
+                assert f.mid_values(x).tobytes() == want.tobytes(), f.name
+
+    def test_jump_midpoints(self):
+        sign_linear, cubic, kink = mid_value_graphs()
+        x = np.array([-1.0, 0.0, 1.0, 0.5])
+        assert sign_linear.mid_values(x).tolist() == [-2.0, 0.0, 2.0, 1.5]
+        assert cubic.mid_values(x).tolist() == [-2.0, 0.0, 2.0, 1.125]
+        assert kink.mid_values(x).tolist() == [-2.0, 0.0, 3.0, 1.0]
+
+
+class TestCompileBranch:
+    def test_returns_a_fresh_array_shaped_like_x(self):
+        x = np.array([-0.0, 1.5, -2.0])
+        same = compile_branch("x")(x)
+        assert same is not x and same.tolist() == [0.0, 1.5, -2.0]
+        assert not np.signbit(same[0])
+        assert compile_branch("2")(x).tolist() == [2.0, 2.0, 2.0]
+        assert compile_branch("abs(x) * 0 + pi")(x).tolist() == [np.pi] * 3
+
+    @pytest.mark.parametrize("expr", ["(lambda: ().__class__.__mro__[1])() and x",
+                                      "[(abs := y) for y in x]"])
+    def test_may_not_open_a_scope(self, expr):
+        # a nested scope's names escape the name check: a lambda reaches any
+        # attribute, a comprehension's walrus binds into the shared namespace
+        with pytest.raises(ValueError, match="lambda or a comprehension"):
+            compile_branch(expr)
 
 
 class TestResolvent:
