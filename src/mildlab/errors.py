@@ -13,6 +13,10 @@ class BracketFailure(MildlabError):
     """Root bracketing exceeded its expansion bound (malformed graph)."""
 
 
+class NoConvergence(MildlabError):
+    """An iteration reached its cap before its stop test held."""
+
+
 class GridMismatch(MildlabError):
     """Two grid functions live on different grids."""
 

@@ -19,9 +19,10 @@ the convex primitive phi(x) = int_0^x f, and its Moreau envelope
 Resolvents are computed by guarded vectorized root solves: closed forms or
 guarded Newton where a fast path is attached to the graph, otherwise
 bracketing + bisection of the strictly increasing map y -> y + lam*f(y),
-which is unconditionally safe for discontinuous monotone maps.  Bisection
-stops at the fixed absolute width ROOT_TOL.  Resolvent, Yosida and Moreau
-functions all take the arguments (graph, lam, x).
+which is unconditionally safe for discontinuous monotone maps.  Newton stops
+at steps within two ulps, bisection at the width ROOT_TOL.  phi without a
+closed form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
+primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x).
 
 This module holds the math only.  The config's drift section is checked and
 built by config.DRIFT_KEYS from the graph constructors here, and
@@ -37,11 +38,12 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketFailure, NonFiniteInput
+from .errors import BracketFailure, NoConvergence, NonFiniteInput
 
 __all__ = [
     "MonotoneGraph",
     "ROOT_TOL",
+    "QUAD_TOL",
     "section",
     "section_min_abs",
     "section_max_abs",
@@ -71,6 +73,13 @@ _MAX_BISECTIONS = 200
 # Absolute width at which bisection stops; the closed-form and Newton fast
 # paths do not read it, the invariant battery scales its bounds by it.
 ROOT_TOL = 1e-12
+_MAX_NEWTON = 100
+# The primitive's quadrature tolerance (relative above 1, where rounding would
+# defeat an absolute one), its halvings before it raises (2^-50 of an integral
+# is a few ulps) and the 10-point Gauss-Legendre rule (Golub & Welsch 1969).
+QUAD_TOL = 1e-10
+_MAX_QUAD_LEVELS = 50
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 Choice = Literal["min", "max", "mid"]
 
@@ -95,9 +104,10 @@ class MonotoneGraph:
     # Optional fast paths; must agree with the generic engine (tested).
     fast_resolvent: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     fast_primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _validate: bool = field(default=True, repr=False)
+    _breaks: np.ndarray = field(init=False, repr=False, compare=False)  # as one array
 
     def __post_init__(self):
+        object.__setattr__(self, "_breaks", np.asarray(self.breakpoints, dtype=float))
         if len(self.branch_fns) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more branch than breakpoints")
         if list(self.breakpoints) != sorted(set(self.breakpoints)):
@@ -106,23 +116,19 @@ class MonotoneGraph:
             raise ValueError("growth exponent d must be >= 0")
         if self.growth_constant <= 0:
             raise ValueError("growth constant C_f must be > 0")
-        if self._validate:
-            self._check_shape()
+        self._check_shape()
 
     def _check_shape(self):
         """Sampled monotonicity / jump-sign / growth checks at build time."""
-        probes = np.concatenate(
-            [np.linspace(-8.0, 8.0, 257), np.asarray(self.breakpoints, dtype=float)]
-        )
-        probes = np.unique(probes)
+        probes = np.unique(np.concatenate([np.linspace(-8.0, 8.0, 257), self._breaks]))
         lo = self.right_limits(probes[:-1])
         hi = self.right_limits(probes[1:])
         if np.any(hi - lo < -1e-12):
             raise ValueError(f"graph {self.name!r} is not nondecreasing")
-        for b in self.breakpoints:
-            left, right = self.left_limit(b), self.right_limit(b)
-            if left > right + 1e-12:
-                raise ValueError(f"graph {self.name!r} decreases across {b}")
+        b = self._breaks
+        drops = b[self.left_limits(b) > self.right_limits(b) + 1e-12]
+        if drops.size:
+            raise ValueError(f"graph {self.name!r} decreases across {drops[0]}")
         bound = self.growth_constant * (1.0 + np.abs(probes) ** self.growth_exponent)
         vals = np.maximum(np.abs(self.left_limits(probes)), np.abs(self.right_limits(probes)))
         if np.any(vals > bound + 1e-9):
@@ -135,9 +141,8 @@ class MonotoneGraph:
     @property
     def jump_points(self) -> tuple[float, ...]:
         """The breakpoints b with f(b-) < f(b+)."""
-        return tuple(
-            b for b in self.breakpoints if self.left_limit(b) < self.right_limit(b)
-        )
+        b = self._breaks
+        return tuple(b[self.left_limits(b) < self.right_limits(b)].tolist())
 
     # -- one-sided limits ---------------------------------------------------
 
@@ -152,13 +157,13 @@ class MonotoneGraph:
     def right_limits(self, x: np.ndarray) -> np.ndarray:
         """f(x+), vectorized."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="right")
+        idx = np.searchsorted(self._breaks, x, side="right")
         return self._branch_eval(x, idx)
 
     def left_limits(self, x: np.ndarray) -> np.ndarray:
         """f(x-), vectorized."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="left")
+        idx = np.searchsorted(self._breaks, x, side="left")
         return self._branch_eval(x, idx)
 
     def right_limit(self, x: float) -> float:
@@ -315,65 +320,80 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
 # -- primitive and Moreau envelope -------------------------------------------
 
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature of a continuous integrand on [a, b]."""
+def _integrate(graph: MonotoneGraph, a, b, branch) -> np.ndarray:
+    """Integral of branch_fns[branch] from a to b, elementwise, by adaptive Gauss-Legendre.
 
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = fn(lm), fn(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, tol / 2.0, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    mid = 0.5 * (a + b)
-    fa, fm, fb = fn(a), fn(mid), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
-
-def primitive(graph: MonotoneGraph, x: float, quad_tol: float = 1e-10) -> float:
-    """Convex primitive phi(x) = int_0^x f(s) ds with phi(0) = 0.
-
-    Jumps are single points and contribute nothing to the integral; the
-    quadrature runs on the continuity intervals between breakpoints.
+    One flat work list holds every interval.  One of length h in an integral of
+    length L is accepted when its estimate and its halves' sum differ by at most
+    sqrt(h / L) * QUAD_TOL * max(1, |integral|), never if it cannot be halved.
+    Near a singularity such as |x - 1|^(1/3) the difference falls like h^(4/3),
+    which meets a share like h (as Simpson's) only below the float spacing but
+    meets sqrt(h) above it; across a jump it falls like h and meets neither.
     """
-    if graph.fast_primitive is not None:
-        return float(graph.fast_primitive(np.asarray([x]))[0])
-    if x == 0.0:
-        return 0.0
-    a, b = (0.0, x) if x > 0.0 else (x, 0.0)
-    cuts = [a] + [bp for bp in graph.breakpoints if a < bp < b] + [b]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid_of = lambda t: float(graph.mid_values(np.asarray([t]))[0])
-        total += _adaptive_simpson(mid_of, lo, hi, quad_tol / max(1, len(cuts) - 1))
-    return total if x > 0.0 else -total
+    def estimate(lo, hi, idx):
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        return half * (graph._branch_eval(t, np.broadcast_to(idx[:, None], t.shape)) @ _GL_WEIGHTS)
+
+    total = np.zeros(a.shape)
+    owner = np.flatnonzero(a != b)
+    a, b, branch = a[owner], b[owner], branch[owner]
+    whole = estimate(a, b, branch)
+    rate = QUAD_TOL * np.maximum(1.0, np.abs(whole)) / np.sqrt(np.abs(b - a))
+    for _ in range(_MAX_QUAD_LEVELS):
+        if owner.size == 0:
+            return total
+        m = 0.5 * (a + b)
+        left, right = estimate(a, m, branch), estimate(m, b, branch)
+        if not np.all(np.isfinite(left + right)):  # else every half would fail again
+            raise NoConvergence(f"quadrature of {graph.name!r} meets a non-finite value")
+        done = np.abs(left + right - whole) <= rate * np.sqrt(np.abs(b - a))
+        done &= (a != m) & (m != b)
+        np.add.at(total, owner[done], (left + right)[done])
+        keep = ~done
+        a, b = np.concatenate([a[keep], m[keep]]), np.concatenate([m[keep], b[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+        branch, owner, rate = (np.tile(v[keep], 2) for v in (branch, owner, rate))
+    raise NoConvergence(f"quadrature of {graph.name!r} not within tolerance after "
+                        f"{_MAX_QUAD_LEVELS} halvings, near {float(a[0])!r}")
 
 
-def primitive_array(graph: MonotoneGraph, x, quad_tol: float = 1e-10) -> np.ndarray:
-    """Vectorized primitive; uses the closed form when the graph carries one."""
+def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
+    """Convex primitive phi(x) = int_0^x f(s) ds with phi(0) = 0, vectorized.
+
+    Uses the closed form a graph carries.  Otherwise phi at the knots (the
+    breakpoints and 0) cumulates whole-segment integrals outward from 0, and
+    each x adds the integral from its segment's knot nearest 0: one branch each.
+    """
     x = np.asarray(x, dtype=float)
     if graph.fast_primitive is not None:
         return graph.fast_primitive(x)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("primitive input must be finite")
     flat = x.reshape(-1)
-    out = np.array([primitive(graph, float(t), quad_tol) for t in flat])
-    return out.reshape(x.shape)
+    knots = np.union1d(graph._breaks, [0.0])
+    knots = knots[(knots >= np.min(flat, initial=0.0)) & (knots <= np.max(flat, initial=0.0))]
+    near = np.where(flat >= 0.0, np.searchsorted(knots, flat, side="right") - 1,
+                    np.searchsorted(knots, flat, side="left"))
+    starts, ends = np.concatenate([knots[:-1], knots[near]]), np.concatenate([knots[1:], flat])
+    branch = np.searchsorted(graph._breaks, 0.5 * (starts + ends), side="right")
+    pieces = _integrate(graph, starts, ends, branch)
+    segments, zero = pieces[: knots.size - 1], int(np.searchsorted(knots, 0.0))
+    at_knots = np.concatenate([-np.cumsum(segments[:zero][::-1])[::-1], [0.0],
+                               np.cumsum(segments[zero:])])
+    return (at_knots[near] + pieces[knots.size - 1:]).reshape(x.shape)
 
 
-def moreau(graph: MonotoneGraph, lam: float, x: float, quad_tol: float = 1e-10) -> float:
+def primitive(graph: MonotoneGraph, x: float) -> float:
+    """Scalar primitive; see :func:`primitive_array`."""
+    return float(primitive_array(graph, np.asarray([x]))[0])
+
+
+def moreau(graph: MonotoneGraph, lam: float, x: float) -> float:
     """Moreau envelope phi_lam(x) = phi(R_lam x) + (lam/2) f_lam(x)^2."""
     rx = resolvent(graph, lam, x)
     flam = (x - rx) / lam
-    return primitive(graph, rx, quad_tol) + 0.5 * lam * flam * flam
+    return primitive(graph, rx) + 0.5 * lam * flam * flam
 
 
 # -- built-in graphs ----------------------------------------------------------
@@ -420,21 +440,19 @@ def _power_resolvent(d: float, coef: float):
         lo = np.zeros_like(a)
         hi = a.copy()
         y = a.copy()
-        for _ in range(100):
+        for _ in range(_MAX_NEWTON):
             g = y + k * y**d - a
             lo = np.where(g <= 0.0, y, lo)
             hi = np.where(g > 0.0, y, hi)
             dg = 1.0 + k * d * np.where(y > 0.0, y ** (d - 1.0), 0.0)
-            step = g / dg
-            y_new = y - step
+            y_new = y - g / dg
             # fall back to bisection when Newton leaves the bracket
             outside = (y_new < lo) | (y_new > hi)
             y_new = np.where(outside, 0.5 * (lo + hi), y_new)
-            if np.max(np.abs(y_new - y)) <= 1e-16 * (1.0 + np.max(y_new)):
-                y = y_new
-                break
+            if np.all(np.abs(y_new - y) <= 2.0 * np.spacing(y_new)):
+                return s * y_new
             y = y_new
-        return s * y
+        raise NoConvergence(f"power(d={d:g}) resolvent: no Newton stop after {_MAX_NEWTON} steps")
 
     return solve
 

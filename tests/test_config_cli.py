@@ -424,6 +424,20 @@ class TestCli:
         record = json.loads((tmp_path / "run" / "solution0.json").read_text())
         assert record["drift"]["kind"] == "piecewise"
 
+    def test_apriori_study_with_piecewise_drift(self, tmp_path, monkeypatch):
+        # no closed-form primitive: phi goes through the generic quadrature
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = write_config(tmp_path, {
+            "grid": {"M": 31, "nu": 1.0},
+            "time": {"T": 0.25, "delta": 2.0**-8},
+            "drift": {"kind": "piecewise", "breakpoints": [0.0],
+                      "expressions": ["x**3 - 1", "x**3 + 1"], "d": 3, "C_f": 2},
+            "studies": {"apriori": {}},
+        })
+        assert self.run_cli("study", "apriori", str(cfg)) == 0
+        report = json.loads((tmp_path / "run" / "apriori" / "report.json").read_text())
+        assert report["verdict"] == "pass"
+
 
 def readme_key_table(first_header: str) -> dict:
     """The README table headed `| <first_header> | accepted keys | ...`: name -> keys."""

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mildlab.errors import BracketFailure, NonFiniteInput
+import mildlab.scalar_monotone as sm
+from mildlab.errors import BracketFailure, NoConvergence, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, compile_branch,
                                      linear_graph, moreau, piecewise_graph,
                                      power_graph, primitive, primitive_array,
@@ -150,15 +151,31 @@ class TestResolvent:
                 assert np.max(np.abs(fast - slow)) < 1e-10, (name, lam)
 
     def test_bracket_failure_raises(self):
-        # a branch far below anything the doubling bracket can reach
-        g = MonotoneGraph(name="abyss", breakpoints=(),
-                          branch_fns=(lambda x: np.full_like(x, -1e300),),
-                          growth_exponent=0.0, growth_constant=1.0, _validate=False)
+        # a branch far below anything the doubling bracket can reach; no valid
+        # graph has one, so it is swapped in after construction
+        g = piecewise_graph("abyss", [], [lambda x: np.zeros_like(x)], 0.0, 1.0)
+        object.__setattr__(g, "branch_fns", (lambda x: np.full_like(x, -1e300),))
         xs = np.array([-1.0, 0.0, 2.0])
         with pytest.raises(BracketFailure):
             resolvent_array(g, 0.5, xs)
         with pytest.raises(BracketFailure):
             yosida_of_yosida_array(g, 0.25, 0.125, xs)
+
+    def test_power_newton_stops_within_ulps(self, monkeypatch):
+        # |N(0, 9)| inputs on which a stop test below one ulp ran to the cap
+        # 941 times in 1024; the ulp test stops every vector within 6 steps
+        monkeypatch.setattr(sm, "_MAX_NEWTON", 8)
+        g, lam = power_graph(3.0), 2.0**-8 + 2.0**-10
+        rng = np.random.default_rng(0)
+        for _ in range(1024):
+            a = np.abs(rng.normal(0.0, 3.0, 127))
+            y = resolvent_array(g, lam, a)
+            assert np.all(np.abs(y + lam * y**3 - a) <= 2.0 * np.spacing(a))
+
+    def test_power_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sm, "_MAX_NEWTON", 2)
+        with pytest.raises(NoConvergence, match="no Newton stop after 2 steps"):
+            resolvent_array(power_graph(3.0), 0.01, np.array([3.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
@@ -246,14 +263,39 @@ class TestPrimitive:
         assert primitive(sign_graph(), -3.0) == pytest.approx(3.0, abs=1e-10)
 
     def test_quadrature_against_closed_forms(self):
-        # generic engine (adaptive Simpson + jump handling) vs attached closed forms
+        # generic engine (adaptive Gauss-Legendre + jump handling) vs closed forms
         for f, phi in [
             (generic_sign(), lambda x: abs(x)),
             (piecewise_graph("lin", [], [lambda x: x], 1.0, 1.0), lambda x: x * x / 2),
             (piecewise_graph("cube", [], [lambda x: x**3], 3.0, 1.0), lambda x: x**4 / 4),
+            # singular at the knot 0
+            (piecewise_graph("sqrt", [], [lambda x: np.sign(x) * np.sqrt(np.abs(x))],
+                             0.5, 1.0), lambda x: 2.0 / 3.0 * abs(x) ** 1.5),
+            # singular inside the branch
+            (piecewise_graph("cbrt", [], [lambda x: np.sign(x - 1) * np.abs(x - 1) ** (1 / 3)],
+                             1 / 3, 2.0, zero_in_graph=False),
+             lambda x: 0.75 * abs(x - 1) ** (4 / 3) - 0.75),
         ]:
             for x in (-2.5, -0.3, 0.0, 0.7, 3.1):
-                assert primitive(f, x, quad_tol=1e-11) == pytest.approx(phi(x), abs=1e-9)
+                assert primitive(f, x) == pytest.approx(phi(x), abs=1e-9), f.name
+
+    @pytest.mark.parametrize("x", [3.1, 100.001])
+    def test_undeclared_jump_raises(self, x):
+        # a jump inside a branch does not meet the tolerance before the level
+        # cap (at 0.5) or before its interval is too short to halve (at 100.0003)
+        f = piecewise_graph("hidden-jump", [100.0], [lambda x: x + (x > 0.5),
+                                                     lambda x: x + 1 + (x > 100.0003)], 1.0, 3.0)
+        with pytest.raises(NoConvergence, match="'hidden-jump' not within tolerance"):
+            primitive_array(f, np.array([0.25, x]))
+
+    def test_non_finite_branch_raises(self):
+        # nan on part of a branch passes the sampled shape checks; halving it
+        # would double the work list at every level
+        with np.errstate(invalid="ignore"):
+            f = piecewise_graph("holed", [0.0], [lambda x: x, lambda x: np.sqrt(x - 1.0) + x],
+                                1.0, 3.0, zero_in_graph=False)
+            with pytest.raises(NoConvergence, match="non-finite"):
+                primitive_array(f, np.array([2.0]))
 
     def test_convexity_and_nonnegativity(self, drifts):
         xs = np.linspace(-3, 3, 61)

@@ -1,5 +1,6 @@
 """Studies, reports, and the invariant battery."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from mildlab.errors import StudyPrecondition
 from mildlab.grid_space import Grid, GridFunction
 from mildlab.noise import DiffusionSpec, path_seeds, sample_path
-from mildlab.scalar_monotone import power_graph, sign_graph, zero_graph
+from mildlab.scalar_monotone import (compile_branch, piecewise_graph, power_graph,
+                                     primitive_array, sign_graph, zero_graph)
 from mildlab.semigroup import HeatSemigroup
 from mildlab.solver import SolverConfig
 from mildlab.verify import (StudyReport, apriori_constants_study,
@@ -266,6 +268,24 @@ class TestAprioriStudy:
         assert rep.verdict == "pass"
         assert rep.fitted["worst_linear"] <= 1e-8
         assert rep.fitted["worst_square"] <= 1e-8
+
+    def test_piecewise_generic_phi_matches_closed_form(self, small):
+        # both graphs resolve by bisection, so only phi differs between them
+        grid, sg, paths, u0, config = small
+        generic = piecewise_graph("cubic-jump", [0.0], [compile_branch("x**3 - 1"),
+                                                        compile_branch("x**3 + 1")], 3.0, 2.0)
+        closed = dataclasses.replace(generic, fast_primitive=lambda x: x**4 / 4 + np.abs(x))
+        reports = [apriori_constants_study(f, (2.0,), (2.0, 4.0), paths[:2], sg, config, u0)
+                   for f in (generic, closed)]
+        assert [r.verdict for r in reports] == ["pass", "pass"]
+        for key, value in reports[1].fitted.items():
+            assert reports[0].fitted[key] == pytest.approx(value, abs=1e-12), key
+        for key, series in reports[1].series.items():
+            assert np.allclose(reports[0].series[key], series, rtol=0.0, atol=1e-12), key
+        # the margins peak at n = 0, where they are exactly 0 whatever phi is,
+        # so phi itself is compared on the field the study integrates
+        z = paths[0].fields.values
+        assert np.max(np.abs(primitive_array(generic, z) - primitive_array(closed, z))) <= 1e-12
 
     def test_degenerate(self, small):
         grid, sg, paths, u0, config = small
