@@ -16,12 +16,14 @@ the convex primitive phi(x) = int_0^x f, and its Moreau envelope
     phi_lam(x) = phi(R_lam(x)) + (lam/2) * f_lam(x)^2
                = min_y [ (x - y)^2 / (2*lam) + phi(y) ].
 
-Resolvents are computed by guarded vectorized root solves: closed forms or
-guarded Newton where a fast path is attached to the graph, otherwise
-bracketing + bisection of the strictly increasing map y -> y + lam*f(y),
-which is unconditionally safe for discontinuous monotone maps.  Newton stops
-at steps within two ulps, bisection at the width ROOT_TOL.  phi without a
-closed form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
+Resolvents come from closed forms (linear, quadratic, cubic, sign) or
+guarded Newton (other powers) where a fast path is attached to the graph.
+Any other graph goes through one engine (_resolve_on_knots): an x inside a
+knot's jump interval resolves to exactly that knot, every other x to the one
+continuous branch between two knots, solved there by Chandrupatla's
+bracketed hybrid.  Every root solve stops each element on its own, within
+two ulps, and raises NoConvergence at its step cap.  phi without a closed
+form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
 primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x).
 
 This module holds the math only.  The config's drift section is checked and
@@ -65,15 +67,15 @@ __all__ = [
     "TEST_DRIFTS",
 ]
 
-# Bracket expansion bound for the bracket-and-bisect root engine.  Doubling
-# from an interval of width >= 2 reaches width 2^61 > 2e18 before giving up,
-# far beyond any input a genuine monotone graph can require.
-_MAX_BRACKET_DOUBLINGS = 60
-_MAX_BISECTIONS = 200
-# Absolute width at which bisection stops; the closed-form and Newton fast
-# paths do not read it, the invariant battery scales its bounds by it.
+# The root solvers stop in ulps and do not read ROOT_TOL; the invariant
+# battery scales its bounds by it.
 ROOT_TOL = 1e-12
+# Caps past which a root solve raises NoConvergence: guarded Newton steps for
+# a power drift without a closed form, and Chandrupatla steps per branch solve
+# of the generic engine (at most 9 on the benchmark's jump-at-0 cubic, where
+# bisection to two ulps would take about 44).
 _MAX_NEWTON = 100
+_MAX_ROOT_STEPS = 100
 # The primitive's quadrature tolerance (relative above 1, where rounding would
 # defeat an absolute one), its halvings before it raises (2^-50 of an integral
 # is a few ulps) and the 10-point Gauss-Legendre rule (Golub & Welsch 1969).
@@ -119,19 +121,20 @@ class MonotoneGraph:
         self._check_shape()
 
     def _check_shape(self):
-        """Sampled monotonicity / jump-sign / growth checks at build time."""
+        """Sampled finiteness / monotonicity / jump-sign / growth checks at build time."""
         probes = np.unique(np.concatenate([np.linspace(-8.0, 8.0, 257), self._breaks]))
-        lo = self.right_limits(probes[:-1])
-        hi = self.right_limits(probes[1:])
-        if np.any(hi - lo < -1e-12):
+        left, right = self.left_limits(probes), self.right_limits(probes)
+        finite = np.isfinite(left) & np.isfinite(right)
+        if not finite.all():
+            raise ValueError(f"graph {self.name!r} is not finite at {probes[~finite][0]}")
+        if np.any(np.diff(right) < -1e-12):
             raise ValueError(f"graph {self.name!r} is not nondecreasing")
         b = self._breaks
         drops = b[self.left_limits(b) > self.right_limits(b) + 1e-12]
         if drops.size:
             raise ValueError(f"graph {self.name!r} decreases across {drops[0]}")
         bound = self.growth_constant * (1.0 + np.abs(probes) ** self.growth_exponent)
-        vals = np.maximum(np.abs(self.left_limits(probes)), np.abs(self.right_limits(probes)))
-        if np.any(vals > bound + 1e-9):
+        if np.any(np.maximum(np.abs(left), np.abs(right)) > bound + 1e-9):
             raise ValueError(f"graph {self.name!r} violates its growth bound")
         if self.zero_in_graph and not (
             self.left_limit(0.0) <= 0.0 <= self.right_limit(0.0)
@@ -227,51 +230,128 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 # -- resolvent and Yosida approximation -------------------------------------
 
 
-def _bracket_and_bisect(
-    g: Callable[[np.ndarray], np.ndarray], x: np.ndarray, what: str
-) -> np.ndarray:
-    """Zero of an increasing map g, elementwise, by bracketing + bisection.
+def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, lo_lim: np.ndarray, hi_lim: np.ndarray, what: str) -> np.ndarray:
+    """Zero of g(y) = y + lam*fns[gap](y) - x in [lo, hi], elementwise.
 
-    The bracket starts at [x - |x| - 1, x + |x| + 1] and doubles its width on
-    each side where g has no sign change; bisection then halves it until
-    every interval is at most ROOT_TOL wide.  g may jump upward, in which
-    case the result is the jump location.
+    gap is sorted, so each evaluator runs once per step on its own slice, and
+    fns[gap] is continuous and nondecreasing on [lo_lim, hi_lim], which holds
+    the bracket.  Chandrupatla's hybrid (1997) takes inverse quadratic
+    interpolation steps where the last three points allow it and bisection
+    steps otherwise, never closer than one ulp to an end.  Each element stops
+    on its own, once g = 0 there or its bracket is at most two ulps wide, so
+    its result does not depend on the other elements.
     """
-    lo = x - np.abs(x) - 1.0
-    hi = x + np.abs(x) + 1.0
-    width = hi - lo
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        bad_lo = g(lo) > 0.0
-        bad_hi = g(hi) < 0.0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = hi - lo
-    else:
-        raise BracketFailure(
-            f"no bracket after {_MAX_BRACKET_DOUBLINGS} doublings for {what}"
-        )
-    for _ in range(_MAX_BISECTIONS):
-        if np.max(hi - lo) <= ROOT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    every_gap = np.arange(len(fns) + 1)
+
+    def g(y, x, gap):
+        fy = np.empty_like(y)
+        bounds = np.searchsorted(gap, every_gap)
+        for fn, start, stop in zip(fns, bounds[:-1], bounds[1:]):
+            if start < stop:
+                fy[start:stop] = fn(y[start:stop])
+        gy = y + lam * fy - x
+        if not np.isfinite(gy).all():
+            raise NoConvergence(f"resolvent of {what} meets a non-finite branch value")
+        return gy
+
+    y1, y2 = lo, hi
+    f1, f2 = g(y1, x, gap), g(y2, x, gap)
+    # Rounding can leave an end a hair short of the root.  g(y) - y is
+    # nondecreasing, so y - 2*g(y) bounds the root from the other side.
+    short1, short2 = f1 > 0.0, f2 < 0.0
+    if short1.any() or short2.any():
+        y1 = np.where(short1, np.maximum(lo_lim, y1 - 2.0 * f1), y1)
+        y2 = np.where(short2, np.minimum(hi_lim, y2 - 2.0 * f2), y2)
+        f1 = np.where(short1, g(y1, x, gap), f1)
+        f2 = np.where(short2, g(y2, x, gap), f2)
+        if (f1 > 0.0).any() or (f2 < 0.0).any():
+            raise BracketFailure(f"no sign change on the bracket for {what}")
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    y3 = f3 = t = 0.5  # y3, f3 are first set by the first step, which bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_MAX_ROOT_STEPS + 1):
+            a1, a2 = np.abs(f1), np.abs(f2)
+            ym = np.where(a1 < a2, y1, y2)
+            tol, dy = 2.0 * np.spacing(np.abs(ym)), np.abs(y2 - y1)
+            done = (dy <= tol) | (np.minimum(a1, a2) == 0.0)
+            if done.any():
+                out[live[done]] = ym[done]
+                keep = ~done
+                live, gap, x, y1, f1, y2, f2, tol, dy = (
+                    v[keep] for v in (live, gap, x, y1, f1, y2, f2, tol, dy))
+                if step:
+                    y3, f3 = y3[keep], f3[keep]
+            if not live.size:
+                return out
+            if step == _MAX_ROOT_STEPS:
+                break
+            if step:
+                d12, d32 = f1 - f2, f3 - f2
+                xi, phi = (y1 - y2) / (y3 - y2), d12 / d32
+                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                t = f1 / d32 * (f3 / d12 + (y3 - y1) / (y2 - y1) * f2 / (f3 - f1))
+                t = np.where(iqi, t, 0.5)
+            tl = 0.5 * tol / dy
+            yt = y1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * (y2 - y1)
+            ft = g(yt, x, gap)
+            same = np.sign(ft) == np.sign(f1)
+            y3, f3 = np.where(same, y1, y2), np.where(same, f1, f2)
+            y2, f2 = np.where(same, y2, y1), np.where(same, f2, f1)
+            y1, f1 = yt, ft
+    raise NoConvergence(f"resolvent of {what}: no stop after {_MAX_ROOT_STEPS} steps")
 
 
-def _bisection_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
-    """Solve y + lam*f(y) = x by bracketing + bisection, vectorized.
+def _resolve_on_knots(knots: np.ndarray, gap_fns, lam: float, x: np.ndarray,
+                      what: str) -> np.ndarray:
+    """Solve y + lam*f(y) = x, elementwise, for f continuous between sorted knots.
 
-    The target map is strictly increasing with only upward jumps, so sign
-    bisection on g(y) = y + lam*f_mid(y) - x converges to the unique point
-    whose filled-graph image contains x.
+    gap_fns[j] evaluates f on the j-th open gap (-inf, c_0), (c_0, c_1), ...,
+    (c_{n-1}, inf), so f(c-) and f(c+) at a knot c are its two neighbours'
+    values there.  Every x in [c + lam*f(c-), c + lam*f(c+)] resolves to
+    exactly c; any other x lies between two knots' intervals, and its root in
+    the gap between the knots.  R_lam is 1-Lipschitz, so |y - c| <= |x - x_c|
+    for the nearer end x_c of each neighbouring interval: that brackets the
+    root without a search.
     """
-    return _bracket_and_bisect(
-        lambda y: y + lam * graph.mid_values(y) - x, x, repr(graph.name)
-    )
+    flat = x.reshape(-1)
+    n = knots.size
+    edges = np.empty(2 * n)  # [x_c-, x_c+] of each knot c, in order
+    for j, fn in enumerate(gap_fns):
+        vals = fn(knots[max(j - 1, 0): j + 1])
+        if j > 0:
+            edges[2 * j - 1] = knots[j - 1] + lam * vals[0]
+        if j < n:
+            edges[2 * j] = knots[j] + lam * vals[-1]
+    if not np.isfinite(edges).all():
+        raise NoConvergence(f"resolvent of {what} meets a non-finite branch value")
+    # pos is odd for x in (x_c-, x_c+]; x = x_c- gets the bracket [c, c] below
+    pos = np.searchsorted(edges, flat, side="left")
+    on_knot = pos % 2 == 1
+    y = np.empty_like(flat)
+    y[on_knot] = knots[pos[on_knot] // 2]
+    rest = np.flatnonzero(~on_knot)
+    rest = rest[np.argsort(pos[rest], kind="stable")]
+    gap, xs = pos[rest] // 2, flat[rest]
+    # each gap's knots, +-inf beyond the outer ones, and its x-interval ends
+    lo_lim = np.concatenate([[-np.inf], knots])[gap]
+    hi_lim = np.concatenate([knots, [np.inf]])[gap]
+    left_edge = np.concatenate([[-np.inf], edges[1::2]])[gap]
+    right_edge = np.concatenate([edges[0::2], [np.inf]])[gap]
+    with np.errstate(invalid="ignore"):  # inf - inf in the outer gaps, dropped by the limits
+        lo = np.fmax(lo_lim, hi_lim - (right_edge - xs))
+        hi = np.fmin(hi_lim, lo_lim + (xs - left_edge))
+    y[rest] = _branch_root(gap_fns, gap, lam, xs, lo, hi, lo_lim, hi_lim, what)
+    return y.reshape(x.shape)
+
+
+def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
+    """R_lam(x) for a graph with no fast path: its knots are the breakpoints and 0."""
+    knots = np.union1d(graph._breaks, [0.0])
+    branch = np.append(np.searchsorted(graph._breaks, knots, side="left"), graph._breaks.size)
+    return _resolve_on_knots(knots, [graph.branch_fns[i] for i in branch], lam, x,
+                             repr(graph.name))
 
 
 def resolvent_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
@@ -283,7 +363,7 @@ def resolvent_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
         raise NonFiniteInput("resolvent input must be finite")
     if graph.fast_resolvent is not None:
         return graph.fast_resolvent(x, lam)
-    return _bisection_resolvent(graph, lam, x)
+    return _branch_resolvent(graph, lam, x)
 
 
 def resolvent(graph: MonotoneGraph, lam: float, x: float) -> float:
@@ -305,15 +385,15 @@ def yosida(graph: MonotoneGraph, lam: float, x: float) -> float:
 def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np.ndarray:
     """(f_lam)_mu(x): Yosida approximation of the function f_lam.
 
-    f_lam is continuous and monotone, so its resolvent is found by plain
-    bisection on rho -> rho + mu*f_lam(rho); this deliberately does NOT use
-    the algebraic reduction to f_{lam+mu}, which is what tests compare it to.
+    f_lam is continuous and monotone, one branch with a knot at 0, so its
+    resolvent comes from the same engine as a generic graph's; this
+    deliberately does NOT use the algebraic reduction to f_{lam+mu}, which is
+    what tests compare it to.
     """
     x = np.asarray(x, dtype=float)
-    rho = _bracket_and_bisect(
-        lambda r: r + mu * yosida_array(graph, lam, r) - x,
-        x, f"the composed Yosida resolvent of {graph.name!r}",
-    )
+    f_lam = lambda r: yosida_array(graph, lam, r)  # noqa: E731
+    rho = _resolve_on_knots(np.zeros(1), (f_lam, f_lam), mu, x,
+                            f"the composed Yosida resolvent of {graph.name!r}")
     return (x - rho) / mu
 
 
@@ -427,8 +507,46 @@ def linear_graph(c: float = 1.0) -> MonotoneGraph:
     )
 
 
+def _power_newton(d: float, k: float, a: np.ndarray) -> np.ndarray:
+    """Guarded Newton for y + k*y^d = a with a >= 0.
+
+    The root lies in [0, a] and below (a/k)^(1/d), which starts the iteration,
+    so a large a takes a few steps rather than one per halving.  Each element
+    stops on its own at a step within two ulps of its new iterate, so its
+    result does not depend on the other elements.
+    """
+    flat = a.reshape(-1)
+    out = np.empty_like(flat)
+    live = np.arange(flat.size)
+    # g(0) = -a <= 0 and g(a) = k*a^d >= 0
+    lo, hi = np.zeros_like(flat), flat.copy()
+    y = np.minimum(flat, (flat / k) ** (1.0 / d))
+    for _ in range(_MAX_NEWTON):
+        g = y + k * y**d - flat
+        lo = np.where(g <= 0.0, y, lo)
+        hi = np.where(g > 0.0, y, hi)
+        dg = 1.0 + k * d * np.where(y > 0.0, y ** (d - 1.0), 0.0)
+        y_new = y - g / dg
+        # fall back to bisection when Newton leaves the bracket
+        outside = (y_new < lo) | (y_new > hi)
+        y_new = np.where(outside, 0.5 * (lo + hi), y_new)
+        done = np.abs(y_new - y) <= 2.0 * np.spacing(y_new)
+        out[live[done]] = y_new[done]
+        keep = ~done
+        if not keep.any():
+            return out.reshape(a.shape)
+        live, flat, lo, hi, y = live[keep], flat[keep], lo[keep], hi[keep], y_new[keep]
+    raise NoConvergence(f"power(d={d:g}) resolvent: no Newton stop after {_MAX_NEWTON} steps")
+
+
 def _power_resolvent(d: float, coef: float):
-    """Guarded Newton for y + lam*coef*|y|^{d-1} y = x (odd symmetry)."""
+    """R_lam for y + lam*coef*|y|^{d-1} y = x (odd symmetry).
+
+    Closed forms for d = 1, 2, 3, guarded Newton otherwise.  The quadratic's
+    root is written without cancellation; the cubic's is the hyperbolic form
+    of Cardano's, then one Newton step (Kahan 1986, "To solve a real cubic
+    equation").
+    """
 
     def solve(x: np.ndarray, lam: float) -> np.ndarray:
         a = np.abs(x)
@@ -436,23 +554,13 @@ def _power_resolvent(d: float, coef: float):
         k = lam * coef
         if d == 1.0:
             return s * a / (1.0 + k)
-        # root lies in [0, a]: g(0) = -a <= 0, g(a) = k*a^d >= 0
-        lo = np.zeros_like(a)
-        hi = a.copy()
-        y = a.copy()
-        for _ in range(_MAX_NEWTON):
-            g = y + k * y**d - a
-            lo = np.where(g <= 0.0, y, lo)
-            hi = np.where(g > 0.0, y, hi)
-            dg = 1.0 + k * d * np.where(y > 0.0, y ** (d - 1.0), 0.0)
-            y_new = y - g / dg
-            # fall back to bisection when Newton leaves the bracket
-            outside = (y_new < lo) | (y_new > hi)
-            y_new = np.where(outside, 0.5 * (lo + hi), y_new)
-            if np.all(np.abs(y_new - y) <= 2.0 * np.spacing(y_new)):
-                return s * y_new
-            y = y_new
-        raise NoConvergence(f"power(d={d:g}) resolvent: no Newton stop after {_MAX_NEWTON} steps")
+        if d == 2.0:
+            return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
+        if d == 3.0:
+            r = np.sqrt(3.0 * k)
+            y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
+            return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
+        return s * _power_newton(d, k, a)
 
     return solve
 
@@ -519,7 +627,7 @@ def piecewise_graph(
 ) -> MonotoneGraph:
     """Generic graph from ordered breakpoints and branch evaluators.
 
-    No fast paths are attached, so resolvents go through the bisection engine.
+    No fast paths are attached, so resolvents go through the generic engine.
     """
     return MonotoneGraph(
         name=name,

@@ -21,7 +21,7 @@ small_lams = st.floats(min_value=1e-3, max_value=2.0)
 
 
 def generic_sign():
-    """Sign graph without fast paths: exercises the bisection engine."""
+    """Sign graph without fast paths: exercises the generic engine."""
     return piecewise_graph(
         "sign-generic", [0.0],
         [lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, 1.0)],
@@ -151,8 +151,9 @@ class TestResolvent:
                 assert np.max(np.abs(fast - slow)) < 1e-10, (name, lam)
 
     def test_bracket_failure_raises(self):
-        # a branch far below anything the doubling bracket can reach; no valid
-        # graph has one, so it is swapped in after construction
+        # a branch so far below y that y + lam*f(y) - x rounds to -x at the
+        # bracket's end; no valid graph has one, so it is swapped in after
+        # construction
         g = piecewise_graph("abyss", [], [lambda x: np.zeros_like(x)], 0.0, 1.0)
         object.__setattr__(g, "branch_fns", (lambda x: np.full_like(x, -1e300),))
         xs = np.array([-1.0, 0.0, 2.0])
@@ -173,9 +174,95 @@ class TestResolvent:
             assert np.all(np.abs(y + lam * y**3 - a) <= 2.0 * np.spacing(a))
 
     def test_power_newton_cap_raises(self, monkeypatch):
+        # the quartic has no closed form, so it still runs Newton
         monkeypatch.setattr(sm, "_MAX_NEWTON", 2)
         with pytest.raises(NoConvergence, match="no Newton stop after 2 steps"):
-            resolvent_array(power_graph(3.0), 0.01, np.array([3.0]))
+            resolvent_array(power_graph(4.0), 0.01, np.array([3.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(min_value=1e-300, max_value=1e100),
+           lam=st.floats(min_value=1e-6, max_value=10.0))
+    def test_power_closed_forms_agree_with_newton(self, a, lam):
+        x = np.array([a])
+        for d in (2.0, 3.0):
+            closed = power_graph(d).fast_resolvent(x, lam)
+            newton = sm._power_newton(d, lam, x)
+            assert np.all(np.isfinite(closed)), d
+            assert np.all(np.abs(closed - newton) <= 4.0 * np.spacing(newton)), d
+
+    def test_generic_engine_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 2)
+        cubic_jump = mid_value_graphs()[1]
+        with pytest.raises(NoConvergence, match="no stop after 2 steps"):
+            resolvent_array(cubic_jump, 0.1, np.array([0.3, 2.5]))
+
+    @pytest.mark.parametrize("lam", [2.0**-8 + 2.0**-10, 0.1])
+    def test_generic_engine_stops_within_ulps(self, monkeypatch, lam):
+        # Chandrupatla's steps stop every branch solve on these inputs within
+        # 9; bisection to two ulps would need about 44
+        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
+        for f in mid_value_graphs()[1:]:
+            rng = np.random.default_rng(0)
+            for _ in range(1024):
+                x = rng.normal(0.0, 1.5, 127)
+                y = resolvent_array(f, lam, x)
+                inside = np.isin(y, [-1.0, 0.0, 1.0], invert=True)  # off the knots
+                residual = y + lam * f.mid_values(y) - x
+                assert np.all(np.abs(residual[inside]) <= 2.0 * np.spacing(np.abs(x[inside]))), f.name
+
+    def test_jump_interval_resolves_to_breakpoint(self):
+        _, cubic_jump, kink_jump = mid_value_graphs()
+        for f, b in [(cubic_jump, 0.0), (kink_jump, -1.0), (kink_jump, 1.0)]:
+            for lam in (2.0**-8, 0.1, 1.0):
+                ends = (b + lam * f.left_limit(b), b + lam * f.right_limit(b))
+                xs = np.concatenate([np.linspace(*ends, 101), ends])
+                assert np.all(resolvent_array(f, lam, xs) == b), (f.name, b, lam)
+                assert all(resolvent(f, lam, x) == b for x in ends), (f.name, b, lam)
+        assert resolvent(cubic_jump, 0.1, 0.0) == 0.0
+        assert resolvent_array(cubic_jump, 0.1, np.array([-0.5, 0.0, 0.5]))[1] == 0.0
+
+    def test_large_inputs_within_ulps(self, monkeypatch):
+        # an absolute stop below one ulp of y used to run to its cap here
+        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
+        f, lam = piecewise_graph("linear-generic", [], [lambda x: x], 1.0, 1.0), 0.1
+        x = np.array([1e4, 1e7, 1e12, -1e4, -1e7, -1e12])
+        y = resolvent_array(f, lam, x)
+        assert np.all(np.abs(y + lam * y - x) <= 2.0 * np.spacing(np.abs(x)))
+
+    def test_generic_engine_on_flat_branches(self):
+        # y = x -+ lam exactly solves a constant branch, and a bracket end from
+        # the Lipschitz bound is then the root up to rounding, which may fall
+        # on either side of it
+        rng = np.random.default_rng(1)
+        xs = rng.normal(0.0, 3.0, 20000)
+        for lam in (0.1, 0.0123):
+            got = resolvent_array(generic_sign(), lam, xs)
+            want = np.sign(xs) * np.maximum(np.abs(xs) - lam, 0.0)
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(xs))), lam
+
+    def test_each_element_solved_on_its_own(self):
+        # criterion 14 needs a result that does not depend on its batch
+        rng = np.random.default_rng(2)
+        xs = np.concatenate([rng.normal(0.0, 3.0, 60), [0.0, -0.1, 0.1, 1.2, -1.2, 1e6]])
+        for f in [power_graph(2.0), power_graph(3.0), power_graph(4.0),
+                  *mid_value_graphs()[1:], generic_sign()]:
+            for lam in (2.0**-8, 0.1):
+                batch = resolvent_array(f, lam, xs)
+                alone = np.array([resolvent(f, lam, x) for x in xs])
+                assert batch.tobytes() == alone.tobytes(), (f.name, lam)
+
+    def test_non_finite_branch_value_raises(self):
+        # a graph that passed its build checks and then turns nan
+        f = piecewise_graph("holed", [0.0], [lambda x: x, lambda x: x], 1.0, 3.0)
+        with np.errstate(invalid="ignore"):
+            object.__setattr__(f, "branch_fns", (lambda x: x, lambda x: np.sqrt(x - 1.0) + x))
+            with pytest.raises(NoConvergence, match="non-finite"):
+                resolvent_array(f, 0.5, np.array([0.6, 2.0]))
+            # the knots' values are finite, the values inside the gap are not
+            object.__setattr__(f, "branch_fns", (lambda x: x, lambda x: np.where(
+                (x > 0.0) & (x < 1.0), np.nan, x)))
+            with pytest.raises(NoConvergence, match="non-finite"):
+                resolvent_array(f, 0.5, np.array([0.6, 2.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
@@ -289,11 +376,11 @@ class TestPrimitive:
             primitive_array(f, np.array([0.25, x]))
 
     def test_non_finite_branch_raises(self):
-        # nan on part of a branch passes the sampled shape checks; halving it
-        # would double the work list at every level
+        # nan on part of a branch, swapped in after the build checks that now
+        # reject it; halving it would double the work list at every level
+        f = piecewise_graph("holed", [0.0], [lambda x: x, lambda x: x], 1.0, 3.0)
         with np.errstate(invalid="ignore"):
-            f = piecewise_graph("holed", [0.0], [lambda x: x, lambda x: np.sqrt(x - 1.0) + x],
-                                1.0, 3.0, zero_in_graph=False)
+            object.__setattr__(f, "branch_fns", (lambda x: x, lambda x: np.sqrt(x - 1.0) + x))
             with pytest.raises(NoConvergence, match="non-finite"):
                 primitive_array(f, np.array([2.0]))
 
@@ -352,6 +439,12 @@ class TestGraphConstruction:
                 "bad-jump", [0.0],
                 [lambda x: x + 1.0, lambda x: x - 1.0], 1.0, 2.0,
             )
+
+    def test_non_finite_branch_rejected(self):
+        # nan on part of a branch fails every comparison of the other checks
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="'holed' is not finite"):
+            piecewise_graph("holed", [0.0], [lambda x: x, lambda x: np.sqrt(x - 1.0) + x],
+                            1.0, 3.0, zero_in_graph=False)
 
     def test_growth_bound_enforced(self):
         with pytest.raises(ValueError, match="growth"):
