@@ -10,7 +10,7 @@ class NonFiniteInput(MildlabError):
 
 
 class BracketFailure(MildlabError):
-    """Root bracketing exceeded its expansion bound (malformed graph)."""
+    """A root bracket's ends do not straddle the root (malformed graph)."""
 
 
 class NoConvergence(MildlabError):
@@ -18,7 +18,7 @@ class NoConvergence(MildlabError):
 
 
 class GridMismatch(MildlabError):
-    """Two grid functions live on different grids."""
+    """Two grid functions live on different grids, or a noise path on another semigroup."""
 
 
 class InvalidExponent(MildlabError):

@@ -118,7 +118,7 @@ class NoisePath:
     def fields(self) -> FieldSeries:
         """Physical snapshots z(t_n) assembled from the mode trajectories."""
         if self._fields is None:
-            self._fields = FieldSeries(self.grid, self.mode_values @ self.sg.basis.T)
+            self._fields = FieldSeries(self.grid, self.sg.from_modes(self.mode_values))
         return self._fields
 
 

@@ -16,14 +16,15 @@ exactly on each substep while F is frozen at the left endpoint:
     contribution of [t_j, t_{j+1}):  Fhat_k(t_j) (1 - e^{-mu_k delta}) / mu_k
                                      * e^{-mu_k (t_n - t_{j+1})}.
 
-All operators act modewise via the dense orthonormal sine basis (reference
-path; M <= 512 keeps this in the milliseconds).
+Every operator acts modewise through one transform pair over arrays of shape
+(..., M), the package's only products with the dense sine basis (M <= 512
+keeps them in the milliseconds): HeatSemigroup.to_modes, values @ h*basis, and
+from_modes, coeffs @ basis^T.  A 1-D vector and a row of a 2-D array take
+different BLAS kernels and may differ in the last bits, so a single state
+stays 1-D and a time series stays one 2-D array.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -48,13 +49,17 @@ class HeatSemigroup:
         self.eigenvalues = (4.0 * nu / h**2) * np.sin(0.5 * np.pi * k * h) ** 2
         # basis[i, k-1] = sqrt(2) sin(k pi x_i); h * basis^T basis = I
         self.basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, k))
-        self.eigenvalues.flags.writeable = False
-        self.basis.flags.writeable = False
+        self._analysis = h * self.basis
+        for a in (self.eigenvalues, self.basis, self._analysis):
+            a.flags.writeable = False
 
-    @cached_property
-    def analysis(self) -> np.ndarray:
-        """Mode-coefficient map h * basis^T, so that analysis @ basis = I."""
-        return self.grid.h * self.basis.T
+    def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Mode coefficients of node values, shape (..., M) to (..., M)."""
+        return values @ self._analysis
+
+    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
+        """Node values of mode coefficients, shape (..., M) to (..., M)."""
+        return coeffs @ self.basis.T
 
     def eigenvector(self, k: int) -> GridFunction:
         """k-th orthonormal eigenvector (1-based)."""
@@ -68,7 +73,7 @@ class HeatSemigroup:
 
 def to_modes(sg: HeatSemigroup, phi: GridFunction) -> np.ndarray:
     """Coefficients of phi in the orthonormal eigenbasis."""
-    return sg.analysis @ sg._require(phi)
+    return sg.to_modes(sg._require(phi))
 
 
 def from_modes(sg: HeatSemigroup, coeffs: np.ndarray) -> GridFunction:
@@ -76,7 +81,7 @@ def from_modes(sg: HeatSemigroup, coeffs: np.ndarray) -> GridFunction:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (sg.grid.M,):
         raise ValueError("need one coefficient per mode")
-    return GridFunction(sg.grid, sg.basis @ coeffs)
+    return GridFunction(sg.grid, sg.from_modes(coeffs))
 
 
 def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunction:
@@ -93,7 +98,7 @@ def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
                      times: np.ndarray) -> FieldSeries:
     """S(t_n) phi for every t_n in ``times``, one snapshot per time."""
     coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * to_modes(sg, phi)
-    return FieldSeries(sg.grid, coeffs @ sg.basis.T)
+    return FieldSeries(sg.grid, sg.from_modes(coeffs))
 
 
 def apply_resolvent(sg: HeatSemigroup, phi: GridFunction, eps: float) -> GridFunction:
@@ -113,21 +118,6 @@ def apply_generator(sg: HeatSemigroup, phi: GridFunction) -> GridFunction:
     return GridFunction(sg.grid, (sg.nu / sg.grid.h**2) * out)
 
 
-def _mode_series(sg: HeatSemigroup, fields: Union[FieldSeries, Sequence[GridFunction]]) -> np.ndarray:
-    if isinstance(fields, FieldSeries):
-        if fields.grid != sg.grid:
-            raise GridMismatch("series does not live on the semigroup grid")
-        vals = fields.values
-    else:
-        fields = list(fields)
-        if not fields:
-            raise EmptyInput("convolution needs at least one field")
-        vals = np.stack([sg._require(f) for f in fields])
-    if vals.shape[0] == 0:
-        raise EmptyInput("convolution needs at least one field")
-    return vals @ sg.analysis.T  # (n_times, M) mode coefficients
-
-
 def modal_recursion(decay: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     """c[0] = 0 and c[n+1] = decay * c[n] + weight * x[n]; one row more than x.
 
@@ -141,11 +131,7 @@ def modal_recursion(decay: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.
     return out
 
 
-def convolve_series(
-    sg: HeatSemigroup,
-    fields: Union[FieldSeries, Sequence[GridFunction]],
-    delta: float,
-) -> FieldSeries:
+def convolve_series(sg: HeatSemigroup, fields: FieldSeries, delta: float) -> FieldSeries:
     """(S*F)(t_n) for every n on the uniform time grid t_n = n*delta.
 
     Uses the one-step recursion equivalent to the substep-exact kernels:
@@ -153,8 +139,12 @@ def convolve_series(
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
-    fhat = _mode_series(sg, fields)
+    if fields.grid != sg.grid:
+        raise GridMismatch("series does not live on the semigroup grid")
+    if len(fields) == 0:
+        raise EmptyInput("convolution needs at least one field")
+    fhat = sg.to_modes(fields.values)
     decay = np.exp(-sg.eigenvalues * delta)
     weight = (1.0 - decay) / sg.eigenvalues
     chat = modal_recursion(decay, weight, fhat[:-1])
-    return FieldSeries(sg.grid, chat @ sg.basis.T)
+    return FieldSeries(sg.grid, sg.from_modes(chat))

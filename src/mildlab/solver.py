@@ -92,6 +92,13 @@ class MildSolution:
     sup_norms: list[float]     # sup-L^q norm of each iterate
 
 
+def _require_path(path: NoisePath, sg: HeatSemigroup) -> None:
+    """Reject a path sampled with another semigroup: its z is not this one's S<>B."""
+    if path.sg.grid != sg.grid or path.sg.nu != sg.nu:
+        raise GridMismatch(f"noise path was sampled with M={path.grid.M}, nu={path.sg.nu}; "
+                           f"the semigroup has M={sg.grid.M}, nu={sg.nu}")
+
+
 def solve_regularized(
     f: MonotoneGraph,
     lam: float,
@@ -102,20 +109,19 @@ def solve_regularized(
     """Trajectory of the regularized equation at a fixed lambda > 0, stepped at path.delta."""
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if u0.grid != sg.grid or path.grid != sg.grid:
-        raise GridMismatch("initial datum, path and semigroup must share a grid")
+    if u0.grid != sg.grid:
+        raise GridMismatch("initial datum and semigroup must share a grid")
+    _require_path(path, sg)
     delta = path.delta
     z = path.fields.values
     n_steps = path.n_steps
     decay = np.exp(-sg.eigenvalues * delta)
-    analysis = sg.analysis
-    basis = sg.basis
     out = np.empty((n_steps + 1, sg.grid.M))
     out[0] = u0.values
     v = u0.values - z[0]
     shifted = lam + delta
     for n in range(n_steps):
-        a = basis @ (decay * (analysis @ v))
+        a = sg.from_modes(decay * sg.to_modes(v))
         r = a + z[n + 1]
         w = r - delta * yosida_array(f, shifted, r)
         out[n + 1] = w
@@ -192,6 +198,7 @@ def residual_check(
     r: float,
 ) -> float:
     """sup_n || u(t_n) + (S*g)(t_n) - S(t_n) u_0 - z(t_n) ||_r."""
+    _require_path(path, sg)
     conv = convolve_series(sg, g_traj, path.delta)
     su0 = semigroup_series(sg, u0, path.times)
     defect = u_traj.values + conv.values - su0.values - path.fields.values

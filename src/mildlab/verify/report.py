@@ -68,14 +68,10 @@ class StudyReport:
         """Write report.json and series.csv under the given directory."""
         directory = Path(directory)
         atomic_write_text(directory / "report.json", self.to_json())
-        lines = [["series", "index", "value"]]
-        for name in sorted(self.series):
-            for i, value in enumerate(self.series[name]):
-                lines.append([name, i, f"{float(value):.17g}"])
-        buf = []
-        for row in lines:
-            buf.append(",".join(str(c) for c in row))
-        atomic_write_text(directory / "series.csv", "\n".join(buf) + "\n")
+        rows = "".join(f"{name},{i},{float(value):.17g}\n"
+                       for name in sorted(self.series)
+                       for i, value in enumerate(self.series[name]))
+        atomic_write_text(directory / "series.csv", "series,index,value\n" + rows)
 
     @staticmethod
     def load(directory: Path) -> "StudyReport":

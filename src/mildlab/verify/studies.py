@@ -64,6 +64,8 @@ def cauchy_rate_study(
     """Measure sup-in-time L^q gaps along the halving schedule and fit the rate."""
     if not q > 1:
         raise StudyPrecondition("cauchy rate study needs q > 1")
+    if len(config.lambda_schedule) < 3:
+        raise StudyPrecondition("cauchy rate study needs at least 3 lambda levels")
     rate = expected_rate(q)
     report = StudyReport(
         study="cauchy_rate",
@@ -119,6 +121,8 @@ def l1_convergence_study(
     equiintegrability proxy, and the product-boundedness measurement."""
     if f.growth_exponent != 0.0:
         raise StudyPrecondition("the L^1 study requires a bounded drift (d = 0)")
+    if len(config.lambda_schedule) < 2:
+        raise StudyPrecondition("the L^1 study needs at least 2 lambda levels")
     report = StudyReport(
         study="l1_convergence",
         claim="sup-L1 gaps decrease below tolerance; smoothed-modulus deviation <= sqrt(eps)/4",

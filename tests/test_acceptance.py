@@ -103,7 +103,7 @@ def test_criterion_02_closed_form_resolvents(rng):
         assert np.max(np.abs(got - xs / (1 + lam))) <= 1e-10
     elapsed = time.time() - start
     assert elapsed < 5.0
-    record_criterion(2, f"bisection engine matches sign/linear closed forms "
+    record_criterion(2, f"generic root engine matches sign/linear closed forms "
                         f"to 1e-10 at 1e4 points ({elapsed:.1f}s)")
 
 

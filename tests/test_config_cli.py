@@ -295,6 +295,10 @@ class TestCli:
         ({"studies": {"l1": {}}}, "error: the L^1 study requires a bounded drift"),
         ({"drift": {"kind": "sign"}, "studies": {"propagation": {}}},
          "error: propagation study needs q* >= q"),
+        ({"lambda_schedule": [0.25, 0.125], "studies": {"cauchy": {}}},
+         "error: cauchy rate study needs at least 3 lambda levels"),
+        ({"drift": {"kind": "sign"}, "lambda_schedule": [0.25], "studies": {"l1": {}}},
+         "error: the L^1 study needs at least 2 lambda levels"),
     ])
     def test_study_precondition_exits_one(self, tmp_path, capsys, monkeypatch,
                                           overrides, message):

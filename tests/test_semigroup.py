@@ -65,6 +65,20 @@ class TestModeTransform:
         with pytest.raises(GridMismatch):
             to_modes(sg, GridFunction(Grid(5), np.zeros(5)))
 
+    def test_rows_match_one_dimensional_form(self, sg, rng):
+        # a row of a 2-D product need not equal the 1-D product bit for bit
+        values = rng.standard_normal((9, sg.grid.M))
+        coeffs = sg.to_modes(values)
+        back = sg.from_modes(coeffs)
+        for n in range(values.shape[0]):
+            assert np.max(np.abs(coeffs[n] - sg.to_modes(values[n]))) <= 1e-13
+            assert np.max(np.abs(back[n] - sg.from_modes(coeffs[n]))) <= 1e-13
+        assert np.max(np.abs(back - values)) < 1e-12
+
+    def test_analysis_matrix_read_only(self, sg):
+        with pytest.raises(ValueError, match="read-only"):
+            sg._analysis[0, 0] = 0.0
+
 
 class TestSemigroupAxioms:
     def test_identity_at_zero(self, sg, rng):
@@ -225,10 +239,4 @@ class TestConvolution:
 
     def test_empty_input(self, sg):
         with pytest.raises(EmptyInput):
-            convolve_series(sg, [], 0.1)
-
-    def test_sequence_of_grid_functions_accepted(self, sg):
-        ek = sg.eigenvector(1)
-        fields = [ek, ek, ek]
-        out = convolve_series(sg, fields, 0.1)
-        assert len(out) == 3
+            convolve_series(sg, FieldSeries(sg.grid, np.zeros((0, sg.grid.M))), 0.1)

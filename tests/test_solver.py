@@ -70,6 +70,19 @@ class TestSolveRegularized:
         with pytest.raises(GridMismatch):
             solve_regularized(sign_graph(), 0.1, u0, smooth_path, sg)
 
+    @pytest.mark.parametrize("M, nu", [(63, 5.0), (31, 1.0)])
+    def test_path_from_other_semigroup_rejected(self, sg, smooth_path, sine_u0, M, nu):
+        # against the solver's M = 63, nu = 1, the path's z is not this S<>B
+        other = sample_path(HeatSemigroup(Grid(M), nu), DiffusionSpec(c=1.0, gamma=2.0),
+                            0.5, 2.0**-9, seed=4242)
+        message = f"M={M}, nu={nu}"
+        with pytest.raises(GridMismatch, match=message):
+            solve_regularized(zero_graph(), 0.25, sine_u0, other, sg)
+        traj = solve_regularized(zero_graph(), 0.25, sine_u0, smooth_path, sg)
+        g = extract_g(traj, zero_graph(), 0.25)
+        with pytest.raises(GridMismatch, match=message):
+            residual_check(traj, g, sine_u0, other, sg, 2.0)
+
     def test_unconditional_stability_small_lambda(self, sg, smooth_path, sine_u0):
         # lambda far below delta: the Lipschitz constant 1/lambda dwarfs 1/delta
         traj = solve_regularized(power_graph(3.0), 1e-10, sine_u0, smooth_path, sg)

@@ -51,6 +51,14 @@ class TestCauchyStudy:
         for i in range(len(paths)):
             assert np.max(rep.series[f"gaps_path{i}"]) <= 1e-10
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_too_few_levels_rejected(self, small, levels):
+        # one gap fits no slope; no gap measures nothing
+        grid, sg, paths, u0, config = small
+        short = dataclasses.replace(config, lambda_schedule=SCHEDULE[:levels])
+        with pytest.raises(StudyPrecondition, match="at least 3 lambda levels"):
+            cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, short, u0)
+
     def test_worker_invariance(self, small):
         grid, sg, paths, u0, config = small
         a = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0, workers=1)
@@ -79,6 +87,12 @@ class TestL1Study:
         grid, sg, paths, u0, config = small
         with pytest.raises(StudyPrecondition, match="bounded drift"):
             l1_convergence_study(power_graph(3.0), paths, sg, config, u0)
+
+    def test_single_level_rejected(self, small):
+        grid, sg, paths, u0, config = small
+        short = dataclasses.replace(config, lambda_schedule=SCHEDULE[:1])
+        with pytest.raises(StudyPrecondition, match="at least 2 lambda levels"):
+            l1_convergence_study(sign_graph(), paths, sg, short, u0)
 
     def test_degenerate_drift(self, small):
         grid, sg, paths, u0, config = small
@@ -270,7 +284,7 @@ class TestAprioriStudy:
         assert rep.fitted["worst_square"] <= 1e-8
 
     def test_piecewise_generic_phi_matches_closed_form(self, small):
-        # both graphs resolve by bisection, so only phi differs between them
+        # both graphs resolve by the generic root engine; only phi differs
         grid, sg, paths, u0, config = small
         generic = piecewise_graph("cubic-jump", [0.0], [compile_branch("x**3 - 1"),
                                                         compile_branch("x**3 + 1")], 3.0, 2.0)
