@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
                        help="size of the pool study runs paths on, >= 1 (default: "
-                            "config, then CPU count); solve, sample-noise and "
+                            "CPU count); solve, sample-noise and "
                             "check-invariants accept it and run paths in order")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
@@ -232,13 +232,13 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         cfg = parse_config(Path(args.config).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error reading config: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MildlabError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    workers = args.workers or cfg.workers or os.cpu_count() or 1
+    workers = args.workers or os.cpu_count() or 1
     out = _output_dir(cfg, args.output_root)
     try:
         if args.subcommand == "sample-noise":

@@ -17,7 +17,6 @@ every violated constraint is reported at once.
       "cauchy_tol": 1e-3,
       "seeds": {"master": 12345, "n_paths": 4},
       "output_dir": "runs/demo",
-      "workers": 1,                                 // optional
       "studies": {"cauchy": {}, ...}                // presence gates each study
     }
 
@@ -28,7 +27,8 @@ a given one takes per-key defaults instead (noise c = gamma = 1, initial
 amplitude = 1).  The drift graph and the initial datum are built once, while
 parsing; whatever building raises (say, a malformed branch expression) is a
 violation.  A study subcommand refuses to run unless its section is present
-under "studies".
+under "studies".  The pool size of a study run is the CLI's --workers, not a
+config key.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .scalar_monotone import (MonotoneGraph, compile_branch, linear_graph,
                               piecewise_graph, power_graph, sign_graph,
                               sign_plus_linear_graph, zero_graph)
 from .semigroup import HeatSemigroup
-from .solver import SolverConfig, default_lambda_schedule
+from .solver import DEFAULT_LAMBDA_SCHEDULE, SolverConfig
 
 __all__ = ["RunConfig", "parse_config", "STUDY_KEYS", "DRIFT_KEYS", "INITIAL_KEYS"]
 
@@ -66,7 +66,6 @@ def _is_number(value) -> bool:
 # Each type: its name in a violation and its test.
 _TYPES = {
     "int": ("an integer", _is_int),
-    "int or null": ("an integer or null", lambda v: v is None or _is_int(v)),
     "number": ("a number", _is_number),
     "numbers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "string": ("a nonempty string", lambda v: isinstance(v, str) and bool(v)),
@@ -95,11 +94,10 @@ _TOP = {
     "noise": ({"c": 1.0, "gamma": 2.0}, "object", None),
     "exponents": ({}, "object", None),
     "initial": ({"kind": "sine", "amplitude": 0.5, "mode": 1}, "object", None),
-    "lambda_schedule": (list(default_lambda_schedule()), "numbers", "> 0"),
+    "lambda_schedule": (list(DEFAULT_LAMBDA_SCHEDULE), "numbers", "> 0"),
     "cauchy_tol": (1e-3, "number", "> 0"),
     "seeds": ({}, "object", None),
     "output_dir": ("runs/out", "string", None),
-    "workers": (None, "int or null", ">= 1"),     # manifests record "unset" as null
     "studies": ({}, "object", None),
 }
 _SECTIONS = {
@@ -283,7 +281,6 @@ class RunConfig:
     master_seed: int
     n_paths: int
     output_dir: str
-    workers: Optional[int]
     studies: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
@@ -373,7 +370,7 @@ def parse_config(text: str) -> RunConfig:
         lambda_schedule=tuple(schedule),
         cauchy_tol=top["cauchy_tol"],
         master_seed=top["seeds"]["master"], n_paths=top["seeds"]["n_paths"],
-        output_dir=top["output_dir"], workers=top["workers"],
+        output_dir=top["output_dir"],
         studies=studies, raw=raw,
     )
     object.__setattr__(cfg, "_graph", graph)

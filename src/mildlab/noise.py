@@ -39,7 +39,6 @@ __all__ = [
     "sample_path",
     "sample_mode_ensemble",
     "restrict_path",
-    "norm_c_lq",
     "norm_ld_lqd",
     "export_series_csv",
     "export_noise_sidecar",
@@ -185,11 +184,6 @@ def restrict_path(path: NoisePath, factor: int) -> NoisePath:
         raise InvalidTimeGrid(f"factor {factor} does not divide {path.n_steps} steps")
     return NoisePath(path.sg, path.spec, path.T, path.delta * factor, path.seed,
                      path.mode_values[::factor].copy())
-
-
-def norm_c_lq(path: NoisePath, q: float) -> float:
-    """max over grid times of ||z(t_n)||_q."""
-    return path.fields.sup_norm(q)
 
 
 def norm_ld_lqd(path: NoisePath, d: float, q: float) -> float:

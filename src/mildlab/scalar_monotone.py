@@ -25,6 +25,12 @@ bracketed hybrid.  Every root solve stops each element on its own, within
 two ulps, and raises NoConvergence at its step cap.  phi without a closed
 form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
 primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x).
+Every function here is vectorized: x is an array or a Python scalar, and the
+result has x's shape (0-d for a scalar).  Resolvents and primitives run on x
+flattened, so a scalar takes the kernels of a one-element array and its
+result is bit-equal to that element's (numpy's SIMD pow and sinh may round a
+0-d input differently).  A section of the filled graph is read off
+left_limits (min), right_limits (max) or mid_values (their mean).
 
 This module holds the math only.  The config's drift section is checked and
 built by config.DRIFT_KEYS from the graph constructors here, and
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import CodeType
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,15 +52,11 @@ __all__ = [
     "MonotoneGraph",
     "ROOT_TOL",
     "QUAD_TOL",
-    "section",
     "section_min_abs",
     "section_max_abs",
-    "resolvent",
     "resolvent_array",
-    "yosida",
     "yosida_array",
     "yosida_of_yosida_array",
-    "primitive",
     "primitive_array",
     "moreau",
     "zero_graph",
@@ -82,8 +84,6 @@ _MAX_ROOT_STEPS = 100
 QUAD_TOL = 1e-10
 _MAX_QUAD_LEVELS = 50
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-Choice = Literal["min", "max", "mid"]
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class MonotoneGraph:
         if np.any(np.maximum(np.abs(left), np.abs(right)) > bound + 1e-9):
             raise ValueError(f"graph {self.name!r} violates its growth bound")
         if self.zero_in_graph and not (
-            self.left_limit(0.0) <= 0.0 <= self.right_limit(0.0)
+            self.left_limits(0.0) <= 0.0 <= self.right_limits(0.0)
         ):
             raise ValueError(f"graph {self.name!r} declared 0 in f(0) but it is not")
 
@@ -169,47 +169,12 @@ class MonotoneGraph:
         idx = np.searchsorted(self._breaks, x, side="left")
         return self._branch_eval(x, idx)
 
-    def right_limit(self, x: float) -> float:
-        return float(self.right_limits(np.asarray([x]))[0])
-
-    def left_limit(self, x: float) -> float:
-        return float(self.left_limits(np.asarray([x]))[0])
-
     def mid_values(self, x: np.ndarray) -> np.ndarray:
-        """Midpoint section of the filled graph, vectorized.
-
-        The one-sided limits differ only at a breakpoint, so the branches
-        are evaluated once for f(x+) and again only there for f(x-); the
-        result is bit-equal to 0.5 * (left_limits(x) + right_limits(x)).
-        """
-        x = np.asarray(x, dtype=float)
-        right = self.right_limits(x)
-        left = right.copy()
-        on = np.zeros(x.shape, dtype=bool)
-        for b in self.breakpoints:
-            on |= x == b
-        if on.any():
-            left[on] = self.left_limits(x[on])
-        return 0.5 * (left + right)
+        """Midpoint section (f(x-) + f(x+)) / 2 of the filled graph, vectorized."""
+        return 0.5 * (self.left_limits(x) + self.right_limits(x))
 
 
 # -- sections ---------------------------------------------------------------
-
-
-def section(graph: MonotoneGraph, x: float, choice: Choice = "mid") -> float:
-    """An element of the filled graph f(x) = [f(x-), f(x+)].
-
-    ``min``/``max``/``mid`` pick the left limit, right limit, or their
-    average; at continuity points all three coincide.
-    """
-    lo, hi = graph.left_limit(x), graph.right_limit(x)
-    if choice == "min":
-        return lo
-    if choice == "max":
-        return hi
-    if choice == "mid":
-        return 0.5 * (lo + hi)
-    raise ValueError(f"unknown section choice {choice!r}")
 
 
 def section_min_abs(graph: MonotoneGraph, x) -> np.ndarray:
@@ -361,25 +326,16 @@ def resolvent_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("resolvent input must be finite")
+    flat = x.reshape(-1)
     if graph.fast_resolvent is not None:
-        return graph.fast_resolvent(x, lam)
-    return _branch_resolvent(graph, lam, x)
-
-
-def resolvent(graph: MonotoneGraph, lam: float, x: float) -> float:
-    """Scalar resolvent; see :func:`resolvent_array`."""
-    return float(resolvent_array(graph, lam, np.asarray([x]))[0])
+        return graph.fast_resolvent(flat, lam).reshape(x.shape)
+    return _branch_resolvent(graph, lam, flat).reshape(x.shape)
 
 
 def yosida_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
     """Yosida approximation f_lam(x) = (x - R_lam(x)) / lam, vectorized."""
     x = np.asarray(x, dtype=float)
     return (x - resolvent_array(graph, lam, x)) / lam
-
-
-def yosida(graph: MonotoneGraph, lam: float, x: float) -> float:
-    """Scalar Yosida approximation; see :func:`yosida_array`."""
-    return float(yosida_array(graph, lam, np.asarray([x]))[0])
 
 
 def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np.ndarray:
@@ -446,11 +402,11 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
     each x adds the integral from its segment's knot nearest 0: one branch each.
     """
     x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
     if graph.fast_primitive is not None:
-        return graph.fast_primitive(x)
+        return graph.fast_primitive(flat).reshape(x.shape)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("primitive input must be finite")
-    flat = x.reshape(-1)
     knots = np.union1d(graph._breaks, [0.0])
     knots = knots[(knots >= np.min(flat, initial=0.0)) & (knots <= np.max(flat, initial=0.0))]
     near = np.where(flat >= 0.0, np.searchsorted(knots, flat, side="right") - 1,
@@ -464,16 +420,12 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
     return (at_knots[near] + pieces[knots.size - 1:]).reshape(x.shape)
 
 
-def primitive(graph: MonotoneGraph, x: float) -> float:
-    """Scalar primitive; see :func:`primitive_array`."""
-    return float(primitive_array(graph, np.asarray([x]))[0])
-
-
-def moreau(graph: MonotoneGraph, lam: float, x: float) -> float:
-    """Moreau envelope phi_lam(x) = phi(R_lam x) + (lam/2) f_lam(x)^2."""
-    rx = resolvent(graph, lam, x)
+def moreau(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
+    """Moreau envelope phi_lam(x) = phi(R_lam x) + (lam/2) f_lam(x)^2, vectorized."""
+    x = np.asarray(x, dtype=float)
+    rx = resolvent_array(graph, lam, x)
     flam = (x - rx) / lam
-    return primitive(graph, rx) + 0.5 * lam * flam * flam
+    return primitive_array(graph, rx) + 0.5 * lam * flam * flam
 
 
 # -- built-in graphs ----------------------------------------------------------

@@ -18,10 +18,12 @@ exactly on each substep while F is frozen at the left endpoint:
 
 Every operator acts modewise through one transform pair over arrays of shape
 (..., M), the package's only products with the dense sine basis (M <= 512
-keeps them in the milliseconds): HeatSemigroup.to_modes, values @ h*basis, and
-from_modes, coeffs @ basis^T.  A 1-D vector and a row of a 2-D array take
-different BLAS kernels and may differ in the last bits, so a single state
-stays 1-D and a time series stays one 2-D array.
+keeps them in the milliseconds): the HeatSemigroup methods to_modes,
+values @ h*basis, and from_modes, coeffs @ basis^T.  The operators below take
+a GridFunction, check its grid, and apply the pair to its values.  A 1-D
+vector and a row of a 2-D array take different BLAS kernels and may differ in
+the last bits, so a single state stays 1-D and a time series stays one 2-D
+array.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import numpy as np
 from .errors import EmptyInput, GridMismatch, NegativeTime
 from .grid_space import FieldSeries, Grid, GridFunction
 
-__all__ = ["HeatSemigroup", "to_modes", "from_modes", "apply_semigroup",
-           "semigroup_series", "apply_resolvent", "apply_generator",
-           "modal_recursion", "convolve_series"]
+__all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
+           "apply_resolvent", "apply_generator", "modal_recursion",
+           "convolve_series"]
 
 
 class HeatSemigroup:
@@ -71,33 +73,20 @@ class HeatSemigroup:
         return phi.values
 
 
-def to_modes(sg: HeatSemigroup, phi: GridFunction) -> np.ndarray:
-    """Coefficients of phi in the orthonormal eigenbasis."""
-    return sg.to_modes(sg._require(phi))
-
-
-def from_modes(sg: HeatSemigroup, coeffs: np.ndarray) -> GridFunction:
-    """Grid function with the given eigenbasis coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (sg.grid.M,):
-        raise ValueError("need one coefficient per mode")
-    return GridFunction(sg.grid, sg.from_modes(coeffs))
-
-
 def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunction:
     """S(t) phi: modewise decay by exp(-mu_k t); S(0) is the exact identity."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
     if t == 0.0:
         return phi
-    coeffs = to_modes(sg, phi) * np.exp(-sg.eigenvalues * t)
-    return from_modes(sg, coeffs)
+    coeffs = sg.to_modes(sg._require(phi)) * np.exp(-sg.eigenvalues * t)
+    return GridFunction(sg.grid, sg.from_modes(coeffs))
 
 
 def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
                      times: np.ndarray) -> FieldSeries:
     """S(t_n) phi for every t_n in ``times``, one snapshot per time."""
-    coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * to_modes(sg, phi)
+    coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * sg.to_modes(sg._require(phi))
     return FieldSeries(sg.grid, sg.from_modes(coeffs))
 
 
@@ -105,8 +94,8 @@ def apply_resolvent(sg: HeatSemigroup, phi: GridFunction, eps: float) -> GridFun
     """(I + eps A)^{-1} phi: modewise division by 1 + eps mu_k."""
     if not eps > 0:
         raise ValueError("resolvent parameter eps must be > 0")
-    coeffs = to_modes(sg, phi) / (1.0 + eps * sg.eigenvalues)
-    return from_modes(sg, coeffs)
+    coeffs = sg.to_modes(sg._require(phi)) / (1.0 + eps * sg.eigenvalues)
+    return GridFunction(sg.grid, sg.from_modes(coeffs))
 
 
 def apply_generator(sg: HeatSemigroup, phi: GridFunction) -> GridFunction:

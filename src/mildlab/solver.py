@@ -26,7 +26,7 @@ with full gap diagnostics, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -47,13 +47,11 @@ __all__ = [
     "residual_check",
     "inclusion_check",
     "qstar",
-    "default_lambda_schedule",
+    "DEFAULT_LAMBDA_SCHEDULE",
 ]
 
-
-def default_lambda_schedule(n: int = 7, start: float = 0.25) -> tuple[float, ...]:
-    """Halving schedule lam_j = start * 2^-j, j = 0..n-1."""
-    return tuple(start * 2.0**-j for j in range(n))
+# The halving schedule lam_j = 0.25 * 2^-j, j = 0..6.
+DEFAULT_LAMBDA_SCHEDULE = tuple(0.25 * 2.0**-j for j in range(7))
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class SolverConfig:
 
     q: float = 2.0
     r: float = 2.0
-    lambda_schedule: tuple[float, ...] = field(default_factory=default_lambda_schedule)
+    lambda_schedule: tuple[float, ...] = DEFAULT_LAMBDA_SCHEDULE
     cauchy_tol: float = 1e-3
 
     def __post_init__(self):

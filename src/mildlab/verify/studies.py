@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import StudyPrecondition
 from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm
-from ..noise import NoisePath, norm_c_lq, norm_ld_lqd
+from ..noise import NoisePath, norm_ld_lqd
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
                                yosida_array)
 from ..semigroup import HeatSemigroup, convolve_series, semigroup_series
@@ -45,6 +45,13 @@ __all__ = [
 
 RATE_SLACK = 0.15
 NUMERICAL_ZERO = 1e-10
+# Fixed study settings, recorded in each report's inputs or thresholds.
+SMALL_SET_MEASURES = (1e-1, 1e-2)   # l1: space-time measures of the small sets
+SPIKE_MARGIN = 0.1                  # contraction_extension: u0 = x^(-1/(q+margin))
+HEADROOM = 1.05                     # propagation: regression runs may exceed C by this factor
+APRIORI_SLACK = 1e-8                # apriori: numerical slack on both inequalities
+BERNOULLI_STEPS, BERNOULLI_T = 256, 1.0
+EICONV_CELLS = 2**16
 
 
 def expected_rate(q: float) -> float:
@@ -114,11 +121,14 @@ def l1_convergence_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    small_set_measures: tuple[float, ...] = (1e-1, 1e-2),
     workers: int = 1,
 ) -> StudyReport:
     """L^1 continuation for bounded drifts: gaps, smoothed-modulus control,
-    equiintegrability proxy, and the product-boundedness measurement."""
+    equiintegrability proxy, and the product-boundedness measurement.
+
+    The proxy for a measure m is the largest integral of |g| over m / cell
+    space-time cells; past the run's whole measure it is the whole integral.
+    """
     if f.growth_exponent != 0.0:
         raise StudyPrecondition("the L^1 study requires a bounded drift (d = 0)")
     if len(config.lambda_schedule) < 2:
@@ -130,7 +140,7 @@ def l1_convergence_study(
             "drift": f.name,
             "seeds": [p.seed for p in paths],
             "lambda_schedule": list(config.lambda_schedule),
-            "small_set_measures": list(small_set_measures),
+            "small_set_measures": list(SMALL_SET_MEASURES),
         },
         thresholds={"cauchy_tol": config.cauchy_tol},
     )
@@ -140,7 +150,7 @@ def l1_convergence_study(
     def run(path: NoisePath):
         cell = grid.h * path.delta
         gaps, gamma_sups, dev_ok = [], [], True
-        proxies = {m: 0.0 for m in small_set_measures}
+        proxies = {m: 0.0 for m in SMALL_SET_MEASURES}
         product_sup = 0.0
         prev = prev_lam = None
         for lam, traj in continuation(f, u0, path, sg, config):
@@ -156,8 +166,8 @@ def l1_convergence_study(
             u = traj.values[:-1]
             g_vals = yosida_array(f, lam, u)
             flat = np.abs(g_vals).reshape(-1)
-            for m in small_set_measures:
-                k = int(np.floor(m / cell))
+            for m in SMALL_SET_MEASURES:
+                k = min(int(np.floor(m / cell)), flat.size)
                 top = np.partition(flat, len(flat) - k)[-k:] if k > 0 else np.array([0.0])
                 proxies[m] = max(proxies[m], cell * float(np.sum(top)))
             product_sup = max(product_sup, cell * float(np.sum(np.abs(g_vals * u))))
@@ -170,7 +180,7 @@ def l1_convergence_study(
         report.series[f"gaps_path{i}"] = gaps
         report.series[f"gamma_sup_path{i}"] = gamma_sups
         report.series[f"equiintegrability_proxy_path{i}"] = [
-            proxies[m] for m in small_set_measures
+            proxies[m] for m in SMALL_SET_MEASURES
         ]
         report.series[f"drift_product_l1_path{i}"] = [product_sup]
         g = np.asarray(gaps)
@@ -179,7 +189,7 @@ def l1_convergence_study(
         gaps_ok &= bool(np.all(np.diff(g) < 0.0) and gaps[-1] < config.cauchy_tol)
         gamma_ok &= bool(np.all(np.diff(np.asarray(gamma_sups)) < 0.0))
         dev_all &= dev_ok
-        vals = [proxies[m] for m in small_set_measures]
+        vals = [proxies[m] for m in SMALL_SET_MEASURES]
         proxy_ok &= bool(all(b <= a + 1e-15 for a, b in zip(vals, vals[1:])))
         proxy_ok &= bool(all(np.isfinite(v) for v in vals))
     report.series["lambdas"] = list(sched)
@@ -267,12 +277,7 @@ def _extremal_path(y0: float, g: np.ndarray, delta: float) -> np.ndarray:
     return y
 
 
-def bernoulli_study(
-    n_samples: int = 1000,
-    seed: int = 0,
-    n_steps: int = 256,
-    T: float = 1.0,
-) -> StudyReport:
+def bernoulli_study(n_samples: int = 1000, seed: int = 0) -> StudyReport:
     """Integral inequality y^2 <= y0^2 + int g y  =>  y <= y0 + 2 int g.
 
     Builds the extremal trajectory by forward substitution on random
@@ -280,11 +285,12 @@ def bernoulli_study(
     closed form y = y0 + c t / 2 for constant g.
     """
     rng = np.random.default_rng(seed)
-    delta = T / n_steps
+    n_steps = BERNOULLI_STEPS
+    delta = BERNOULLI_T / n_steps
     report = StudyReport(
         study="bernoulli_inequality",
         claim="extremal solution of y^2 = y0^2 + int g*y stays below y0 + 2 int g",
-        inputs={"n_samples": n_samples, "seed": seed, "n_steps": n_steps, "T": T},
+        inputs={"n_samples": n_samples, "seed": seed, "n_steps": n_steps, "T": BERNOULLI_T},
         thresholds={"slack": 1e-8},
     )
     worst = -np.inf
@@ -313,7 +319,7 @@ def bernoulli_study(
     return report.finalize()
 
 
-def eiconv_demo(n_max: int = 1024, cells: int = 2**16) -> StudyReport:
+def eiconv_demo(n_max: int = 1024) -> StudyReport:
     """Pairings <f_n, g_n> on [0,1]: equiintegrable family vs spike control.
 
     g_n = 1_[0,1/n] shrinks; against a fixed integrable density the pairing
@@ -321,6 +327,7 @@ def eiconv_demo(n_max: int = 1024, cells: int = 2**16) -> StudyReport:
     f_n = n 1_[0,1/n] it stays exactly 1.
     """
     ns = [2**j for j in range(int(np.log2(n_max)) + 1)]
+    cells = EICONV_CELLS
     mid = (np.arange(cells) + 0.5) / cells
     width = 1.0 / cells
     density = 0.5 / np.sqrt(mid)  # integrable, unbounded at 0
@@ -429,7 +436,6 @@ def propagation_study(
     config: SolverConfig,
     u0: GridFunction,
     frozen_constant: float | None = None,
-    headroom: float = 1.05,
     workers: int = 1,
 ) -> StudyReport:
     """Space-integrability of u0 propagates: sup_t ||u||_{q*} <= C (1 + xi + ||u0||_{q*}).
@@ -452,11 +458,11 @@ def propagation_study(
             "seeds": [p.seed for p in paths],
             "mode": "calibration" if frozen_constant is None else "regression",
         },
-        thresholds={"headroom": headroom},
+        thresholds={"headroom": HEADROOM},
     )
 
     def run(path: NoisePath):
-        xi = norm_c_lq(path, qs) + norm_ld_lqd(path, d, qs) ** d
+        xi = path.fields.sup_norm(qs) + norm_ld_lqd(path, d, qs) ** d
         sol = solve_mild(f, u0, path, sg, config)
         m = sol.u.sup_norm(qs)
         return xi, m
@@ -476,7 +482,7 @@ def propagation_study(
     else:
         report.fitted["frozen_constant"] = frozen_constant
         report.checks["no_run_exceeds_frozen_constant"] = all(
-            rho <= frozen_constant * headroom for rho in ratios
+            rho <= frozen_constant * HEADROOM for rho in ratios
         )
     return report.finalize()
 
@@ -488,7 +494,6 @@ def contraction_extension_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     truncation_levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0),
-    spike_margin: float = 0.1,
     workers: int = 1,
 ) -> StudyReport:
     """Extend the solution map from bounded data to an L^q spike by density.
@@ -498,7 +503,7 @@ def contraction_extension_study(
     Cauchy with sup-L^q gaps dominated by the initial-datum gaps.
     """
     grid = sg.grid
-    spike = grid.nodes ** (-1.0 / (q + spike_margin))
+    spike = grid.nodes ** (-1.0 / (q + SPIKE_MARGIN))
     data = [GridFunction(grid, np.minimum(spike, m)) for m in truncation_levels]
     report = StudyReport(
         study="contraction_extension",
@@ -507,7 +512,7 @@ def contraction_extension_study(
         inputs={
             "drift": f.name, "q": q, "seed": path.seed,
             "truncation_levels": list(truncation_levels),
-            "spike_margin": spike_margin,
+            "spike_margin": SPIKE_MARGIN,
         },
         thresholds={"slack": 1e-10, "uniqueness_tol": 2.0 * config.cauchy_tol},
     )
@@ -547,7 +552,6 @@ def apriori_constants_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    slack: float = 1e-8,
     workers: int = 1,
 ) -> StudyReport:
     """Explicit-constant a-priori bounds on v = u - z at every step and lambda.
@@ -569,7 +573,7 @@ def apriori_constants_study(
             "seeds": [p.seed for p in paths],
             "lambda_schedule": list(config.lambda_schedule),
         },
-        thresholds={"slack": slack},
+        thresholds={"slack": APRIORI_SLACK},
     )
 
     def run(path: NoisePath):
@@ -606,7 +610,7 @@ def apriori_constants_study(
     report.fitted["worst_linear"] = worst_linear
     report.fitted["worst_square"] = worst_square
     if qs_linear:
-        report.checks["constant_4_inequality"] = worst_linear <= slack
+        report.checks["constant_4_inequality"] = worst_linear <= APRIORI_SLACK
     if qs_square:
-        report.checks["constant_2_inequality"] = worst_square <= slack
+        report.checks["constant_2_inequality"] = worst_square <= APRIORI_SLACK
     return report.finalize()

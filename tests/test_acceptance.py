@@ -53,8 +53,7 @@ def sweep_reports(lab):
     reports = {}
     for graph in (power_graph(3.0), sign_graph(), sign_plus_linear_graph()):
         reports[graph.name] = apriori_constants_study(
-            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, sg, config, u0,
-            slack=1e-8, workers=2)
+            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, sg, config, u0, workers=2)
     return reports
 
 

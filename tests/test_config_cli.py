@@ -1,7 +1,9 @@
 """Config schema validation and the batch CLI contract."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mildlab
 from mildlab import config
 from mildlab.cli import main
 from mildlab.config import DRIFT_KEYS, INITIAL_KEYS, STUDY_KEYS, parse_config
@@ -162,7 +165,7 @@ class TestParseConfig:
                      "expressions": ["x - 1", "x + 1"], "d": 1.0, "C_f": 1.0}
         g = parse_config(json.dumps({"drift": piecewise})).build_graph()
         assert g.jump_points == (0.0,)
-        assert g.right_limit(0.0) == 1.0
+        assert g.right_limits(0.0) == 1.0
         for kind, probe, want in [
             ("zero", 3.0, 0.0), ("linear", 3.0, 3.0), ("power", 2.0, 8.0),
             ("sign", 2.0, 1.0), ("sign_linear", 2.0, 3.0),
@@ -221,6 +224,7 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"root_tol": 1e-12}, "unknown key 'root_tol'"),
+        ({"workers": 2}, "top level: unknown key 'workers'"),
         ({"studies": {"cauchy": {"q": "abc"}}}, "studies.cauchy.q: must be a number"),
     ])
     def test_rejected_keys_exit_one(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -319,6 +323,28 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert self.run_cli("solve", "/nonexistent/config.json") == 1
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "out"))
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"output_dir": "\xff"}')
+        assert self.run_cli("solve", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("error reading config: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_l1_study_on_a_single_step(self, tmp_path, monkeypatch):
+        # each small set is larger than the whole space-time measure h * delta * M,
+        # so both proxies are the whole integral of |g| at the level where it peaks
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = write_config(tmp_path, {
+            "grid": {"M": 7}, "time": {"T": 2.0**-6, "delta": 2.0**-6},
+            "drift": {"kind": "sign"}, "lambda_schedule": None, "studies": {"l1": {}}})
+        assert self.run_cli("study", "l1", str(cfg), "--workers", "1") in (0, 1)  # a verdict
+        report = json.loads((tmp_path / "run" / "l1" / "report.json").read_text())
+        assert report["checks"]["small_set_integral_decreasing_in_measure"]
+        for i in range(2):
+            assert report["series"][f"equiintegrability_proxy_path{i}"] == [
+                0.013671875, 0.009765625]
 
     def test_study_pass_exit_zero_and_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
@@ -479,3 +505,18 @@ def test_rule_defaults_satisfy_their_own_rules():
         config._check({}, rules, where, problems, top)
         required = [key for key, (default, _, _) in rules.items() if default is config.REQUIRED]
         assert problems == [f"{where}.{key}: required" for key in required], where
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.raw["output_dir"] == "runs/demo" and set(cfg.studies) == {"cauchy", "bernoulli"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    info.name for info in pkgutil.walk_packages(mildlab.__path__, "mildlab.")))
+def test_exported_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

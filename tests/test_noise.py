@@ -7,9 +7,9 @@ from mildlab.errors import InvalidTimeGrid
 from mildlab.grid_space import Grid, lq_norm
 from mildlab.noise import (DiffusionSpec, export_noise_sidecar,
                            export_series_csv, load_sidecar_and_resample,
-                           norm_c_lq, norm_ld_lqd, path_seeds, restrict_path,
+                           norm_ld_lqd, path_seeds, restrict_path,
                            sample_mode_ensemble, sample_path)
-from mildlab.semigroup import HeatSemigroup, to_modes
+from mildlab.semigroup import HeatSemigroup
 
 
 class TestDiffusionSpec:
@@ -67,7 +67,7 @@ class TestSampling:
 
     def test_assembly_consistency(self, sg, smooth_path):
         for n in (0, 3, smooth_path.n_steps):
-            coeffs = to_modes(sg, smooth_path.fields[n])
+            coeffs = sg.to_modes(smooth_path.fields[n].values)
             assert np.max(np.abs(coeffs - smooth_path.mode_values[n])) < 1e-12
 
     def test_single_mode_variance_monte_carlo(self, sg):
@@ -110,7 +110,7 @@ class TestSampling:
             total = 0.0
             for s in seeds:
                 p = sample_path(sg, spec, 0.25, 2.0**-7, int(s))
-                total += norm_c_lq(p, 2.0)
+                total += p.fields.sup_norm(2.0)
             means.append(total / len(seeds))
         assert means[0] > means[1] > means[2]
 
@@ -154,11 +154,11 @@ class TestPathNorms:
     def test_zero_path(self, sg):
         spec = DiffusionSpec(weights=tuple(0.0 for _ in range(sg.grid.M)))
         p = sample_path(sg, spec, 0.25, 2.0**-6, seed=3)
-        assert norm_c_lq(p, 2.0) == 0.0
+        assert p.fields.sup_norm(2.0) == 0.0
         assert norm_ld_lqd(p, 3.0, 2.0) == 0.0
 
     def test_sup_dominates_snapshots(self, smooth_path):
-        sup = norm_c_lq(smooth_path, 1.5)
+        sup = smooth_path.fields.sup_norm(1.5)
         norms = smooth_path.fields.norms(1.5)
         assert np.all(norms <= sup + 1e-15)
         assert sup <= np.sum(norms) + 1e-15

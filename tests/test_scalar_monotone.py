@@ -9,11 +9,10 @@ import mildlab.scalar_monotone as sm
 from mildlab.errors import BracketFailure, NoConvergence, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, compile_branch,
                                      linear_graph, moreau, piecewise_graph,
-                                     power_graph, primitive, primitive_array,
-                                     resolvent, resolvent_array, section,
-                                     section_max_abs, section_min_abs,
-                                     sign_graph, sign_plus_linear_graph,
-                                     yosida, yosida_array,
+                                     power_graph, primitive_array,
+                                     resolvent_array, section_max_abs,
+                                     section_min_abs, sign_graph,
+                                     sign_plus_linear_graph, yosida_array,
                                      yosida_of_yosida_array, zero_graph)
 
 finite_floats = st.floats(min_value=-20.0, max_value=20.0)
@@ -31,22 +30,22 @@ def generic_sign():
 
 class TestSection:
     def test_sign_mid_is_zero(self):
-        assert section(sign_graph(), 0.0, "mid") == 0.0
+        assert sign_graph().mid_values(0.0) == 0.0
 
     def test_sign_max_is_right_limit(self):
-        assert section(sign_graph(), 0.0, "max") == 1.0
+        assert sign_graph().right_limits(0.0) == 1.0
 
     def test_continuous_branch(self):
         g = power_graph(3.0)
-        for choice in ("min", "max", "mid"):
-            assert section(g, 2.0, choice) == pytest.approx(8.0, abs=1e-14)
+        for section in (g.left_limits, g.right_limits, g.mid_values):
+            assert section(2.0) == pytest.approx(8.0, abs=1e-14)
 
     def test_section_lies_in_interval(self, drifts):
         for f in drifts.values():
             for x in np.linspace(-3, 3, 41):
-                lo, hi = f.left_limit(x), f.right_limit(x)
-                for choice in ("min", "max", "mid"):
-                    assert lo - 1e-14 <= section(f, x, choice) <= hi + 1e-14
+                lo, hi = f.left_limits(x), f.right_limits(x)
+                for section in (f.left_limits, f.right_limits, f.mid_values):
+                    assert lo - 1e-14 <= section(x) <= hi + 1e-14
 
     def test_min_max_abs_selections(self):
         g = sign_graph()
@@ -111,18 +110,18 @@ class TestCompileBranch:
 
 class TestResolvent:
     def test_linear_closed_form(self):
-        assert resolvent(linear_graph(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert resolvent_array(linear_graph(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_dead_zone(self):
-        assert resolvent(sign_graph(), 0.5, 0.2) == pytest.approx(0.0, abs=1e-12)
+        assert resolvent_array(sign_graph(), 0.5, 0.2) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_fixed_point(self, drifts):
         for f in drifts.values():
-            assert resolvent(f, 0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert resolvent_array(f, 0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(NonFiniteInput):
-            resolvent(sign_graph(), 0.5, float("nan"))
+            resolvent_array(sign_graph(), 0.5, float("nan"))
 
     def test_generic_engine_matches_sign_closed_form(self):
         xs = np.linspace(-6, 6, 4001)
@@ -214,11 +213,11 @@ class TestResolvent:
         _, cubic_jump, kink_jump = mid_value_graphs()
         for f, b in [(cubic_jump, 0.0), (kink_jump, -1.0), (kink_jump, 1.0)]:
             for lam in (2.0**-8, 0.1, 1.0):
-                ends = (b + lam * f.left_limit(b), b + lam * f.right_limit(b))
+                ends = (b + lam * f.left_limits(b), b + lam * f.right_limits(b))
                 xs = np.concatenate([np.linspace(*ends, 101), ends])
                 assert np.all(resolvent_array(f, lam, xs) == b), (f.name, b, lam)
-                assert all(resolvent(f, lam, x) == b for x in ends), (f.name, b, lam)
-        assert resolvent(cubic_jump, 0.1, 0.0) == 0.0
+                assert all(resolvent_array(f, lam, x) == b for x in ends), (f.name, b, lam)
+        assert resolvent_array(cubic_jump, 0.1, 0.0) == 0.0
         assert resolvent_array(cubic_jump, 0.1, np.array([-0.5, 0.0, 0.5]))[1] == 0.0
 
     def test_large_inputs_within_ulps(self, monkeypatch):
@@ -248,7 +247,7 @@ class TestResolvent:
                   *mid_value_graphs()[1:], generic_sign()]:
             for lam in (2.0**-8, 0.1):
                 batch = resolvent_array(f, lam, xs)
-                alone = np.array([resolvent(f, lam, x) for x in xs])
+                alone = np.array([resolvent_array(f, lam, x) for x in xs])
                 assert batch.tobytes() == alone.tobytes(), (f.name, lam)
 
     def test_non_finite_branch_value_raises(self):
@@ -268,24 +267,24 @@ class TestResolvent:
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
     def test_contraction(self, x, y, lam):
         g = power_graph(3.0)
-        rx, ry = resolvent(g, lam, x), resolvent(g, lam, y)
+        rx, ry = resolvent_array(g, lam, x), resolvent_array(g, lam, y)
         assert abs(rx - ry) <= abs(x - y) + 1e-10
 
 
 class TestYosida:
     def test_sign_clamp(self):
-        assert yosida(sign_graph(), 0.5, 0.2) == pytest.approx(0.4, abs=1e-12)
-        assert yosida(sign_graph(), 0.5, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert yosida_array(sign_graph(), 0.5, 0.2) == pytest.approx(0.4, abs=1e-12)
+        assert yosida_array(sign_graph(), 0.5, 3.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear(self):
-        assert yosida(linear_graph(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert yosida_array(linear_graph(1.0), 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
     def test_lipschitz_and_monotone(self, x, y, lam):
         f = sign_plus_linear_graph()
-        fx = yosida(f, lam, x)
-        fy = yosida(f, lam, y)
+        fx = yosida_array(f, lam, x)
+        fy = yosida_array(f, lam, y)
         assert abs(fx - fy) <= abs(x - y) / lam + 1e-9
         assert (fx - fy) * (x - y) >= -1e-12
 
@@ -298,7 +297,7 @@ class TestYosida:
                 assert np.max(fl - bound) <= 1e-10, (name, lam)
         # jump points separately
         g = sign_graph()
-        assert abs(yosida(g, 0.3, 0.0)) <= abs(section_min_abs(g, 0.0)) + 1e-12
+        assert abs(yosida_array(g, 0.3, 0.0)) <= abs(section_min_abs(g, 0.0)) + 1e-12
 
     def test_semigroup_property(self, drifts, rng):
         xs = rng.uniform(-5, 5, 300)
@@ -340,14 +339,14 @@ class TestIdentities:
 
 class TestPrimitive:
     def test_cubic(self):
-        assert primitive(power_graph(3.0), 2.0) == pytest.approx(4.0, abs=1e-10)
+        assert primitive_array(power_graph(3.0), 2.0) == pytest.approx(4.0, abs=1e-10)
 
     def test_anchor_at_zero(self, drifts):
         for f in drifts.values():
-            assert primitive(f, 0.0) == 0.0
+            assert primitive_array(f, 0.0) == 0.0
 
     def test_sign_negative_side(self):
-        assert primitive(sign_graph(), -3.0) == pytest.approx(3.0, abs=1e-10)
+        assert primitive_array(sign_graph(), -3.0) == pytest.approx(3.0, abs=1e-10)
 
     def test_quadrature_against_closed_forms(self):
         # generic engine (adaptive Gauss-Legendre + jump handling) vs closed forms
@@ -364,7 +363,7 @@ class TestPrimitive:
              lambda x: 0.75 * abs(x - 1) ** (4 / 3) - 0.75),
         ]:
             for x in (-2.5, -0.3, 0.0, 0.7, 3.1):
-                assert primitive(f, x) == pytest.approx(phi(x), abs=1e-9), f.name
+                assert primitive_array(f, x) == pytest.approx(phi(x), abs=1e-9), f.name
 
     @pytest.mark.parametrize("x", [3.1, 100.001])
     def test_undeclared_jump_raises(self, x):
@@ -419,7 +418,7 @@ class TestMoreau:
     def test_below_primitive_and_monotone_in_lambda(self, drifts):
         for f in drifts.values():
             for x in (-1.5, 0.4, 2.0):
-                phi = primitive(f, x)
+                phi = primitive_array(f, x)
                 prev = -np.inf
                 for lam in (1.0, 0.1, 0.01):
                     env = moreau(f, lam, x)
@@ -459,12 +458,12 @@ class TestGraphConstruction:
 
     def test_zero_in_graph_flags(self, drifts):
         for f in drifts.values():
-            assert f.left_limit(0.0) <= 0.0 <= f.right_limit(0.0)
+            assert f.left_limits(0.0) <= 0.0 <= f.right_limits(0.0)
 
     def test_declared_jumps_are_strict(self, drifts):
         for f in drifts.values():
             for b in f.jump_points:
-                assert f.left_limit(b) < f.right_limit(b)
+                assert f.left_limits(b) < f.right_limits(b)
 
     def test_jump_points_derived_from_limits(self):
         assert sign_graph().jump_points == (0.0,)

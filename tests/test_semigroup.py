@@ -8,7 +8,7 @@ from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
                                 gamma_eps, lq_norm, max_norm, pairing)
 from mildlab.semigroup import (HeatSemigroup, apply_generator, apply_resolvent,
                                apply_semigroup, convolve_series,
-                               from_modes, semigroup_series, to_modes)
+                               semigroup_series)
 
 
 class TestEigenstructure:
@@ -44,26 +44,31 @@ class TestEigenstructure:
 
 class TestModeTransform:
     def test_eigenvector_coefficients(self, sg):
-        coeffs = to_modes(sg, sg.eigenvector(1))
+        coeffs = sg.to_modes(sg.eigenvector(1).values)
         want = np.zeros(sg.grid.M)
         want[0] = 1.0
         assert np.allclose(coeffs, want, atol=1e-12)
 
     def test_zero(self, sg):
         z = GridFunction(sg.grid, np.zeros(sg.grid.M))
-        assert np.all(to_modes(sg, z) == 0.0)
+        assert np.all(sg.to_modes(z.values) == 0.0)
 
     def test_roundtrip_and_parseval(self, sg, rng):
         for _ in range(20):
             phi = GridFunction(sg.grid, rng.standard_normal(sg.grid.M))
-            coeffs = to_modes(sg, phi)
-            back = from_modes(sg, coeffs)
-            assert np.max(np.abs(back.values - phi.values)) < 1e-12
+            coeffs = sg.to_modes(phi.values)
+            back = sg.from_modes(coeffs)
+            assert np.max(np.abs(back - phi.values)) < 1e-12
             assert np.sum(coeffs**2) == pytest.approx(lq_norm(phi, 2.0) ** 2, rel=1e-12)
 
     def test_grid_mismatch(self, sg):
+        other = GridFunction(Grid(5), np.zeros(5))
         with pytest.raises(GridMismatch):
-            to_modes(sg, GridFunction(Grid(5), np.zeros(5)))
+            apply_semigroup(sg, other, 0.1)
+        with pytest.raises(GridMismatch):
+            semigroup_series(sg, other, np.zeros(2))
+        with pytest.raises(GridMismatch):
+            apply_resolvent(sg, other, 0.1)
 
     def test_rows_match_one_dimensional_form(self, sg, rng):
         # a row of a 2-D product need not equal the 1-D product bit for bit

@@ -8,7 +8,7 @@ from mildlab.grid_space import FieldSeries, Grid, GridFunction, lq_norm
 from mildlab.noise import DiffusionSpec, restrict_path, sample_path
 from mildlab.scalar_monotone import (linear_graph, power_graph, sign_graph,
                                      zero_graph)
-from mildlab.semigroup import HeatSemigroup, apply_semigroup, to_modes
+from mildlab.semigroup import HeatSemigroup, apply_semigroup
 from mildlab.solver import (MildSolution, SolverConfig, extract_g,
                             inclusion_check, qstar, residual_check, solve_mild,
                             solve_regularized)
@@ -21,9 +21,9 @@ def linear_drift_oracle(sg, c, u0, path):
     delta = path.delta
     dec = np.exp(-(mu + c) * delta)
     w = (1.0 - dec) / (mu + c)
-    v = to_modes(sg, u0).copy()
+    v = sg.to_modes(u0.values).copy()
     out = np.empty_like(path.mode_values)
-    out[0] = to_modes(sg, u0) + path.mode_values[0]
+    out[0] = sg.to_modes(u0.values) + path.mode_values[0]
     for n in range(path.n_steps):
         v = dec * v - c * w * path.mode_values[n + 1]
         out[n + 1] = v + path.mode_values[n + 1]
