@@ -11,8 +11,9 @@ Subpackages and modules:
   deterministic convolution.
 - ``noise``: exact per-mode Ornstein-Uhlenbeck sampling of the stochastic
   convolution and its path norms.
-- ``solver``: pathwise splitting solver and the lambda continuation with
-  mild-identity and graph-inclusion certificates.
+- ``solver``: pathwise splitting stepper (one lambda or a whole schedule
+  at once), the lambda continuation with mild-identity and graph-inclusion
+  certificates.
 - ``verify``: experiment runners that confront the quantitative estimates
   with measured solver output.
 - ``config`` / ``cli``: batch front-end for scripts and CI.

@@ -123,11 +123,10 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     solver_cfg = cfg.solver_config()
     if name == "cauchy":
         paths = _paths(cfg, sg, params["n_paths"])
-        return cauchy_rate_study(graph, params["q"], paths, sg,
-                                 solver_cfg, u0, workers=workers)
+        return cauchy_rate_study(graph, params["q"], paths, sg, solver_cfg, u0)
     if name == "l1":
         paths = _paths(cfg, sg, params["n_paths"])
-        return l1_convergence_study(graph, paths, sg, solver_cfg, u0, workers=workers)
+        return l1_convergence_study(graph, paths, sg, solver_cfg, u0)
     if name == "chain_rule":
         return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
                                 T=cfg.T, deltas=tuple(params["deltas"]))
@@ -137,8 +136,7 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
         paths = _paths(cfg, sg, params["n_paths"])
-        return moment_study(graph, params["q"], cfg.p, paths, sg,
-                            solver_cfg, u0, workers=workers)
+        return moment_study(graph, params["q"], cfg.p, paths, sg, solver_cfg, u0)
     if name == "propagation":
         paths = _paths(cfg, sg, params["n_paths"])
         return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, sg,
@@ -153,7 +151,7 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         paths = _paths(cfg, sg, params["n_paths"])
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
                                        tuple(params["qs_square"]), paths, sg,
-                                       solver_cfg, u0, workers=workers)
+                                       solver_cfg, u0)
     raise MildlabError(f"unknown study {name!r}")
 
 
@@ -210,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
-                       help="size of the pool study runs paths on, >= 1 (default: "
-                            "CPU count); solve, sample-noise and "
-                            "check-invariants accept it and run paths in order")
+                       help="size of the pool the propagation and "
+                            "contraction_extension studies run their solves on, "
+                            ">= 1 (default: CPU count); every other run accepts "
+                            "it and steps its paths in order")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 

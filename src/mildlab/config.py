@@ -27,8 +27,8 @@ a given one takes per-key defaults instead (noise c = gamma = 1, initial
 amplitude = 1).  The drift graph and the initial datum are built once, while
 parsing; whatever building raises (say, a malformed branch expression) is a
 violation.  A study subcommand refuses to run unless its section is present
-under "studies".  The pool size of a study run is the CLI's --workers, not a
-config key.
+under "studies".  The pool size of the propagation and contraction_extension
+studies is the CLI's --workers, not a config key.
 """
 
 from __future__ import annotations

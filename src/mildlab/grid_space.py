@@ -11,8 +11,8 @@ identities exact at the discrete level:
     [x, y]      = h * sum s_i y_i             (L^1 bracket, s_i aligned with x_i)
 
 plus the piecewise-linear sign approximation gamma_eps, its convex primitive
-Gamma0_eps (a C^1 approximation of |.| with Gamma0_eps(0) = sqrt(eps)/4), the
-integrated functional Gamma_eps, and the truncation T_2(x) = min(|x|, 2).
+Gamma0_eps (a C^1 approximation of |.| with Gamma0_eps(0) = sqrt(eps)/4) and
+the integrated functional Gamma_eps.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ __all__ = [
     "GridFunction",
     "FieldSeries",
     "lq_norm",
-    "max_norm",
     "pairing",
-    "jq_scalar",
     "duality_map",
     "bracket_l1",
     "gamma_eps",
     "big_gamma0",
     "big_gamma",
-    "truncate_t2",
 ]
 
 
@@ -139,24 +136,10 @@ def lq_norm(phi: GridFunction, q: float) -> float:
     return float((phi.grid.h * np.sum(np.abs(phi.values) ** q)) ** (1.0 / q))
 
 
-def max_norm(phi: GridFunction) -> float:
-    """sup-norm proxy max_i |phi_i|."""
-    return float(np.max(np.abs(phi.values)))
-
-
 def pairing(phi: GridFunction, psi: GridFunction) -> float:
     """Discrete duality form h * sum phi_i psi_i."""
     _same_grid(phi, psi)
     return float(phi.grid.h * np.dot(phi.values, psi.values))
-
-
-def jq_scalar(x: float, q: float) -> float:
-    """j_q(x) = |x|^(q-1) sgn(x); j_2 is the identity, j_1 = sgn with j_1(0)=0."""
-    if q < 1:
-        raise InvalidExponent(f"q must be >= 1, got {q}")
-    if x == 0.0:
-        return 0.0
-    return float(abs(x) ** (q - 1.0) * np.sign(x))
 
 
 def duality_map(phi: GridFunction, q: float) -> GridFunction:
@@ -213,10 +196,3 @@ def big_gamma0(x, eps: float):
 def big_gamma(phi: GridFunction, eps: float) -> float:
     """Integrated approximation of ||phi||_1: h * sum Gamma0_eps(phi_i)."""
     return float(phi.grid.h * np.sum(big_gamma0(phi.values, eps)))
-
-
-def truncate_t2(x):
-    """T_2(x) = min(|x|, 2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.minimum(np.abs(x), 2.0)
-    return float(out) if out.ndim == 0 else out

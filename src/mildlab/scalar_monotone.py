@@ -24,7 +24,8 @@ continuous branch between two knots, solved there by Chandrupatla's
 bracketed hybrid.  Every root solve stops each element on its own, within
 two ulps, and raises NoConvergence at its step cap.  phi without a closed
 form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
-primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x).
+primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x);
+the resolvent's and Yosida's lam may be an array that broadcasts against x.
 Every function here is vectorized: x is an array or a Python scalar, and the
 result has x's shape (0-d for a scalar).  Resolvents and primitives run on x
 flattened, so a scalar takes the kernels of a one-element array and its
@@ -103,8 +104,9 @@ class MonotoneGraph:
     growth_exponent: float
     growth_constant: float
     zero_in_graph: bool = True
-    # Optional fast paths; must agree with the generic engine (tested).
-    fast_resolvent: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    # Optional fast paths; must agree with the generic engine (tested).  The
+    # resolvent takes a flat x and lam, a number or one level per element.
+    fast_resolvent: Optional[Callable[[np.ndarray, float | np.ndarray], np.ndarray]] = None
     fast_primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _breaks: np.ndarray = field(init=False, repr=False, compare=False)  # as one array
 
@@ -319,21 +321,41 @@ def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.nda
                              repr(graph.name))
 
 
-def resolvent_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
-    """R_lam(x) = (I + lam*f)^{-1}(x), vectorized over x."""
-    if not lam > 0:
+def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
+    """R_lam(x) = (I + lam*f)^{-1}(x), vectorized over x.
+
+    lam is a number or a numpy array that broadcasts against x, such as a
+    (B, 1) column of levels for a (B, M) block of states; every entry must be
+    > 0.  The result has the broadcast shape.  A fast path takes x and lam
+    flattened alike; the generic engine solves the elements of each distinct
+    lam apart.
+    """
+    levels = isinstance(lam, np.ndarray) and lam.ndim > 0
+    if not (np.all(lam > 0) if levels else lam > 0):
         raise ValueError("lambda must be > 0")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("resolvent input must be finite")
+    if levels:
+        x, lam = np.broadcast_arrays(x, np.asarray(lam, dtype=float))
+        lam = lam.reshape(-1)
     flat = x.reshape(-1)
     if graph.fast_resolvent is not None:
         return graph.fast_resolvent(flat, lam).reshape(x.shape)
-    return _branch_resolvent(graph, lam, flat).reshape(x.shape)
+    if not levels:
+        return _branch_resolvent(graph, lam, flat).reshape(x.shape)
+    out = np.empty_like(flat)
+    for level in np.unique(lam):
+        at = lam == level
+        out[at] = _branch_resolvent(graph, float(level), flat[at])
+    return out.reshape(x.shape)
 
 
-def yosida_array(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
-    """Yosida approximation f_lam(x) = (x - R_lam(x)) / lam, vectorized."""
+def yosida_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
+    """Yosida approximation f_lam(x) = (x - R_lam(x)) / lam, vectorized.
+
+    lam broadcasts against x as in resolvent_array.
+    """
     x = np.asarray(x, dtype=float)
     return (x - resolvent_array(graph, lam, x)) / lam
 
@@ -459,8 +481,8 @@ def linear_graph(c: float = 1.0) -> MonotoneGraph:
     )
 
 
-def _power_newton(d: float, k: float, a: np.ndarray) -> np.ndarray:
-    """Guarded Newton for y + k*y^d = a with a >= 0.
+def _power_newton(d: float, k, a: np.ndarray) -> np.ndarray:
+    """Guarded Newton for y + k*y^d = a with a >= 0, k > 0 a number or one per element.
 
     The root lies in [0, a] and below (a/k)^(1/d), which starts the iteration,
     so a large a takes a few steps rather than one per halving.  Each element
@@ -468,6 +490,7 @@ def _power_newton(d: float, k: float, a: np.ndarray) -> np.ndarray:
     result does not depend on the other elements.
     """
     flat = a.reshape(-1)
+    k = np.broadcast_to(k, a.shape).reshape(-1)
     out = np.empty_like(flat)
     live = np.arange(flat.size)
     # g(0) = -a <= 0 and g(a) = k*a^d >= 0
@@ -487,7 +510,8 @@ def _power_newton(d: float, k: float, a: np.ndarray) -> np.ndarray:
         keep = ~done
         if not keep.any():
             return out.reshape(a.shape)
-        live, flat, lo, hi, y = live[keep], flat[keep], lo[keep], hi[keep], y_new[keep]
+        live, flat, k, lo, hi, y = (live[keep], flat[keep], k[keep], lo[keep], hi[keep],
+                                    y_new[keep])
     raise NoConvergence(f"power(d={d:g}) resolvent: no Newton stop after {_MAX_NEWTON} steps")
 
 

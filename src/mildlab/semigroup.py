@@ -20,13 +20,17 @@ Every operator acts modewise through one transform pair over arrays of shape
 (..., M), the package's only products with the dense sine basis (M <= 512
 keeps them in the milliseconds): the HeatSemigroup methods to_modes,
 values @ h*basis, and from_modes, coeffs @ basis^T.  The operators below take
-a GridFunction, check its grid, and apply the pair to its values.  A 1-D
-vector and a row of a 2-D array take different BLAS kernels and may differ in
-the last bits, so a single state stays 1-D and a time series stays one 2-D
-array.
+a GridFunction, check its grid, and apply the pair to its values.  The
+stepper instead multiplies by HeatSemigroup.propagator(delta), the matrix
+exp(-delta A) built once through from_modes and cached: one product per step,
+for one state or a block of them.  A 1-D vector and a row of a 2-D array take
+different BLAS kernels and may differ in the last bits, so a single state
+stays 1-D and a time series stays one 2-D array.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -54,6 +58,8 @@ class HeatSemigroup:
         self._analysis = h * self.basis
         for a in (self.eigenvalues, self.basis, self._analysis):
             a.flags.writeable = False
+        self._propagators: dict[float, np.ndarray] = {}
+        self._propagators_lock = threading.Lock()
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of node values, shape (..., M) to (..., M)."""
@@ -62,6 +68,21 @@ class HeatSemigroup:
     def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
         """Node values of mode coefficients, shape (..., M) to (..., M)."""
         return coeffs @ self.basis.T
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-tA) as a read-only (M, M) matrix, so that S(t) v = v @ propagator(t).
+
+        Built on first use for each t (one GEMM through from_modes) and cached.
+        The study pool's threads share a semigroup, so the first use is locked:
+        every caller gets the one matrix, whatever the BLAS does under contention.
+        """
+        with self._propagators_lock:
+            out = self._propagators.get(t)
+            if out is None:
+                out = self.from_modes(self._analysis * np.exp(-self.eigenvalues * t))
+                out.flags.writeable = False
+                self._propagators[t] = out
+        return out
 
     def eigenvector(self, k: int) -> GridFunction:
         """k-th orthonormal eigenvector (1-based)."""
@@ -77,9 +98,10 @@ def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunct
     """S(t) phi: modewise decay by exp(-mu_k t); S(0) is the exact identity."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
+    values = sg._require(phi)
     if t == 0.0:
         return phi
-    coeffs = sg.to_modes(sg._require(phi)) * np.exp(-sg.eigenvalues * t)
+    coeffs = sg.to_modes(values) * np.exp(-sg.eigenvalues * t)
     return GridFunction(sg.grid, sg.from_modes(coeffs))
 
 

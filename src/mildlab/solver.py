@@ -17,17 +17,21 @@ The scheme is unconditionally stable in delta (every substep is a pointwise
 contraction), which matters because f_lam has Lipschitz constant 1/lam along
 the continuation schedule.
 
-The continuation (:func:`continuation`, consumed by :func:`solve_mild` and
-the verification studies) runs a decreasing lambda schedule, and
-:func:`solve_mild` certifies the Cauchy property in sup-L^q; exhaustion of
-the schedule without meeting the Cauchy tolerance is a reported outcome
-with full gap diagnostics, never an exception.
+The semigroup substep is one product with the cached matrix
+S(delta) = exp(-delta A) (HeatSemigroup.propagator).  :func:`solve_regularized`
+is the one stepper: a float lambda steps an (M,) state, an array of levels
+steps a (B, M) block, one row per level, so the verification studies solve
+a whole decreasing lambda schedule in one call.  :func:`solve_mild` solves
+the schedule one level at a time and certifies the Cauchy property in
+sup-L^q, stopping at the first gap below tolerance; exhaustion of the
+schedule without meeting the Cauchy tolerance is a reported outcome with
+full gap diagnostics, never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "SolverConfig",
     "MildSolution",
     "solve_regularized",
-    "continuation",
     "extract_g",
     "solve_mild",
     "residual_check",
@@ -99,54 +102,52 @@ def _require_path(path: NoisePath, sg: HeatSemigroup) -> None:
 
 def solve_regularized(
     f: MonotoneGraph,
-    lam: float,
+    lam: float | np.ndarray,
     u0: GridFunction,
     path: NoisePath,
     sg: HeatSemigroup,
-) -> FieldSeries:
-    """Trajectory of the regularized equation at a fixed lambda > 0, stepped at path.delta."""
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
+) -> FieldSeries | list[FieldSeries]:
+    """Trajectories of the regularized equation, stepped at path.delta.
+
+    A float lam > 0 gives one trajectory.  A 1-D array of B levels > 0 gives
+    a list of B trajectories, one per level, stepped together as one (B, M)
+    block: each step is one product with the cached S(delta) and one
+    resolvent over a (B, 1) column of levels.  A row of the block agrees
+    with its own float-lam call to rounding (a GEMM row and a GEMV take
+    different BLAS kernels); a call is reproducible bit for bit.
+    """
+    lam_arr = np.asarray(lam, dtype=float)
+    if lam_arr.ndim > 1 or not lam_arr.size or not np.all(lam_arr > 0):
+        raise ValueError("lambda must be > 0, a number or a nonempty 1-D array")
     if u0.grid != sg.grid:
         raise GridMismatch("initial datum and semigroup must share a grid")
     _require_path(path, sg)
     delta = path.delta
     z = path.fields.values
     n_steps = path.n_steps
-    decay = np.exp(-sg.eigenvalues * delta)
-    out = np.empty((n_steps + 1, sg.grid.M))
-    out[0] = u0.values
-    v = u0.values - z[0]
-    shifted = lam + delta
+    propagator = sg.propagator(delta)
+    if lam_arr.ndim:
+        shifted = lam_arr[:, None] + delta
+        out = np.empty((lam_arr.size, n_steps + 1, sg.grid.M))
+        v = np.tile(u0.values - z[0], (lam_arr.size, 1))
+    else:
+        shifted = lam + delta
+        out = np.empty((n_steps + 1, sg.grid.M))
+        v = u0.values - z[0]
+    out[..., 0, :] = u0.values
     for n in range(n_steps):
-        a = sg.from_modes(decay * sg.to_modes(v))
-        r = a + z[n + 1]
+        r = v @ propagator + z[n + 1]
         w = r - delta * yosida_array(f, shifted, r)
-        out[n + 1] = w
+        out[..., n + 1, :] = w
         v = w - z[n + 1]
+    if lam_arr.ndim:
+        return [FieldSeries(sg.grid, traj) for traj in out]
     return FieldSeries(sg.grid, out)
 
 
 def extract_g(u_traj: FieldSeries, f: MonotoneGraph, lam: float) -> FieldSeries:
     """Drift selection g(t_n) = f_lam(u(t_n)) pointwise."""
     return FieldSeries(u_traj.grid, yosida_array(f, lam, u_traj.values))
-
-
-def continuation(
-    f: MonotoneGraph,
-    u0: GridFunction,
-    path: NoisePath,
-    sg: HeatSemigroup,
-    config: SolverConfig,
-) -> Iterator[tuple[float, FieldSeries]]:
-    """Regularized trajectories along the decreasing lambda schedule.
-
-    Yields ``(lam, trajectory)`` per schedule entry.  Each level is solved
-    only when the consumer asks for it, so a consumer that stops early never
-    pays for the remaining levels and holds only the trajectories it keeps.
-    """
-    for lam in config.lambda_schedule:
-        yield lam, solve_regularized(f, lam, u0, path, sg)
 
 
 def solve_mild(
@@ -162,7 +163,9 @@ def solve_mild(
     sup_norms: list[float] = []
     prev: Optional[FieldSeries] = None
     converged = False
-    for lam, current in continuation(f, u0, path, sg, config):
+    for lam in config.lambda_schedule:
+        # one level at a time, so an early Cauchy stop skips the rest
+        current = solve_regularized(f, lam, u0, path, sg)
         lambdas.append(lam)
         sup_norms.append(current.sup_norm(config.q))
         if prev is not None:

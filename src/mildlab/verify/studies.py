@@ -26,9 +26,7 @@ from ..noise import NoisePath, norm_ld_lqd
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
                                yosida_array)
 from ..semigroup import HeatSemigroup, convolve_series, semigroup_series
-from ..solver import SolverConfig, continuation, qstar, solve_mild
-# not called here, but perfbench/spans.py wraps this module's attribute
-from ..solver import solve_regularized  # noqa: F401
+from ..solver import SolverConfig, qstar, solve_mild, solve_regularized
 from .report import StudyReport, map_ordered
 
 __all__ = [
@@ -59,6 +57,25 @@ def expected_rate(q: float) -> float:
     return 1.0 / q if q >= 2.0 else (q - 1.0) / q
 
 
+def _schedule(f: MonotoneGraph, u0: GridFunction, path: NoisePath, sg: HeatSemigroup,
+              config: SolverConfig) -> list[FieldSeries]:
+    """One trajectory per level of the schedule, stepped together in one call."""
+    return solve_regularized(f, np.asarray(config.lambda_schedule), u0, path, sg)
+
+
+def _reaches_zero(g: np.ndarray) -> int:
+    """Number of gaps before the first one at or below NUMERICAL_ZERO."""
+    small = np.flatnonzero(g <= NUMERICAL_ZERO)
+    return int(small[0]) if small.size else g.size
+
+
+def _decreasing_to_zero(g: np.ndarray) -> bool:
+    """Strict decrease up to the first gap at or below NUMERICAL_ZERO, and every
+    later gap at or below it too: a run that converges exactly stops decreasing."""
+    head = _reaches_zero(g)
+    return bool(np.all(np.diff(g[: head + 1]) < 0.0) and np.all(g[head:] <= NUMERICAL_ZERO))
+
+
 def cauchy_rate_study(
     f: MonotoneGraph,
     q: float,
@@ -66,9 +83,11 @@ def cauchy_rate_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    workers: int = 1,
 ) -> StudyReport:
-    """Measure sup-in-time L^q gaps along the halving schedule and fit the rate."""
+    """Measure sup-in-time L^q gaps along the halving schedule and fit the rate.
+
+    The fit runs over the gaps before the first one at or below NUMERICAL_ZERO.
+    """
     if not q > 1:
         raise StudyPrecondition("cauchy rate study needs q > 1")
     if len(config.lambda_schedule) < 3:
@@ -86,32 +105,31 @@ def cauchy_rate_study(
         thresholds={"min_slope": rate - RATE_SLACK, "numerical_zero": NUMERICAL_ZERO},
     )
 
-    def run(path: NoisePath) -> list[float]:
-        trajs = (traj for _, traj in continuation(f, u0, path, sg, config))
-        return [(a - b).sup_norm(q) for a, b in pairwise(trajs)]
-
-    all_gaps = map_ordered(run, paths, workers)
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
-    decreasing = True
-    for i, gaps in enumerate(all_gaps):
+    decreasing = degenerate = True
+    for i, path in enumerate(paths):
+        gaps = [(a - b).sup_norm(q) for a, b in pairwise(_schedule(f, u0, path, sg, config))]
         report.series[f"gaps_path{i}"] = gaps
         g = np.asarray(gaps)
         if np.all(g <= NUMERICAL_ZERO):
             continue  # degenerate drift: nothing to fit
-        decreasing &= bool(np.all(np.diff(g) < 0.0))
-        slopes.append(float(np.polyfit(np.log(lams), np.log(g), 1)[0]))
+        degenerate = False
+        decreasing &= _decreasing_to_zero(g)
+        head = _reaches_zero(g)
+        if head >= 2:
+            slopes.append(float(np.polyfit(np.log(lams[:head]), np.log(g[:head]), 1)[0]))
     report.series["lambdas"] = list(config.lambda_schedule)
+    report.fitted["min_slope"] = min(slopes) if slopes else float("nan")
     if slopes:
-        report.fitted["min_slope"] = min(slopes)
         report.fitted["mean_slope"] = float(np.mean(slopes))
-        report.checks["gaps_strictly_decreasing"] = decreasing
         report.checks["slope_at_least_rate_minus_slack"] = (
             min(slopes) >= rate - RATE_SLACK
         )
-    else:
-        report.fitted["min_slope"] = float("nan")
+    if degenerate:
         report.checks["gaps_at_numerical_zero"] = True
+    else:
+        report.checks["gaps_strictly_decreasing"] = decreasing
     return report.finalize()
 
 
@@ -121,7 +139,6 @@ def l1_convergence_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    workers: int = 1,
 ) -> StudyReport:
     """L^1 continuation for bounded drifts: gaps, smoothed-modulus control,
     equiintegrability proxy, and the product-boundedness measurement.
@@ -153,7 +170,7 @@ def l1_convergence_study(
         proxies = {m: 0.0 for m in SMALL_SET_MEASURES}
         product_sup = 0.0
         prev = prev_lam = None
-        for lam, traj in continuation(f, u0, path, sg, config):
+        for lam, traj in zip(sched, _schedule(f, u0, path, sg, config)):
             if prev is not None:
                 eps = prev_lam + lam
                 diff = prev - traj
@@ -174,7 +191,7 @@ def l1_convergence_study(
             prev, prev_lam = traj, lam
         return gaps, gamma_sups, dev_ok, proxies, product_sup
 
-    results = map_ordered(run, paths, workers)
+    results = [run(path) for path in paths]
     gaps_ok = gamma_ok = dev_all = proxy_ok = True
     for i, (gaps, gamma_sups, dev_ok, proxies, product_sup) in enumerate(results):
         report.series[f"gaps_path{i}"] = gaps
@@ -186,7 +203,7 @@ def l1_convergence_study(
         g = np.asarray(gaps)
         if np.all(g <= NUMERICAL_ZERO):
             continue
-        gaps_ok &= bool(np.all(np.diff(g) < 0.0) and gaps[-1] < config.cauchy_tol)
+        gaps_ok &= _decreasing_to_zero(g) and gaps[-1] < config.cauchy_tol
         gamma_ok &= bool(np.all(np.diff(np.asarray(gamma_sups)) < 0.0))
         dev_all &= dev_ok
         vals = [proxies[m] for m in SMALL_SET_MEASURES]
@@ -364,7 +381,6 @@ def moment_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    workers: int = 1,
 ) -> StudyReport:
     """Monte Carlo E sup_t ||u_lam||_q^p across the schedule.
 
@@ -398,11 +414,10 @@ def moment_study(
             + path.fields.sup_norm(q)
             + 4.0 * path.delta * float(np.sum(fq[:-1]))
         )
-        sups = [traj.sup_norm(q) ** p
-                for _, traj in continuation(f, u0, path, sg, config)]
+        sups = [traj.sup_norm(q) ** p for traj in _schedule(f, u0, path, sg, config)]
         return sups, bound_base**p
 
-    results = map_ordered(run, paths, workers)
+    results = [run(path) for path in paths]
     sups = np.asarray([r[0] for r in results])  # (n_paths, n_lambda)
     bounds = np.asarray([r[1] for r in results])
     ests = sups.mean(axis=0)
@@ -552,7 +567,6 @@ def apriori_constants_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
-    workers: int = 1,
 ) -> StudyReport:
     """Explicit-constant a-priori bounds on v = u - z at every step and lambda.
 
@@ -590,19 +604,20 @@ def apriori_constants_study(
         square = [(q, lq_norm(u0, q), left_sums(phi_z.norms(q / 2.0)))
                   for q in qs_square]
         worst_linear = worst_square = -np.inf
-        for _, traj in continuation(f, u0, path, sg, config):
-            v = traj - z
+        for traj in _schedule(f, u0, path, sg, config):
+            # FieldSeries.norms of v = u - z, from |v| taken once, each q once
+            abs_v = np.abs(traj.values - z.values)
+            norms = {q: (grid.h * np.sum(abs_v**q, axis=1)) ** (1.0 / q)
+                     for q in {*qs_linear, *qs_square}}
             for q, u0q, csum in linear:
-                worst_linear = max(
-                    worst_linear, float(np.max(v.norms(q) - u0q - 4.0 * csum))
-                )
+                worst_linear = max(worst_linear, float(np.max(norms[q] - u0q - 4.0 * csum)))
             for q, u0q, csum in square:
                 worst_square = max(
-                    worst_square, float(np.max(v.norms(q) ** 2 - u0q**2 - 2.0 * csum))
+                    worst_square, float(np.max(norms[q] ** 2 - u0q**2 - 2.0 * csum))
                 )
         return worst_linear, worst_square
 
-    results = map_ordered(run, paths, workers)
+    results = [run(path) for path in paths]
     worst_linear = max(r_[0] for r_ in results) if qs_linear else -np.inf
     worst_square = max(r_[1] for r_ in results) if qs_square else -np.inf
     report.series["worst_linear_margin"] = [r_[0] for r_ in results]

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import record_criterion
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
-                                gamma_eps, lq_norm, max_norm, pairing)
+                                gamma_eps, lq_norm, pairing)
 from mildlab.noise import (DiffusionSpec, path_seeds, restrict_path,
                            sample_mode_ensemble, sample_path)
 from mildlab.scalar_monotone import (piecewise_graph, power_graph,
@@ -53,7 +53,7 @@ def sweep_reports(lab):
     reports = {}
     for graph in (power_graph(3.0), sign_graph(), sign_plus_linear_graph()):
         reports[graph.name] = apriori_constants_study(
-            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, sg, config, u0, workers=2)
+            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, sg, config, u0)
     return reports
 
 
@@ -142,7 +142,7 @@ def test_criterion_04_semigroup_axioms(lab):
         out = apply_semigroup(sg, phi, t)
         for q in (1.0, 1.5, 2.0, 3.0):
             assert lq_norm(out, q) <= lq_norm(phi, q) + 1e-10
-        assert max_norm(out) <= max_norm(phi) + 1e-10
+        assert np.max(np.abs(out.values)) <= np.max(np.abs(phi.values)) + 1e-10
         pos = GridFunction(grid, np.abs(phi.values))
         assert np.min(apply_semigroup(sg, pos, t).values) >= -1e-10
         aphi = apply_generator(sg, phi)
@@ -217,7 +217,7 @@ def test_criterion_08_cauchy_rates(lab):
     for graph, q, floor in cases:
         config = SolverConfig(q=q, r=q,
                               lambda_schedule=SCHEDULE7, cauchy_tol=1e-14)
-        rep = cauchy_rate_study(graph, q, paths, sg, config, u0, workers=2)
+        rep = cauchy_rate_study(graph, q, paths, sg, config, u0)
         assert rep.checks["gaps_strictly_decreasing"], graph.name
         assert rep.fitted["min_slope"] >= floor, (graph.name, rep.fitted)
     elapsed = time.time() - start
@@ -237,10 +237,10 @@ def test_criterion_09_contraction(lab):
                        + 0.1 * np.sin(np.pi * grid.nodes))
     graph = power_graph(3.0)
     worst = 0.0
+    lams = np.asarray(SCHEDULE7)  # every lambda; the last iterate is the limit surrogate
     for path in paths:
-        for lam in SCHEDULE7:  # every lambda; the last iterate is the limit surrogate
-            ta = solve_regularized(graph, lam, u0a, path, sg)
-            tb = solve_regularized(graph, lam, u0b, path, sg)
+        for ta, tb in zip(solve_regularized(graph, lams, u0a, path, sg),
+                          solve_regularized(graph, lams, u0b, path, sg)):
             for r in (1.0, 1.5, 2.0):
                 num = FieldSeries(grid, ta.values - tb.values).sup_norm(r)
                 ratio = num / lq_norm(u0a - u0b, r)
@@ -319,7 +319,7 @@ def test_criterion_12_l1_study(lab):
     config = SolverConfig(q=2.0, r=1.0,
                           lambda_schedule=tuple(0.25 * 2.0**-j for j in range(15)),
                           cauchy_tol=1e-3)
-    rep = l1_convergence_study(sign_graph(), paths, sg, config, u0, workers=2)
+    rep = l1_convergence_study(sign_graph(), paths, sg, config, u0)
     assert rep.verdict == "pass"
     assert rep.checks["gaps_decrease_below_tol"]
     assert rep.checks["gamma_deviation_within_quarter_sqrt_eps"]

@@ -421,6 +421,22 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
+    def test_runs_import_no_scipy(self, tmp_path):
+        # numpy is the only declared dependency
+        cfg, root = str(write_config(tmp_path)), str(tmp_path)
+        script = (
+            "import json, sys\n"
+            "from mildlab.cli import main\n"
+            f"codes = [main(['solve', {cfg!r}, '--output-root', {root!r}]),\n"
+            f"         main(['study', 'cauchy', {cfg!r}, '--output-root', {root!r}])]\n"
+            "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert scipy_modules == []
+
     def test_check_invariants_default_config_under_budget(self, tmp_path, monkeypatch):
         import time
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))

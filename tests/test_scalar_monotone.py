@@ -250,6 +250,28 @@ class TestResolvent:
                 alone = np.array([resolvent_array(f, lam, x) for x in xs])
                 assert batch.tobytes() == alone.tobytes(), (f.name, lam)
 
+    def test_lambda_column_matches_rows(self):
+        # a (B, 1) column of levels gives each row its own scalar-lambda result
+        rng = np.random.default_rng(3)
+        xs = rng.normal(0.0, 3.0, (4, 40))
+        xs[:, :3] = [0.0, 0.01, -1.2]
+        lams = np.array([0.25, 2.0**-4, 2.0**-8, 1e-6])
+        graphs = [zero_graph(), linear_graph(2.0), power_graph(2.0), power_graph(2.5),
+                  power_graph(3.0), sign_graph(), sign_plus_linear_graph(),
+                  *mid_value_graphs()[1:], generic_sign()]
+        for f in graphs:
+            batch = resolvent_array(f, lams[:, None], xs)
+            rows = np.array([resolvent_array(f, lam, x) for lam, x in zip(lams, xs)])
+            assert batch.tobytes() == rows.tobytes(), f.name
+            flam = yosida_array(f, lams[:, None], xs)
+            assert flam.tobytes() == ((xs - rows) / lams[:, None]).tobytes(), f.name
+
+    def test_lambda_array_needs_positive_entries(self):
+        for f in (power_graph(3.0), generic_sign()):
+            for bad in (0.0, -0.5):
+                with pytest.raises(ValueError, match="lambda must be > 0"):
+                    resolvent_array(f, np.array([[0.1], [bad]]), np.zeros((2, 3)))
+
     def test_non_finite_branch_value_raises(self):
         # a graph that passed its build checks and then turns nan
         f = piecewise_graph("holed", [0.0], [lambda x: x, lambda x: x], 1.0, 3.0)

@@ -1,11 +1,15 @@
 """Discrete Dirichlet Laplacian eigenstructure, semigroup axioms, convolution."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from mildlab.errors import EmptyInput, GridMismatch, NegativeTime
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
-                                gamma_eps, lq_norm, max_norm, pairing)
+                                gamma_eps, lq_norm, pairing)
 from mildlab.semigroup import (HeatSemigroup, apply_generator, apply_resolvent,
                                apply_semigroup, convolve_series,
                                semigroup_series)
@@ -70,6 +74,11 @@ class TestModeTransform:
         with pytest.raises(GridMismatch):
             apply_resolvent(sg, other, 0.1)
 
+    def test_grid_mismatch_at_time_zero(self, sg):
+        # S(0) is the identity, but only on the semigroup's own grid
+        with pytest.raises(GridMismatch):
+            apply_semigroup(sg, GridFunction(Grid(5), np.zeros(5)), 0.0)
+
     def test_rows_match_one_dimensional_form(self, sg, rng):
         # a row of a 2-D product need not equal the 1-D product bit for bit
         values = rng.standard_normal((9, sg.grid.M))
@@ -83,6 +92,53 @@ class TestModeTransform:
     def test_analysis_matrix_read_only(self, sg):
         with pytest.raises(ValueError, match="read-only"):
             sg._analysis[0, 0] = 0.0
+
+
+class TestPropagator:
+    def test_built_lazily_once_per_time(self, monkeypatch):
+        calls = []
+        original = HeatSemigroup.from_modes
+        monkeypatch.setattr(HeatSemigroup, "from_modes",
+                            lambda self, c: calls.append(c.shape) or original(self, c))
+        sg = HeatSemigroup(Grid(15))
+        assert calls == []
+        first = sg.propagator(0.01)
+        assert calls == [(15, 15)]
+        assert sg.propagator(0.01) is first and len(calls) == 1
+        sg.propagator(0.02)
+        assert len(calls) == 2
+
+    def test_first_use_from_many_threads_builds_once(self):
+        # the propagation study's pool shares one semigroup across threads
+        sg = HeatSemigroup(Grid(31))
+        barrier = threading.Barrier(8)
+
+        def first_use(_):
+            barrier.wait(timeout=10.0)
+            return sg.propagator(0.01)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(first_use, range(8), timeout=30.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(p is got[0] for p in got)
+
+    def test_is_the_modal_semigroup(self, sg, rng):
+        t = 2.0**-10
+        prop = sg.propagator(t)
+        with pytest.raises(ValueError, match="read-only"):
+            prop[0, 0] = 0.0
+        values = rng.standard_normal((5, sg.grid.M))
+        modal = sg.from_modes(np.exp(-sg.eigenvalues * t) * sg.to_modes(values))
+        assert np.max(np.abs(values @ prop - modal)) <= 1e-13
+        for v in values:
+            phi = GridFunction(sg.grid, v)
+            assert np.max(np.abs(v @ prop - apply_semigroup(sg, phi, t).values)) <= 1e-13
+        assert np.allclose(sg.propagator(0.1) @ sg.propagator(0.2), sg.propagator(0.3),
+                           rtol=0.0, atol=1e-13)
 
 
 class TestSemigroupAxioms:
@@ -124,7 +180,7 @@ class TestSemigroupAxioms:
             out = apply_semigroup(sg, phi, t)
             for q in (1.0, 1.5, 2.0, 3.0):
                 assert lq_norm(out, q) <= lq_norm(phi, q) + 1e-10
-            assert max_norm(out) <= max_norm(phi) + 1e-10
+            assert np.max(np.abs(out.values)) <= np.max(np.abs(phi.values)) + 1e-10
 
     def test_positivity(self, sg, rng):
         for _ in range(20):
@@ -134,7 +190,7 @@ class TestSemigroupAxioms:
 
     def test_uniform_initial_data_decays(self, sg):
         one = GridFunction(sg.grid, np.ones(sg.grid.M))
-        assert max_norm(apply_semigroup(sg, one, 3.0)) < 1e-10
+        assert np.max(np.abs(apply_semigroup(sg, one, 3.0).values)) < 1e-10
 
     def test_trivial_kernel(self, sg, rng):
         # small t keeps exp(-mu_M t) away from underflow; the bound is exact

@@ -83,6 +83,28 @@ class TestSolveRegularized:
         with pytest.raises(GridMismatch, match=message):
             residual_check(traj, g, sine_u0, other, sg, 2.0)
 
+    def test_lambda_array_rows_match_scalar_calls(self, sg, smooth_path, sine_u0, drifts):
+        # a GEMM row and a GEMV take different BLAS kernels: equal to rounding only
+        lams = np.array([0.25, 2.0**-4, 2.0**-8])
+        for f in (drifts["cubic"], drifts["quartic"], drifts["sign"]):
+            batch = solve_regularized(f, lams, sine_u0, smooth_path, sg)
+            assert len(batch) == lams.size
+            for lam, traj in zip(lams, batch):
+                alone = solve_regularized(f, float(lam), sine_u0, smooth_path, sg)
+                assert np.max(np.abs(traj.values - alone.values)) <= 1e-12, (f.name, lam)
+
+    def test_lambda_array_call_reproducible(self, sg, smooth_path, sine_u0):
+        lams = np.array([0.25, 0.125, 2.0**-6])
+        a = solve_regularized(power_graph(3.0), lams, sine_u0, smooth_path, sg)
+        b = solve_regularized(power_graph(3.0), lams, sine_u0, smooth_path, sg)
+        assert [t.values.tobytes() for t in a] == [t.values.tobytes() for t in b]
+
+    @pytest.mark.parametrize("lam", [np.array([0.1, 0.0]), np.array([-0.1]),
+                                     np.array([]), np.array([[0.1]]), 0.0])
+    def test_lambda_must_be_positive_levels(self, sg, smooth_path, sine_u0, lam):
+        with pytest.raises(ValueError, match="lambda must be > 0"):
+            solve_regularized(sign_graph(), lam, sine_u0, smooth_path, sg)
+
     def test_unconditional_stability_small_lambda(self, sg, smooth_path, sine_u0):
         # lambda far below delta: the Lipschitz constant 1/lambda dwarfs 1/delta
         traj = solve_regularized(power_graph(3.0), 1e-10, sine_u0, smooth_path, sg)

@@ -59,11 +59,39 @@ class TestCauchyStudy:
         with pytest.raises(StudyPrecondition, match="at least 3 lambda levels"):
             cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, short, u0)
 
-    def test_worker_invariance(self, small):
+    def test_rerun_identical(self, small):
         grid, sg, paths, u0, config = small
-        a = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0, workers=1)
-        b = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0, workers=4)
+        a = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0)
+        b = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0)
         assert a.to_json() == b.to_json()
+
+
+class TestGapsReachingZero:
+    """M=7 and one step of 2^-6 with sign drift: the gaps reach exactly 0.0."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        grid = Grid(7)
+        sg = HeatSemigroup(grid, 1.0)
+        spec = DiffusionSpec(c=1.0, gamma=2.0)
+        paths = [sample_path(sg, spec, 2.0**-6, 2.0**-6, int(s)) for s in path_seeds(12, 2)]
+        u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
+        return sg, paths, u0, SolverConfig()
+
+    def test_l1_study_passes(self, exact):
+        sg, paths, u0, config = exact
+        rep = l1_convergence_study(sign_graph(), paths, sg, config, u0)
+        assert rep.series["gaps_path0"][-1] == 0.0
+        assert rep.checks["gaps_decrease_below_tol"]
+        assert rep.verdict == "pass"
+
+    def test_cauchy_study_passes(self, exact):
+        sg, paths, u0, config = exact
+        rep = cauchy_rate_study(sign_graph(), 2.0, paths, sg, config, u0)
+        assert rep.series["gaps_path0"][-1] == 0.0
+        assert rep.checks["gaps_strictly_decreasing"]
+        assert rep.fitted["min_slope"] >= 0.35  # fitted on the gaps above zero
+        assert rep.verdict == "pass"
 
 
 class TestL1Study:
