@@ -4,7 +4,7 @@ equations with maximal-monotone drift and additive noise.
 Subpackages and modules:
 
 - ``scalar_monotone``: monotone graphs, resolvents, Yosida approximations,
-  Moreau envelopes.
+  convex primitives.
 - ``grid_space``: discrete L^q(0,1) functions, norms, duality maps, the L^1
   bracket and the smoothed-modulus machinery.
 - ``semigroup``: discrete Dirichlet Laplacian, heat semigroup, resolvents,

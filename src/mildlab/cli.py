@@ -9,7 +9,10 @@ Subcommands (consumers are scripts and CI, not interactive humans):
     mildlab check-invariants CONFIG run the fast cross-module battery
 
 Artifacts land under <output root>/<output_dir>/ with a manifest.json;
-writes are atomic (temp file + rename).  Reruns with the same config and
+writes are atomic (temp file + rename).  --workers N runs the paths of
+solve and sample-noise, or the solves of the propagation and
+contraction_extension studies, on N forked processes, one path per task; a
+platform without fork runs them in order.  Reruns with the same config and
 seed are byte-identical and independent of --workers.  Exit status: 0 all
 selected verdicts pass, 2 inconclusive, 1 error or failed verdict.
 The environment variable MILDLAB_OUTPUT_ROOT overrides the output root.
@@ -34,7 +37,7 @@ from .verify import (apriori_constants_study, bernoulli_study,
                      cauchy_rate_study, chain_rule_study,
                      contraction_extension_study, eiconv_demo,
                      l1_convergence_study, moment_study, propagation_study)
-from .verify.report import StudyReport, atomic_write_text, config_digest
+from .verify.report import StudyReport, atomic_write_text, config_digest, map_ordered
 
 EXIT_PASS, EXIT_ERROR, EXIT_INCONCLUSIVE = 0, 1, 2
 
@@ -61,30 +64,42 @@ def _paths(cfg: RunConfig, sg, n: int):
     return [sample_path(sg, spec, cfg.T, cfg.delta, int(s)) for s in seeds]
 
 
-def _cmd_sample_noise(cfg: RunConfig, out: Path) -> int:
-    sg = cfg.build_semigroup()
-    artifacts = []
-    for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
-        csv_name, json_name = f"noise_path{i}.csv", f"noise_path{i}.json"
-        export_series_csv(path.fields, path.times, out / csv_name)
-        export_noise_sidecar(path, out / json_name)
-        artifacts += [csv_name, json_name]
-    _write_manifest(cfg, out, "sample-noise", artifacts)
+def _map_paths(cfg: RunConfig, sg, job, workers: int) -> list:
+    """job(i, path i) for each configured path on the pool; results in path order.
+
+    A task samples its own path, so only job's result crosses a process.
+    """
+    seeds = path_seeds(cfg.master_seed, cfg.n_paths)
+    spec = cfg.build_noise_spec()
+
+    def task(i: int):
+        return job(i, sample_path(sg, spec, cfg.T, cfg.delta, int(seeds[i])))
+
+    return map_ordered(task, range(cfg.n_paths), workers)
+
+
+def _cmd_sample_noise(cfg: RunConfig, out: Path, workers: int) -> int:
+    def export(i: int, path) -> None:
+        export_series_csv(path.fields, path.times, out / f"noise_path{i}.csv")
+        export_noise_sidecar(path, out / f"noise_path{i}.json")
+
+    _map_paths(cfg, cfg.build_semigroup(), export, workers)
+    _write_manifest(cfg, out, "sample-noise",
+                    [f"noise_path{i}{ext}" for i in range(cfg.n_paths)
+                     for ext in (".csv", ".json")])
     return EXIT_PASS
 
 
-def _cmd_solve(cfg: RunConfig, out: Path) -> int:
+def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     sg = cfg.build_semigroup()
     graph = cfg.build_graph()
     u0 = cfg.build_initial(sg.grid)
     solver_cfg = cfg.solver_config()
-    artifacts = []
-    inconclusive = False
-    for i, path in enumerate(_paths(cfg, sg, cfg.n_paths)):
+
+    def solve(i: int, path) -> bool:
         sol = solve_mild(graph, u0, path, sg, solver_cfg)
-        times = path.times
-        export_series_csv(sol.u, times, out / f"solution{i}_u.csv")
-        export_series_csv(sol.g, times, out / f"solution{i}_g.csv")
+        export_series_csv(sol.u, path.times, out / f"solution{i}_u.csv")
+        export_series_csv(sol.g, path.times, out / f"solution{i}_g.csv")
         run_record = {
             "seed": path.seed,
             "drift": cfg.raw["drift"],
@@ -98,10 +113,13 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
         }
         atomic_write_text(out / f"solution{i}.json",
                           json.dumps(run_record, sort_keys=True, indent=2) + "\n")
-        artifacts += [f"solution{i}_u.csv", f"solution{i}_g.csv", f"solution{i}.json"]
-        inconclusive |= not sol.converged
-    _write_manifest(cfg, out, "solve", artifacts)
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_PASS
+        return sol.converged
+
+    converged = _map_paths(cfg, sg, solve, workers)
+    _write_manifest(cfg, out, "solve",
+                    [f"solution{i}{ext}" for i in range(cfg.n_paths)
+                     for ext in ("_u.csv", "_g.csv", ".json")])
+    return EXIT_PASS if all(converged) else EXIT_INCONCLUSIVE
 
 
 def _default_forcing(cfg: RunConfig, sg):
@@ -208,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
-                       help="size of the pool the propagation and "
-                            "contraction_extension studies run their solves on, "
-                            ">= 1 (default: CPU count); every other run accepts "
-                            "it and steps its paths in order")
+                       help="number of forked processes that run the paths of "
+                            "solve and sample-noise, or the solves of the "
+                            "propagation and contraction_extension studies, >= 1 "
+                            "(default: CPU count); results do not depend on it, "
+                            "and a platform without fork runs in order")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 
@@ -241,9 +260,9 @@ def main(argv=None) -> int:
     out = _output_dir(cfg, args.output_root)
     try:
         if args.subcommand == "sample-noise":
-            return _cmd_sample_noise(cfg, out)
+            return _cmd_sample_noise(cfg, out, workers)
         if args.subcommand == "solve":
-            return _cmd_solve(cfg, out)
+            return _cmd_solve(cfg, out, workers)
         if args.subcommand == "study":
             return _cmd_study(args.name, cfg, out, workers)
         if args.subcommand == "check-invariants":

@@ -27,8 +27,8 @@ a given one takes per-key defaults instead (noise c = gamma = 1, initial
 amplitude = 1).  The drift graph and the initial datum are built once, while
 parsing; whatever building raises (say, a malformed branch expression) is a
 violation.  A study subcommand refuses to run unless its section is present
-under "studies".  The pool size of the propagation and contraction_extension
-studies is the CLI's --workers, not a config key.
+under "studies".  The number of worker processes is the CLI's --workers,
+not a config key.
 """
 
 from __future__ import annotations
@@ -198,8 +198,12 @@ def _piecewise(p: dict) -> MonotoneGraph:
             fn(np.array([-1.0, 0.0, 1.0]))
         except Exception as exc:
             raise _KeyFault(f"expressions[{i}]", f"{expr!r} fails on evaluation: {exc}") from exc
-    return piecewise_graph(p["name"], p["breakpoints"], branches,
-                           p["d"], p["C_f"], p["zero_in_graph"])
+    try:
+        return piecewise_graph(p["name"], p["breakpoints"], branches,
+                               p["d"], p["C_f"], p["zero_in_graph"])
+    except ValueError as exc:  # with the precondition no build can check in full
+        raise ValueError(f"{exc} (each branch must be continuous and nondecreasing "
+                         "between its declared breakpoints)") from exc
 
 
 # Each drift kind: the rules of the keys it reads besides "kind", and its

@@ -102,6 +102,10 @@ class FieldSeries:
         self.values = values
         self.values.flags.writeable = False
 
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy from a pool worker is read-only too
+        return FieldSeries, (self.grid, self.values)
+
     def __len__(self) -> int:
         return self.values.shape[0]
 

@@ -11,10 +11,7 @@ Yosida approximations
 
     f_lam(x) = (x - R_lam(x)) / lam,
 
-the convex primitive phi(x) = int_0^x f, and its Moreau envelope
-
-    phi_lam(x) = phi(R_lam(x)) + (lam/2) * f_lam(x)^2
-               = min_y [ (x - y)^2 / (2*lam) + phi(y) ].
+and the convex primitive phi(x) = int_0^x f.
 
 Resolvents come from closed forms (linear, quadratic, cubic, sign) or
 guarded Newton (other powers) where a fast path is attached to the graph.
@@ -24,7 +21,7 @@ continuous branch between two knots, solved there by Chandrupatla's
 bracketed hybrid.  Every root solve stops each element on its own, within
 two ulps, and raises NoConvergence at its step cap.  phi without a closed
 form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
-primitive_array).  Resolvent, Yosida and Moreau functions take (graph, lam, x);
+primitive_array).  Resolvent and Yosida functions take (graph, lam, x);
 the resolvent's and Yosida's lam may be an array that broadcasts against x.
 Every function here is vectorized: x is an array or a Python scalar, and the
 result has x's shape (0-d for a scalar).  Resolvents and primitives run on x
@@ -59,7 +56,6 @@ __all__ = [
     "yosida_array",
     "yosida_of_yosida_array",
     "primitive_array",
-    "moreau",
     "zero_graph",
     "linear_graph",
     "power_graph",
@@ -375,7 +371,7 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
     return (x - rho) / mu
 
 
-# -- primitive and Moreau envelope -------------------------------------------
+# -- primitive ---------------------------------------------------------------
 
 
 def _integrate(graph: MonotoneGraph, a, b, branch) -> np.ndarray:
@@ -440,14 +436,6 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
     at_knots = np.concatenate([-np.cumsum(segments[:zero][::-1])[::-1], [0.0],
                                np.cumsum(segments[zero:])])
     return (at_knots[near] + pieces[knots.size - 1:]).reshape(x.shape)
-
-
-def moreau(graph: MonotoneGraph, lam: float, x) -> np.ndarray:
-    """Moreau envelope phi_lam(x) = phi(R_lam x) + (lam/2) f_lam(x)^2, vectorized."""
-    x = np.asarray(x, dtype=float)
-    rx = resolvent_array(graph, lam, x)
-    flam = (x - rx) / lam
-    return primitive_array(graph, rx) + 0.5 * lam * flam * flam
 
 
 # -- built-in graphs ----------------------------------------------------------

@@ -73,8 +73,8 @@ class HeatSemigroup:
         """exp(-tA) as a read-only (M, M) matrix, so that S(t) v = v @ propagator(t).
 
         Built on first use for each t (one GEMM through from_modes) and cached.
-        The study pool's threads share a semigroup, so the first use is locked:
-        every caller gets the one matrix, whatever the BLAS does under contention.
+        Threads may share a semigroup, so the first use is locked: every
+        caller gets the one matrix, whatever the BLAS does under contention.
         """
         with self._propagators_lock:
             out = self._propagators.get(t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -28,16 +28,47 @@ def config_digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def map_ordered(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Apply fn to items on a worker pool; results keep the input order.
+# (fn, items) of the map_ordered call in progress; a forked child inherits it,
+# so fn may be a closure and only an item's index is sent to the child
+_TASK: tuple[Callable, Sequence] | None = None
 
-    The aggregation is a deterministic fold over the input index, so study
-    output is invariant to the worker count.
+
+def _run_item(index: int):
+    fn, items = _TASK
+    return fn(items[index])
+
+
+def map_ordered(fn: Callable, items: Sequence, workers: int = 1) -> list:
+    """Apply fn to items on min(workers, len(items)) forked processes, in input order.
+
+    Each result comes back pickled.  A task that raises does not stop the
+    others; once every child has been joined, the failure of the lowest
+    index is re-raised with its own type.  With workers <= 1, one item, or
+    no ``fork`` start method on the platform, fn runs here in order.  A
+    child computes exactly what this process would, so results do not
+    depend on the worker count.  A forked child starts from this process's
+    memory, so fn may close over state built once here and nothing is
+    re-imported; fork copies only the calling thread, so no other thread may
+    hold a lock that fn takes.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    global _TASK
+    previous, _TASK = _TASK, (fn, items)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        with ProcessPoolExecutor(min(workers, len(items)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_item, i) for i in range(len(items))]
+        return [future.result() for future in futures]
+    finally:
+        _TASK = previous
 
 
 @dataclass

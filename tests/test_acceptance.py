@@ -388,5 +388,20 @@ def test_criterion_14_determinism(tmp_path):
             for name in ("cauchy/report.json", "cauchy/series.csv",
                          "solution0_u.csv", "solution1_g.csv", "manifest.json")))
     assert blobs[0] == blobs[1] == blobs[2]
+    trees = []
+    for workers in ("1", "2", "4"):
+        tree = {}
+        for subcommand in ("solve", "sample-noise"):
+            root = tmp_path / f"{subcommand}-w{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mildlab.cli", subcommand, str(cfg_file),
+                 "--workers", workers, "--output-root", str(root)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            tree.update({(subcommand, p.name): p.read_bytes()
+                         for p in sorted((root / "run").iterdir())})
+        trees.append(tree)
+    assert len(trees[0]) == 2 * 3 + 2 * 2 + 2  # per path u, g, json; csv, json; manifests
+    assert trees[0] == trees[1] == trees[2]
     elapsed = time.time() - start
     record_criterion(14, f"reruns byte-identical and invariant to worker count ({elapsed:.0f}s)")

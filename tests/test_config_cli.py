@@ -259,6 +259,9 @@ class TestCli:
         ("solve", PIECEWISE % '"expressions": ["x +", "x"]', "drift: invalid syntax"),
         ("solve", PIECEWISE % '"expressions": ["x(1)", "x"]',
          "drift.expressions[0]: 'x(1)' fails on evaluation: "),
+        ("solve", PIECEWISE % '"expressions": ["x", "-x"]',
+         "drift: graph 'piecewise' is not nondecreasing (each branch must be continuous "
+         "and nondecreasing between its declared breakpoints)"),
         ("solve", PIECEWISE % '"expressions": ["x", "[y for y in x]"]',
          "drift: branch expression may not hold a lambda or a comprehension"),
         ("solve", '{"initial": {"kind": "sine", "amplitud": 3}}',
@@ -436,6 +439,51 @@ class TestCli:
         codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0]
         assert scipy_modules == []
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool's imports are paid only by a run that forks
+        script = (
+            "import json, sys\n"
+            "import mildlab.cli\n"
+            "print(json.dumps([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "                  if m in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_failed_path_on_the_pool(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        import mildlab.cli
+        from mildlab.errors import NoConvergence
+        from mildlab.noise import path_seeds
+
+        payload = json.loads(json.dumps(SMALL_CONFIG))
+        payload["seeds"]["n_paths"] = 4
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        failing = int(path_seeds(12, 4)[1])
+        solve_mild = mildlab.cli.solve_mild
+
+        def fail_on_path_1(f, u0, path, sg, config):
+            if path.seed == failing:
+                raise NoConvergence(f"path {path.seed} did not converge")
+            return solve_mild(f, u0, path, sg, config)
+
+        monkeypatch.setattr(mildlab.cli, "solve_mild", fail_on_path_1)  # forked children see it
+        errors = []
+        for workers in ("1", "2"):
+            root = tmp_path / f"w{workers}"
+            assert self.run_cli("solve", str(cfg), "--workers", workers,
+                                "--output-root", str(root)) == 1
+            errors.append(capsys.readouterr().err)
+            names = {p.name for p in (root / "run").iterdir()}
+            others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.csv", "_g.csv", ".json")}
+            # no solution1* and no temp file; on the pool the other paths finish
+            assert names == others if workers == "2" else names <= others
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == f"error: path {failing} did not converge\n"
 
     def test_check_invariants_default_config_under_budget(self, tmp_path, monkeypatch):
         import time

@@ -280,3 +280,13 @@ class TestFieldSeries:
         assert np.array_equal((a - b).values, a.values - b.values)
         with pytest.raises(GridMismatch):
             a - FieldSeries(Grid(grid.M + 1), np.zeros((3, grid.M + 1)))
+
+    def test_pickled_copy_stays_read_only(self, grid, rng):
+        # results of the study pool come back pickled
+        import pickle
+
+        series = FieldSeries(grid, rng.standard_normal((3, grid.M)))
+        copy = pickle.loads(pickle.dumps(series))
+        assert np.array_equal(copy.values, series.values) and copy.grid == grid
+        with pytest.raises(ValueError, match="read-only"):
+            copy.values[0, 0] = 1.0

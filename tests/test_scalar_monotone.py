@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import mildlab.scalar_monotone as sm
 from mildlab.errors import BracketFailure, NoConvergence, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, compile_branch,
-                                     linear_graph, moreau, piecewise_graph,
+                                     linear_graph, piecewise_graph,
                                      power_graph, primitive_array,
                                      resolvent_array, section_max_abs,
                                      section_min_abs, sign_graph,
@@ -412,41 +412,6 @@ class TestPrimitive:
             assert np.min(vals) >= -1e-12
             chords = 0.5 * (vals[:-2] + vals[2:]) - vals[1:-1]
             assert np.min(chords) >= -1e-9
-
-
-class TestMoreau:
-    @staticmethod
-    def brute_force(f, lam, x, half_width=8.0, n=400001):
-        ys = np.linspace(x - half_width, x + half_width, n)
-        vals = (x - ys) ** 2 / (2 * lam) + primitive_array(f, ys)
-        return float(np.min(vals))
-
-    def test_linear_example(self):
-        # phi(y) = y^2/2, R_1(2) = 1, f_1(2) = 1 => 0.5 + 0.5
-        got = moreau(linear_graph(1.0), 1.0, 2.0)
-        assert got == pytest.approx(1.0, abs=1e-10)
-        assert got == pytest.approx(self.brute_force(linear_graph(1.0), 1.0, 2.0), abs=1e-6)
-
-    def test_zero_at_origin(self, drifts):
-        for f in drifts.values():
-            assert moreau(f, 0.7, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_sign_grid_minimization_oracle(self):
-        got = moreau(sign_graph(), 1.0, 0.5)
-        want = self.brute_force(sign_graph(), 1.0, 0.5)
-        assert got == pytest.approx(want, abs=1e-6)
-        assert got == pytest.approx(0.125, abs=1e-10)  # min attained at y = 0
-
-    def test_below_primitive_and_monotone_in_lambda(self, drifts):
-        for f in drifts.values():
-            for x in (-1.5, 0.4, 2.0):
-                phi = primitive_array(f, x)
-                prev = -np.inf
-                for lam in (1.0, 0.1, 0.01):
-                    env = moreau(f, lam, x)
-                    assert -1e-12 <= env <= phi + 1e-9
-                    assert env >= prev - 1e-9
-                    prev = env
 
 
 class TestGraphConstruction:

@@ -109,7 +109,7 @@ class TestPropagator:
         assert len(calls) == 2
 
     def test_first_use_from_many_threads_builds_once(self):
-        # the propagation study's pool shares one semigroup across threads
+        # threads of a caller may share one semigroup
         sg = HeatSemigroup(Grid(31))
         barrier = threading.Barrier(8)
 

@@ -364,6 +364,27 @@ class TestReportMachinery:
         out = map_ordered(lambda x: x * x, list(range(20)), workers=4)
         assert out == [x * x for x in range(20)]
 
+    def test_map_ordered_keeps_order_of_a_closure_on_the_pool(self):
+        offset = np.arange(3.0)
+        out = map_ordered(lambda k: offset + k, range(9), workers=4)
+        assert [o.tolist() for o in out] == [(offset + k).tolist() for k in range(9)]
+
+    def test_map_ordered_reraises_the_lowest_failure(self):
+        import multiprocessing
+
+        def fn(k):
+            if k in (2, 6):
+                raise StudyPrecondition(f"item {k}")
+            if k == 5:
+                raise KeyError(k)
+            return k
+
+        with pytest.raises(StudyPrecondition, match="item 2"):
+            map_ordered(fn, range(8), workers=4)
+        with pytest.raises(KeyError):
+            map_ordered(fn, range(3, 8), workers=4)
+        assert multiprocessing.active_children() == []
+
     def test_verdict_rules(self):
         rep = StudyReport(study="s", claim="c", checks={"a": True, "b": False})
         assert rep.finalize().verdict == "fail"
