@@ -10,11 +10,13 @@ Subcommands (consumers are scripts and CI, not interactive humans):
 
 Artifacts land under <output root>/<output_dir>/ with a manifest.json;
 writes are atomic (temp file + rename).  --workers N runs the paths of
-solve and sample-noise, or the solves of the propagation and
-contraction_extension studies, on N forked processes, one path per task; a
-platform without fork runs them in order.  Reruns with the same config and
-seed are byte-identical and independent of --workers.  Exit status: 0 all
-selected verdicts pass, 2 inconclusive, 1 error or failed verdict.
+solve, sample-noise and the cauchy, l1, moment and apriori studies, or the
+solves of the propagation and contraction_extension studies, on N forked
+processes, one path per task; a platform without fork runs them in order,
+and chain_rule, bernoulli, eiconv and check-invariants run in one process.
+Reruns with the same config and seed are byte-identical and independent of
+--workers.  Exit status: 0 all selected verdicts pass, 2 inconclusive, 1
+error or failed verdict.
 The environment variable MILDLAB_OUTPUT_ROOT overrides the output root.
 """
 
@@ -141,10 +143,11 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     solver_cfg = cfg.solver_config()
     if name == "cauchy":
         paths = _paths(cfg, sg, params["n_paths"])
-        return cauchy_rate_study(graph, params["q"], paths, sg, solver_cfg, u0)
+        return cauchy_rate_study(graph, params["q"], paths, sg, solver_cfg, u0,
+                                 workers=workers)
     if name == "l1":
         paths = _paths(cfg, sg, params["n_paths"])
-        return l1_convergence_study(graph, paths, sg, solver_cfg, u0)
+        return l1_convergence_study(graph, paths, sg, solver_cfg, u0, workers=workers)
     if name == "chain_rule":
         return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
                                 T=cfg.T, deltas=tuple(params["deltas"]))
@@ -154,7 +157,8 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
         paths = _paths(cfg, sg, params["n_paths"])
-        return moment_study(graph, params["q"], cfg.p, paths, sg, solver_cfg, u0)
+        return moment_study(graph, params["q"], cfg.p, paths, sg, solver_cfg, u0,
+                            workers=workers)
     if name == "propagation":
         paths = _paths(cfg, sg, params["n_paths"])
         return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, sg,
@@ -169,7 +173,7 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         paths = _paths(cfg, sg, params["n_paths"])
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
                                        tuple(params["qs_square"]), paths, sg,
-                                       solver_cfg, u0)
+                                       solver_cfg, u0, workers=workers)
     raise MildlabError(f"unknown study {name!r}")
 
 
@@ -227,10 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
                        help="number of forked processes that run the paths of "
-                            "solve and sample-noise, or the solves of the "
-                            "propagation and contraction_extension studies, >= 1 "
-                            "(default: CPU count); results do not depend on it, "
-                            "and a platform without fork runs in order")
+                            "solve, sample-noise and the cauchy, l1, moment and "
+                            "apriori studies, or the solves of the propagation and "
+                            "contraction_extension studies, >= 1 (default: CPU "
+                            "count); results do not depend on it, and a platform "
+                            "without fork runs in order")
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 

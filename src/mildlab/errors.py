@@ -55,3 +55,7 @@ class ValidationError(MildlabError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+    def __reduce__(self):
+        # rebuilt from the list, so an error re-raised from a pool task keeps it
+        return type(self), (self.violations,)

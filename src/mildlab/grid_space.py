@@ -73,6 +73,10 @@ class GridFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    def __reduce__(self):
+        # rebuilt through __post_init__, so a copy from a pool task is read-only too
+        return GridFunction, (self.grid, self.values)
+
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)

@@ -193,6 +193,12 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 # -- resolvent and Yosida approximation -------------------------------------
 
 
+def _non_finite(what: str, gap: int, y, fy) -> NoConvergence:
+    """The error for a value fy = f(y) that is not finite, on the gap between knots."""
+    return NoConvergence(f"resolvent of {what} meets a non-finite branch value "
+                         f"f(y) = {float(fy)!r} at y = {float(y)!r} on knot gap {int(gap)}")
+
+
 def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, lo_lim: np.ndarray, hi_lim: np.ndarray, what: str) -> np.ndarray:
     """Zero of g(y) = y + lam*fns[gap](y) - x in [lo, hi], elementwise.
@@ -215,7 +221,8 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray
                 fy[start:stop] = fn(y[start:stop])
         gy = y + lam * fy - x
         if not np.isfinite(gy).all():
-            raise NoConvergence(f"resolvent of {what} meets a non-finite branch value")
+            k = np.flatnonzero(~np.isfinite(gy))[0]
+            raise _non_finite(what, gap[k], y[k], fy[k])
         return gy
 
     y1, y2 = lo, hi
@@ -282,13 +289,15 @@ def _resolve_on_knots(knots: np.ndarray, gap_fns, lam: float, x: np.ndarray,
     n = knots.size
     edges = np.empty(2 * n)  # [x_c-, x_c+] of each knot c, in order
     for j, fn in enumerate(gap_fns):
-        vals = fn(knots[max(j - 1, 0): j + 1])
+        at = knots[max(j - 1, 0): j + 1]
+        vals = fn(at)
+        if not np.isfinite(vals).all():
+            k = np.flatnonzero(~np.isfinite(vals))[0]
+            raise _non_finite(what, j, at[k], vals[k])
         if j > 0:
             edges[2 * j - 1] = knots[j - 1] + lam * vals[0]
         if j < n:
             edges[2 * j] = knots[j] + lam * vals[-1]
-    if not np.isfinite(edges).all():
-        raise NoConvergence(f"resolvent of {what} meets a non-finite branch value")
     # pos is odd for x in (x_c-, x_c+]; x = x_c- gets the bracket [c, c] below
     pos = np.searchsorted(edges, flat, side="left")
     on_knot = pos % 2 == 1

@@ -11,6 +11,10 @@ Each study measures a claim on realized solver trajectories and returns a
 - where a claim has no traceable constant, the constant is fitted once on a
   designated calibration run, frozen into the report, and regression-tested
   on the remaining runs.
+
+A study over noise paths takes ``workers`` and runs one path per task on
+:func:`map_ordered`; a task sends back only that path's measurements, never
+its trajectories, and a report does not depend on ``workers``.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ def cauchy_rate_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
+    workers: int = 1,
 ) -> StudyReport:
     """Measure sup-in-time L^q gaps along the halving schedule and fit the rate.
 
@@ -105,11 +110,13 @@ def cauchy_rate_study(
         thresholds={"min_slope": rate - RATE_SLACK, "numerical_zero": NUMERICAL_ZERO},
     )
 
+    def run(path: NoisePath) -> list[float]:
+        return [(a - b).sup_norm(q) for a, b in pairwise(_schedule(f, u0, path, sg, config))]
+
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
     decreasing = degenerate = True
-    for i, path in enumerate(paths):
-        gaps = [(a - b).sup_norm(q) for a, b in pairwise(_schedule(f, u0, path, sg, config))]
+    for i, gaps in enumerate(map_ordered(run, paths, workers)):
         report.series[f"gaps_path{i}"] = gaps
         g = np.asarray(gaps)
         if np.all(g <= NUMERICAL_ZERO):
@@ -139,6 +146,7 @@ def l1_convergence_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
+    workers: int = 1,
 ) -> StudyReport:
     """L^1 continuation for bounded drifts: gaps, smoothed-modulus control,
     equiintegrability proxy, and the product-boundedness measurement.
@@ -191,7 +199,7 @@ def l1_convergence_study(
             prev, prev_lam = traj, lam
         return gaps, gamma_sups, dev_ok, proxies, product_sup
 
-    results = [run(path) for path in paths]
+    results = map_ordered(run, paths, workers)
     gaps_ok = gamma_ok = dev_all = proxy_ok = True
     for i, (gaps, gamma_sups, dev_ok, proxies, product_sup) in enumerate(results):
         report.series[f"gaps_path{i}"] = gaps
@@ -381,6 +389,7 @@ def moment_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
+    workers: int = 1,
 ) -> StudyReport:
     """Monte Carlo E sup_t ||u_lam||_q^p across the schedule.
 
@@ -417,7 +426,7 @@ def moment_study(
         sups = [traj.sup_norm(q) ** p for traj in _schedule(f, u0, path, sg, config)]
         return sups, bound_base**p
 
-    results = [run(path) for path in paths]
+    results = map_ordered(run, paths, workers)
     sups = np.asarray([r[0] for r in results])  # (n_paths, n_lambda)
     bounds = np.asarray([r[1] for r in results])
     ests = sups.mean(axis=0)
@@ -567,6 +576,7 @@ def apriori_constants_study(
     sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
+    workers: int = 1,
 ) -> StudyReport:
     """Explicit-constant a-priori bounds on v = u - z at every step and lambda.
 
@@ -617,7 +627,7 @@ def apriori_constants_study(
                 )
         return worst_linear, worst_square
 
-    results = [run(path) for path in paths]
+    results = map_ordered(run, paths, workers)
     worst_linear = max(r_[0] for r_ in results) if qs_linear else -np.inf
     worst_square = max(r_[1] for r_ in results) if qs_square else -np.inf
     report.series["worst_linear_margin"] = [r_[0] for r_ in results]

@@ -74,6 +74,24 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert len(err.value.violations) >= 4
 
+    def test_every_error_survives_pickling(self):
+        # a pool task's error is re-raised in the parent from its pickled copy
+        import pickle
+
+        from mildlab.errors import MildlabError
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        for cls in subclasses(MildlabError):
+            args = (["a bad", "b bad"],) if cls is ValidationError else ("a bad; b bad",)
+            copy = pickle.loads(pickle.dumps(cls(*args)))
+            assert type(copy) is cls and str(copy) == "a bad; b bad", cls
+        copy = pickle.loads(pickle.dumps(ValidationError(["a bad", "b bad"])))
+        assert copy.violations == ["a bad", "b bad"]
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown key"):
             parse_config(json.dumps({"grid": {"M": 31, "color": "red"}}))
@@ -482,6 +500,36 @@ class TestCli:
             others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.csv", "_g.csv", ".json")}
             # no solution1* and no temp file; on the pool the other paths finish
             assert names == others if workers == "2" else names <= others
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == f"error: path {failing} did not converge\n"
+
+    def test_failed_study_path_on_the_pool(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        import mildlab.verify.studies as studies
+        from mildlab.errors import NoConvergence
+        from mildlab.noise import path_seeds
+
+        payload = json.loads(json.dumps(SMALL_CONFIG))
+        payload["studies"] = {"cauchy": {"n_paths": 3}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        failing = int(path_seeds(12, 3)[1])
+        solve_regularized = studies.solve_regularized
+
+        def fail_on_path_1(f, lam, u0, path, sg):
+            if path.seed == failing:
+                raise NoConvergence(f"path {path.seed} did not converge")
+            return solve_regularized(f, lam, u0, path, sg)
+
+        monkeypatch.setattr(studies, "solve_regularized", fail_on_path_1)  # forked children see it
+        errors = []
+        for workers in ("1", "2"):
+            root = tmp_path / f"w{workers}"
+            assert self.run_cli("study", "cauchy", str(cfg), "--workers", workers,
+                                "--output-root", str(root)) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (root / "run").exists()  # no report and no manifest
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1] == f"error: path {failing} did not converge\n"
 

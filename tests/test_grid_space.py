@@ -290,3 +290,12 @@ class TestFieldSeries:
         assert np.array_equal(copy.values, series.values) and copy.grid == grid
         with pytest.raises(ValueError, match="read-only"):
             copy.values[0, 0] = 1.0
+
+    def test_pickled_grid_function_stays_read_only(self, grid, rng):
+        import pickle
+
+        phi = GridFunction(grid, rng.standard_normal(grid.M))
+        copy = pickle.loads(pickle.dumps(phi))
+        assert np.array_equal(copy.values, phi.values) and copy.grid == grid
+        with pytest.raises(ValueError, match="read-only"):
+            copy.values[0] = 1.0

@@ -285,6 +285,17 @@ class TestResolvent:
             with pytest.raises(NoConvergence, match="non-finite"):
                 resolvent_array(f, 0.5, np.array([0.6, 2.0]))
 
+    def test_non_finite_branch_value_names_graph_gap_and_value(self):
+        # nan only beyond the [-8, 8] that the build-time shape probe samples
+        f = piecewise_graph("capped", [0.0], [lambda x: x - 1.0, lambda x: np.where(
+            np.abs(x) > 8.0, np.nan, x + 1.0)], 1.0, 2.0)
+        assert resolvent_array(f, 1.0, np.array([-3.0, 0.5, 7.0])).tolist() == [-1.0, 0.0, 3.0]
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as err:
+            resolvent_array(f, 1.0, np.array([1.0, 30.0]))
+        # x = 30 is bracketed by [0, 30 - f(0+)]; its upper end is the first value met
+        assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
+                                  "value f(y) = nan at y = 29.0 on knot gap 1")
+
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
     def test_contraction(self, x, y, lam):

@@ -336,6 +336,44 @@ class TestAprioriStudy:
         assert rep.verdict == "pass"
 
 
+class TestStudiesOnThePool:
+    """The four path studies give the same report at any worker count."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        grid = Grid(15)
+        sg = HeatSemigroup(grid, 1.0)
+        spec = DiffusionSpec(c=1.0, gamma=2.0)
+        u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
+        config = SolverConfig(q=2.0, r=2.0, lambda_schedule=SCHEDULE[:3], cauchy_tol=1e-3)
+
+        def paths(seed, n, T):
+            return [sample_path(sg, spec, T, 2.0**-6, int(s)) for s in path_seeds(seed, n)]
+
+        return sg, u0, config, paths
+
+    @pytest.mark.parametrize("study", ["cauchy", "l1", "moment", "apriori"])
+    def test_report_independent_of_workers(self, tiny, study):
+        sg, u0, config, paths = tiny
+        two_levels = dataclasses.replace(config, lambda_schedule=SCHEDULE[:2])
+        run = {
+            "cauchy": lambda w: cauchy_rate_study(
+                power_graph(3.0), 2.0, paths(5, 3, 0.25), sg, config, u0, workers=w),
+            "l1": lambda w: l1_convergence_study(
+                sign_graph(), paths(6, 3, 0.25), sg, two_levels, u0, workers=w),
+            "moment": lambda w: moment_study(
+                power_graph(3.0), 2.0, 2.0, paths(7, 100, 2.0**-4), sg, two_levels, u0,
+                workers=w),
+            "apriori": lambda w: apriori_constants_study(
+                power_graph(3.0), (1.5, 2.0), (2.0, 4.0), paths(8, 3, 0.25), sg,
+                two_levels, u0, workers=w),
+        }[study]
+        alone, pooled = run(1), run(2)
+        assert pooled.to_json() == alone.to_json()
+        assert pooled.series == alone.series
+        assert alone.verdict in ("pass", "fail")  # a real verdict, not an error
+
+
 class TestReportMachinery:
     def test_save_and_load(self, tmp_path):
         rep = bernoulli_study(20, seed=3)
