@@ -24,11 +24,13 @@ form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
 primitive_array).  Resolvent and Yosida functions take (graph, lam, x);
 the resolvent's and Yosida's lam may be an array that broadcasts against x.
 Every function here is vectorized: x is an array or a Python scalar, and the
-result has x's shape (0-d for a scalar).  Resolvents and primitives run on x
-flattened, so a scalar takes the kernels of a one-element array and its
-result is bit-equal to that element's (numpy's SIMD pow and sinh may round a
-0-d input differently).  A section of the filled graph is read off
-left_limits (min), right_limits (max) or mid_values (their mean).
+result has x's shape (0-d for a scalar).  Primitives, and resolvents at a
+number lam, run on x flattened, so a scalar takes the kernels of a
+one-element array and its result is bit-equal to that element's (numpy's
+SIMD pow and sinh may round a 0-d input differently).  A lam array goes to a
+closed form as it is, and the closed form broadcasts it against x.  A
+section of the filled graph is read off left_limits (min), right_limits (max)
+or mid_values (their mean).
 
 This module holds the math only.  The config's drift section is checked and
 built by config.DRIFT_KEYS from the graph constructors here, and
@@ -101,7 +103,8 @@ class MonotoneGraph:
     growth_constant: float
     zero_in_graph: bool = True
     # Optional fast paths; must agree with the generic engine (tested).  The
-    # resolvent takes a flat x and lam, a number or one level per element.
+    # resolvent takes x and lam, a number (x then flat) or an array that
+    # broadcasts against x elementwise, and returns x's shape.
     fast_resolvent: Optional[Callable[[np.ndarray, float | np.ndarray], np.ndarray]] = None
     fast_primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _breaks: np.ndarray = field(init=False, repr=False, compare=False)  # as one array
@@ -331,9 +334,9 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
 
     lam is a number or a numpy array that broadcasts against x, such as a
     (B, 1) column of levels for a (B, M) block of states; every entry must be
-    > 0.  The result has the broadcast shape.  A fast path takes x and lam
-    flattened alike; the generic engine solves the elements of each distinct
-    lam apart.
+    > 0.  The result has the broadcast shape.  A fast path takes x at that
+    shape and the lam array as given, and broadcasts it elementwise; the
+    generic engine solves the elements of each distinct lam apart.
     """
     levels = isinstance(lam, np.ndarray) and lam.ndim > 0
     if not (np.all(lam > 0) if levels else lam > 0):
@@ -342,13 +345,15 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("resolvent input must be finite")
     if levels:
-        x, lam = np.broadcast_arrays(x, np.asarray(lam, dtype=float))
-        lam = lam.reshape(-1)
+        shape = np.broadcast_shapes(x.shape, lam.shape)
+        if x.shape != shape:
+            x = np.ascontiguousarray(np.broadcast_to(x, shape))
     flat = x.reshape(-1)
     if graph.fast_resolvent is not None:
-        return graph.fast_resolvent(flat, lam).reshape(x.shape)
+        return graph.fast_resolvent(x if levels else flat, lam).reshape(x.shape)
     if not levels:
         return _branch_resolvent(graph, lam, flat).reshape(x.shape)
+    lam = np.broadcast_to(lam, x.shape).reshape(-1)
     out = np.empty_like(flat)
     for level in np.unique(lam):
         at = lam == level

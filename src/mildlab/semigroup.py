@@ -17,15 +17,29 @@ exactly on each substep while F is frozen at the left endpoint:
                                      * e^{-mu_k (t_n - t_{j+1})}.
 
 Every operator acts modewise through one transform pair over arrays of shape
-(..., M), the package's only products with the dense sine basis (M <= 512
-keeps them in the milliseconds): the HeatSemigroup methods to_modes,
-values @ h*basis, and from_modes, coeffs @ basis^T.  The operators below take
-a GridFunction, check its grid, and apply the pair to its values.  The
-stepper instead multiplies by HeatSemigroup.propagator(delta), the matrix
-exp(-delta A) built once through from_modes and cached: one product per step,
-for one state or a block of them.  A 1-D vector and a row of a 2-D array take
-different BLAS kernels and may differ in the last bits, so a single state
-stays 1-D and a time series stays one 2-D array.
+(..., M), the package's only products with the dense sine basis besides the
+stepper's one-off builds (M <= 512 keeps them in the milliseconds): the
+HeatSemigroup methods to_modes, values @ h*basis, and from_modes,
+coeffs @ basis^T.  The operators below take a GridFunction, check its grid,
+and apply the pair to its values.
+
+The time stepper instead multiplies by HeatSemigroup.stepper(delta), one
+cached operator per delta: v @ stepper(delta) is v exp(-delta A) for a state
+or a block of states.  Below SPLIT_FROM_M nodes it is
+HeatSemigroup.propagator(delta), the dense exp(-delta A) built once through
+from_modes; that build is one threaded BLAS product, so its last bits depend
+on the BLAS thread count.  From SPLIT_FROM_M on it is a MirrorSplit: it uses
+that exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x,
+under which the odd-k modes are even and the even-k modes odd (Cantoni &
+Butler 1976).  A state folds into its mirror-even part on ceil(M/2) nodes and
+its mirror-odd part on floor(M/2) nodes, each part is multiplied by a
+half-size block and the results unfold.  That is half the flops and half the
+matrix bytes, and the dense matrix is never built.  The half blocks come
+from a cosine table by the product-to-sum identity, without the BLAS, so
+their bits do not depend on the BLAS thread count (tested).
+A 1-D vector and a row of a 2-D array take different BLAS kernels and may
+differ in the last bits, so a single state stays 1-D and a time series stays
+one 2-D array.
 """
 
 from __future__ import annotations
@@ -39,7 +53,25 @@ from .grid_space import FieldSeries, Grid, GridFunction
 
 __all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
            "apply_resolvent", "apply_generator", "modal_recursion",
-           "convolve_series"]
+           "convolve_series", "MirrorSplit", "SPLIT_FROM_M"]
+
+# Grid size from which HeatSemigroup.stepper splits exp(-delta A) into its
+# mirror-even and mirror-odd half blocks.  Microseconds per step at
+# delta = 2^-10, dense / split, best of 5 interleaved rounds of 300 steps
+# (OpenBLAS 0.3.31 with 1 thread, numpy 2.4, 2-vCPU x86-64 guest):
+#
+#       M      1 row            7 rows
+#     127     4.3 /  12.4     8.9 /  21.8
+#     255    11.9 /  16.4    35.3 /  35.1
+#     319    17.9 /  16.1    50.7 /  40.0
+#     383    27.3 /  25.1   117.0 /  63.6
+#     447    40.8 /  32.1   153.0 /  85.7
+#     511    60.1 /  32.5   219.2 /  97.8
+#
+# Seven rows (a study's lambda schedule) gain from M ~ 300, one row from
+# M ~ 320-380 (runs vary); from 384 both gained in every run.  Below the switch
+# every artifact keeps the dense product's bits.
+SPLIT_FROM_M = 384
 
 
 class HeatSemigroup:
@@ -59,7 +91,8 @@ class HeatSemigroup:
         for a in (self.eigenvalues, self.basis, self._analysis):
             a.flags.writeable = False
         self._propagators: dict[float, np.ndarray] = {}
-        self._propagators_lock = threading.Lock()
+        self._splits: dict[float, MirrorSplit] = {}
+        self._cache_lock = threading.Lock()
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of node values, shape (..., M) to (..., M)."""
@@ -76,7 +109,7 @@ class HeatSemigroup:
         Threads may share a semigroup, so the first use is locked: every
         caller gets the one matrix, whatever the BLAS does under contention.
         """
-        with self._propagators_lock:
+        with self._cache_lock:
             out = self._propagators.get(t)
             if out is None:
                 out = self.from_modes(self._analysis * np.exp(-self.eigenvalues * t))
@@ -84,14 +117,66 @@ class HeatSemigroup:
                 self._propagators[t] = out
         return out
 
-    def eigenvector(self, k: int) -> GridFunction:
-        """k-th orthonormal eigenvector (1-based)."""
-        return GridFunction(self.grid, self.basis[:, k - 1])
+    def stepper(self, t: float) -> np.ndarray | MirrorSplit:
+        """The operator S(t) to step with: v @ stepper(t) is S(t) v for a state or a block.
+
+        Below SPLIT_FROM_M nodes propagator(t) itself, from there on its
+        MirrorSplit (module docstring), built on first use and cached alike.
+        """
+        if self.grid.M < SPLIT_FROM_M:
+            return self.propagator(t)
+        with self._cache_lock:
+            out = self._splits.get(t)
+            if out is None:
+                out = self._splits[t] = MirrorSplit(self, t)
+        return out
 
     def _require(self, phi: GridFunction) -> np.ndarray:
         if phi.grid != self.grid:
             raise GridMismatch("grid function does not live on the semigroup grid")
         return phi.values
+
+
+class MirrorSplit:
+    """exp(-tA) as two half blocks, one per mirror parity: v @ split is S(t) v.
+
+    v, of shape (M,) or (B, M), folds into v_i + v_{M-1-i} on ceil(M/2) nodes
+    (the odd-k modes) and v_i - v_{M-1-i} on floor(M/2) nodes (the even-k
+    modes).  Each fold is multiplied by its block, and the two results unfold
+    into the mirror-even and mirror-odd parts of S(t) v.
+
+    By 2 sin(a) sin(b) = cos(a - b) - cos(a + b), entry (i, j) of either block
+    is c(i - j) - c(i + j + 2), where c(n) sums h exp(-mu_k t) cos(k n pi h)
+    over the block's k.  Each cosine is read off one table at k n mod 2(M + 1),
+    so no argument exceeds 2 pi, and no BLAS product enters.  For odd M the
+    middle node folds to v_m + v_m, so its row of the even block is halved.
+    """
+
+    __array_ufunc__ = None  # so that ndarray @ split calls __rmatmul__
+
+    def __init__(self, sg: HeatSemigroup, t: float):
+        M = sg.grid.M
+        period = 2 * (M + 1)
+        cosines = np.cos(np.arange(period) * (np.pi / (M + 1)))
+        weights = sg.grid.h * np.exp(-sg.eigenvalues * t)
+        blocks = []
+        for first, size in ((1, (M + 1) // 2), (2, M // 2)):
+            k = np.arange(first, M + 1, 2)
+            c = (cosines[np.outer(np.arange(2 * size + 1), k) % period] * weights[k - 1]).sum(axis=1)
+            i = np.arange(size)[:, None]
+            blocks.append(c[np.abs(i - i.T)] - c[i + i.T + 2])
+        self.even, self.odd = blocks
+        if M % 2:
+            self.even[M // 2] *= 0.5
+        self.even.flags.writeable = self.odd.flags.writeable = False
+
+    def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
+        n, m = self.even.shape[0], self.odd.shape[0]
+        mirrored = v[..., ::-1]
+        ys = (v[..., :n] + mirrored[..., :n]) @ self.even
+        ya = (v[..., :m] - mirrored[..., :m]) @ self.odd
+        head = ys[..., :m]
+        return np.concatenate([head + ya, ys[..., m:], (head - ya)[..., ::-1]], axis=-1)
 
 
 def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunction:

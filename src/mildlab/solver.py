@@ -17,11 +17,14 @@ The scheme is unconditionally stable in delta (every substep is a pointwise
 contraction), which matters because f_lam has Lipschitz constant 1/lam along
 the continuation schedule.
 
-The semigroup substep is one product with the cached matrix
-S(delta) = exp(-delta A) (HeatSemigroup.propagator).  :func:`solve_regularized`
-is the one stepper: a float lambda steps an (M,) state, an array of levels
-steps a (B, M) block, one row per level, so the verification studies solve
-a whole decreasing lambda schedule in one call.  :func:`solve_mild` solves
+The semigroup substep is one product with the cached operator S(delta) =
+exp(-delta A) (HeatSemigroup.stepper: the dense matrix, or from
+SPLIT_FROM_M nodes its two mirror half blocks), fetched once per call before
+the time loop.  The implicit substep hands the column of levels to the
+drift's closed-form resolvent as it is.  :func:`solve_regularized` is the one
+stepper: a float lambda steps an (M,) state, an array of levels steps a
+(B, M) block, one row per level, so the verification studies solve a whole
+decreasing lambda schedule in one call.  :func:`solve_mild` solves
 the schedule one level at a time and certifies the Cauchy property in
 sup-L^q, stopping at the first gap below tolerance; exhaustion of the
 schedule without meeting the Cauchy tolerance is a reported outcome with
@@ -111,10 +114,10 @@ def solve_regularized(
 
     A float lam > 0 gives one trajectory.  A 1-D array of B levels > 0 gives
     a list of B trajectories, one per level, stepped together as one (B, M)
-    block: each step is one product with the cached S(delta) and one
-    resolvent over a (B, 1) column of levels.  A row of the block agrees
-    with its own float-lam call to rounding (a GEMM row and a GEMV take
-    different BLAS kernels); a call is reproducible bit for bit.
+    block: each step is one product with the cached S(delta)
+    (HeatSemigroup.stepper) and one resolvent over a (B, 1) column of levels.  A row of the block
+    agrees with its own float-lam call to rounding (a GEMM row and a GEMV
+    take different BLAS kernels); a call is reproducible bit for bit.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim > 1 or not lam_arr.size or not np.all(lam_arr > 0):
@@ -125,7 +128,7 @@ def solve_regularized(
     delta = path.delta
     z = path.fields.values
     n_steps = path.n_steps
-    propagator = sg.propagator(delta)
+    step = sg.stepper(delta)
     if lam_arr.ndim:
         shifted = lam_arr[:, None] + delta
         out = np.empty((lam_arr.size, n_steps + 1, sg.grid.M))
@@ -136,7 +139,7 @@ def solve_regularized(
         v = u0.values - z[0]
     out[..., 0, :] = u0.values
     for n in range(n_steps):
-        r = v @ propagator + z[n + 1]
+        r = v @ step + z[n + 1]
         w = r - delta * yosida_array(f, shifted, r)
         out[..., n + 1, :] = w
         v = w - z[n + 1]

@@ -1,5 +1,7 @@
 """Scalar monotone machinery: sections, resolvents, Yosida maps, envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,22 @@ class TestResolvent:
             assert batch.tobytes() == rows.tobytes(), f.name
             flam = yosida_array(f, lams[:, None], xs)
             assert flam.tobytes() == ((xs - rows) / lams[:, None]).tobytes(), f.name
+
+    def test_closed_form_gets_the_lambda_column_as_given(self):
+        # no flattened (B*M) copy of the levels: the closed form broadcasts the column
+        rng = np.random.default_rng(4)
+        xs = rng.normal(0.0, 3.0, (3, 40))
+        lams = np.array([[0.25], [2.0**-4], [2.0**-8]])
+        for f in (power_graph(3.0), power_graph(2.5), sign_graph()):
+            seen = []
+            spy = dataclasses.replace(f, fast_resolvent=lambda x, lam, f=f: (
+                seen.append((x.shape, lam.shape)) or f.fast_resolvent(x, lam)))
+            assert resolvent_array(spy, lams, xs).tobytes() == \
+                resolvent_array(f, lams, xs).tobytes(), f.name
+            assert seen == [((3, 40), (3, 1))], f.name
+            # a single state against the column broadcasts to one row per level
+            spread = resolvent_array(f, lams, xs[0])
+            assert spread.tobytes() == resolvent_array(f, lams, np.tile(xs[0], (3, 1))).tobytes()
 
     def test_lambda_array_needs_positive_entries(self):
         for f in (power_graph(3.0), generic_sign()):

@@ -1,18 +1,27 @@
 """Discrete Dirichlet Laplacian eigenstructure, semigroup axioms, convolution."""
 
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mildlab
 from mildlab.errors import EmptyInput, GridMismatch, NegativeTime
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
                                 gamma_eps, lq_norm, pairing)
-from mildlab.semigroup import (HeatSemigroup, apply_generator, apply_resolvent,
-                               apply_semigroup, convolve_series,
+from mildlab.semigroup import (SPLIT_FROM_M, HeatSemigroup, apply_generator,
+                               apply_resolvent, apply_semigroup, convolve_series,
                                semigroup_series)
+
+
+def eigenvector(grid, k):
+    """k-th orthonormal eigenvector sqrt(2) sin(k pi x) (1-based) on the nodes."""
+    return GridFunction(grid, np.sqrt(2.0) * np.sin(np.pi * grid.nodes * k))
 
 
 class TestEigenstructure:
@@ -29,7 +38,7 @@ class TestEigenstructure:
     def test_orthonormal_wrt_pairing(self, sg):
         for j in (1, 5, 40):
             for k in (1, 5, 40):
-                got = pairing(sg.eigenvector(j), sg.eigenvector(k))
+                got = pairing(eigenvector(sg.grid, j), eigenvector(sg.grid, k))
                 assert got == pytest.approx(1.0 if j == k else 0.0, abs=1e-12)
 
     def test_lowest_eigenvalue_approaches_continuum(self):
@@ -41,14 +50,14 @@ class TestEigenstructure:
 
     def test_generator_matches_eigenvalues(self, sg):
         for k in (1, 7, 30):
-            ek = sg.eigenvector(k)
+            ek = eigenvector(sg.grid, k)
             got = apply_generator(sg, ek).values
             assert np.allclose(got, sg.eigenvalues[k - 1] * ek.values, atol=1e-8)
 
 
 class TestModeTransform:
     def test_eigenvector_coefficients(self, sg):
-        coeffs = sg.to_modes(sg.eigenvector(1).values)
+        coeffs = sg.to_modes(eigenvector(sg.grid, 1).values)
         want = np.zeros(sg.grid.M)
         want[0] = 1.0
         assert np.allclose(coeffs, want, atol=1e-12)
@@ -108,14 +117,15 @@ class TestPropagator:
         sg.propagator(0.02)
         assert len(calls) == 2
 
-    def test_first_use_from_many_threads_builds_once(self):
+    @pytest.mark.parametrize("method, M", [("propagator", 31), ("stepper", SPLIT_FROM_M)])
+    def test_first_use_from_many_threads_builds_once(self, method, M):
         # threads of a caller may share one semigroup
-        sg = HeatSemigroup(Grid(31))
+        sg = HeatSemigroup(Grid(M))
         barrier = threading.Barrier(8)
 
         def first_use(_):
             barrier.wait(timeout=10.0)
-            return sg.propagator(0.01)
+            return getattr(sg, method)(0.01)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -141,6 +151,72 @@ class TestPropagator:
                            rtol=0.0, atol=1e-13)
 
 
+STEPPER_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from mildlab.grid_space import Grid
+from mildlab.semigroup import SPLIT_FROM_M, HeatSemigroup
+for M in (SPLIT_FROM_M, SPLIT_FROM_M + 1):
+    step = HeatSemigroup(Grid(M)).stepper(2.0**-10)
+    v = np.random.default_rng(M).standard_normal((7, M))
+    print(M, hashlib.sha256((v @ step).tobytes() + (v[0] @ step).tobytes()).hexdigest())
+"""
+
+
+class TestStepper:
+    T = 2.0**-10
+
+    def test_cached_once_per_time(self, sg):
+        assert sg.stepper(self.T) is sg.stepper(self.T)
+        assert sg.stepper(self.T) is not sg.stepper(2.0 * self.T)
+
+    @pytest.mark.parametrize("M", [63, 127, SPLIT_FROM_M - 1])
+    def test_below_switch_is_the_dense_product(self, M):
+        sg = HeatSemigroup(Grid(M))
+        assert sg.stepper(self.T) is sg.propagator(self.T)
+
+    @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
+    def test_split_is_the_dense_product(self, M, rng):
+        sg = HeatSemigroup(Grid(M))
+        step = sg.stepper(self.T)
+        assert sg._propagators == {}  # the split never builds the dense matrix
+        prop = sg.propagator(self.T)
+        for v in (rng.standard_normal(M), rng.standard_normal((7, M))):
+            out = v @ step
+            assert out.shape == v.shape
+            assert np.max(np.abs(out - v @ prop)) <= 1e-14
+
+    @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
+    def test_split_keeps_mirror_parity_exactly(self, M, rng):
+        step = HeatSemigroup(Grid(M)).stepper(self.T)
+        half = rng.standard_normal((7, M // 2))
+        middle = rng.standard_normal((7, M % 2))
+        even = np.concatenate([half, middle, half[:, ::-1]], axis=1)
+        odd = np.concatenate([half, 0.0 * middle, -half[:, ::-1]], axis=1)
+        for v in (even, even[0]):
+            out = v @ step
+            assert np.array_equal(out, out[..., ::-1])
+        for v in (odd, odd[0]):
+            out = v @ step
+            assert np.array_equal(out, -out[..., ::-1])
+            if M % 2:
+                assert np.all(out[..., M // 2] == 0.0)
+
+    def test_split_bits_do_not_depend_on_blas_threads(self):
+        # the half blocks are built without the BLAS; a threaded GEMM build is not reproducible.
+        # Below the switch the dense propagator is such a GEMM (module docstring).
+        src = str(Path(mildlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", STEPPER_SCRIPT, src], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
+
+
 class TestSemigroupAxioms:
     def test_identity_at_zero(self, sg, rng):
         phi = GridFunction(sg.grid, rng.standard_normal(sg.grid.M))
@@ -152,7 +228,7 @@ class TestSemigroupAxioms:
             apply_semigroup(sg, phi, -0.1)
 
     def test_eigenvector_decay(self, sg):
-        ek = sg.eigenvector(4)
+        ek = eigenvector(sg.grid, 4)
         t = 0.01
         got = apply_semigroup(sg, ek, t).values
         assert np.allclose(got, np.exp(-sg.eigenvalues[3] * t) * ek.values, atol=1e-13)
@@ -220,7 +296,7 @@ class TestAccretivity:
 
 class TestResolvent:
     def test_eigenvector(self, sg):
-        ek = sg.eigenvector(2)
+        ek = eigenvector(sg.grid, 2)
         got = apply_resolvent(sg, ek, 0.3).values
         assert np.allclose(got, ek.values / (1 + 0.3 * sg.eigenvalues[1]), atol=1e-13)
 
@@ -247,7 +323,7 @@ class TestConvolution:
         assert np.all(out.values == 0.0)
 
     def test_constant_eigenvector_forcing(self, sg):
-        ek = sg.eigenvector(3)
+        ek = eigenvector(sg.grid, 3)
         N, delta = 64, 1.0 / 64
         fields = FieldSeries(sg.grid, np.tile(ek.values, (N + 1, 1)))
         mu = sg.eigenvalues[2]

@@ -8,7 +8,7 @@ from mildlab.grid_space import FieldSeries, Grid, GridFunction, lq_norm
 from mildlab.noise import DiffusionSpec, restrict_path, sample_path
 from mildlab.scalar_monotone import (linear_graph, power_graph, sign_graph,
                                      zero_graph)
-from mildlab.semigroup import HeatSemigroup, apply_semigroup
+from mildlab.semigroup import SPLIT_FROM_M, HeatSemigroup, apply_semigroup
 from mildlab.solver import (MildSolution, SolverConfig, extract_g,
                             inclusion_check, qstar, residual_check, solve_mild,
                             solve_regularized)
@@ -92,6 +92,20 @@ class TestSolveRegularized:
             for lam, traj in zip(lams, batch):
                 alone = solve_regularized(f, float(lam), sine_u0, smooth_path, sg)
                 assert np.max(np.abs(traj.values - alone.values)) <= 1e-12, (f.name, lam)
+
+    def test_split_stepper_rows_match_scalar_calls(self, drifts):
+        # from SPLIT_FROM_M nodes the semigroup substep is the half-block split
+        grid = Grid(SPLIT_FROM_M + 1)
+        sg = HeatSemigroup(grid)
+        path = sample_path(sg, DiffusionSpec(c=1.0, gamma=2.0), 2.0**-6, 2.0**-9, seed=7)
+        u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
+        lams = np.array([0.25, 2.0**-4, 2.0**-8])
+        for f in (drifts["cubic"], drifts["sign"]):
+            batch = solve_regularized(f, lams, u0, path, sg)
+            for lam, traj in zip(lams, batch):
+                alone = solve_regularized(f, float(lam), u0, path, sg)
+                assert np.max(np.abs(traj.values - alone.values)) <= 1e-12, (f.name, lam)
+        assert sg._propagators == {}
 
     def test_lambda_array_call_reproducible(self, sg, smooth_path, sine_u0):
         lams = np.array([0.25, 0.125, 2.0**-6])

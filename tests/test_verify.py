@@ -165,11 +165,11 @@ class TestChainRule:
         # q = 2, forcing on one eigenmode: the trajectory is c(t) e_1 with
         # dc/dt = -mu c + a(t), so ||v(t)||_2 = |c(t)| via a scalar ODE oracle.
         grid, sg, paths, _, config = small
-        from mildlab.grid_space import FieldSeries, lq_norm
+        from mildlab.grid_space import FieldSeries, GridFunction, lq_norm
         from mildlab.semigroup import apply_semigroup, convolve_series
 
         mu = sg.eigenvalues[0]
-        e1 = sg.eigenvector(1)
+        e1 = GridFunction(grid, np.sqrt(2.0) * np.sin(np.pi * grid.nodes))
         delta, T = 2.0**-10, 0.25
         n = round(T / delta)
         times = delta * np.arange(n + 1)
