@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "NoisePath",
     "path_seeds",
     "sample_path",
-    "sample_mode_ensemble",
     "restrict_path",
     "norm_ld_lqd",
     "export_series_csv",
@@ -146,29 +145,6 @@ def sample_path(sg: HeatSemigroup, spec: DiffusionSpec, T: float, delta: float,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     xi = rng.standard_normal((n_steps, sg.grid.M))
     return NoisePath(sg, spec, T, delta, seed, modal_recursion(decay, sigma, xi))
-
-
-def sample_mode_ensemble(sg: HeatSemigroup, spec: DiffusionSpec, T: float,
-                         delta: float, seeds: Sequence[int],
-                         keep: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Mode trajectories for many seeds, shape (n_paths, n_times, M).
-
-    Every time index 0..n_steps is returned unless ``keep`` lists the time
-    indices to retain, in ascending order (memory control for large Monte
-    Carlo sweeps); an index outside [0, n_steps] raises InvalidTimeGrid.
-    Each path is exactly the one :func:`sample_path` returns for its seed.
-    """
-    n_steps = _steps(T, delta)
-    if keep is None:
-        idx = np.arange(n_steps + 1)
-    else:
-        idx = np.sort(np.asarray(keep, dtype=int))
-        if idx.size and (idx[0] < 0 or idx[-1] > n_steps):
-            raise InvalidTimeGrid(f"keep indices must lie in [0, {n_steps}]")
-    out = np.empty((len(seeds), len(idx), sg.grid.M))
-    for p, seed in enumerate(seeds):
-        out[p] = sample_path(sg, spec, T, delta, int(seed)).mode_values[idx]
-    return out
 
 
 def restrict_path(path: NoisePath, factor: int) -> NoisePath:

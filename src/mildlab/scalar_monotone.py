@@ -50,7 +50,6 @@ from .errors import BracketFailure, NoConvergence, NonFiniteInput
 
 __all__ = [
     "MonotoneGraph",
-    "ROOT_TOL",
     "QUAD_TOL",
     "section_min_abs",
     "section_max_abs",
@@ -68,9 +67,6 @@ __all__ = [
     "TEST_DRIFTS",
 ]
 
-# The root solvers stop in ulps and do not read ROOT_TOL; the invariant
-# battery scales its bounds by it.
-ROOT_TOL = 1e-12
 # Caps past which a root solve raises NoConvergence: guarded Newton steps for
 # a power drift without a closed form, and Chandrupatla steps per branch solve
 # of the generic engine (at most 9 on the benchmark's jump-at-0 cubic, where

@@ -17,26 +17,24 @@ exactly on each substep while F is frozen at the left endpoint:
                                      * e^{-mu_k (t_n - t_{j+1})}.
 
 Every operator acts modewise through one transform pair over arrays of shape
-(..., M), the package's only products with the dense sine basis besides the
-stepper's one-off builds (M <= 512 keeps them in the milliseconds): the
+(..., M), the package's only products with the dense sine basis: the
 HeatSemigroup methods to_modes, values @ h*basis, and from_modes,
 coeffs @ basis^T.  The operators below take a GridFunction, check its grid,
 and apply the pair to its values.
 
 The time stepper instead multiplies by HeatSemigroup.stepper(delta), one
 cached operator per delta: v @ stepper(delta) is v exp(-delta A) for a state
-or a block of states.  Below SPLIT_FROM_M nodes it is
-HeatSemigroup.propagator(delta), the dense exp(-delta A) built once through
-from_modes; that build is one threaded BLAS product, so its last bits depend
-on the BLAS thread count.  From SPLIT_FROM_M on it is a MirrorSplit: it uses
-that exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x,
-under which the odd-k modes are even and the even-k modes odd (Cantoni &
-Butler 1976).  A state folds into its mirror-even part on ceil(M/2) nodes and
-its mirror-odd part on floor(M/2) nodes, each part is multiplied by a
-half-size block and the results unfold.  That is half the flops and half the
-matrix bytes, and the dense matrix is never built.  The half blocks come
-from a cosine table by the product-to-sum identity, without the BLAS, so
-their bits do not depend on the BLAS thread count (tested).
+or a block of states.  Every stepper is built by one kernel, _sine_block,
+from a cosine table by the product-to-sum identity and without the BLAS, so
+its bits do not depend on the BLAS thread count at any M (tested).  Below
+SPLIT_FROM_M nodes the stepper is the dense exp(-delta A) as a read-only
+(M, M) matrix.  From SPLIT_FROM_M on it is a MirrorSplit: it uses that
+exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x, under
+which the odd-k modes are even and the even-k modes odd (Cantoni & Butler
+1976).  A state folds into its mirror-even part on ceil(M/2) nodes and its
+mirror-odd part on floor(M/2) nodes, each part is multiplied by a half-size
+block and the results unfold.  That is half the flops and half the matrix
+bytes, and the dense matrix is never built.
 A 1-D vector and a row of a 2-D array take different BLAS kernels and may
 differ in the last bits, so a single state stays 1-D and a time series stays
 one 2-D array.
@@ -69,8 +67,7 @@ __all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
 #     511    60.1 /  32.5   219.2 /  97.8
 #
 # Seven rows (a study's lambda schedule) gain from M ~ 300, one row from
-# M ~ 320-380 (runs vary); from 384 both gained in every run.  Below the switch
-# every artifact keeps the dense product's bits.
+# M ~ 320-380 (runs vary); from 384 both gained in every run.
 SPLIT_FROM_M = 384
 
 
@@ -90,8 +87,7 @@ class HeatSemigroup:
         self._analysis = h * self.basis
         for a in (self.eigenvalues, self.basis, self._analysis):
             a.flags.writeable = False
-        self._propagators: dict[float, np.ndarray] = {}
-        self._splits: dict[float, MirrorSplit] = {}
+        self._steppers: dict[float, np.ndarray | MirrorSplit] = {}
         self._cache_lock = threading.Lock()
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
@@ -102,33 +98,24 @@ class HeatSemigroup:
         """Node values of mode coefficients, shape (..., M) to (..., M)."""
         return coeffs @ self.basis.T
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-tA) as a read-only (M, M) matrix, so that S(t) v = v @ propagator(t).
-
-        Built on first use for each t (one GEMM through from_modes) and cached.
-        Threads may share a semigroup, so the first use is locked: every
-        caller gets the one matrix, whatever the BLAS does under contention.
-        """
-        with self._cache_lock:
-            out = self._propagators.get(t)
-            if out is None:
-                out = self.from_modes(self._analysis * np.exp(-self.eigenvalues * t))
-                out.flags.writeable = False
-                self._propagators[t] = out
-        return out
-
     def stepper(self, t: float) -> np.ndarray | MirrorSplit:
         """The operator S(t) to step with: v @ stepper(t) is S(t) v for a state or a block.
 
-        Below SPLIT_FROM_M nodes propagator(t) itself, from there on its
-        MirrorSplit (module docstring), built on first use and cached alike.
+        Below SPLIT_FROM_M nodes exp(-tA) as a read-only (M, M) matrix, from
+        there on its MirrorSplit (module docstring).  Built on first use for
+        each t and cached.  Threads may share a semigroup, so the first use is
+        locked: every caller gets the one operator.
         """
-        if self.grid.M < SPLIT_FROM_M:
-            return self.propagator(t)
         with self._cache_lock:
-            out = self._splits.get(t)
+            out = self._steppers.get(t)
             if out is None:
-                out = self._splits[t] = MirrorSplit(self, t)
+                M = self.grid.M
+                if M < SPLIT_FROM_M:
+                    out = _sine_block(self, t, np.arange(1, M + 1), M)
+                    out.flags.writeable = False
+                else:
+                    out = MirrorSplit(self, t)
+                self._steppers[t] = out
         return out
 
     def _require(self, phi: GridFunction) -> np.ndarray:
@@ -137,35 +124,41 @@ class HeatSemigroup:
         return phi.values
 
 
+def _sine_block(sg: HeatSemigroup, t: float, k: np.ndarray, size: int) -> np.ndarray:
+    """sum_k h exp(-mu_k t) e_k(x_i) e_k(x_j) over the modes k, for i, j < size.
+
+    By 2 sin(a) sin(b) = cos(a - b) - cos(a + b), entry (i, j) is
+    c(i - j) - c(i + j + 2), where c(n) sums h exp(-mu_k t) cos(k n pi h)
+    over k.  Each cosine is read off one table at k n mod 2(M + 1), so no
+    argument exceeds 2 pi, and no BLAS product enters.  Over k = 1..M and
+    size M it is exp(-tA) itself.
+    """
+    M = sg.grid.M
+    period = 2 * (M + 1)
+    cosines = np.cos(np.arange(period) * (np.pi / (M + 1)))
+    weights = sg.grid.h * np.exp(-sg.eigenvalues * t)
+    c = (cosines[np.outer(np.arange(2 * size + 1), k) % period] * weights[k - 1]).sum(axis=1)
+    i = np.arange(size)[:, None]
+    return c[np.abs(i - i.T)] - c[i + i.T + 2]
+
+
 class MirrorSplit:
     """exp(-tA) as two half blocks, one per mirror parity: v @ split is S(t) v.
 
     v, of shape (M,) or (B, M), folds into v_i + v_{M-1-i} on ceil(M/2) nodes
     (the odd-k modes) and v_i - v_{M-1-i} on floor(M/2) nodes (the even-k
-    modes).  Each fold is multiplied by its block, and the two results unfold
-    into the mirror-even and mirror-odd parts of S(t) v.
-
-    By 2 sin(a) sin(b) = cos(a - b) - cos(a + b), entry (i, j) of either block
-    is c(i - j) - c(i + j + 2), where c(n) sums h exp(-mu_k t) cos(k n pi h)
-    over the block's k.  Each cosine is read off one table at k n mod 2(M + 1),
-    so no argument exceeds 2 pi, and no BLAS product enters.  For odd M the
-    middle node folds to v_m + v_m, so its row of the even block is halved.
+    modes).  Each fold is multiplied by its block (_sine_block over its k),
+    and the two results unfold into the mirror-even and mirror-odd parts of
+    S(t) v.  For odd M the middle node folds to v_m + v_m, so its row of the
+    even block is halved.
     """
 
     __array_ufunc__ = None  # so that ndarray @ split calls __rmatmul__
 
     def __init__(self, sg: HeatSemigroup, t: float):
         M = sg.grid.M
-        period = 2 * (M + 1)
-        cosines = np.cos(np.arange(period) * (np.pi / (M + 1)))
-        weights = sg.grid.h * np.exp(-sg.eigenvalues * t)
-        blocks = []
-        for first, size in ((1, (M + 1) // 2), (2, M // 2)):
-            k = np.arange(first, M + 1, 2)
-            c = (cosines[np.outer(np.arange(2 * size + 1), k) % period] * weights[k - 1]).sum(axis=1)
-            i = np.arange(size)[:, None]
-            blocks.append(c[np.abs(i - i.T)] - c[i + i.T + 2])
-        self.even, self.odd = blocks
+        self.even = _sine_block(sg, t, np.arange(1, M + 1, 2), (M + 1) // 2)
+        self.odd = _sine_block(sg, t, np.arange(2, M + 1, 2), M // 2)
         if M % 2:
             self.even[M // 2] *= 0.5
         self.even.flags.writeable = self.odd.flags.writeable = False

@@ -115,9 +115,10 @@ def solve_regularized(
     A float lam > 0 gives one trajectory.  A 1-D array of B levels > 0 gives
     a list of B trajectories, one per level, stepped together as one (B, M)
     block: each step is one product with the cached S(delta)
-    (HeatSemigroup.stepper) and one resolvent over a (B, 1) column of levels.  A row of the block
-    agrees with its own float-lam call to rounding (a GEMM row and a GEMV
-    take different BLAS kernels); a call is reproducible bit for bit.
+    (HeatSemigroup.stepper, built without the BLAS) and one resolvent over a
+    (B, 1) column of levels.  A row of the block agrees with its own
+    float-lam call to rounding (a GEMM row and a GEMV take different BLAS
+    kernels); a call is reproducible bit for bit.
     """
     lam_arr = np.asarray(lam, dtype=float)
     if lam_arr.ndim > 1 or not lam_arr.size or not np.all(lam_arr > 0):

@@ -14,14 +14,17 @@ import numpy as np
 from ..grid_space import (Grid, GridFunction, big_gamma, big_gamma0, bracket_l1,
                           duality_map, gamma_eps, lq_norm, pairing)
 from ..noise import DiffusionSpec, sample_path
-from ..scalar_monotone import (ROOT_TOL, TEST_DRIFTS, resolvent_array,
-                               section_min_abs, yosida_array,
-                               yosida_of_yosida_array, zero_graph)
+from ..scalar_monotone import (TEST_DRIFTS, resolvent_array, section_min_abs,
+                               yosida_array, yosida_of_yosida_array, zero_graph)
 from ..semigroup import (HeatSemigroup, apply_generator, apply_semigroup,
                          apply_resolvent)
 from ..solver import solve_regularized
 
 __all__ = ["InvariantCheck", "run_invariant_battery"]
+
+# Scales the bounds of the resolvent and Yosida checks below (10 * ROOT_TOL);
+# the root solvers stop in ulps and read no tolerance.
+ROOT_TOL = 1e-12
 
 
 @dataclass

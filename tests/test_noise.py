@@ -8,7 +8,7 @@ from mildlab.grid_space import Grid, lq_norm
 from mildlab.noise import (DiffusionSpec, export_noise_sidecar,
                            export_series_csv, load_sidecar_and_resample,
                            norm_ld_lqd, path_seeds, restrict_path,
-                           sample_mode_ensemble, sample_path)
+                           sample_path)
 from mildlab.semigroup import HeatSemigroup
 
 
@@ -78,7 +78,8 @@ class TestSampling:
         T, delta = 0.5, 2.0**-6
         seeds = path_seeds(11, 2000)
         keep = [8, 16, 32]
-        ens = sample_mode_ensemble(sg, spec, T, delta, seeds, keep=keep)
+        ens = np.stack([sample_path(sg, spec, T, delta, int(s)).mode_values[keep]
+                        for s in seeds])
         mu = sg.eigenvalues[0]
         for pos, n in enumerate(keep):
             t = n * delta
@@ -92,8 +93,8 @@ class TestSampling:
     def test_cross_mode_independence_and_mean(self, sg):
         spec = DiffusionSpec(c=1.0, gamma=0.5)
         seeds = path_seeds(13, 2000)
-        ens = sample_mode_ensemble(sg, spec, 0.25, 2.0**-6, seeds, keep=[16])
-        final = ens[:, 0, :]
+        final = np.stack([sample_path(sg, spec, 0.25, 2.0**-6, int(s)).mode_values[16]
+                          for s in seeds])
         bound = 5.0 / np.sqrt(len(seeds))
         for j, k in [(0, 1), (0, 4), (2, 3)]:
             corr = np.corrcoef(final[:, j], final[:, k])[0, 1]
@@ -113,29 +114,6 @@ class TestSampling:
                 total += p.fields.sup_norm(2.0)
             means.append(total / len(seeds))
         assert means[0] > means[1] > means[2]
-
-    def test_ensemble_rejects_keep_outside_time_grid(self, sg):
-        seeds = path_seeds(5, 2)
-        with pytest.raises(InvalidTimeGrid):
-            sample_mode_ensemble(sg, DiffusionSpec(), 0.25, 2.0**-6, seeds,
-                                 keep=[16, 99, -1])
-
-    def test_ensemble_repeated_keep_index(self, sg):
-        spec = DiffusionSpec(c=1.0, gamma=1.0)
-        seeds = path_seeds(5, 2)
-        ens = sample_mode_ensemble(sg, spec, 0.25, 2.0**-6, seeds, keep=[5, 5])
-        for i, s in enumerate(seeds):
-            snap = sample_path(sg, spec, 0.25, 2.0**-6, int(s)).mode_values[5]
-            assert np.array_equal(ens[i, 0], snap)
-            assert np.array_equal(ens[i, 1], snap)
-
-    def test_ensemble_matches_individual_paths(self, sg):
-        spec = DiffusionSpec(c=1.0, gamma=1.0)
-        seeds = path_seeds(5, 3)
-        ens = sample_mode_ensemble(sg, spec, 0.25, 2.0**-6, seeds)
-        for i, s in enumerate(seeds):
-            p = sample_path(sg, spec, 0.25, 2.0**-6, int(s))
-            assert np.array_equal(p.mode_values, ens[i])
 
 
 class TestRestriction:

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import mildlab
+from mildlab import semigroup
 from mildlab.errors import EmptyInput, GridMismatch, NegativeTime
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
                                 gamma_eps, lq_norm, pairing)
-from mildlab.semigroup import (SPLIT_FROM_M, HeatSemigroup, apply_generator,
-                               apply_resolvent, apply_semigroup, convolve_series,
-                               semigroup_series)
+from mildlab.semigroup import (SPLIT_FROM_M, HeatSemigroup, MirrorSplit,
+                               apply_generator, apply_resolvent, apply_semigroup,
+                               convolve_series, semigroup_series)
 
 
 def eigenvector(grid, k):
@@ -106,26 +107,30 @@ class TestModeTransform:
 class TestPropagator:
     def test_built_lazily_once_per_time(self, monkeypatch):
         calls = []
-        original = HeatSemigroup.from_modes
-        monkeypatch.setattr(HeatSemigroup, "from_modes",
-                            lambda self, c: calls.append(c.shape) or original(self, c))
+        original = semigroup._sine_block
+        monkeypatch.setattr(semigroup, "_sine_block",
+                            lambda sg, t, k, size: calls.append(size) or original(sg, t, k, size))
         sg = HeatSemigroup(Grid(15))
         assert calls == []
-        first = sg.propagator(0.01)
-        assert calls == [(15, 15)]
-        assert sg.propagator(0.01) is first and len(calls) == 1
-        sg.propagator(0.02)
+        first = sg.stepper(0.01)
+        assert calls == [15]
+        assert sg.stepper(0.01) is first and len(calls) == 1
+        sg.stepper(0.02)
         assert len(calls) == 2
+        # the split builds its two half blocks with the same kernel, once
+        split = HeatSemigroup(Grid(SPLIT_FROM_M + 1))
+        assert split.stepper(0.01) is split.stepper(0.01)
+        assert calls[2:] == [(SPLIT_FROM_M + 2) // 2, (SPLIT_FROM_M + 1) // 2]
 
-    @pytest.mark.parametrize("method, M", [("propagator", 31), ("stepper", SPLIT_FROM_M)])
-    def test_first_use_from_many_threads_builds_once(self, method, M):
+    @pytest.mark.parametrize("M", [31, SPLIT_FROM_M])
+    def test_first_use_from_many_threads_builds_once(self, M):
         # threads of a caller may share one semigroup
         sg = HeatSemigroup(Grid(M))
         barrier = threading.Barrier(8)
 
         def first_use(_):
             barrier.wait(timeout=10.0)
-            return getattr(sg, method)(0.01)
+            return sg.stepper(0.01)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -137,18 +142,12 @@ class TestPropagator:
         assert all(p is got[0] for p in got)
 
     def test_is_the_modal_semigroup(self, sg, rng):
+        # read-only flag, modal product, composition: test_below_switch_is_the_dense_product
         t = 2.0**-10
-        prop = sg.propagator(t)
-        with pytest.raises(ValueError, match="read-only"):
-            prop[0, 0] = 0.0
-        values = rng.standard_normal((5, sg.grid.M))
-        modal = sg.from_modes(np.exp(-sg.eigenvalues * t) * sg.to_modes(values))
-        assert np.max(np.abs(values @ prop - modal)) <= 1e-13
-        for v in values:
+        prop = sg.stepper(t)
+        for v in rng.standard_normal((5, sg.grid.M)):
             phi = GridFunction(sg.grid, v)
             assert np.max(np.abs(v @ prop - apply_semigroup(sg, phi, t).values)) <= 1e-13
-        assert np.allclose(sg.propagator(0.1) @ sg.propagator(0.2), sg.propagator(0.3),
-                           rtol=0.0, atol=1e-13)
 
 
 STEPPER_SCRIPT = """
@@ -157,7 +156,7 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from mildlab.grid_space import Grid
 from mildlab.semigroup import SPLIT_FROM_M, HeatSemigroup
-for M in (SPLIT_FROM_M, SPLIT_FROM_M + 1):
+for M in (127, SPLIT_FROM_M - 1, SPLIT_FROM_M, SPLIT_FROM_M + 1):
     step = HeatSemigroup(Grid(M)).stepper(2.0**-10)
     v = np.random.default_rng(M).standard_normal((7, M))
     print(M, hashlib.sha256((v @ step).tobytes() + (v[0] @ step).tobytes()).hexdigest())
@@ -172,20 +171,29 @@ class TestStepper:
         assert sg.stepper(self.T) is not sg.stepper(2.0 * self.T)
 
     @pytest.mark.parametrize("M", [63, 127, SPLIT_FROM_M - 1])
-    def test_below_switch_is_the_dense_product(self, M):
+    def test_below_switch_is_the_dense_product(self, M, rng):
         sg = HeatSemigroup(Grid(M))
-        assert sg.stepper(self.T) is sg.propagator(self.T)
+        step = sg.stepper(self.T)
+        assert isinstance(step, np.ndarray) and step.shape == (M, M)
+        with pytest.raises(ValueError, match="read-only"):
+            step[0, 0] = 0.0
+        values = rng.standard_normal((5, M))
+        modal = sg.from_modes(np.exp(-sg.eigenvalues * self.T) * sg.to_modes(values))
+        assert np.max(np.abs(values @ step - modal)) <= 1e-13
+        assert np.allclose(sg.stepper(0.1) @ sg.stepper(0.2), sg.stepper(0.3),
+                           rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
     def test_split_is_the_dense_product(self, M, rng):
         sg = HeatSemigroup(Grid(M))
         step = sg.stepper(self.T)
-        assert sg._propagators == {}  # the split never builds the dense matrix
-        prop = sg.propagator(self.T)
+        assert isinstance(step, MirrorSplit)
+        # the reference is the GEMM build through the transforms, not the stepper's kernel
+        dense = sg.from_modes(sg._analysis * np.exp(-sg.eigenvalues * self.T))
         for v in (rng.standard_normal(M), rng.standard_normal((7, M))):
             out = v @ step
             assert out.shape == v.shape
-            assert np.max(np.abs(out - v @ prop)) <= 1e-14
+            assert np.max(np.abs(out - v @ dense)) <= 1e-14
 
     @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
     def test_split_keeps_mirror_parity_exactly(self, M, rng):
@@ -203,9 +211,8 @@ class TestStepper:
             if M % 2:
                 assert np.all(out[..., M // 2] == 0.0)
 
-    def test_split_bits_do_not_depend_on_blas_threads(self):
-        # the half blocks are built without the BLAS; a threaded GEMM build is not reproducible.
-        # Below the switch the dense propagator is such a GEMM (module docstring).
+    def test_stepper_bits_do_not_depend_on_blas_threads(self):
+        # every stepper is built without the BLAS; a threaded GEMM build is not reproducible.
         src = str(Path(mildlab.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -214,7 +221,7 @@ class TestStepper:
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
 
 
 class TestSemigroupAxioms:
