@@ -183,6 +183,19 @@ class TestStepper:
         assert np.allclose(sg.stepper(0.1) @ sg.stepper(0.2), sg.stepper(0.3),
                            rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("M", [31, 127, SPLIT_FROM_M - 1, SPLIT_FROM_M + 1])
+    def test_blocks_are_exactly_symmetric(self, M):
+        # A is self-adjoint, and entry (i, j) = c(|i - j|) - c(i + j + 2) keeps S(t) symmetric bit for bit
+        step = HeatSemigroup(Grid(M)).stepper(self.T)
+        blocks = (step,)
+        if isinstance(step, MirrorSplit):
+            even = step.even.copy()
+            if M % 2:
+                even[M // 2] *= 2.0  # undo the exact halving of the middle node's row
+            blocks = (even, step.odd)
+        for block in blocks:
+            assert block.shape[0] > 0 and np.array_equal(block, block.T)
+
     @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
     def test_split_is_the_dense_product(self, M, rng):
         sg = HeatSemigroup(Grid(M))
