@@ -27,6 +27,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "FieldSeries",
+    "lq_norms",
     "lq_norm",
     "pairing",
     "duality_map",
@@ -122,10 +123,7 @@ class FieldSeries:
 
     def norms(self, q: float) -> np.ndarray:
         """lq_norm of every snapshot, vectorized over time."""
-        if q < 1:
-            raise InvalidExponent(f"q must be >= 1, got {q}")
-        h = self.grid.h
-        return (h * np.sum(np.abs(self.values) ** q, axis=1)) ** (1.0 / q)
+        return lq_norms(self.values, self.grid.h, q)
 
     def sup_norm(self, q: float) -> float:
         """max over time of the snapshot L^q norms."""
@@ -137,11 +135,18 @@ def _same_grid(a, b) -> None:
         raise GridMismatch(f"grids differ: M={a.grid.M} vs M={b.grid.M}")
 
 
-def lq_norm(phi: GridFunction, q: float) -> float:
-    """Discrete L^q norm (h * sum |phi_i|^q)^(1/q), q >= 1."""
+def lq_norms(values: np.ndarray, h: float, q: float) -> np.ndarray:
+    """Discrete L^q norms (h * sum |v_i|^q)^(1/q) over the last axis, q >= 1."""
     if q < 1:
         raise InvalidExponent(f"q must be >= 1, got {q}")
-    return float((phi.grid.h * np.sum(np.abs(phi.values) ** q)) ** (1.0 / q))
+    # the root on an array even for one row: numpy's scalar and array powers differ in ulps
+    sums = h * np.sum(np.abs(values) ** q, axis=-1, keepdims=True)
+    return (sums ** (1.0 / q))[..., 0]
+
+
+def lq_norm(phi: GridFunction, q: float) -> float:
+    """Discrete L^q norm of one grid function, q >= 1."""
+    return float(lq_norms(phi.values, phi.grid.h, q))
 
 
 def pairing(phi: GridFunction, psi: GridFunction) -> float:

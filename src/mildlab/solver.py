@@ -20,15 +20,14 @@ the continuation schedule.
 The semigroup substep is one product with the cached operator S(delta) =
 exp(-delta A) (HeatSemigroup.stepper: the dense matrix, or from
 SPLIT_FROM_M nodes its two mirror half blocks), fetched once per call before
-the time loop.  The implicit substep hands the column of levels to the
-drift's closed-form resolvent as it is.  :func:`solve_regularized` is the one
-stepper: a float lambda steps an (M,) state, an array of levels steps a
-(B, M) block, one row per level, so the verification studies solve a whole
-decreasing lambda schedule in one call.  :func:`solve_mild` solves
-the schedule one level at a time and certifies the Cauchy property in
-sup-L^q, stopping at the first gap below tolerance; exhaustion of the
-schedule without meeting the Cauchy tolerance is a reported outcome with
-full gap diagnostics, never an exception.
+the time loop.  :func:`solve_regularized` is the one stepper, with one
+result: a read-only (B, n_steps + 1, M) block, one row per lambda level, so
+the verification studies solve a whole decreasing schedule in one call and
+reduce the block one level at a time.  :func:`solve_mild` solves the schedule
+one level at a time and certifies the Cauchy property in sup-L^q, stopping
+at the first gap below tolerance; exhaustion of the schedule without meeting
+the Cauchy tolerance is a reported outcome with full gap diagnostics, never
+an exception.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ class SolverConfig:
         if self.q < 1 or self.r < 1 or self.r > self.q:
             raise InvalidExponents(f"need 1 <= r <= q, got q={self.q}, r={self.r}")
         sched = tuple(float(l) for l in self.lambda_schedule)
-        if not sched or any(l <= 0 for l in sched):
-            raise ValueError("lambda schedule must be positive")
+        if not sched or not all(0 < l < np.inf for l in sched):
+            raise ValueError(f"lambda must be > 0 and finite, got schedule {sched}")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("lambda schedule must be strictly decreasing")
         if not self.cauchy_tol > 0:
@@ -109,44 +108,38 @@ def solve_regularized(
     u0: GridFunction,
     path: NoisePath,
     sg: HeatSemigroup,
-) -> FieldSeries | list[FieldSeries]:
+) -> np.ndarray:
     """Trajectories of the regularized equation, stepped at path.delta.
 
-    A float lam > 0 gives one trajectory.  A 1-D array of B levels > 0 gives
-    a list of B trajectories, one per level, stepped together as one (B, M)
-    block: each step is one product with the cached S(delta)
-    (HeatSemigroup.stepper, built without the BLAS) and one resolvent over a
-    (B, 1) column of levels.  A row of the block agrees with its own
-    float-lam call to rounding (a GEMM row and a GEMV take different BLAS
+    lam is one finite level > 0 or a 1-D array of B of them.  The result is
+    one read-only (B, n_steps + 1, M) block, B = 1 for a number, whose row b
+    is the trajectory at level b.  The rows are stepped together: each step
+    is one product with the cached S(delta) (HeatSemigroup.stepper) and one
+    resolvent, which takes several levels as a (B, 1) column and one level
+    as a float, at scalar cost in the closed forms.  A block row agrees with
+    its one-level call to rounding (one row and many take different BLAS
     kernels); a call is reproducible bit for bit.
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    if lam_arr.ndim > 1 or not lam_arr.size or not np.all(lam_arr > 0):
-        raise ValueError("lambda must be > 0, a number or a nonempty 1-D array")
+    levels = np.atleast_1d(np.asarray(lam, dtype=float))
+    if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):
+        raise ValueError("lambda must be > 0 and finite, a number or a nonempty 1-D array")
     if u0.grid != sg.grid:
         raise GridMismatch("initial datum and semigroup must share a grid")
     _require_path(path, sg)
     delta = path.delta
     z = path.fields.values
-    n_steps = path.n_steps
     step = sg.stepper(delta)
-    if lam_arr.ndim:
-        shifted = lam_arr[:, None] + delta
-        out = np.empty((lam_arr.size, n_steps + 1, sg.grid.M))
-        v = np.tile(u0.values - z[0], (lam_arr.size, 1))
-    else:
-        shifted = lam + delta
-        out = np.empty((n_steps + 1, sg.grid.M))
-        v = u0.values - z[0]
-    out[..., 0, :] = u0.values
-    for n in range(n_steps):
+    shifted = float(levels[0]) + delta if levels.size == 1 else levels[:, None] + delta
+    out = np.empty((levels.size, path.n_steps + 1, sg.grid.M))
+    out[:, 0] = u0.values
+    v = np.tile(u0.values - z[0], (levels.size, 1))
+    for n in range(path.n_steps):
         r = v @ step + z[n + 1]
         w = r - delta * yosida_array(f, shifted, r)
-        out[..., n + 1, :] = w
+        out[:, n + 1] = w
         v = w - z[n + 1]
-    if lam_arr.ndim:
-        return [FieldSeries(sg.grid, traj) for traj in out]
-    return FieldSeries(sg.grid, out)
+    out.flags.writeable = False
+    return out
 
 
 def extract_g(u_traj: FieldSeries, f: MonotoneGraph, lam: float) -> FieldSeries:
@@ -169,7 +162,7 @@ def solve_mild(
     converged = False
     for lam in config.lambda_schedule:
         # one level at a time, so an early Cauchy stop skips the rest
-        current = solve_regularized(f, lam, u0, path, sg)
+        current = FieldSeries(sg.grid, solve_regularized(f, lam, u0, path, sg)[0])
         lambdas.append(lam)
         sup_norms.append(current.sup_norm(config.q))
         if prev is not None:

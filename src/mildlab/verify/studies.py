@@ -14,7 +14,9 @@ Each study measures a claim on realized solver trajectories and returns a
 
 A study over noise paths takes ``workers`` and runs one path per task on
 :func:`map_ordered`; a task sends back only that path's measurements, never
-its trajectories, and a report does not depend on ``workers``.
+its trajectories, and a report does not depend on ``workers``.  The cauchy,
+l1, moment and apriori studies solve a path's schedule as one block and
+reduce it one level (or level pair) at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import pairwise
 import numpy as np
 
 from ..errors import StudyPrecondition
-from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm
+from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm, lq_norms
 from ..noise import NoisePath, norm_ld_lqd
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
                                yosida_array)
@@ -59,12 +61,6 @@ EICONV_CELLS = 2**16
 def expected_rate(q: float) -> float:
     """Predicted Cauchy-gap exponent in lambda: 1/q for q >= 2, (q-1)/q below."""
     return 1.0 / q if q >= 2.0 else (q - 1.0) / q
-
-
-def _schedule(f: MonotoneGraph, u0: GridFunction, path: NoisePath, sg: HeatSemigroup,
-              config: SolverConfig) -> list[FieldSeries]:
-    """One trajectory per level of the schedule, stepped together in one call."""
-    return solve_regularized(f, np.asarray(config.lambda_schedule), u0, path, sg)
 
 
 def _reaches_zero(g: np.ndarray) -> int:
@@ -111,7 +107,8 @@ def cauchy_rate_study(
     )
 
     def run(path: NoisePath) -> list[float]:
-        return [(a - b).sup_norm(q) for a, b in pairwise(_schedule(f, u0, path, sg, config))]
+        block = solve_regularized(f, config.lambda_schedule, u0, path, sg)
+        return [float(np.max(lq_norms(a - b, sg.grid.h, q))) for a, b in pairwise(block)]
 
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
@@ -178,17 +175,17 @@ def l1_convergence_study(
         proxies = {m: 0.0 for m in SMALL_SET_MEASURES}
         product_sup = 0.0
         prev = prev_lam = None
-        for lam, traj in zip(sched, _schedule(f, u0, path, sg, config)):
+        for lam, traj in zip(sched, solve_regularized(f, sched, u0, path, sg)):
             if prev is not None:
                 eps = prev_lam + lam
                 diff = prev - traj
-                gam = grid.h * np.sum(big_gamma0(diff.values, eps), axis=1)
-                l1 = diff.norms(1.0)
+                gam = grid.h * np.sum(big_gamma0(diff, eps), axis=1)
+                l1 = lq_norms(diff, grid.h, 1.0)
                 gaps.append(float(np.max(l1)))
                 dev = gam - l1
                 dev_ok &= bool(np.all(dev >= -1e-12) and np.all(dev <= np.sqrt(eps) / 4 + 1e-12))
                 gamma_sups.append(float(np.max(gam)))
-            u = traj.values[:-1]
+            u = traj[:-1]
             g_vals = yosida_array(f, lam, u)
             flat = np.abs(g_vals).reshape(-1)
             for m in SMALL_SET_MEASURES:
@@ -416,14 +413,14 @@ def moment_study(
     )
 
     def run(path: NoisePath):
-        fmax = FieldSeries(grid, np.abs(section_max_abs(f, path.fields.values)))
-        fq = fmax.norms(q)
+        fq = lq_norms(section_max_abs(f, path.fields.values), grid.h, q)
         bound_base = (
             lq_norm(u0, q)
             + path.fields.sup_norm(q)
             + 4.0 * path.delta * float(np.sum(fq[:-1]))
         )
-        sups = [traj.sup_norm(q) ** p for traj in _schedule(f, u0, path, sg, config)]
+        block = solve_regularized(f, config.lambda_schedule, u0, path, sg)
+        sups = [float(np.max(lq_norms(traj, grid.h, q))) ** p for traj in block]
         return sups, bound_base**p
 
     results = map_ordered(run, paths, workers)
@@ -601,24 +598,22 @@ def apriori_constants_study(
     )
 
     def run(path: NoisePath):
-        z = path.fields
-        fmax = FieldSeries(grid, np.abs(section_max_abs(f, z.values)))
-        phi_z = FieldSeries(grid, primitive_array(f, z.values))
+        z = path.fields.values
+        fmax = section_max_abs(f, z)
+        phi_z = primitive_array(f, z)
 
         def left_sums(norms: np.ndarray) -> np.ndarray:
             # sum_{j<n} delta * norms[j] for every n
             return path.delta * np.concatenate([[0.0], np.cumsum(norms[:-1])])
 
         # the lambda-independent sides: (q, ||u0||_q, summed forcing norms)
-        linear = [(q, lq_norm(u0, q), left_sums(fmax.norms(q))) for q in qs_linear]
-        square = [(q, lq_norm(u0, q), left_sums(phi_z.norms(q / 2.0)))
+        linear = [(q, lq_norm(u0, q), left_sums(lq_norms(fmax, grid.h, q))) for q in qs_linear]
+        square = [(q, lq_norm(u0, q), left_sums(lq_norms(phi_z, grid.h, q / 2.0)))
                   for q in qs_square]
         worst_linear = worst_square = -np.inf
-        for traj in _schedule(f, u0, path, sg, config):
-            # FieldSeries.norms of v = u - z, from |v| taken once, each q once
-            abs_v = np.abs(traj.values - z.values)
-            norms = {q: (grid.h * np.sum(abs_v**q, axis=1)) ** (1.0 / q)
-                     for q in {*qs_linear, *qs_square}}
+        for traj in solve_regularized(f, config.lambda_schedule, u0, path, sg):
+            v = traj - z  # u - z at one level; each q's norms taken once
+            norms = {q: lq_norms(v, grid.h, q) for q in {*qs_linear, *qs_square}}
             for q, u0q, csum in linear:
                 worst_linear = max(worst_linear, float(np.max(norms[q] - u0q - 4.0 * csum)))
             for q, u0q, csum in square:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mildlab.errors import GridMismatch, InvalidExponent
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, big_gamma,
                                 big_gamma0, bracket_l1, duality_map, gamma_eps,
-                                lq_norm, pairing)
+                                lq_norm, lq_norms, pairing)
 
 
 class TestGridAndNorms:
@@ -262,6 +262,24 @@ class TestGammaMachinery:
             assert val - l1 <= np.sqrt(eps) / 4 + 1e-15
             prev = val
         assert big_gamma(phi, 1e-4) - l1 <= np.sqrt(1e-4) / 4
+
+
+class TestLqNorms:
+    @pytest.mark.parametrize("shape", [(257,), (5, 257), (3, 4, 257)])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_each_row_is_its_own_norm_bit_for_bit(self, rng, shape, q):
+        grid = Grid(shape[-1])
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        norms = lq_norms(values, grid.h, q)
+        assert norms.shape == shape[:-1]
+        for idx in np.ndindex(shape[:-1]):
+            row = values[idx]
+            assert norms[idx] == lq_norm(GridFunction(grid, row), q)
+            assert norms[idx] == FieldSeries(grid, row[None]).norms(q)[0]
+
+    def test_exponent_below_one_rejected(self, grid):
+        with pytest.raises(InvalidExponent):
+            lq_norms(np.ones((2, grid.M)), grid.h, 0.99)
 
 
 class TestFieldSeries:

@@ -30,9 +30,14 @@ def linear_drift_oracle(sg, c, u0, path):
     return FieldSeries(sg.grid, out @ sg.basis.T)
 
 
+def trajectory(f, lam, u0, path, sg) -> FieldSeries:
+    """The one-level trajectory: row 0 of the stepper's block."""
+    return FieldSeries(sg.grid, solve_regularized(f, lam, u0, path, sg)[0])
+
+
 class TestSolveRegularized:
     def test_zero_drift_is_heat_plus_noise(self, sg, smooth_path, sine_u0):
-        traj = solve_regularized(zero_graph(), 0.25, sine_u0, smooth_path, sg)
+        traj = trajectory(zero_graph(), 0.25, sine_u0, smooth_path, sg)
         for n in (0, 7, smooth_path.n_steps):
             want = apply_semigroup(sg, sine_u0, n * smooth_path.delta).values \
                 + smooth_path.fields.values[n]
@@ -42,11 +47,11 @@ class TestSolveRegularized:
         zero_spec = DiffusionSpec(weights=tuple(0.0 for _ in range(sg.grid.M)))
         quiet = sample_path(sg, zero_spec, 0.25, 2.0**-6, seed=1)
         u0 = GridFunction(sg.grid, np.zeros(sg.grid.M))
-        traj = solve_regularized(sign_graph(), 0.5, u0, quiet, sg)
+        traj = trajectory(sign_graph(), 0.5, u0, quiet, sg)
         assert np.max(np.abs(traj.values)) == 0.0
 
     def test_initial_condition_kept(self, sg, smooth_path, sine_u0):
-        traj = solve_regularized(power_graph(3.0), 0.1, sine_u0, smooth_path, sg)
+        traj = trajectory(power_graph(3.0), 0.1, sine_u0, smooth_path, sg)
         assert np.array_equal(traj.values[0], sine_u0.values)
 
     def test_linear_drift_oracle_refinement(self, sg, sine_u0):
@@ -56,7 +61,7 @@ class TestSolveRegularized:
             deltas = []
             for factor in (4, 2, 1):
                 p = restrict_path(fine, factor)
-                traj = solve_regularized(linear_graph(c), 1e-12, sine_u0, p, sg)
+                traj = trajectory(linear_graph(c), 1e-12, sine_u0, p, sg)
                 oracle = linear_drift_oracle(sg, c, sine_u0, p)
                 err = FieldSeries(sg.grid, traj.values - oracle.values).sup_norm(2.0)
                 errs.append(err)
@@ -78,7 +83,7 @@ class TestSolveRegularized:
         message = f"M={M}, nu={nu}"
         with pytest.raises(GridMismatch, match=message):
             solve_regularized(zero_graph(), 0.25, sine_u0, other, sg)
-        traj = solve_regularized(zero_graph(), 0.25, sine_u0, smooth_path, sg)
+        traj = trajectory(zero_graph(), 0.25, sine_u0, smooth_path, sg)
         g = extract_g(traj, zero_graph(), 0.25)
         with pytest.raises(GridMismatch, match=message):
             residual_check(traj, g, sine_u0, other, sg, 2.0)
@@ -90,8 +95,8 @@ class TestSolveRegularized:
             batch = solve_regularized(f, lams, sine_u0, smooth_path, sg)
             assert len(batch) == lams.size
             for lam, traj in zip(lams, batch):
-                alone = solve_regularized(f, float(lam), sine_u0, smooth_path, sg)
-                assert np.max(np.abs(traj.values - alone.values)) <= 1e-12, (f.name, lam)
+                alone = trajectory(f, float(lam), sine_u0, smooth_path, sg)
+                assert np.max(np.abs(traj - alone.values)) <= 1e-12, (f.name, lam)
 
     def test_split_stepper_rows_match_scalar_calls(self, drifts):
         # from SPLIT_FROM_M nodes the semigroup substep is the half-block split
@@ -103,25 +108,43 @@ class TestSolveRegularized:
         for f in (drifts["cubic"], drifts["sign"]):
             batch = solve_regularized(f, lams, u0, path, sg)
             for lam, traj in zip(lams, batch):
-                alone = solve_regularized(f, float(lam), u0, path, sg)
-                assert np.max(np.abs(traj.values - alone.values)) <= 1e-12, (f.name, lam)
+                alone = trajectory(f, float(lam), u0, path, sg)
+                assert np.max(np.abs(traj - alone.values)) <= 1e-12, (f.name, lam)
         assert len(sg._steppers) == 1 and isinstance(sg._steppers[path.delta], MirrorSplit)
 
     def test_lambda_array_call_reproducible(self, sg, smooth_path, sine_u0):
         lams = np.array([0.25, 0.125, 2.0**-6])
         a = solve_regularized(power_graph(3.0), lams, sine_u0, smooth_path, sg)
         b = solve_regularized(power_graph(3.0), lams, sine_u0, smooth_path, sg)
-        assert [t.values.tobytes() for t in a] == [t.values.tobytes() for t in b]
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("lam", [np.array([0.1, 0.0]), np.array([-0.1]),
-                                     np.array([]), np.array([[0.1]]), 0.0])
+                                     np.array([]), np.array([[0.1]]), 0.0,
+                                     np.nan, np.inf, np.array([np.inf, 0.25])])
     def test_lambda_must_be_positive_levels(self, sg, smooth_path, sine_u0, lam):
         with pytest.raises(ValueError, match="lambda must be > 0"):
             solve_regularized(sign_graph(), lam, sine_u0, smooth_path, sg)
 
+    def test_number_and_one_level_array_give_the_same_block(self, sg, smooth_path,
+                                                             sine_u0, drifts):
+        shape = (1, smooth_path.n_steps + 1, sg.grid.M)
+        for f in (drifts["cubic"], drifts["quartic"], drifts["sign"]):
+            number = solve_regularized(f, 0.125, sine_u0, smooth_path, sg)
+            array = solve_regularized(f, np.array([0.125]), sine_u0, smooth_path, sg)
+            assert number.shape == array.shape == shape
+            assert number.tobytes() == array.tobytes(), f.name
+
+    def test_result_is_one_read_only_block(self, sg, smooth_path, sine_u0):
+        lams = np.array([0.25, 0.125])
+        for lam in (0.25, lams):
+            block = solve_regularized(sign_graph(), lam, sine_u0, smooth_path, sg)
+            assert block.shape == (np.size(lam), smooth_path.n_steps + 1, sg.grid.M)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 1, 0] = 1.0
+
     def test_unconditional_stability_small_lambda(self, sg, smooth_path, sine_u0):
         # lambda far below delta: the Lipschitz constant 1/lambda dwarfs 1/delta
-        traj = solve_regularized(power_graph(3.0), 1e-10, sine_u0, smooth_path, sg)
+        traj = trajectory(power_graph(3.0), 1e-10, sine_u0, smooth_path, sg)
         assert np.max(np.abs(traj.values)) < 10.0
 
 
@@ -144,7 +167,7 @@ class TestExtractG:
     def test_growth_bound(self, sg, smooth_path, sine_u0, drifts):
         r = 2.0
         for f in drifts.values():
-            traj = solve_regularized(f, 0.05, sine_u0, smooth_path, sg)
+            traj = trajectory(f, 0.05, sine_u0, smooth_path, sg)
             g = extract_g(traj, f, 0.05)
             d = f.growth_exponent
             area = (sg.grid.h * sg.grid.M) ** (1 / r)
@@ -190,8 +213,8 @@ class TestSolveMild:
         cfg = self.config(cauchy_tol=1e-12, r=1.5)
         for f in (drifts["cubic"], drifts["sign"]):
             for lam in cfg.lambda_schedule:
-                ta = solve_regularized(f, lam, u0a, smooth_path, sg)
-                tb = solve_regularized(f, lam, u0b, smooth_path, sg)
+                ta = trajectory(f, lam, u0a, smooth_path, sg)
+                tb = trajectory(f, lam, u0b, smooth_path, sg)
                 for r in (1.0, 1.5, 2.0):
                     num = FieldSeries(sg.grid, ta.values - tb.values).sup_norm(r)
                     den = lq_norm(u0a - u0b, r)
@@ -213,13 +236,16 @@ class TestSolveMild:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
             SolverConfig(lambda_schedule=(0.1, 0.2))
+        for schedule in [(np.nan,), (np.inf, 0.25)]:
+            with pytest.raises(ValueError, match="lambda must be > 0"):
+                SolverConfig(lambda_schedule=schedule)
         with pytest.raises(InvalidExponents):
             SolverConfig(q=2.0, r=3.0)
 
 
 class TestResidual:
     def test_zero_drift_residual_zero(self, sg, smooth_path, sine_u0):
-        traj = solve_regularized(zero_graph(), 0.25, sine_u0, smooth_path, sg)
+        traj = trajectory(zero_graph(), 0.25, sine_u0, smooth_path, sg)
         g = extract_g(traj, zero_graph(), 0.25)
         assert residual_check(traj, g, sine_u0, smooth_path, sg, 2.0) <= 1e-12
 
@@ -229,14 +255,14 @@ class TestResidual:
         res = []
         for factor in (2, 1):
             p = restrict_path(fine, factor)
-            traj = solve_regularized(f, 2.0**-12, sine_u0, p, sg)
+            traj = trajectory(f, 2.0**-12, sine_u0, p, sg)
             g = extract_g(traj, f, 2.0**-12)
             res.append(residual_check(traj, g, sine_u0, p, sg, 2.0))
         assert 1.5 <= res[0] / res[1] <= 2.5
 
     def test_perturbed_g_detected(self, sg, smooth_path, sine_u0):
         f = power_graph(3.0)
-        traj = solve_regularized(f, 0.01, sine_u0, smooth_path, sg)
+        traj = trajectory(f, 0.01, sine_u0, smooth_path, sg)
         g = extract_g(traj, f, 0.01)
         clean = residual_check(traj, g, sine_u0, smooth_path, sg, 2.0)
         bad = FieldSeries(sg.grid, g.values + 1.0)
@@ -253,13 +279,13 @@ class TestInclusion:
     def test_converged_cubic_run(self, sg, smooth_path, sine_u0):
         f = power_graph(3.0)
         lam = 2.0**-16
-        traj = solve_regularized(f, lam, sine_u0, smooth_path, sg)
+        traj = trajectory(f, lam, sine_u0, smooth_path, sg)
         g = extract_g(traj, f, lam)
         assert inclusion_check(traj, g, f, 1e-4) >= 0.999
 
     def test_shifted_g_fails(self, sg, smooth_path, sine_u0):
         f = power_graph(3.0)
-        traj = solve_regularized(f, 0.01, sine_u0, smooth_path, sg)
+        traj = trajectory(f, 0.01, sine_u0, smooth_path, sg)
         g = extract_g(traj, f, 0.01)
         shifted = FieldSeries(sg.grid, g.values + 1.0)
         assert inclusion_check(traj, shifted, f, 1e-4) <= 0.01
