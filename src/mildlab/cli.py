@@ -99,7 +99,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     solver_cfg = cfg.solver_config()
 
     def solve(i: int, path) -> bool:
-        sol = solve_mild(graph, u0, path, sg, solver_cfg)
+        sol = solve_mild(graph, u0, path, solver_cfg)
         export_series_csv(sol.u, path.times, out / f"solution{i}_u.csv")
         export_series_csv(sol.g, path.times, out / f"solution{i}_g.csv")
         run_record = {
@@ -143,11 +143,10 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     solver_cfg = cfg.solver_config()
     if name == "cauchy":
         paths = _paths(cfg, sg, params["n_paths"])
-        return cauchy_rate_study(graph, params["q"], paths, sg, solver_cfg, u0,
-                                 workers=workers)
+        return cauchy_rate_study(graph, params["q"], paths, solver_cfg, u0, workers=workers)
     if name == "l1":
         paths = _paths(cfg, sg, params["n_paths"])
-        return l1_convergence_study(graph, paths, sg, solver_cfg, u0, workers=workers)
+        return l1_convergence_study(graph, paths, solver_cfg, u0, workers=workers)
     if name == "chain_rule":
         return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
                                 T=cfg.T, deltas=tuple(params["deltas"]))
@@ -157,23 +156,21 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
         paths = _paths(cfg, sg, params["n_paths"])
-        return moment_study(graph, params["q"], cfg.p, paths, sg, solver_cfg, u0,
+        return moment_study(graph, params["q"], cfg.p, paths, solver_cfg, u0,
                             workers=workers)
     if name == "propagation":
         paths = _paths(cfg, sg, params["n_paths"])
-        return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, sg,
-                                 solver_cfg, u0,
+        return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, solver_cfg, u0,
                                  frozen_constant=params["frozen_constant"],
                                  workers=workers)
     if name == "contraction_extension":
         path = _paths(cfg, sg, 1)[0]
-        return contraction_extension_study(graph, cfg.q, path, sg, solver_cfg,
-                                           workers=workers)
+        return contraction_extension_study(graph, cfg.q, path, solver_cfg, workers=workers)
     if name == "apriori":
         paths = _paths(cfg, sg, params["n_paths"])
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
-                                       tuple(params["qs_square"]), paths, sg,
-                                       solver_cfg, u0, workers=workers)
+                                       tuple(params["qs_square"]), paths, solver_cfg, u0,
+                                       workers=workers)
     raise MildlabError(f"unknown study {name!r}")
 
 

@@ -362,6 +362,8 @@ def parse_config(text: str) -> RunConfig:
             deltas = checked.get("deltas")   # chain_rule's refinement steps
             if None not in (deltas, T) and not (deltas and all(_divides(d, T) for d in deltas)):
                 problems.append(f"studies.{name}.deltas: must be nonempty, each dividing T")
+            if name == "apriori" and checked["qs_linear"] == checked["qs_square"] == []:
+                problems.append("studies.apriori: qs_linear and qs_square must not both be empty")
 
     if problems:
         raise ValidationError(problems)

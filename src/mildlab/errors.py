@@ -18,7 +18,7 @@ class NoConvergence(MildlabError):
 
 
 class GridMismatch(MildlabError):
-    """Two grid functions live on different grids, or a noise path on another semigroup."""
+    """Two grid functions live on different grids."""
 
 
 class InvalidExponent(MildlabError):

@@ -209,10 +209,15 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray
     steps otherwise, never closer than one ulp to an end.  Each element stops
     on its own, once g = 0 there or its bracket is at most two ulps wide, so
     its result does not depend on the other elements.
+
+    An end where the branch is not finite is pulled toward the other end by
+    bisection until it is finite and past the root; only a root beyond the
+    branch's finite part raises, naming the first non-finite value met.
     """
     every_gap = np.arange(len(fns) + 1)
+    met = []  # the error for each non-finite value met, in order
 
-    def g(y, x, gap):
+    def g(y, x, gap, lenient=False):
         fy = np.empty_like(y)
         bounds = np.searchsorted(gap, every_gap)
         for fn, start, stop in zip(fns, bounds[:-1], bounds[1:]):
@@ -221,11 +226,36 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray
         gy = y + lam * fy - x
         if not np.isfinite(gy).all():
             k = np.flatnonzero(~np.isfinite(gy))[0]
-            raise _non_finite(what, gap[k], y[k], fy[k])
+            met.append(_non_finite(what, gap[k], y[k], fy[k]))
+            if not lenient:
+                raise met[-1]
         return gy
 
+    def pull_in(end, f_end, near, sign):
+        """end and g(end), each non-finite end bisected toward near until g is finite
+        and sign * g >= 0 there."""
+        end, f_end = end.copy(), f_end.copy()
+        idx = np.flatnonzero(~np.isfinite(f_end))
+        far, near = end[idx], near[idx]
+        while idx.size:
+            if np.any(np.abs(far - near) <= 2.0 * np.spacing(np.fmax(np.abs(far), np.abs(near)))):
+                raise met[0]  # the root lies beyond the branch's finite part
+            mid = 0.5 * near + 0.5 * far  # no overflow, so mid stays finite
+            gm = g(mid, x[idx], gap[idx], lenient=True)
+            finite = np.isfinite(gm)
+            done = finite & (sign * gm >= 0.0)
+            end[idx[done]], f_end[idx[done]] = mid[done], gm[done]
+            far, near = np.where(finite, far, mid), np.where(finite, mid, near)
+            idx, far, near = idx[~done], far[~done], near[~done]
+        return end, f_end
+
     y1, y2 = lo, hi
-    f1, f2 = g(y1, x, gap), g(y2, x, gap)
+    f1, f2 = g(y1, x, gap, lenient=True), g(y2, x, gap, lenient=True)
+    if met:
+        if (~np.isfinite(f1) & ~np.isfinite(f2)).any():
+            raise met[0]
+        y1, f1 = pull_in(y1, f1, y2, -1.0)
+        y2, f2 = pull_in(y2, f2, y1, 1.0)
     # Rounding can leave an end a hair short of the root.  g(y) - y is
     # nondecreasing, so y - 2*g(y) bounds the root from the other side.
     short1, short2 = f1 > 0.0, f2 < 0.0

@@ -17,6 +17,10 @@ The scheme is unconditionally stable in delta (every substep is a pointwise
 contraction), which matters because f_lam has Lipschitz constant 1/lam along
 the continuation schedule.
 
+z = S<>B and the S that steps v are one object, so every function here takes
+S from the noise path (path.sg) and the step from path.delta; the one input
+check left is the initial datum's grid against the path's.
+
 The semigroup substep is one product with the cached operator S(delta) =
 exp(-delta A) (HeatSemigroup.stepper: the dense matrix, or from
 SPLIT_FROM_M nodes its two mirror half blocks), fetched once per call before
@@ -41,7 +45,7 @@ from .errors import GridMismatch, InvalidExponents
 from .grid_space import FieldSeries, GridFunction
 from .noise import NoisePath
 from .scalar_monotone import MonotoneGraph, yosida_array
-from .semigroup import HeatSemigroup, convolve_series, semigroup_series
+from .semigroup import convolve_series, semigroup_series
 
 __all__ = [
     "SolverConfig",
@@ -95,26 +99,18 @@ class MildSolution:
     sup_norms: list[float]     # sup-L^q norm of each iterate
 
 
-def _require_path(path: NoisePath, sg: HeatSemigroup) -> None:
-    """Reject a path sampled with another semigroup: its z is not this one's S<>B."""
-    if path.sg.grid != sg.grid or path.sg.nu != sg.nu:
-        raise GridMismatch(f"noise path was sampled with M={path.grid.M}, nu={path.sg.nu}; "
-                           f"the semigroup has M={sg.grid.M}, nu={sg.nu}")
-
-
 def solve_regularized(
     f: MonotoneGraph,
     lam: float | np.ndarray,
     u0: GridFunction,
     path: NoisePath,
-    sg: HeatSemigroup,
 ) -> np.ndarray:
     """Trajectories of the regularized equation, stepped at path.delta.
 
     lam is one finite level > 0 or a 1-D array of B of them.  The result is
     one read-only (B, n_steps + 1, M) block, B = 1 for a number, whose row b
     is the trajectory at level b.  The rows are stepped together: each step
-    is one product with the cached S(delta) (HeatSemigroup.stepper) and one
+    is one product with the path's cached S(delta) (path.sg.stepper) and one
     resolvent, which takes several levels as a (B, 1) column and one level
     as a float, at scalar cost in the closed forms.  A block row agrees with
     its one-level call to rounding (one row and many take different BLAS
@@ -123,14 +119,13 @@ def solve_regularized(
     levels = np.atleast_1d(np.asarray(lam, dtype=float))
     if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):
         raise ValueError("lambda must be > 0 and finite, a number or a nonempty 1-D array")
-    if u0.grid != sg.grid:
-        raise GridMismatch("initial datum and semigroup must share a grid")
-    _require_path(path, sg)
+    if u0.grid != path.grid:
+        raise GridMismatch(f"initial datum has M={u0.grid.M}, the noise path M={path.grid.M}")
     delta = path.delta
     z = path.fields.values
-    step = sg.stepper(delta)
+    step = path.sg.stepper(delta)
     shifted = float(levels[0]) + delta if levels.size == 1 else levels[:, None] + delta
-    out = np.empty((levels.size, path.n_steps + 1, sg.grid.M))
+    out = np.empty((levels.size, path.n_steps + 1, path.grid.M))
     out[:, 0] = u0.values
     v = np.tile(u0.values - z[0], (levels.size, 1))
     for n in range(path.n_steps):
@@ -151,7 +146,6 @@ def solve_mild(
     f: MonotoneGraph,
     u0: GridFunction,
     path: NoisePath,
-    sg: HeatSemigroup,
     config: SolverConfig,
 ) -> MildSolution:
     """Run the lambda continuation and certify the final iterate."""
@@ -162,7 +156,7 @@ def solve_mild(
     converged = False
     for lam in config.lambda_schedule:
         # one level at a time, so an early Cauchy stop skips the rest
-        current = FieldSeries(sg.grid, solve_regularized(f, lam, u0, path, sg)[0])
+        current = FieldSeries(u0.grid, solve_regularized(f, lam, u0, path)[0])
         lambdas.append(lam)
         sup_norms.append(current.sup_norm(config.q))
         if prev is not None:
@@ -174,7 +168,7 @@ def solve_mild(
         prev = current
     final_lambda = lambdas[-1]
     g = extract_g(current, f, final_lambda)
-    res = residual_check(current, g, u0, path, sg, config.r)
+    res = residual_check(current, g, u0, path, config.r)
     return MildSolution(
         u=current,
         g=g,
@@ -192,15 +186,13 @@ def residual_check(
     g_traj: FieldSeries,
     u0: GridFunction,
     path: NoisePath,
-    sg: HeatSemigroup,
     r: float,
 ) -> float:
-    """sup_n || u(t_n) + (S*g)(t_n) - S(t_n) u_0 - z(t_n) ||_r."""
-    _require_path(path, sg)
-    conv = convolve_series(sg, g_traj, path.delta)
-    su0 = semigroup_series(sg, u0, path.times)
+    """sup_n || u(t_n) + (S*g)(t_n) - S(t_n) u_0 - z(t_n) ||_r, S = path.sg."""
+    conv = convolve_series(path.sg, g_traj, path.delta)
+    su0 = semigroup_series(path.sg, u0, path.times)
     defect = u_traj.values + conv.values - su0.values - path.fields.values
-    return FieldSeries(sg.grid, defect).sup_norm(r)
+    return FieldSeries(path.grid, defect).sup_norm(r)
 
 
 def inclusion_check(

@@ -210,14 +210,14 @@ def _noise_solver_checks(sg: HeatSemigroup, seed: int) -> list[InvariantCheck]:
     checks.append(InvariantCheck(
         "noise_zero_weights", float(np.max(np.abs(pz.mode_values))), 0.0))
     u0 = GridFunction(grid, np.sin(np.pi * grid.nodes))
-    traj = solve_regularized(zero_graph(), 0.25, u0, p1, sg)[0]
+    traj = solve_regularized(zero_graph(), 0.25, u0, p1)[0]
     n = p1.n_steps // 2
     expect = apply_semigroup(sg, u0, n * delta).values + p1.fields.values[n]
     checks.append(InvariantCheck(
         "solver_linear_case_exact",
         float(np.max(np.abs(traj[n] - expect))), 1e-12))
     rest = solve_regularized(TEST_DRIFTS()["sign"], 0.25,
-                             GridFunction(grid, np.zeros(grid.M)), pz, sg)
+                             GridFunction(grid, np.zeros(grid.M)), pz)
     checks.append(InvariantCheck(
         "solver_rest_state", float(np.max(np.abs(rest))), 0.0))
     return checks

@@ -12,7 +12,12 @@ Each study measures a claim on realized solver trajectories and returns a
   designated calibration run, frozen into the report, and regression-tested
   on the remaining runs.
 
-A study over noise paths takes ``workers`` and runs one path per task on
+A study over noise paths steps each path with that path's own semigroup
+(path.sg) and takes the cell width h from u0's grid (contraction_extension,
+which builds its data, from the path's), so it takes no semigroup argument;
+chain_rule, which has no path, takes one.
+
+Such a study takes ``workers`` and runs one path per task on
 :func:`map_ordered`; a task sends back only that path's measurements, never
 its trajectories, and a report does not depend on ``workers``.  The cauchy,
 l1, moment and apriori studies solve a path's schedule as one block and
@@ -80,7 +85,6 @@ def cauchy_rate_study(
     f: MonotoneGraph,
     q: float,
     paths: list[NoisePath],
-    sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -107,8 +111,8 @@ def cauchy_rate_study(
     )
 
     def run(path: NoisePath) -> list[float]:
-        block = solve_regularized(f, config.lambda_schedule, u0, path, sg)
-        return [float(np.max(lq_norms(a - b, sg.grid.h, q))) for a, b in pairwise(block)]
+        block = solve_regularized(f, config.lambda_schedule, u0, path)
+        return [float(np.max(lq_norms(a - b, u0.grid.h, q))) for a, b in pairwise(block)]
 
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
@@ -140,7 +144,6 @@ def cauchy_rate_study(
 def l1_convergence_study(
     f: MonotoneGraph,
     paths: list[NoisePath],
-    sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -166,7 +169,7 @@ def l1_convergence_study(
         },
         thresholds={"cauchy_tol": config.cauchy_tol},
     )
-    grid = sg.grid
+    grid = u0.grid
     sched = config.lambda_schedule
 
     def run(path: NoisePath):
@@ -175,7 +178,7 @@ def l1_convergence_study(
         proxies = {m: 0.0 for m in SMALL_SET_MEASURES}
         product_sup = 0.0
         prev = prev_lam = None
-        for lam, traj in zip(sched, solve_regularized(f, sched, u0, path, sg)):
+        for lam, traj in zip(sched, solve_regularized(f, sched, u0, path)):
             if prev is not None:
                 eps = prev_lam + lam
                 diff = prev - traj
@@ -383,7 +386,6 @@ def moment_study(
     q: float,
     p: float,
     paths: list[NoisePath],
-    sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -396,7 +398,7 @@ def moment_study(
     """
     if len(paths) < 100:
         raise StudyPrecondition("moment study needs at least 100 paths")
-    grid = sg.grid
+    grid = u0.grid
     report = StudyReport(
         study="moment_stability",
         claim="E sup_t ||u_lam||_q^p is lambda-independent within Monte Carlo "
@@ -419,7 +421,7 @@ def moment_study(
             + path.fields.sup_norm(q)
             + 4.0 * path.delta * float(np.sum(fq[:-1]))
         )
-        block = solve_regularized(f, config.lambda_schedule, u0, path, sg)
+        block = solve_regularized(f, config.lambda_schedule, u0, path)
         sups = [float(np.max(lq_norms(traj, grid.h, q))) ** p for traj in block]
         return sups, bound_base**p
 
@@ -453,7 +455,6 @@ def propagation_study(
     r: float,
     d: float,
     paths: list[NoisePath],
-    sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
     frozen_constant: float | None = None,
@@ -484,7 +485,7 @@ def propagation_study(
 
     def run(path: NoisePath):
         xi = path.fields.sup_norm(qs) + norm_ld_lqd(path, d, qs) ** d
-        sol = solve_mild(f, u0, path, sg, config)
+        sol = solve_mild(f, u0, path, config)
         m = sol.u.sup_norm(qs)
         return xi, m
 
@@ -512,7 +513,6 @@ def contraction_extension_study(
     f: MonotoneGraph,
     q: float,
     path: NoisePath,
-    sg: HeatSemigroup,
     config: SolverConfig,
     truncation_levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0),
     workers: int = 1,
@@ -523,7 +523,7 @@ def contraction_extension_study(
     at increasing levels are bounded, and the solutions they produce must be
     Cauchy with sup-L^q gaps dominated by the initial-datum gaps.
     """
-    grid = sg.grid
+    grid = path.grid
     spike = grid.nodes ** (-1.0 / (q + SPIKE_MARGIN))
     data = [GridFunction(grid, np.minimum(spike, m)) for m in truncation_levels]
     report = StudyReport(
@@ -538,7 +538,7 @@ def contraction_extension_study(
         thresholds={"slack": 1e-10, "uniqueness_tol": 2.0 * config.cauchy_tol},
     )
     sols = map_ordered(
-        lambda u0: solve_mild(f, u0, path, sg, config), data, workers
+        lambda u0: solve_mild(f, u0, path, config), data, workers
     )
     data_gaps = [lq_norm(b - a, q) for a, b in zip(data, data[1:])]
     sol_gaps = [(b.u - a.u).sup_norm(q) for a, b in zip(sols, sols[1:])]
@@ -555,7 +555,7 @@ def contraction_extension_study(
     for ratio in (2.0, 3.0):
         sched = tuple(lam0 * ratio**-j for j in range(24))
         probe_config = dataclasses.replace(config, lambda_schedule=sched)
-        probes.append(solve_mild(f, data[-1], path, sg, probe_config))
+        probes.append(solve_mild(f, data[-1], path, probe_config))
     drift_gap = (probes[0].u - probes[1].u).sup_norm(q)
     report.fitted["independent_schedule_gap"] = drift_gap
     both_converged = probes[0].converged and probes[1].converged
@@ -570,7 +570,6 @@ def apriori_constants_study(
     qs_linear: tuple[float, ...],
     qs_square: tuple[float, ...],
     paths: list[NoisePath],
-    sg: HeatSemigroup,
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -582,7 +581,9 @@ def apriori_constants_study(
     Squared form (every q in qs_square, q >= 2):
         ||v(t_n)||_q^2 <= ||u0||_q^2 + 2 sum_{j<n} delta ||phi(z(t_j))||_{q/2} + slack
     """
-    grid = sg.grid
+    if not (qs_linear or qs_square):
+        raise StudyPrecondition("apriori study needs at least one q in qs_linear or qs_square")
+    grid = u0.grid
     report = StudyReport(
         study="apriori_constants",
         claim="explicit constant-4 and constant-2 a-priori inequalities hold "
@@ -611,7 +612,7 @@ def apriori_constants_study(
         square = [(q, lq_norm(u0, q), left_sums(lq_norms(phi_z, grid.h, q / 2.0)))
                   for q in qs_square]
         worst_linear = worst_square = -np.inf
-        for traj in solve_regularized(f, config.lambda_schedule, u0, path, sg):
+        for traj in solve_regularized(f, config.lambda_schedule, u0, path):
             v = traj - z  # u - z at one level; each q's norms taken once
             norms = {q: lq_norms(v, grid.h, q) for q in {*qs_linear, *qs_square}}
             for q, u0q, csum in linear:

@@ -52,7 +52,7 @@ def sweep_reports(lab):
     reports = {}
     for graph in (power_graph(3.0), sign_graph(), sign_plus_linear_graph()):
         reports[graph.name] = apriori_constants_study(
-            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, sg, config, u0)
+            graph, (1.5, 2.0, 3.0), (2.0, 4.0), paths, config, u0)
     return reports
 
 
@@ -216,7 +216,7 @@ def test_criterion_08_cauchy_rates(lab):
     for graph, q, floor in cases:
         config = SolverConfig(q=q, r=q,
                               lambda_schedule=SCHEDULE7, cauchy_tol=1e-14)
-        rep = cauchy_rate_study(graph, q, paths, sg, config, u0)
+        rep = cauchy_rate_study(graph, q, paths, config, u0)
         assert rep.checks["gaps_strictly_decreasing"], graph.name
         assert rep.fitted["min_slope"] >= floor, (graph.name, rep.fitted)
     elapsed = time.time() - start
@@ -238,8 +238,8 @@ def test_criterion_09_contraction(lab):
     worst = 0.0
     lams = np.asarray(SCHEDULE7)  # every lambda; the last iterate is the limit surrogate
     for path in paths:
-        for ta, tb in zip(solve_regularized(graph, lams, u0a, path, sg),
-                          solve_regularized(graph, lams, u0b, path, sg)):
+        for ta, tb in zip(solve_regularized(graph, lams, u0a, path),
+                          solve_regularized(graph, lams, u0b, path)):
             for r in (1.0, 1.5, 2.0):
                 num = FieldSeries(grid, ta - tb).sup_norm(r)
                 ratio = num / lq_norm(u0a - u0b, r)
@@ -261,7 +261,7 @@ def test_criterion_10_linear_drift_oracle(lab):
         errs = []
         for factor in (4, 2, 1):  # delta = 2^-9, 2^-10, 2^-11
             p = restrict_path(fine, factor)
-            traj = solve_regularized(linear_graph(c), 1e-12, u0, p, sg)[0]
+            traj = solve_regularized(linear_graph(c), 1e-12, u0, p)[0]
             oracle = linear_drift_oracle(sg, c, u0, p)
             err = FieldSeries(grid, traj - oracle.values).sup_norm(2.0)
             errs.append(err)
@@ -281,10 +281,10 @@ def test_criterion_11_mild_identity_and_inclusion(lab):
     u0 = GridFunction(grid, 0.5 * np.sin(np.pi * grid.nodes))
     fine = sample_path(sg, DiffusionSpec(c=1.0, gamma=2.0), 1.0, 2.0**-11, seed=808)
     sched = tuple(0.25 * 2.0**-j for j in range(15))  # down to 2^-16
-    cal = solve_mild(cubic, u0, restrict_path(fine, 8), sg,
+    cal = solve_mild(cubic, u0, restrict_path(fine, 8),
                      SolverConfig(q=2., r=2.,
                                   lambda_schedule=sched, cauchy_tol=1e-14))
-    run = solve_mild(cubic, u0, restrict_path(fine, 2), sg,
+    run = solve_mild(cubic, u0, restrict_path(fine, 2),
                      SolverConfig(q=2., r=2.,
                                   lambda_schedule=sched, cauchy_tol=1e-14))
     budget_constant = cal.residual / 2.0**-8
@@ -295,10 +295,10 @@ def test_criterion_11_mild_identity_and_inclusion(lab):
     u0s = GridFunction(grid, np.sin(np.pi * grid.nodes))
     fine_s = sample_path(sg, DiffusionSpec(c=2.0, gamma=2.0), 1.0, 2.0**-11, seed=809)
     sched17 = tuple(0.25 * 2.0**-j for j in range(16))
-    cal_s = solve_mild(sgn, u0s, restrict_path(fine_s, 8), sg,
+    cal_s = solve_mild(sgn, u0s, restrict_path(fine_s, 8),
                        SolverConfig(q=2., r=2.,
                                     lambda_schedule=sched17, cauchy_tol=1e-14))
-    run_s = solve_mild(sgn, u0s, restrict_path(fine_s, 2), sg,
+    run_s = solve_mild(sgn, u0s, restrict_path(fine_s, 2),
                        SolverConfig(q=2., r=2.,
                                     lambda_schedule=sched17, cauchy_tol=1e-14))
     assert run_s.residual <= 10.0 * (cal_s.residual / 2.0**-8) * 2.0**-10
@@ -318,7 +318,7 @@ def test_criterion_12_l1_study(lab):
     config = SolverConfig(q=2.0, r=1.0,
                           lambda_schedule=tuple(0.25 * 2.0**-j for j in range(15)),
                           cauchy_tol=1e-3)
-    rep = l1_convergence_study(sign_graph(), paths, sg, config, u0)
+    rep = l1_convergence_study(sign_graph(), paths, config, u0)
     assert rep.verdict == "pass"
     assert rep.checks["gaps_decrease_below_tol"]
     assert rep.checks["gamma_deviation_within_quarter_sqrt_eps"]

@@ -304,6 +304,8 @@ class TestCli:
          "studies.apriori.qs_linear: must be a list of numbers, each >= 1"),
         ("study apriori", '{"studies": {"apriori": {"qs_square": [1.0]}}}',
          "studies.apriori.qs_square: must be a list of numbers, each >= 2"),
+        ("study apriori", '{"studies": {"apriori": {"qs_linear": [], "qs_square": []}}}',
+         "studies.apriori: qs_linear and qs_square must not both be empty"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                         command, text, message):
@@ -484,10 +486,10 @@ class TestCli:
         failing = int(path_seeds(12, 4)[1])
         solve_mild = mildlab.cli.solve_mild
 
-        def fail_on_path_1(f, u0, path, sg, config):
+        def fail_on_path_1(f, u0, path, config):
             if path.seed == failing:
                 raise NoConvergence(f"path {path.seed} did not converge")
-            return solve_mild(f, u0, path, sg, config)
+            return solve_mild(f, u0, path, config)
 
         monkeypatch.setattr(mildlab.cli, "solve_mild", fail_on_path_1)  # forked children see it
         errors = []
@@ -517,10 +519,10 @@ class TestCli:
         failing = int(path_seeds(12, 3)[1])
         solve_regularized = studies.solve_regularized
 
-        def fail_on_path_1(f, lam, u0, path, sg):
+        def fail_on_path_1(f, lam, u0, path):
             if path.seed == failing:
                 raise NoConvergence(f"path {path.seed} did not converge")
-            return solve_regularized(f, lam, u0, path, sg)
+            return solve_regularized(f, lam, u0, path)
 
         monkeypatch.setattr(studies, "solve_regularized", fail_on_path_1)  # forked children see it
         errors = []

@@ -314,6 +314,17 @@ class TestResolvent:
         assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
                                   "value f(y) = nan at y = 29.0 on knot gap 1")
 
+    def test_root_where_the_branch_is_finite_resolves(self):
+        # the brackets of x = 12, 16, 17 reach y = 11, 15, 16, where the branch is
+        # nan, but each root lies where it is finite: the far end is pulled in
+        f = piecewise_graph("capped", [0.0], [lambda x: x - 1.0, lambda x: np.where(
+            np.abs(x) > 8.0, np.nan, x + 1.0)], 1.0, 2.0)
+        got = resolvent_array(f, 1.0, np.array([12.0, 16.0, 17.0, 7.0]))
+        want = np.array([5.5, 7.5, 8.0, 3.0])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+        # at lam = 1/2 the root 23/3 lies past the first finite midpoint 5.75
+        assert abs(resolvent_array(f, 0.5, 12.0) - 23.0 / 3.0) <= 2.0 * np.spacing(23.0 / 3.0)
+
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)
     def test_contraction(self, x, y, lam):

@@ -39,14 +39,14 @@ def small():
 class TestCauchyStudy:
     def test_cubic_passes(self, small):
         grid, sg, paths, u0, config = small
-        rep = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0)
+        rep = cauchy_rate_study(power_graph(3.0), 2.0, paths, config, u0)
         assert rep.verdict == "pass"
         assert rep.fitted["min_slope"] >= 0.35
         assert rep.checks["gaps_strictly_decreasing"]
 
     def test_degenerate_drift_passes_with_zero_gaps(self, small):
         grid, sg, paths, u0, config = small
-        rep = cauchy_rate_study(zero_graph(), 2.0, paths, sg, config, u0)
+        rep = cauchy_rate_study(zero_graph(), 2.0, paths, config, u0)
         assert rep.verdict == "pass"
         for i in range(len(paths)):
             assert np.max(rep.series[f"gaps_path{i}"]) <= 1e-10
@@ -57,12 +57,12 @@ class TestCauchyStudy:
         grid, sg, paths, u0, config = small
         short = dataclasses.replace(config, lambda_schedule=SCHEDULE[:levels])
         with pytest.raises(StudyPrecondition, match="at least 3 lambda levels"):
-            cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, short, u0)
+            cauchy_rate_study(power_graph(3.0), 2.0, paths, short, u0)
 
     def test_rerun_identical(self, small):
         grid, sg, paths, u0, config = small
-        a = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0)
-        b = cauchy_rate_study(power_graph(3.0), 2.0, paths, sg, config, u0)
+        a = cauchy_rate_study(power_graph(3.0), 2.0, paths, config, u0)
+        b = cauchy_rate_study(power_graph(3.0), 2.0, paths, config, u0)
         assert a.to_json() == b.to_json()
 
 
@@ -80,14 +80,14 @@ class TestGapsReachingZero:
 
     def test_l1_study_passes(self, exact):
         sg, paths, u0, config = exact
-        rep = l1_convergence_study(sign_graph(), paths, sg, config, u0)
+        rep = l1_convergence_study(sign_graph(), paths, config, u0)
         assert rep.series["gaps_path0"][-1] == 0.0
         assert rep.checks["gaps_decrease_below_tol"]
         assert rep.verdict == "pass"
 
     def test_cauchy_study_passes(self, exact):
         sg, paths, u0, config = exact
-        rep = cauchy_rate_study(sign_graph(), 2.0, paths, sg, config, u0)
+        rep = cauchy_rate_study(sign_graph(), 2.0, paths, config, u0)
         assert rep.series["gaps_path0"][-1] == 0.0
         assert rep.checks["gaps_strictly_decreasing"]
         assert rep.fitted["min_slope"] >= 0.35  # fitted on the gaps above zero
@@ -100,7 +100,7 @@ class TestL1Study:
         cfg = SolverConfig(q=2.0, r=2.0,
                            lambda_schedule=tuple(0.25 * 2.0**-j for j in range(13)),
                            cauchy_tol=1e-3)
-        rep = l1_convergence_study(sign_graph(), paths[:2], sg, cfg, u0)
+        rep = l1_convergence_study(sign_graph(), paths[:2], cfg, u0)
         assert rep.verdict == "pass"
         assert rep.checks["gamma_deviation_within_quarter_sqrt_eps"]
         # bounded drift: small-set integral is at most the set measure
@@ -114,17 +114,17 @@ class TestL1Study:
     def test_unbounded_drift_rejected(self, small):
         grid, sg, paths, u0, config = small
         with pytest.raises(StudyPrecondition, match="bounded drift"):
-            l1_convergence_study(power_graph(3.0), paths, sg, config, u0)
+            l1_convergence_study(power_graph(3.0), paths, config, u0)
 
     def test_single_level_rejected(self, small):
         grid, sg, paths, u0, config = small
         short = dataclasses.replace(config, lambda_schedule=SCHEDULE[:1])
         with pytest.raises(StudyPrecondition, match="at least 2 lambda levels"):
-            l1_convergence_study(sign_graph(), paths, sg, short, u0)
+            l1_convergence_study(sign_graph(), paths, short, u0)
 
     def test_degenerate_drift(self, small):
         grid, sg, paths, u0, config = small
-        rep = l1_convergence_study(zero_graph(), paths[:1], sg, config, u0)
+        rep = l1_convergence_study(zero_graph(), paths[:1], config, u0)
         assert rep.verdict == "pass"
         assert np.max(rep.series["gaps_path0"]) <= 1e-10
 
@@ -215,7 +215,7 @@ class TestMoment:
     def test_needs_hundred_paths(self, small):
         grid, sg, paths, u0, config = small
         with pytest.raises(StudyPrecondition, match="100"):
-            moment_study(power_graph(3.0), 2.0, 2.0, paths, sg, config, u0)
+            moment_study(power_graph(3.0), 2.0, 2.0, paths, config, u0)
 
     def test_lambda_stable_and_bounded(self, small):
         grid, sg, _, u0, _ = small
@@ -225,7 +225,7 @@ class TestMoment:
                  for s in path_seeds(77, 100)]
         config = SolverConfig(q=2.0, r=2.0,
                               lambda_schedule=SCHEDULE[:4], cauchy_tol=1e-3)
-        rep = moment_study(power_graph(3.0), 2.0, 2.0, paths, sg, config, u0)
+        rep = moment_study(power_graph(3.0), 2.0, 2.0, paths, config, u0)
         assert rep.verdict == "pass"
         assert len(rep.series["estimates"]) == 4
 
@@ -237,7 +237,7 @@ class TestMoment:
                  for s in path_seeds(78, 100)]
         config = SolverConfig(q=2.0, r=2.0,
                               lambda_schedule=SCHEDULE[:3], cauchy_tol=1e-3)
-        rep = moment_study(zero_graph(), 2.0, 2.0, paths, sg, config, u0)
+        rep = moment_study(zero_graph(), 2.0, 2.0, paths, config, u0)
         assert rep.verdict == "pass"
         ests = rep.series["estimates"]
         assert max(ests) - min(ests) <= 1e-12
@@ -246,38 +246,38 @@ class TestMoment:
 class TestPropagation:
     def test_calibrate_then_regression(self, small):
         grid, sg, paths, u0, config = small
-        cal = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths, sg,
+        cal = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths,
                                 config, u0)
         assert cal.inputs["qstar"] == 6.0
         assert cal.inputs["mode"] == "calibration"
         assert cal.verdict == "pass"
         frozen = cal.fitted["frozen_constant"]
-        reg = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths, sg,
+        reg = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths,
                                 config, u0, frozen_constant=frozen)
         assert reg.inputs["mode"] == "regression"
         assert reg.verdict == "pass"
-        tight = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths, sg,
+        tight = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths,
                                   config, u0, frozen_constant=frozen / 2.0)
         assert tight.verdict == "fail"
 
     def test_qstar_below_q_rejected(self, small):
         grid, sg, paths, u0, config = small
         with pytest.raises(StudyPrecondition, match="q\\*"):
-            propagation_study(power_graph(3.0), 4.0, 1.0, 0.5, paths, sg, config, u0)
+            propagation_study(power_graph(3.0), 4.0, 1.0, 0.5, paths, config, u0)
 
     def test_zero_drift_zero_data_under_unit_constant(self, small):
         # f = 0, u0 = 0: the solution IS the noise, so sup||u|| <= xi and C = 1 suffices
         grid, sg, paths, _, config = small
         zero_u0 = GridFunction(grid, np.zeros(grid.M))
-        rep = propagation_study(zero_graph(), 2.0, 2.0, 3.0, paths, sg, config,
+        rep = propagation_study(zero_graph(), 2.0, 2.0, 3.0, paths, config,
                                 zero_u0, frozen_constant=1.0)
         assert rep.verdict == "pass"
 
     def test_u0_scaling_probe(self, small):
         # doubling u0 scales the bound's denominator accordingly; both calibrate cleanly
         grid, sg, paths, u0, config = small
-        rep1 = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths[:2], sg, config, u0)
-        rep2 = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths[:2], sg, config,
+        rep1 = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths[:2], config, u0)
+        rep2 = propagation_study(power_graph(3.0), 2.0, 2.0, 3.0, paths[:2], config,
                                  GridFunction(grid, 2.0 * u0.values))
         assert rep2.verdict == "pass"
         assert rep1.verdict == "pass"
@@ -286,7 +286,7 @@ class TestPropagation:
 class TestContractionExtension:
     def test_spike_truncations(self, small):
         grid, sg, paths, u0, config = small
-        rep = contraction_extension_study(power_graph(3.0), 2.0, paths[0], sg, config)
+        rep = contraction_extension_study(power_graph(3.0), 2.0, paths[0], config)
         assert rep.verdict == "pass"
         gaps = rep.series["solution_gaps"]
         data_gaps = rep.series["data_gaps"]
@@ -296,7 +296,7 @@ class TestContractionExtension:
         grid, sg, paths, u0, config = small
         # truncation levels above the spike maximum give identical data, zero gaps
         rep = contraction_extension_study(
-            power_graph(3.0), 2.0, paths[0], sg, config,
+            power_graph(3.0), 2.0, paths[0], config,
             truncation_levels=(50.0, 100.0))
         assert rep.series["data_gaps"] == [0.0]
         assert rep.series["solution_gaps"][0] <= 1e-12
@@ -306,7 +306,7 @@ class TestAprioriStudy:
     def test_cubic(self, small):
         grid, sg, paths, u0, config = small
         rep = apriori_constants_study(power_graph(3.0), (1.5, 2.0, 3.0), (2.0, 4.0),
-                                      paths[:2], sg, config, u0)
+                                      paths[:2], config, u0)
         assert rep.verdict == "pass"
         assert rep.fitted["worst_linear"] <= 1e-8
         assert rep.fitted["worst_square"] <= 1e-8
@@ -317,7 +317,7 @@ class TestAprioriStudy:
         generic = piecewise_graph("cubic-jump", [0.0], [compile_branch("x**3 - 1"),
                                                         compile_branch("x**3 + 1")], 3.0, 2.0)
         closed = dataclasses.replace(generic, fast_primitive=lambda x: x**4 / 4 + np.abs(x))
-        reports = [apriori_constants_study(f, (2.0,), (2.0, 4.0), paths[:2], sg, config, u0)
+        reports = [apriori_constants_study(f, (2.0,), (2.0, 4.0), paths[:2], config, u0)
                    for f in (generic, closed)]
         assert [r.verdict for r in reports] == ["pass", "pass"]
         for key, value in reports[1].fitted.items():
@@ -332,8 +332,14 @@ class TestAprioriStudy:
     def test_degenerate(self, small):
         grid, sg, paths, u0, config = small
         rep = apriori_constants_study(zero_graph(), (2.0,), (2.0,), paths[:1],
-                                      sg, config, u0)
+                                      config, u0)
         assert rep.verdict == "pass"
+
+    def test_needs_an_exponent(self, small):
+        # with no q, no inequality is checked
+        grid, sg, paths, u0, config = small
+        with pytest.raises(StudyPrecondition, match="at least one q"):
+            apriori_constants_study(power_graph(3.0), (), (), paths[:1], config, u0)
 
 
 class TestStudiesOnThePool:
@@ -358,14 +364,14 @@ class TestStudiesOnThePool:
         two_levels = dataclasses.replace(config, lambda_schedule=SCHEDULE[:2])
         run = {
             "cauchy": lambda w: cauchy_rate_study(
-                power_graph(3.0), 2.0, paths(5, 3, 0.25), sg, config, u0, workers=w),
+                power_graph(3.0), 2.0, paths(5, 3, 0.25), config, u0, workers=w),
             "l1": lambda w: l1_convergence_study(
-                sign_graph(), paths(6, 3, 0.25), sg, two_levels, u0, workers=w),
+                sign_graph(), paths(6, 3, 0.25), two_levels, u0, workers=w),
             "moment": lambda w: moment_study(
-                power_graph(3.0), 2.0, 2.0, paths(7, 100, 2.0**-4), sg, two_levels, u0,
+                power_graph(3.0), 2.0, 2.0, paths(7, 100, 2.0**-4), two_levels, u0,
                 workers=w),
             "apriori": lambda w: apriori_constants_study(
-                power_graph(3.0), (1.5, 2.0), (2.0, 4.0), paths(8, 3, 0.25), sg,
+                power_graph(3.0), (1.5, 2.0), (2.0, 4.0), paths(8, 3, 0.25),
                 two_levels, u0, workers=w),
         }[study]
         alone, pooled = run(1), run(2)
