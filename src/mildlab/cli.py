@@ -10,10 +10,11 @@ Subcommands (consumers are scripts and CI, not interactive humans):
 
 Artifacts land under <output root>/<output_dir>/ with a manifest.json;
 writes are atomic (temp file + rename).  --workers N runs the paths of
-solve, sample-noise and the cauchy, l1, moment and apriori studies, or the
-solves of the propagation and contraction_extension studies, on N forked
-processes, one path per task; a platform without fork runs them in order,
-and chain_rule, bernoulli, eiconv and check-invariants run in one process.
+solve, sample-noise and the cauchy, l1, moment, propagation and apriori
+studies, one path per task that samples it (the parent holds only seeds), or
+the solves of contraction_extension, on N forked processes; a platform
+without fork runs them in order, and chain_rule, bernoulli, eiconv and
+check-invariants run in one process.
 Reruns with the same config and seed are byte-identical and independent of
 --workers.  Exit status: 0 all selected verdicts pass, 2 inconclusive, 1
 error or failed verdict.
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +62,22 @@ def _write_manifest(cfg: RunConfig, out: Path, subcommand: str, artifacts: list[
     atomic_write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _paths(cfg: RunConfig, sg, n: int):
-    seeds = path_seeds(cfg.master_seed, n)
-    spec = cfg.build_noise_spec()
-    return [sample_path(sg, spec, cfg.T, cfg.delta, int(s)) for s in seeds]
+class _Paths(Sequence):
+    """The first n configured noise paths, each sampled when it is indexed.
+
+    len() samples nothing; paths[i] calls this module's sample_path with seed
+    i, so only the process that indexes a path (its pool task) holds it.
+    """
+
+    def __init__(self, cfg: RunConfig, sg, n: int):
+        self._seeds = path_seeds(cfg.master_seed, n)
+        self._args = (sg, cfg.build_noise_spec(), cfg.T, cfg.delta)
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, i: int):
+        return sample_path(*self._args, int(self._seeds[i]))
 
 
 def _map_paths(cfg: RunConfig, sg, job, workers: int) -> list:
@@ -71,13 +85,8 @@ def _map_paths(cfg: RunConfig, sg, job, workers: int) -> list:
 
     A task samples its own path, so only job's result crosses a process.
     """
-    seeds = path_seeds(cfg.master_seed, cfg.n_paths)
-    spec = cfg.build_noise_spec()
-
-    def task(i: int):
-        return job(i, sample_path(sg, spec, cfg.T, cfg.delta, int(seeds[i])))
-
-    return map_ordered(task, range(cfg.n_paths), workers)
+    paths = _Paths(cfg, sg, cfg.n_paths)
+    return map_ordered(lambda i: job(i, paths[i]), range(len(paths)), workers)
 
 
 def _cmd_sample_noise(cfg: RunConfig, out: Path, workers: int) -> int:
@@ -141,11 +150,10 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     graph = cfg.build_graph()
     u0 = cfg.build_initial(sg.grid)
     solver_cfg = cfg.solver_config()
+    paths = _Paths(cfg, sg, params.get("n_paths", 1))  # samples nothing yet
     if name == "cauchy":
-        paths = _paths(cfg, sg, params["n_paths"])
         return cauchy_rate_study(graph, params["q"], paths, solver_cfg, u0, workers=workers)
     if name == "l1":
-        paths = _paths(cfg, sg, params["n_paths"])
         return l1_convergence_study(graph, paths, solver_cfg, u0, workers=workers)
     if name == "chain_rule":
         return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
@@ -155,19 +163,15 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     if name == "eiconv":
         return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
-        paths = _paths(cfg, sg, params["n_paths"])
         return moment_study(graph, params["q"], cfg.p, paths, solver_cfg, u0,
                             workers=workers)
     if name == "propagation":
-        paths = _paths(cfg, sg, params["n_paths"])
         return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, solver_cfg, u0,
                                  frozen_constant=params["frozen_constant"],
                                  workers=workers)
     if name == "contraction_extension":
-        path = _paths(cfg, sg, 1)[0]
-        return contraction_extension_study(graph, cfg.q, path, solver_cfg, workers=workers)
+        return contraction_extension_study(graph, cfg.q, paths[0], solver_cfg, workers=workers)
     if name == "apriori":
-        paths = _paths(cfg, sg, params["n_paths"])
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
                                        tuple(params["qs_square"]), paths, solver_cfg, u0,
                                        workers=workers)

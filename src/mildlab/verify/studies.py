@@ -18,8 +18,10 @@ which builds its data, from the path's), so it takes no semigroup argument;
 chain_rule, which has no path, takes one.
 
 Such a study takes ``workers`` and runs one path per task on
-:func:`map_ordered`; a task sends back only that path's measurements, never
-its trajectories, and a report does not depend on ``workers``.  The cauchy,
+:func:`map_ordered`; a task sends back only that path's seed and measurements,
+never its trajectories, and a report does not depend on ``workers``.  A
+sequence of paths that samples on indexing (the CLI's) thus samples each path
+in its task.  The cauchy,
 l1, moment and apriori studies solve a path's schedule as one block and
 reduce it one level (or level pair) at a time.
 """
@@ -27,6 +29,7 @@ reduce it one level (or level pair) at a time.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from itertools import pairwise
 
 import numpy as np
@@ -81,10 +84,19 @@ def _decreasing_to_zero(g: np.ndarray) -> bool:
     return bool(np.all(np.diff(g[: head + 1]) < 0.0) and np.all(g[head:] <= NUMERICAL_ZERO))
 
 
+def _map_seeded(run, paths, workers: int) -> tuple[list[int], list]:
+    """(seeds, run(path) for each path) in path order, one path per map_ordered task.
+
+    A task indexes its own path and sends back its seed with run's result.
+    """
+    pairs = map_ordered(lambda path: (path.seed, run(path)), paths, workers)
+    return [seed for seed, _ in pairs], [result for _, result in pairs]
+
+
 def cauchy_rate_study(
     f: MonotoneGraph,
     q: float,
-    paths: list[NoisePath],
+    paths: Sequence[NoisePath],
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -92,6 +104,7 @@ def cauchy_rate_study(
     """Measure sup-in-time L^q gaps along the halving schedule and fit the rate.
 
     The fit runs over the gaps before the first one at or below NUMERICAL_ZERO.
+    paths[i] is read once, in path i's task; paths is never iterated here.
     """
     if not q > 1:
         raise StudyPrecondition("cauchy rate study needs q > 1")
@@ -104,7 +117,6 @@ def cauchy_rate_study(
         inputs={
             "drift": f.name,
             "q": q,
-            "seeds": [p.seed for p in paths],
             "lambda_schedule": list(config.lambda_schedule),
         },
         thresholds={"min_slope": rate - RATE_SLACK, "numerical_zero": NUMERICAL_ZERO},
@@ -117,7 +129,8 @@ def cauchy_rate_study(
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
     decreasing = degenerate = True
-    for i, gaps in enumerate(map_ordered(run, paths, workers)):
+    report.inputs["seeds"], results = _map_seeded(run, paths, workers)
+    for i, gaps in enumerate(results):
         report.series[f"gaps_path{i}"] = gaps
         g = np.asarray(gaps)
         if np.all(g <= NUMERICAL_ZERO):
@@ -143,7 +156,7 @@ def cauchy_rate_study(
 
 def l1_convergence_study(
     f: MonotoneGraph,
-    paths: list[NoisePath],
+    paths: Sequence[NoisePath],
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -153,6 +166,7 @@ def l1_convergence_study(
 
     The proxy for a measure m is the largest integral of |g| over m / cell
     space-time cells; past the run's whole measure it is the whole integral.
+    paths[i] is read once, in path i's task; paths is never iterated here.
     """
     if f.growth_exponent != 0.0:
         raise StudyPrecondition("the L^1 study requires a bounded drift (d = 0)")
@@ -163,7 +177,6 @@ def l1_convergence_study(
         claim="sup-L1 gaps decrease below tolerance; smoothed-modulus deviation <= sqrt(eps)/4",
         inputs={
             "drift": f.name,
-            "seeds": [p.seed for p in paths],
             "lambda_schedule": list(config.lambda_schedule),
             "small_set_measures": list(SMALL_SET_MEASURES),
         },
@@ -199,7 +212,7 @@ def l1_convergence_study(
             prev, prev_lam = traj, lam
         return gaps, gamma_sups, dev_ok, proxies, product_sup
 
-    results = map_ordered(run, paths, workers)
+    report.inputs["seeds"], results = _map_seeded(run, paths, workers)
     gaps_ok = gamma_ok = dev_all = proxy_ok = True
     for i, (gaps, gamma_sups, dev_ok, proxies, product_sup) in enumerate(results):
         report.series[f"gaps_path{i}"] = gaps
@@ -385,7 +398,7 @@ def moment_study(
     f: MonotoneGraph,
     q: float,
     p: float,
-    paths: list[NoisePath],
+    paths: Sequence[NoisePath],
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -395,6 +408,7 @@ def moment_study(
     Estimates must be lambda-stable (within 3 combined standard errors) and
     sit below the ensemble mean of the pathwise a-priori bound
     (||u0||_q + sup_t ||z||_q + 4 sum delta ||fmax(z)||_q)^p.
+    paths[i] is read once, in path i's task; paths is never iterated here.
     """
     if len(paths) < 100:
         raise StudyPrecondition("moment study needs at least 100 paths")
@@ -408,7 +422,6 @@ def moment_study(
             "q": q,
             "p": p,
             "n_paths": len(paths),
-            "seeds": [pp.seed for pp in paths],
             "lambda_schedule": list(config.lambda_schedule),
         },
         thresholds={"se_multiplier": 3.0},
@@ -425,7 +438,7 @@ def moment_study(
         sups = [float(np.max(lq_norms(traj, grid.h, q))) ** p for traj in block]
         return sups, bound_base**p
 
-    results = map_ordered(run, paths, workers)
+    report.inputs["seeds"], results = _map_seeded(run, paths, workers)
     sups = np.asarray([r[0] for r in results])  # (n_paths, n_lambda)
     bounds = np.asarray([r[1] for r in results])
     ests = sups.mean(axis=0)
@@ -454,7 +467,7 @@ def propagation_study(
     q: float,
     r: float,
     d: float,
-    paths: list[NoisePath],
+    paths: Sequence[NoisePath],
     config: SolverConfig,
     u0: GridFunction,
     frozen_constant: float | None = None,
@@ -465,8 +478,8 @@ def propagation_study(
     xi = sup_t ||z||_{q*} + (L^d-in-time L^{d q*} norm of z)^d.  Without a
     frozen constant the run is a calibration: it fits C as the worst ratio
     over its ensemble and freezes it into the report.  With one, the run is
-    a regression test: no path may exceed the frozen C by more than the
-    stated headroom.
+    a regression test: no path may exceed the frozen C times the headroom.
+    paths[i] is read once, in path i's task; paths is never iterated here.
     """
     qs = qstar(q, r, d)
     if qs < q:
@@ -477,7 +490,6 @@ def propagation_study(
         "1 + xi + ||u0||_{q*} with a frozen fitted constant",
         inputs={
             "drift": f.name, "q": q, "r": r, "d": d, "qstar": qs,
-            "seeds": [p.seed for p in paths],
             "mode": "calibration" if frozen_constant is None else "regression",
         },
         thresholds={"headroom": HEADROOM},
@@ -489,7 +501,7 @@ def propagation_study(
         m = sol.u.sup_norm(qs)
         return xi, m
 
-    results = map_ordered(run, paths, workers)
+    report.inputs["seeds"], results = _map_seeded(run, paths, workers)
     u0_norm = lq_norm(u0, qs)
     xis = [r_[0] for r_ in results]
     ratios = [m / (1.0 + xi + u0_norm) for xi, m in results]
@@ -569,7 +581,7 @@ def apriori_constants_study(
     f: MonotoneGraph,
     qs_linear: tuple[float, ...],
     qs_square: tuple[float, ...],
-    paths: list[NoisePath],
+    paths: Sequence[NoisePath],
     config: SolverConfig,
     u0: GridFunction,
     workers: int = 1,
@@ -580,6 +592,7 @@ def apriori_constants_study(
         ||v(t_n)||_q <= ||u0||_q + 4 sum_{j<n} delta ||fmax(z(t_j))||_q + slack
     Squared form (every q in qs_square, q >= 2):
         ||v(t_n)||_q^2 <= ||u0||_q^2 + 2 sum_{j<n} delta ||phi(z(t_j))||_{q/2} + slack
+    paths[i] is read once, in path i's task; paths is never iterated here.
     """
     if not (qs_linear or qs_square):
         raise StudyPrecondition("apriori study needs at least one q in qs_linear or qs_square")
@@ -592,7 +605,6 @@ def apriori_constants_study(
             "drift": f.name,
             "qs_linear": list(qs_linear),
             "qs_square": list(qs_square),
-            "seeds": [p.seed for p in paths],
             "lambda_schedule": list(config.lambda_schedule),
         },
         thresholds={"slack": APRIORI_SLACK},
@@ -623,7 +635,7 @@ def apriori_constants_study(
                 )
         return worst_linear, worst_square
 
-    results = map_ordered(run, paths, workers)
+    report.inputs["seeds"], results = _map_seeded(run, paths, workers)
     worst_linear = max(r_[0] for r_ in results) if qs_linear else -np.inf
     worst_square = max(r_[1] for r_ in results) if qs_square else -np.inf
     report.series["worst_linear_margin"] = [r_[0] for r_ in results]

@@ -535,6 +535,76 @@ class TestCli:
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1] == f"error: path {failing} did not converge\n"
 
+    @pytest.mark.parametrize("command", [("study", "cauchy"), ("solve",)])
+    def test_each_path_is_sampled_in_its_own_task(self, tmp_path, monkeypatch, command):
+        import weakref
+
+        import mildlab.cli
+
+        payload = json.loads(json.dumps(SMALL_CONFIG))
+        payload["grid"]["M"] = 15
+        payload["seeds"]["n_paths"] = 3
+        payload["studies"] = {"cauchy": {"n_paths": 3}}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        sample_path = mildlab.cli.sample_path
+        calls, alive, most_alive = [0], weakref.WeakSet(), [0]
+
+        def counted(*args):
+            calls[0] += 1  # a forked child increments its own copy
+            path = sample_path(*args)
+            alive.add(path)
+            most_alive[0] = max(most_alive[0], len(alive))
+            return path
+
+        monkeypatch.setattr(mildlab.cli, "sample_path", counted)
+        runs = {}
+        for workers in ("2", "1"):
+            calls[0] = most_alive[0] = 0
+            root = tmp_path / f"w{workers}"
+            code = self.run_cli(*command, str(cfg), "--workers", workers,
+                                "--output-root", str(root))
+            files = sorted(p for p in (root / "run").rglob("*") if p.is_file())
+            runs[workers] = {"code": code, "calls": calls[0], "most_alive": most_alive[0],
+                             "bytes": {p.relative_to(root).as_posix(): p.read_bytes()
+                                       for p in files}}
+        pool, in_order = runs["2"], runs["1"]
+        assert pool["calls"] == pool["most_alive"] == 0  # the parent samples no path
+        assert in_order["calls"] == 3
+        assert in_order["most_alive"] <= 2  # a path and the next one being sampled
+        assert (pool["code"], pool["bytes"]) == (in_order["code"], in_order["bytes"])
+
+    def test_lazy_path_sequence(self, tmp_path, monkeypatch):
+        import mildlab.cli
+        from mildlab.noise import path_seeds
+        from mildlab.verify import cauchy_rate_study
+
+        cfg = parse_config(json.dumps({**SMALL_CONFIG, "grid": {"M": 15, "nu": 1.0}}))
+        sg = cfg.build_semigroup()
+        sample_path = mildlab.cli.sample_path
+        calls = []
+        monkeypatch.setattr(mildlab.cli, "sample_path",
+                            lambda *args: calls.append(args[-1]) or sample_path(*args))
+        paths = mildlab.cli._Paths(cfg, sg, 3)
+        assert len(paths) == 3 and calls == []
+        seeds = [int(s) for s in path_seeds(cfg.master_seed, 3)]
+        spec = cfg.build_noise_spec()
+        for i, seed in enumerate(seeds):
+            want = sample_path(sg, spec, cfg.T, cfg.delta, seed)
+            assert paths[i].mode_values.tobytes() == want.mode_values.tobytes()
+        assert calls == seeds
+        with pytest.raises(IndexError):
+            paths[3]
+        eager = list(paths)  # iteration stops at the end
+        assert [p.seed for p in eager] == seeds
+
+        args = (cfg.build_graph(), cfg.studies["cauchy"]["q"])
+        rest = (cfg.solver_config(), cfg.build_initial(sg.grid))
+        cauchy_rate_study(*args, paths, *rest).save(tmp_path / "lazy")
+        cauchy_rate_study(*args, eager, *rest).save(tmp_path / "list")
+        for name in ("report.json", "series.csv"):
+            assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "list" / name).read_bytes()
+
     def test_check_invariants_default_config_under_budget(self, tmp_path, monkeypatch):
         import time
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
