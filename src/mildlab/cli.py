@@ -232,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
                        help="number of forked processes that run the paths of "
-                            "solve, sample-noise and the cauchy, l1, moment and "
-                            "apriori studies, or the solves of the propagation and "
-                            "contraction_extension studies, >= 1 (default: CPU "
+                            "solve, sample-noise and the cauchy, l1, moment, "
+                            "propagation and apriori studies, or the solves of the "
+                            "contraction_extension study, >= 1 (default: CPU "
                             "count); results do not depend on it, and a platform "
                             "without fork runs in order")
         p.add_argument("--output-root", default=None,

@@ -17,10 +17,10 @@ exactly on each substep while F is frozen at the left endpoint:
                                      * e^{-mu_k (t_n - t_{j+1})}.
 
 Every operator acts modewise through one transform pair over arrays of shape
-(..., M), the package's only products with the dense sine basis: the
-HeatSemigroup methods to_modes, values @ h*basis, and from_modes,
-coeffs @ basis^T.  The operators below take a GridFunction, check its grid,
-and apply the pair to its values.
+(..., M): to_modes is h sqrt(2) DST-I and from_modes sqrt(2) DST-I, both one
+FFT kernel, _dst1, so their bits do not depend on the BLAS thread count and a
+row has the same bits alone and inside a block (tested).  The operators below
+take a GridFunction, check its grid, and apply the pair to its values.
 
 The time stepper instead multiplies by HeatSemigroup.stepper(delta), one
 cached operator per delta: v @ stepper(delta) is v exp(-delta A) for a state
@@ -35,9 +35,9 @@ which the odd-k modes are even and the even-k modes odd (Cantoni & Butler
 mirror-odd part on floor(M/2) nodes, each part is multiplied by a half-size
 block and the results unfold.  That is half the flops and half the matrix
 bytes, and the dense matrix is never built.
-A 1-D vector and a row of a 2-D array take different BLAS kernels and may
-differ in the last bits, so a single state stays 1-D and a time series stays
-one 2-D array.
+The stepper's products are BLAS products: a 1-D state and a row of a 2-D
+block take different BLAS kernels and may differ in the last bits, so a
+single state stays 1-D and a block of states stays one 2-D array.
 """
 
 from __future__ import annotations
@@ -82,21 +82,17 @@ class HeatSemigroup:
         h = grid.h
         k = np.arange(1, grid.M + 1)
         self.eigenvalues = (4.0 * nu / h**2) * np.sin(0.5 * np.pi * k * h) ** 2
-        # basis[i, k-1] = sqrt(2) sin(k pi x_i); h * basis^T basis = I
-        self.basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid.nodes, k))
-        self._analysis = h * self.basis
-        for a in (self.eigenvalues, self.basis, self._analysis):
-            a.flags.writeable = False
+        self.eigenvalues.flags.writeable = False
         self._steppers: dict[float, np.ndarray | MirrorSplit] = {}
         self._cache_lock = threading.Lock()
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Mode coefficients of node values, shape (..., M) to (..., M)."""
-        return values @ self._analysis
+        """Mode coefficients of node values, shape (..., M) to (..., M): h sum_i v_i e_k(x_i)."""
+        return (self.grid.h * np.sqrt(2.0)) * _dst1(values)
 
     def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Node values of mode coefficients, shape (..., M) to (..., M)."""
-        return coeffs @ self.basis.T
+        """Node values of mode coefficients, shape (..., M) to (..., M): sum_k c_k e_k(x_i)."""
+        return np.sqrt(2.0) * _dst1(coeffs)
 
     def stepper(self, t: float) -> np.ndarray | MirrorSplit:
         """The operator S(t) to step with: v @ stepper(t) is S(t) v for a state or a block.
@@ -122,6 +118,19 @@ class HeatSemigroup:
         if phi.grid != self.grid:
             raise GridMismatch("grid function does not live on the semigroup grid")
         return phi.values
+
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """DST-I along the last axis: out[..., k-1] = sum_i v[..., i] sin(k (i+1) pi / (M+1)).
+
+    v fills entries 1..M of a zero row of length 2(M + 1); minus the
+    imaginary part of its real FFT at k = 1..M is the DST-I (Makhoul 1980),
+    which is its own inverse up to the factor (M + 1) / 2.
+    """
+    M = v.shape[-1]
+    padded = np.zeros(v.shape[:-1] + (2 * (M + 1),))
+    padded[..., 1:M + 1] = v
+    return -np.fft.rfft(padded)[..., 1:M + 1].imag
 
 
 def _sine_block(sg: HeatSemigroup, t: float, k: np.ndarray, size: int) -> np.ndarray:

@@ -141,8 +141,8 @@ def cauchy_rate_study(
         if head >= 2:
             slopes.append(float(np.polyfit(np.log(lams[:head]), np.log(g[:head]), 1)[0]))
     report.series["lambdas"] = list(config.lambda_schedule)
-    report.fitted["min_slope"] = min(slopes) if slopes else float("nan")
     if slopes:
+        report.fitted["min_slope"] = min(slopes)
         report.fitted["mean_slope"] = float(np.mean(slopes))
         report.checks["slope_at_least_rate_minus_slack"] = (
             min(slopes) >= rate - RATE_SLACK
@@ -636,14 +636,11 @@ def apriori_constants_study(
         return worst_linear, worst_square
 
     report.inputs["seeds"], results = _map_seeded(run, paths, workers)
-    worst_linear = max(r_[0] for r_ in results) if qs_linear else -np.inf
-    worst_square = max(r_[1] for r_ in results) if qs_square else -np.inf
-    report.series["worst_linear_margin"] = [r_[0] for r_ in results]
-    report.series["worst_square_margin"] = [r_[1] for r_ in results]
-    report.fitted["worst_linear"] = worst_linear
-    report.fitted["worst_square"] = worst_square
-    if qs_linear:
-        report.checks["constant_4_inequality"] = worst_linear <= APRIORI_SLACK
-    if qs_square:
-        report.checks["constant_2_inequality"] = worst_square <= APRIORI_SLACK
+    forms = (("linear", qs_linear, "constant_4_inequality"),
+             ("square", qs_square, "constant_2_inequality"))
+    for margins, (form, qs, check) in zip(zip(*results), forms):
+        if qs:  # a form without a q is not checked, and its -inf margins are not reported
+            report.series[f"worst_{form}_margin"] = list(margins)
+            report.fitted[f"worst_{form}"] = max(margins)
+            report.checks[check] = max(margins) <= APRIORI_SLACK
     return report.finalize()

@@ -652,6 +652,25 @@ class TestCli:
         report = json.loads((tmp_path / "run" / "apriori" / "report.json").read_text())
         assert report["verdict"] == "pass"
 
+    @pytest.mark.parametrize("name, overrides, absent", [
+        ("apriori", {"studies": {"apriori": {"qs_linear": [], "qs_square": [2.0]}}},
+         "worst_linear"),
+        ("cauchy", {"drift": {"kind": "zero"}, "studies": {"cauchy": {}}}, "min_slope"),
+    ])
+    def test_report_is_strict_json(self, tmp_path, monkeypatch, name, overrides, absent):
+        # a form the study does not check, or a slope it did not fit, is left out, not -inf or NaN
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = write_config(tmp_path, overrides)
+        assert self.run_cli("study", name, str(cfg), "--workers", "1") == 0
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        text = (tmp_path / "run" / name / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        assert absent not in report["fitted"]
+        assert not any(key.startswith(absent) for key in report["series"])
+
 
 def readme_key_table(first_header: str) -> dict:
     """The README table headed `| <first_header> | accepted keys | ...`: name -> keys."""

@@ -25,6 +25,28 @@ def eigenvector(grid, k):
     return GridFunction(grid, np.sqrt(2.0) * np.sin(np.pi * grid.nodes * k))
 
 
+def run_with_blas_threads(script: str, threads: str) -> str:
+    """stdout of ``script`` in a fresh interpreter whose BLAS uses ``threads`` threads."""
+    src = str(Path(mildlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", script, src], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+FIELDS_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from mildlab.grid_space import Grid
+from mildlab.noise import DiffusionSpec, sample_path
+from mildlab.semigroup import HeatSemigroup
+for M in (255, 383, 511):
+    path = sample_path(HeatSemigroup(Grid(M)), DiffusionSpec(), 1.0, 2.0**-10, seed=20260101)
+    print(M, hashlib.sha256(path.fields.values.tobytes()).hexdigest())
+"""
+
+
 class TestEigenstructure:
     def test_eigenvalues_ordered_positive(self, sg):
         mu = sg.eigenvalues
@@ -90,18 +112,21 @@ class TestModeTransform:
             apply_semigroup(sg, GridFunction(Grid(5), np.zeros(5)), 0.0)
 
     def test_rows_match_one_dimensional_form(self, sg, rng):
-        # a row of a 2-D product need not equal the 1-D product bit for bit
-        values = rng.standard_normal((9, sg.grid.M))
-        coeffs = sg.to_modes(values)
-        back = sg.from_modes(coeffs)
-        for n in range(values.shape[0]):
-            assert np.max(np.abs(coeffs[n] - sg.to_modes(values[n]))) <= 1e-13
-            assert np.max(np.abs(back[n] - sg.from_modes(coeffs[n]))) <= 1e-13
-        assert np.max(np.abs(back - values)) < 1e-12
+        # the FFT transforms each row on its own, so a row has the same bits alone and in a block
+        for M in (sg.grid.M, 255, 383, 511):
+            sg_m = HeatSemigroup(Grid(M))
+            values = rng.standard_normal((1025, M))
+            coeffs = sg_m.to_modes(values)
+            back = sg_m.from_modes(coeffs)
+            for n in range(values.shape[0]):
+                assert np.array_equal(coeffs[n], sg_m.to_modes(values[n]))
+                assert np.array_equal(back[n], sg_m.from_modes(coeffs[n]))
+            assert np.max(np.abs(back - values)) <= 1e-14
 
-    def test_analysis_matrix_read_only(self, sg):
-        with pytest.raises(ValueError, match="read-only"):
-            sg._analysis[0, 0] = 0.0
+    def test_noise_field_bits_do_not_depend_on_blas_threads(self):
+        # the transforms are FFTs; GEMM transforms gave other bits under 2 threads at these M
+        outputs = [run_with_blas_threads(FIELDS_SCRIPT, threads) for threads in ("1", "2")]
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
 
 
 class TestPropagator:
@@ -201,8 +226,9 @@ class TestStepper:
         sg = HeatSemigroup(Grid(M))
         step = sg.stepper(self.T)
         assert isinstance(step, MirrorSplit)
-        # the reference is the GEMM build through the transforms, not the stepper's kernel
-        dense = sg.from_modes(sg._analysis * np.exp(-sg.eigenvalues * self.T))
+        # the reference is h B diag(w) B^T from the np.sin basis, not the stepper's kernel
+        basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(sg.grid.nodes, np.arange(1, M + 1)))
+        dense = (sg.grid.h * basis * np.exp(-sg.eigenvalues * self.T)) @ basis.T
         for v in (rng.standard_normal(M), rng.standard_normal((7, M))):
             out = v @ step
             assert out.shape == v.shape
@@ -226,14 +252,7 @@ class TestStepper:
 
     def test_stepper_bits_do_not_depend_on_blas_threads(self):
         # every stepper is built without the BLAS; a threaded GEMM build is not reproducible.
-        src = str(Path(mildlab.__file__).resolve().parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", STEPPER_SCRIPT, src], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = [run_with_blas_threads(STEPPER_SCRIPT, threads) for threads in ("1", "2")]
         assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
 
 

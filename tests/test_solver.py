@@ -31,7 +31,8 @@ def linear_drift_oracle(sg, c, u0, path):
     for n in range(path.n_steps):
         v = dec * v - c * w * path.mode_values[n + 1]
         out[n + 1] = v + path.mode_values[n + 1]
-    return FieldSeries(sg.grid, out @ sg.basis.T)
+    basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(sg.grid.nodes, np.arange(1, sg.grid.M + 1)))
+    return FieldSeries(sg.grid, out @ basis.T)
 
 
 def trajectory(f, lam, u0, path) -> FieldSeries:

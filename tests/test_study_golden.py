@@ -3,9 +3,10 @@
 Each command runs through ``cli.main`` with ``--workers 1`` on a small fixed
 config.  The digests pin what the noise sampler, the solver, the L^q
 reductions and the report layer produce together, so a refactor of the
-stepper or of a study must leave every one of them unchanged.  They were recorded on Linux x86-64 with
-numpy 2.4 and OpenBLAS; at these grid sizes the transforms' bits do not
-depend on the BLAS thread count.
+stepper or of a study must leave every one of them unchanged.  They were
+recorded on Linux x86-64 with numpy 2.4 and OpenBLAS.  The modal transforms
+are FFTs and the stepper is built without the BLAS; both are tested to give
+the same bits under one and two BLAS threads.
 """
 
 import hashlib
@@ -31,12 +32,12 @@ CONFIGS = {
 GOLDEN = {
     "apriori": ("31ca5c8cb0ef0237a3d31476951ab2fad74bc5d1e5f87987ef22e6a3b2a5d268",
                 "dee4df1ff0a4b4b32a3de7980564a8c879c276dae936a1c2e2409dc190a0f267"),
-    "cauchy": ("bc4d61594fa2a6720a8a81502842c108a3e1854561361f02af1ac81612a1264a",
-               "fc6651fd9f113f8d465e850afe0c103c753c69072c3e8ba3877667f4ef453161"),
-    "l1": ("30bb0e879082357c18a28fc680a537ed1dc1ffd36364ce569d2a9b4e98ea5886",
-           "98c11ac37c2008f6902be7e51cf10e3e43b289031a7dd64b7695eefdf915f071"),
-    "moment": ("526f07f6f248a3bc6ca0433b31b1390912cfecc55421a53a99da71f8a0888e08",
-               "9897b7b0012fceeb001106a8481d7787a13dc582cf5b3f304c9c0f29fde5ea6e"),
+    "cauchy": ("49aa44de826bab9e119e3f83351fb60939c5d087530a463adc9ca60c5c07ffdb",
+               "1520cdeb39b67f2eb1c8a4ad78a217d81fc23cbd6b0a59d827268e43e96aa722"),
+    "l1": ("d0fde1f333c198626ecefdb4c3beb0f66a614449f27e00fbcaec663664134b61",
+           "1a7e6b4e87b77ae525dfd3b7841a5284243c1fbed748f95e0f8dc321781d8700"),
+    "moment": ("ae6d942f7de7be777c8d8dcde6ee49633a65c1097e56a64345d6bb27ff758c19",
+               "2868d65f5fe98fd7138f162dc4281c189762b370dd1cb92cdbe07efa8dc6c38d"),
 }
 
 
@@ -64,49 +65,49 @@ COMMANDS = {
 ARTIFACTS = {
     "contraction_extension": {
         "contraction_extension/report.json":
-            "8dee2f5af9456b241b6c23935e3475e2d887e0ab018f0cf2120d02df8b897cee",
+            "76e405e7b2306a39d4edcbe1f3a029ff12d4b2cc0a6e651ff7c00a2c7d79f15c",
         "contraction_extension/series.csv":
             "54def3926d1151bb806c425a0b3fb22336ab39bde3edc53631a40efd4dac8bab",
     },
     "propagation": {
         "propagation/report.json":
-            "3a6f6190a72552494acb5dd92d703166368c0453801c6c50c14d98c629c69fac",
+            "e4aa1a3f47f08c4d609f4a7f76d52b08c3b761533fe807f147fe9f8bdcb7176f",
         "propagation/series.csv":
-            "f63614629f990df0151016eb0eddc75c2f443a35e559912a7cd9be436c64af37",
+            "961eb36e4317be6c617906d1e273553a927e8f86f2051c20e464752cbaa6105d",
     },
     "sample-noise": {
         "noise_path0.csv":
-            "af7b43a81239d8a52ef815d6d355353b3525b880cc43516a83fe406f48d1536c",
+            "49da68f922471c9f6d64285376264a1ec37f92011cd89901d338b7ca07c9c01d",
         "noise_path0.json":
             "a96a2fc2d76bf7c0f2cb85929e3c0ad67fa9ca2dd10233bbea2bbfd7173eb01d",
         "noise_path1.csv":
-            "e7117a26accdf052ad3e521a076513ad1d6d3a80b40938440914e4e42a8aa338",
+            "64751f8c18e735687cd3f1d0cafe6844a43ed3c319afa801780b85f3f62b55de",
         "noise_path1.json":
             "0145d977ec4970698a152ee95826031580ddfd72a22f7a6298be7c2ac6c368bb",
         "noise_path2.csv":
-            "ee2252cfb275939b6c0cd0c49356a64914122c2fc51322bec7cb5cc94b4f5919",
+            "4c192cac2e772fb50cba47723ea2adefe1484b4d278f2322532ad99cd18db840",
         "noise_path2.json":
             "b3ece7ef09503cf5593211445f310aa08ac9687e1f6ff85cfcf95d0a2a4f9387",
     },
     "solve": {
         "solution0.json":
-            "e93e7130ea85a9307dd4551b81d3e1df6db7c74a81a4871ef75bb34c791b6e48",
+            "23ade8b922638cfe435e1cf29bab71863dd3602e5f51f33e75c0a129f7b1f57a",
         "solution0_g.csv":
-            "f0f4fbafb095f2e58a4022ed65afcefa9a046e57f44d530026fb79c8889bbe17",
+            "376e9ed8d9b88598830d02de87ac780b44c7c97208d0ee6b5293fe78942b6424",
         "solution0_u.csv":
-            "bb0bc6af3100b482530bb33645553a893aa3177ede71d95e7032c0ea5f472fb3",
+            "a777d4cfa6a32c1d01d2ed8edeb31235c02ba4af6f097bf582927e1f58f93b65",
         "solution1.json":
-            "2a6ce08958bff02b4f1c58aa966e25fa7aaa7f96fcd242916f0cdbe994e4e87e",
+            "f7adc2bb508d058a333501eec5d99e4aff6b7a7cf7fa3b83128e4dee34c5e9d7",
         "solution1_g.csv":
-            "a076add7c54a063b707e66a67ce74d59def28de393e1d5884ef828d56dca27c5",
+            "e1ae6f4dbeeb9b646ddcd23e8419cec7747494b1d05617dcfd585ae0edea3a07",
         "solution1_u.csv":
-            "afae69ee990b5044edc14986fbf0c51ab514192d0d255b7948aa19575735105a",
+            "fdbaff4b9f7574a1431d355bb6b79d47e6241bb6911e73356e38bff5cf76ed7b",
         "solution2.json":
-            "12cdbbef3cd71bbb4f1eb0416f75ad79a6cb0556711bec55e7730f53c79cb9f2",
+            "08c25e1017d8795a7c2d346b634a67be0e735717bbaa5da89d4418580db445cd",
         "solution2_g.csv":
-            "5cc53a79bbb9e48c27ccad11cd24f4941b3bd11c0268660e41a2b2bf1fece2ce",
+            "ab0f1ba85b5edefa858b50ff7f6c1104062c6bd8dc0983b3632543edeab425a0",
         "solution2_u.csv":
-            "33f82eedd8e093524c64be3934191c4b228591ba1d1d287260c1172befd1746a",
+            "f8a6e8492d06d5718094af921a5a59dba473b76659af7c42bea8b468373cb8b1",
     },
 }
 
