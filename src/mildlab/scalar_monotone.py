@@ -18,8 +18,11 @@ guarded Newton (other powers) where a fast path is attached to the graph.
 Any other graph goes through one engine (_resolve_on_knots): an x inside a
 knot's jump interval resolves to exactly that knot, every other x to the one
 continuous branch between two knots, solved there by Chandrupatla's
-bracketed hybrid.  Every root solve stops each element on its own, within
-two ulps, and raises NoConvergence at its step cap.  phi without a closed
+bracketed hybrid.  A graph builds its knots (the breakpoints and 0) once;
+the engine solves its input in blocks of at most _ROOT_BLOCK elements, so a
+whole trajectory costs it one block's temporaries.  Every root solve stops
+each element on its own, within two ulps, and raises NoConvergence at its
+step cap, so a result does not depend on its block.  phi without a closed
 form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
 primitive_array).  Resolvent and Yosida functions take (graph, lam, x);
 the resolvent's and Yosida's lam may be an array that broadcasts against x.
@@ -39,6 +42,7 @@ compile_branch turns a piecewise branch expression in x into an evaluator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import CodeType
@@ -73,12 +77,36 @@ __all__ = [
 # bisection to two ulps would take about 44).
 _MAX_NEWTON = 100
 _MAX_ROOT_STEPS = 100
+# The generic engine's block: it solves at most this many elements at a time,
+# so its temporaries (about 41 doubles per element) stay near 1.3 MB however
+# long the input.  A stepper call, B*M <= 7*511 elements, is one block.
+_ROOT_BLOCK = 4096
 # The primitive's quadrature tolerance (relative above 1, where rounding would
-# defeat an absolute one), its halvings before it raises (2^-50 of an integral
-# is a few ulps) and the 10-point Gauss-Legendre rule (Golub & Welsch 1969).
+# defeat an absolute one) and its halvings before it raises (2^-50 of an
+# integral is a few ulps).
 QUAD_TOL = 1e-10
 _MAX_QUAD_LEVELS = 50
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def _sorted_unique(a) -> np.ndarray:
+    """The distinct values of a, flattened and sorted, as np.unique gives them.
+
+    np.unique asks numpy.ma whether a is masked, and that first import costs
+    every CLI invocation more than the build it serves.
+    """
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 10-point Gauss-Legendre rule (Golub & Welsch 1969), built on first use
+    so that only a quadrature pays for importing numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(10)
 
 
 @dataclass(frozen=True)
@@ -104,9 +132,17 @@ class MonotoneGraph:
     fast_resolvent: Optional[Callable[[np.ndarray, float | np.ndarray], np.ndarray]] = None
     fast_primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _breaks: np.ndarray = field(init=False, repr=False, compare=False)  # as one array
+    # the knots (the breakpoints and 0, sorted) and the branch on each gap between them
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _gap_branch: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_breaks", np.asarray(self.breakpoints, dtype=float))
+        breaks = np.asarray(self.breakpoints, dtype=float)
+        knots = _sorted_unique(np.append(breaks, 0.0))
+        object.__setattr__(self, "_breaks", breaks)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_gap_branch",
+                           (*np.searchsorted(breaks, knots, side="left").tolist(), breaks.size))
         if len(self.branch_fns) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more branch than breakpoints")
         if list(self.breakpoints) != sorted(set(self.breakpoints)):
@@ -119,7 +155,7 @@ class MonotoneGraph:
 
     def _check_shape(self):
         """Sampled finiteness / monotonicity / jump-sign / growth checks at build time."""
-        probes = np.unique(np.concatenate([np.linspace(-8.0, 8.0, 257), self._breaks]))
+        probes = _sorted_unique(np.concatenate([np.linspace(-8.0, 8.0, 257), self._breaks]))
         left, right = self.left_limits(probes), self.right_limits(probes)
         finite = np.isfinite(left) & np.isfinite(right)
         if not finite.all():
@@ -312,7 +348,9 @@ def _resolve_on_knots(knots: np.ndarray, gap_fns, lam: float, x: np.ndarray,
     exactly c; any other x lies between two knots' intervals, and its root in
     the gap between the knots.  R_lam is 1-Lipschitz, so |y - c| <= |x - x_c|
     for the nearer end x_c of each neighbouring interval: that brackets the
-    root without a search.
+    root without a search.  The intervals are computed once; the lookup, the
+    bracket and the root solve then run over x flattened in blocks of at most
+    _ROOT_BLOCK elements, and each element's result is the one it gets alone.
     """
     flat = x.reshape(-1)
     n = knots.size
@@ -327,31 +365,32 @@ def _resolve_on_knots(knots: np.ndarray, gap_fns, lam: float, x: np.ndarray,
             edges[2 * j - 1] = knots[j - 1] + lam * vals[0]
         if j < n:
             edges[2 * j] = knots[j] + lam * vals[-1]
-    # pos is odd for x in (x_c-, x_c+]; x = x_c- gets the bracket [c, c] below
-    pos = np.searchsorted(edges, flat, side="left")
-    on_knot = pos % 2 == 1
-    y = np.empty_like(flat)
-    y[on_knot] = knots[pos[on_knot] // 2]
-    rest = np.flatnonzero(~on_knot)
-    rest = rest[np.argsort(pos[rest], kind="stable")]
-    gap, xs = pos[rest] // 2, flat[rest]
     # each gap's knots, +-inf beyond the outer ones, and its x-interval ends
-    lo_lim = np.concatenate([[-np.inf], knots])[gap]
-    hi_lim = np.concatenate([knots, [np.inf]])[gap]
-    left_edge = np.concatenate([[-np.inf], edges[1::2]])[gap]
-    right_edge = np.concatenate([edges[0::2], [np.inf]])[gap]
-    with np.errstate(invalid="ignore"):  # inf - inf in the outer gaps, dropped by the limits
-        lo = np.fmax(lo_lim, hi_lim - (right_edge - xs))
-        hi = np.fmin(hi_lim, lo_lim + (xs - left_edge))
-    y[rest] = _branch_root(gap_fns, gap, lam, xs, lo, hi, lo_lim, hi_lim, what)
+    lo_lims, hi_lims = np.concatenate([[-np.inf], knots]), np.concatenate([knots, [np.inf]])
+    left_edges = np.concatenate([[-np.inf], edges[1::2]])
+    right_edges = np.concatenate([edges[0::2], [np.inf]])
+    y = np.empty_like(flat)
+    for start in range(0, flat.size, _ROOT_BLOCK):
+        xb, yb = flat[start: start + _ROOT_BLOCK], y[start: start + _ROOT_BLOCK]
+        # pos is odd for x in (x_c-, x_c+]; x = x_c- gets the bracket [c, c] below
+        pos = np.searchsorted(edges, xb, side="left")
+        on_knot = pos % 2 == 1
+        yb[on_knot] = knots[pos[on_knot] // 2]
+        rest = np.flatnonzero(~on_knot)
+        rest = rest[np.argsort(pos[rest], kind="stable")]
+        gap, xs = pos[rest] // 2, xb[rest]
+        lo_lim, hi_lim = lo_lims[gap], hi_lims[gap]
+        with np.errstate(invalid="ignore"):  # inf - inf in the outer gaps, dropped by the limits
+            lo = np.fmax(lo_lim, hi_lim - (right_edges[gap] - xs))
+            hi = np.fmin(hi_lim, lo_lim + (xs - left_edges[gap]))
+        yb[rest] = _branch_root(gap_fns, gap, lam, xs, lo, hi, lo_lim, hi_lim, what)
     return y.reshape(x.shape)
 
 
 def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
-    """R_lam(x) for a graph with no fast path: its knots are the breakpoints and 0."""
-    knots = np.union1d(graph._breaks, [0.0])
-    branch = np.append(np.searchsorted(graph._breaks, knots, side="left"), graph._breaks.size)
-    return _resolve_on_knots(knots, [graph.branch_fns[i] for i in branch], lam, x,
+    """R_lam(x) for a graph with no fast path, on the knots the graph holds."""
+    fns = graph.branch_fns
+    return _resolve_on_knots(graph._knots, [fns[i] for i in graph._gap_branch], lam, x,
                              repr(graph.name))
 
 
@@ -379,9 +418,9 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
         return graph.fast_resolvent(x if levels else flat, lam).reshape(x.shape)
     if not levels:
         return _branch_resolvent(graph, lam, flat).reshape(x.shape)
-    lam = np.broadcast_to(lam, x.shape).reshape(-1)
+    levels, lam = _sorted_unique(lam), np.broadcast_to(lam, x.shape).reshape(-1)
     out = np.empty_like(flat)
-    for level in np.unique(lam):
+    for level in levels:
         at = lam == level
         out[at] = _branch_resolvent(graph, float(level), flat[at])
     return out.reshape(x.shape)
@@ -424,10 +463,12 @@ def _integrate(graph: MonotoneGraph, a, b, branch) -> np.ndarray:
     which meets a share like h (as Simpson's) only below the float spacing but
     meets sqrt(h) above it; across a jump it falls like h and meets neither.
     """
+    nodes, weights = _gauss_legendre()
+
     def estimate(lo, hi, idx):
         half = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        return half * (graph._branch_eval(t, np.broadcast_to(idx[:, None], t.shape)) @ _GL_WEIGHTS)
+        t = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+        return half * (graph._branch_eval(t, np.broadcast_to(idx[:, None], t.shape)) @ weights)
 
     total = np.zeros(a.shape)
     owner = np.flatnonzero(a != b)
@@ -465,7 +506,7 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
         return graph.fast_primitive(flat).reshape(x.shape)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("primitive input must be finite")
-    knots = np.union1d(graph._breaks, [0.0])
+    knots = graph._knots
     knots = knots[(knots >= np.min(flat, initial=0.0)) & (knots <= np.max(flat, initial=0.0))]
     near = np.where(flat >= 0.0, np.searchsorted(knots, flat, side="right") - 1,
                     np.searchsorted(knots, flat, side="left"))

@@ -472,6 +472,29 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
 
+    def test_set_up_leaves_numpy_ma_and_polynomial_unloaded(self, tmp_path):
+        # every invocation pays for its import, parse and builds, and neither
+        # module serves them
+        drifts = [{"kind": "power", "d": 3.0}, {"kind": "sign"},
+                  {"kind": "piecewise", "breakpoints": [0.0],
+                   "expressions": ["x**3 - 1", "x**3 + 1"], "d": 3, "C_f": 2}]
+        cfgs = [str(write_config(tmp_path, {"drift": d}, name=f"cfg{i}.json"))
+                for i, d in enumerate(drifts)]
+        script = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from mildlab.cli import parse_config\n"
+            "for path in sys.argv[1:]:\n"
+            "    cfg = parse_config(Path(path).read_text())\n"
+            "    sg = cfg.build_semigroup()\n"
+            "    cfg.build_graph()\n"
+            "    cfg.build_initial(sg.grid)\n"
+            "print(json.dumps([m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *cfgs], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     def test_failed_path_on_the_pool(self, tmp_path, monkeypatch, capsys):
         import multiprocessing
 

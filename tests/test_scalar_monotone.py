@@ -1,6 +1,7 @@
 """Scalar monotone machinery: sections, resolvents, Yosida maps, envelopes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,17 +152,20 @@ class TestResolvent:
                 slow = resolvent_array(generic, lam, xs)
                 assert np.max(np.abs(fast - slow)) < 1e-10, (name, lam)
 
-    def test_bracket_failure_raises(self):
+    def test_bracket_failure_raises(self, monkeypatch):
         # a branch so far below y that y + lam*f(y) - x rounds to -x at the
         # bracket's end; no valid graph has one, so it is swapped in after
         # construction
         g = piecewise_graph("abyss", [], [lambda x: np.zeros_like(x)], 0.0, 1.0)
         object.__setattr__(g, "branch_fns", (lambda x: np.full_like(x, -1e300),))
         xs = np.array([-1.0, 0.0, 2.0])
-        with pytest.raises(BracketFailure):
-            resolvent_array(g, 0.5, xs)
-        with pytest.raises(BracketFailure):
-            yosida_of_yosida_array(g, 0.25, 0.125, xs)
+        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+            with pytest.raises(BracketFailure, match="^no sign change on the bracket for 'abyss'$"):
+                resolvent_array(g, 0.5, xs)
+            with pytest.raises(BracketFailure, match="^no sign change on the bracket for "
+                               "the composed Yosida resolvent of 'abyss'$"):
+                yosida_of_yosida_array(g, 0.25, 0.125, xs)
 
     def test_power_newton_stops_within_ulps(self, monkeypatch):
         # |N(0, 9)| inputs on which a stop test below one ulp ran to the cap
@@ -194,22 +198,22 @@ class TestResolvent:
     def test_generic_engine_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 2)
         cubic_jump = mid_value_graphs()[1]
-        with pytest.raises(NoConvergence, match="no stop after 2 steps"):
-            resolvent_array(cubic_jump, 0.1, np.array([0.3, 2.5]))
+        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+            with pytest.raises(NoConvergence, match="no stop after 2 steps"):
+                resolvent_array(cubic_jump, 0.1, np.array([0.3, 2.5]))
 
     @pytest.mark.parametrize("lam", [2.0**-8 + 2.0**-10, 0.1])
     def test_generic_engine_stops_within_ulps(self, monkeypatch, lam):
         # Chandrupatla's steps stop every branch solve on these inputs within
-        # 9; bisection to two ulps would need about 44
+        # 9; bisection to two ulps would need about 44.  One call of 32 blocks.
         monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
         for f in mid_value_graphs()[1:]:
-            rng = np.random.default_rng(0)
-            for _ in range(1024):
-                x = rng.normal(0.0, 1.5, 127)
-                y = resolvent_array(f, lam, x)
-                inside = np.isin(y, [-1.0, 0.0, 1.0], invert=True)  # off the knots
-                residual = y + lam * f.mid_values(y) - x
-                assert np.all(np.abs(residual[inside]) <= 2.0 * np.spacing(np.abs(x[inside]))), f.name
+            x = np.random.default_rng(0).normal(0.0, 1.5, (1024, 127))
+            y = resolvent_array(f, lam, x)
+            inside = np.isin(y, [-1.0, 0.0, 1.0], invert=True)  # off the knots
+            residual = y + lam * f.mid_values(y) - x
+            assert np.all(np.abs(residual[inside]) <= 2.0 * np.spacing(np.abs(x[inside]))), f.name
 
     def test_jump_interval_resolves_to_breakpoint(self):
         _, cubic_jump, kink_jump = mid_value_graphs()
@@ -251,6 +255,40 @@ class TestResolvent:
                 batch = resolvent_array(f, lam, xs)
                 alone = np.array([resolvent_array(f, lam, x) for x in xs])
                 assert batch.tobytes() == alone.tobytes(), (f.name, lam)
+
+    @pytest.mark.parametrize("block", [7, sm._ROOT_BLOCK])
+    def test_block_boundaries_do_not_move_bits(self, monkeypatch, block):
+        # about three blocks, the last one short; every third x lies in a
+        # knot's jump interval and every sixth is 0, the knot of f_lam
+        lam, mu = 0.1, 0.05
+        rng = np.random.default_rng(5)
+        inputs = []
+        for f in mid_value_graphs()[1:]:
+            x = rng.normal(0.0, 1.5, 3 * block - 2)
+            ends = np.array([(b + lam * f.left_limits(b), b + lam * f.right_limits(b))
+                             for b in f.jump_points])
+            lo, hi = ends[rng.integers(len(ends), size=x[::3].size)].T
+            x[::3], x[1::6] = rng.uniform(lo, hi), 0.0
+            inputs.append((f, x))
+
+        def run(size):
+            monkeypatch.setattr(sm, "_ROOT_BLOCK", size)
+            return [(resolvent_array(f, lam, x).tobytes(),
+                     yosida_of_yosida_array(f, lam, mu, x).tobytes()) for f, x in inputs]
+
+        assert run(block) == run(3 * block)
+
+    def test_working_set_does_not_grow_with_the_input(self):
+        # the engine's temporaries (about 41 doubles per element) are one
+        # block's, not the input's
+        x = np.random.default_rng(6).normal(0.0, 1.5, 2**17)
+        tracemalloc.start()
+        try:
+            resolvent_array(mid_value_graphs()[1], 2.0**-7, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
 
     def test_lambda_column_matches_rows(self):
         # a (B, 1) column of levels gives each row its own scalar-lambda result
@@ -303,16 +341,18 @@ class TestResolvent:
             with pytest.raises(NoConvergence, match="non-finite"):
                 resolvent_array(f, 0.5, np.array([0.6, 2.0]))
 
-    def test_non_finite_branch_value_names_graph_gap_and_value(self):
+    def test_non_finite_branch_value_names_graph_gap_and_value(self, monkeypatch):
         # nan only beyond the [-8, 8] that the build-time shape probe samples
         f = piecewise_graph("capped", [0.0], [lambda x: x - 1.0, lambda x: np.where(
             np.abs(x) > 8.0, np.nan, x + 1.0)], 1.0, 2.0)
-        assert resolvent_array(f, 1.0, np.array([-3.0, 0.5, 7.0])).tolist() == [-1.0, 0.0, 3.0]
-        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as err:
-            resolvent_array(f, 1.0, np.array([1.0, 30.0]))
-        # x = 30 is bracketed by [0, 30 - f(0+)]; its upper end is the first value met
-        assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
-                                  "value f(y) = nan at y = 29.0 on knot gap 1")
+        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+            assert resolvent_array(f, 1.0, np.array([-3.0, 0.5, 7.0])).tolist() == [-1.0, 0.0, 3.0]
+            with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as err:
+                resolvent_array(f, 1.0, np.array([1.0, 30.0]))
+            # x = 30 is bracketed by [0, 30 - f(0+)]; its upper end is the first value met
+            assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
+                                      "value f(y) = nan at y = 29.0 on knot gap 1")
 
     def test_root_where_the_branch_is_finite_resolves(self):
         # the brackets of x = 12, 16, 17 reach y = 11, 15, 16, where the branch is
