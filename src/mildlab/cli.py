@@ -3,7 +3,7 @@
 Subcommands (consumers are scripts and CI, not interactive humans):
 
     mildlab sample-noise CONFIG     sample and export the configured paths
-    mildlab solve CONFIG            run the continuation per seed, export u/g
+    mildlab solve CONFIG            run the continuation per seed, export u
     mildlab study NAME CONFIG       run one named study (its config section
                                     must be present under "studies")
     mildlab check-invariants CONFIG run the fast cross-module battery
@@ -110,14 +110,12 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     def solve(i: int, path) -> bool:
         sol = solve_mild(graph, u0, path, solver_cfg)
         export_series_csv(sol.u, path.times, out / f"solution{i}_u.csv")
-        export_series_csv(sol.g, path.times, out / f"solution{i}_g.csv")
         run_record = {
             "seed": path.seed,
             "drift": cfg.raw["drift"],
             "final_lambda": sol.final_lambda,
             "residual": sol.residual,
             "converged": sol.converged,
-            "schedule_exhausted": not sol.converged,
             "lambdas": sol.lambdas,
             "gaps": sol.gaps,
             "sup_norms": sol.sup_norms,
@@ -129,7 +127,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     converged = _map_paths(cfg, sg, solve, workers)
     _write_manifest(cfg, out, "solve",
                     [f"solution{i}{ext}" for i in range(cfg.n_paths)
-                     for ext in ("_u.csv", "_g.csv", ".json")])
+                     for ext in ("_u.csv", ".json")])
     return EXIT_PASS if all(converged) else EXIT_INCONCLUSIVE
 
 

@@ -59,10 +59,8 @@ def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
             f"yosida_monotone[{name}]",
             float(np.max(-(fx - fy) * (x - y))), 10 * ROOT_TOL))
         # identity: x - y = R_lam x - R_mu y + lam f_lam(x) - mu f_mu(y)
-        rlx = np.array([resolvent_array(f, l, np.asarray([xx]))[0]
-                        for l, xx in zip(lams[:200], x[:200])])
-        rmy = np.array([resolvent_array(f, m, np.asarray([yy]))[0]
-                        for m, yy in zip(mus[:200], y[:200])])
+        rlx = resolvent_array(f, lams[:200], x[:200])
+        rmy = resolvent_array(f, mus[:200], y[:200])
         flx = (x[:200] - rlx) / lams[:200]
         fmy = (y[:200] - rmy) / mus[:200]
         ident = (x[:200] - y[:200]) - (rlx - rmy + lams[:200] * flx - mus[:200] * fmy)

@@ -352,8 +352,9 @@ def bernoulli_study(n_samples: int = 1000, seed: int = 0) -> StudyReport:
     )
     report.checks["constant_g_under_bound"] = bool(np.all(y <= y0 + 2.0 * c * t + 1e-12))
 
-    # zero forcing: bound is tight
-    report.checks["zero_g_tight"] = True
+    # zero forcing: y stays at y0, which is the bound y0 + 2 int 0
+    report.checks["zero_g_tight"] = bool(
+        np.all(_extremal_path(y0, np.zeros(n_steps), delta) == y0))
     return report.finalize()
 
 

@@ -385,7 +385,7 @@ def test_criterion_14_determinism(tmp_path):
         blobs.append(b"".join(
             (out / name).read_bytes()
             for name in ("cauchy/report.json", "cauchy/series.csv",
-                         "solution0_u.csv", "solution1_g.csv", "manifest.json")))
+                         "solution0_u.csv", "solution1_u.csv", "manifest.json")))
     assert blobs[0] == blobs[1] == blobs[2]
     trees = []
     for workers in ("1", "2", "4"):
@@ -400,7 +400,7 @@ def test_criterion_14_determinism(tmp_path):
             tree.update({(subcommand, p.name): p.read_bytes()
                          for p in sorted((root / "run").iterdir())})
         trees.append(tree)
-    assert len(trees[0]) == 2 * 3 + 2 * 2 + 2  # per path u, g, json; csv, json; manifests
+    assert len(trees[0]) == 2 * 2 + 2 * 2 + 2  # per path u, json; csv, json; manifests
     assert trees[0] == trees[1] == trees[2]
     elapsed = time.time() - start
     record_criterion(14, f"reruns byte-identical and invariant to worker count ({elapsed:.0f}s)")

@@ -427,6 +427,36 @@ class TestCli:
             outs.append((root / "run" / "solution0_u.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("drift", [
+        None,  # SMALL_CONFIG's cubic, a closed-form resolvent
+        {"kind": "piecewise", "breakpoints": [0.0], "expressions": ["x**3 - 1", "x**3 + 1"],
+         "d": 3, "C_f": 2},  # the generic engine
+    ])
+    def test_g_regenerates_from_the_u_csv(self, tmp_path, drift, workers):
+        # solve writes no g: g = f_lam(u) at the final lambda, so it is rebuilt,
+        # as README's Artifacts section shows, from the manifest's config, the
+        # run record's final_lambda and the u CSV, with the bytes solve_mild has
+        from mildlab.noise import path_seeds, sample_path
+        from mildlab.scalar_monotone import yosida_array
+        from mildlab.solver import solve_mild
+
+        cfg_file = write_config(tmp_path, {"drift": drift} if drift else None)
+        assert main(["solve", str(cfg_file), "--workers", workers,
+                     "--output-root", str(tmp_path)]) in (0, 2)
+        run = tmp_path / "run"
+        cfg = parse_config(cfg_file.read_text())
+        config = json.loads((run / "manifest.json").read_text())["config"]
+        graph = parse_config(json.dumps(config)).build_graph()
+        sg, u0 = cfg.build_semigroup(), cfg.build_initial(cfg.build_grid())
+        for i, seed in enumerate(path_seeds(cfg.master_seed, cfg.n_paths)):
+            lam = json.loads((run / f"solution{i}.json").read_text())["final_lambda"]
+            u = np.loadtxt(run / f"solution{i}_u.csv", delimiter=",", skiprows=1)[:, 2]
+            g = yosida_array(graph, lam, u.reshape(-1, config["grid"]["M"]))
+            path = sample_path(sg, cfg.build_noise_spec(), cfg.T, cfg.delta, int(seed))
+            sol = solve_mild(cfg.build_graph(), u0, path, cfg.solver_config())
+            assert g.tobytes() == sol.g.values.tobytes()
+
     def test_output_root_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "env"))
         cfg = write_config(tmp_path)
@@ -522,7 +552,7 @@ class TestCli:
                                 "--output-root", str(root)) == 1
             errors.append(capsys.readouterr().err)
             names = {p.name for p in (root / "run").iterdir()}
-            others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.csv", "_g.csv", ".json")}
+            others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.csv", ".json")}
             # no solution1* and no temp file; on the pool the other paths finish
             assert names == others if workers == "2" else names <= others
             assert multiprocessing.active_children() == []

@@ -91,21 +91,15 @@ ARTIFACTS = {
     },
     "solve": {
         "solution0.json":
-            "23ade8b922638cfe435e1cf29bab71863dd3602e5f51f33e75c0a129f7b1f57a",
-        "solution0_g.csv":
-            "376e9ed8d9b88598830d02de87ac780b44c7c97208d0ee6b5293fe78942b6424",
+            "169f13a99d15547428bbdabf66fe93f3f9ce80e93852b33bb95477d643193813",
         "solution0_u.csv":
             "a777d4cfa6a32c1d01d2ed8edeb31235c02ba4af6f097bf582927e1f58f93b65",
         "solution1.json":
-            "f7adc2bb508d058a333501eec5d99e4aff6b7a7cf7fa3b83128e4dee34c5e9d7",
-        "solution1_g.csv":
-            "e1ae6f4dbeeb9b646ddcd23e8419cec7747494b1d05617dcfd585ae0edea3a07",
+            "5fd2a50061968387ee459ca618a97399c799619d56bca171bfe5dfbf038e0521",
         "solution1_u.csv":
             "fdbaff4b9f7574a1431d355bb6b79d47e6241bb6911e73356e38bff5cf76ed7b",
         "solution2.json":
-            "08c25e1017d8795a7c2d346b634a67be0e735717bbaa5da89d4418580db445cd",
-        "solution2_g.csv":
-            "ab0f1ba85b5edefa858b50ff7f6c1104062c6bd8dc0983b3632543edeab425a0",
+            "e6e0e988caac13754eb76f581cb94790bc6968aec91f852472c5824a5405138a",
         "solution2_u.csv":
             "f8a6e8492d06d5718094af921a5a59dba473b76659af7c42bea8b468373cb8b1",
     },
@@ -123,3 +117,6 @@ def test_command_bytes_are_pinned(name, tmp_path):
     out = tmp_path / "golden"
     listed = json.loads((out / "manifest.json").read_text())["artifacts"]
     assert {a: sha256(out / a) for a in listed} == ARTIFACTS[name]
+    # nothing is written that the manifest does not list
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == {"manifest.json", *listed}
