@@ -15,16 +15,17 @@ and the convex primitive phi(x) = int_0^x f.
 
 Resolvents come from closed forms (linear, quadratic, cubic, sign) or
 guarded Newton (other powers) where a fast path is attached to the graph.
-Any other graph goes through one engine (_resolve_on_knots): an x inside a
-knot's jump interval resolves to exactly that knot, every other x to the one
-continuous branch between two knots, solved there by Chandrupatla's
-bracketed hybrid.  A graph builds its knots (the breakpoints and 0) once;
-the engine solves its input in blocks of at most _ROOT_BLOCK elements, so a
+Any other graph goes through the generic engine
+(generic_engine.resolve_on_knots): an x inside a knot's jump interval
+resolves to exactly that knot, every other x to the one continuous branch
+between two knots.  A graph builds its knots (the breakpoints and 0) once,
+and on first use at a lam the engine's table for it, which it keeps.  The
+engine solves its input in blocks of at most _ROOT_BLOCK elements, so a
 whole trajectory costs it one block's temporaries.  Every root solve stops
-each element on its own, within two ulps, and raises NoConvergence at its
-step cap, so a result does not depend on its block.  phi without a closed
-form comes from one adaptive Gauss-Legendre loop to QUAD_TOL (see
-primitive_array).  Resolvent and Yosida functions take (graph, lam, x);
+each element on its own and raises NoConvergence at its step cap, so a
+result does not depend on its block.  phi without a closed form comes from
+one adaptive Gauss-Legendre loop to QUAD_TOL (see primitive_array).
+Resolvent and Yosida functions take (graph, lam, x);
 the resolvent's and Yosida's lam may be an array that broadcasts against x.
 Every function here is vectorized: x is an array or a Python scalar, and the
 result has x's shape (0-d for a scalar).  Primitives, and resolvents at a
@@ -50,7 +51,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketFailure, NoConvergence, NonFiniteInput
+from .errors import NoConvergence, NonFiniteInput
+from .generic_engine import KnotTable, knot_table, resolve_on_knots, sorted_unique
 
 __all__ = [
     "MonotoneGraph",
@@ -72,32 +74,27 @@ __all__ = [
 ]
 
 # Caps past which a root solve raises NoConvergence: guarded Newton steps for
-# a power drift without a closed form, and Chandrupatla steps per branch solve
-# of the generic engine (at most 9 on the benchmark's jump-at-0 cubic, where
-# bisection to two ulps would take about 44).
+# a power drift without a closed form, and steps per branch solve of the
+# generic engine (at most 3 on the benchmark's jump-at-0 cubic at its stepper
+# levels, 4 at lam = 0.1, where bisection to two ulps would take about 44).
 _MAX_NEWTON = 100
 _MAX_ROOT_STEPS = 100
 # The generic engine's block: it solves at most this many elements at a time,
-# so its temporaries (about 41 doubles per element) stay near 1.3 MB however
+# so its temporaries (about 33 doubles per element) stay near 1.1 MB however
 # long the input.  A stepper call, B*M <= 7*511 elements, is one block.
 _ROOT_BLOCK = 4096
+# The generic engine's tables: a graph's table at a lam has _TABLE_NODES
+# evenly spaced nodes over the build-time shape probe's range [-_PROBE_SPAN,
+# _PROBE_SPAN], and its knots (about 42 kB); a graph keeps at most
+# _MAX_TABLES of them.
+_PROBE_SPAN = 8.0
+_TABLE_NODES = 1025
+_MAX_TABLES = 16
 # The primitive's quadrature tolerance (relative above 1, where rounding would
 # defeat an absolute one) and its halvings before it raises (2^-50 of an
 # integral is a few ulps).
 QUAD_TOL = 1e-10
 _MAX_QUAD_LEVELS = 50
-
-
-def _sorted_unique(a) -> np.ndarray:
-    """The distinct values of a, flattened and sorted, as np.unique gives them.
-
-    np.unique asks numpy.ma whether a is masked, and that first import costs
-    every CLI invocation more than the build it serves.
-    """
-    a = np.sort(a, axis=None)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 @functools.cache
@@ -135,14 +132,17 @@ class MonotoneGraph:
     # the knots (the breakpoints and 0, sorted) and the branch on each gap between them
     _knots: np.ndarray = field(init=False, repr=False, compare=False)
     _gap_branch: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # the resolvent's bracket tables, by lam (see _graph_table)
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         breaks = np.asarray(self.breakpoints, dtype=float)
-        knots = _sorted_unique(np.append(breaks, 0.0))
+        knots = sorted_unique(np.append(breaks, 0.0))
         object.__setattr__(self, "_breaks", breaks)
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_gap_branch",
                            (*np.searchsorted(breaks, knots, side="left").tolist(), breaks.size))
+        object.__setattr__(self, "_tables", {})
         if len(self.branch_fns) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more branch than breakpoints")
         if list(self.breakpoints) != sorted(set(self.breakpoints)):
@@ -155,7 +155,8 @@ class MonotoneGraph:
 
     def _check_shape(self):
         """Sampled finiteness / monotonicity / jump-sign / growth checks at build time."""
-        probes = _sorted_unique(np.concatenate([np.linspace(-8.0, 8.0, 257), self._breaks]))
+        probes = np.linspace(-_PROBE_SPAN, _PROBE_SPAN, 257)
+        probes = sorted_unique(np.concatenate([probes, self._breaks]))
         left, right = self.left_limits(probes), self.right_limits(probes)
         finite = np.isfinite(left) & np.isfinite(right)
         if not finite.all():
@@ -228,170 +229,28 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 # -- resolvent and Yosida approximation -------------------------------------
 
 
-def _non_finite(what: str, gap: int, y, fy) -> NoConvergence:
-    """The error for a value fy = f(y) that is not finite, on the gap between knots."""
-    return NoConvergence(f"resolvent of {what} meets a non-finite branch value "
-                         f"f(y) = {float(fy)!r} at y = {float(y)!r} on knot gap {int(gap)}")
+def _graph_table(graph: MonotoneGraph, lam: float) -> KnotTable:
+    """The graph's table at lam on _TABLE_NODES grid points, built on first use.
 
-
-def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, lo_lim: np.ndarray, hi_lim: np.ndarray, what: str) -> np.ndarray:
-    """Zero of g(y) = y + lam*fns[gap](y) - x in [lo, hi], elementwise.
-
-    gap is sorted, so each evaluator runs once per step on its own slice, and
-    fns[gap] is continuous and nondecreasing on [lo_lim, hi_lim], which holds
-    the bracket.  Chandrupatla's hybrid (1997) takes inverse quadratic
-    interpolation steps where the last three points allow it and bisection
-    steps otherwise, never closer than one ulp to an end.  Each element stops
-    on its own, once g = 0 there or its bracket is at most two ulps wide, so
-    its result does not depend on the other elements.
-
-    An end where the branch is not finite is pulled toward the other end by
-    bisection until it is finite and past the root; only a root beyond the
-    branch's finite part raises, naming the first non-finite value met.
+    The graph keeps it, for lam and its branch_fns of the time: at most
+    _MAX_TABLES of them, the oldest dropped first.
     """
-    every_gap = np.arange(len(fns) + 1)
-    met = []  # the error for each non-finite value met, in order
-
-    def g(y, x, gap, lenient=False):
-        fy = np.empty_like(y)
-        bounds = np.searchsorted(gap, every_gap)
-        for fn, start, stop in zip(fns, bounds[:-1], bounds[1:]):
-            if start < stop:
-                fy[start:stop] = fn(y[start:stop])
-        gy = y + lam * fy - x
-        if not np.isfinite(gy).all():
-            k = np.flatnonzero(~np.isfinite(gy))[0]
-            met.append(_non_finite(what, gap[k], y[k], fy[k]))
-            if not lenient:
-                raise met[-1]
-        return gy
-
-    def pull_in(end, f_end, near, sign):
-        """end and g(end), each non-finite end bisected toward near until g is finite
-        and sign * g >= 0 there."""
-        end, f_end = end.copy(), f_end.copy()
-        idx = np.flatnonzero(~np.isfinite(f_end))
-        far, near = end[idx], near[idx]
-        while idx.size:
-            if np.any(np.abs(far - near) <= 2.0 * np.spacing(np.fmax(np.abs(far), np.abs(near)))):
-                raise met[0]  # the root lies beyond the branch's finite part
-            mid = 0.5 * near + 0.5 * far  # no overflow, so mid stays finite
-            gm = g(mid, x[idx], gap[idx], lenient=True)
-            finite = np.isfinite(gm)
-            done = finite & (sign * gm >= 0.0)
-            end[idx[done]], f_end[idx[done]] = mid[done], gm[done]
-            far, near = np.where(finite, far, mid), np.where(finite, mid, near)
-            idx, far, near = idx[~done], far[~done], near[~done]
-        return end, f_end
-
-    y1, y2 = lo, hi
-    f1, f2 = g(y1, x, gap, lenient=True), g(y2, x, gap, lenient=True)
-    if met:
-        if (~np.isfinite(f1) & ~np.isfinite(f2)).any():
-            raise met[0]
-        y1, f1 = pull_in(y1, f1, y2, -1.0)
-        y2, f2 = pull_in(y2, f2, y1, 1.0)
-    # Rounding can leave an end a hair short of the root.  g(y) - y is
-    # nondecreasing, so y - 2*g(y) bounds the root from the other side.
-    short1, short2 = f1 > 0.0, f2 < 0.0
-    if short1.any() or short2.any():
-        y1 = np.where(short1, np.maximum(lo_lim, y1 - 2.0 * f1), y1)
-        y2 = np.where(short2, np.minimum(hi_lim, y2 - 2.0 * f2), y2)
-        f1 = np.where(short1, g(y1, x, gap), f1)
-        f2 = np.where(short2, g(y2, x, gap), f2)
-        if (f1 > 0.0).any() or (f2 < 0.0).any():
-            raise BracketFailure(f"no sign change on the bracket for {what}")
-    out = np.empty_like(x)
-    live = np.arange(x.size)
-    y3 = f3 = t = 0.5  # y3, f3 are first set by the first step, which bisects
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(_MAX_ROOT_STEPS + 1):
-            a1, a2 = np.abs(f1), np.abs(f2)
-            ym = np.where(a1 < a2, y1, y2)
-            tol, dy = 2.0 * np.spacing(np.abs(ym)), np.abs(y2 - y1)
-            done = (dy <= tol) | (np.minimum(a1, a2) == 0.0)
-            if done.any():
-                out[live[done]] = ym[done]
-                keep = ~done
-                live, gap, x, y1, f1, y2, f2, tol, dy = (
-                    v[keep] for v in (live, gap, x, y1, f1, y2, f2, tol, dy))
-                if step:
-                    y3, f3 = y3[keep], f3[keep]
-            if not live.size:
-                return out
-            if step == _MAX_ROOT_STEPS:
-                break
-            if step:
-                d12, d32 = f1 - f2, f3 - f2
-                xi, phi = (y1 - y2) / (y3 - y2), d12 / d32
-                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-                t = f1 / d32 * (f3 / d12 + (y3 - y1) / (y2 - y1) * f2 / (f3 - f1))
-                t = np.where(iqi, t, 0.5)
-            tl = 0.5 * tol / dy
-            yt = y1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * (y2 - y1)
-            ft = g(yt, x, gap)
-            same = np.sign(ft) == np.sign(f1)
-            y3, f3 = np.where(same, y1, y2), np.where(same, f1, f2)
-            y2, f2 = np.where(same, y2, y1), np.where(same, f2, f1)
-            y1, f1 = yt, ft
-    raise NoConvergence(f"resolvent of {what}: no stop after {_MAX_ROOT_STEPS} steps")
-
-
-def _resolve_on_knots(knots: np.ndarray, gap_fns, lam: float, x: np.ndarray,
-                      what: str) -> np.ndarray:
-    """Solve y + lam*f(y) = x, elementwise, for f continuous between sorted knots.
-
-    gap_fns[j] evaluates f on the j-th open gap (-inf, c_0), (c_0, c_1), ...,
-    (c_{n-1}, inf), so f(c-) and f(c+) at a knot c are its two neighbours'
-    values there.  Every x in [c + lam*f(c-), c + lam*f(c+)] resolves to
-    exactly c; any other x lies between two knots' intervals, and its root in
-    the gap between the knots.  R_lam is 1-Lipschitz, so |y - c| <= |x - x_c|
-    for the nearer end x_c of each neighbouring interval: that brackets the
-    root without a search.  The intervals are computed once; the lookup, the
-    bracket and the root solve then run over x flattened in blocks of at most
-    _ROOT_BLOCK elements, and each element's result is the one it gets alone.
-    """
-    flat = x.reshape(-1)
-    n = knots.size
-    edges = np.empty(2 * n)  # [x_c-, x_c+] of each knot c, in order
-    for j, fn in enumerate(gap_fns):
-        at = knots[max(j - 1, 0): j + 1]
-        vals = fn(at)
-        if not np.isfinite(vals).all():
-            k = np.flatnonzero(~np.isfinite(vals))[0]
-            raise _non_finite(what, j, at[k], vals[k])
-        if j > 0:
-            edges[2 * j - 1] = knots[j - 1] + lam * vals[0]
-        if j < n:
-            edges[2 * j] = knots[j] + lam * vals[-1]
-    # each gap's knots, +-inf beyond the outer ones, and its x-interval ends
-    lo_lims, hi_lims = np.concatenate([[-np.inf], knots]), np.concatenate([knots, [np.inf]])
-    left_edges = np.concatenate([[-np.inf], edges[1::2]])
-    right_edges = np.concatenate([edges[0::2], [np.inf]])
-    y = np.empty_like(flat)
-    for start in range(0, flat.size, _ROOT_BLOCK):
-        xb, yb = flat[start: start + _ROOT_BLOCK], y[start: start + _ROOT_BLOCK]
-        # pos is odd for x in (x_c-, x_c+]; x = x_c- gets the bracket [c, c] below
-        pos = np.searchsorted(edges, xb, side="left")
-        on_knot = pos % 2 == 1
-        yb[on_knot] = knots[pos[on_knot] // 2]
-        rest = np.flatnonzero(~on_knot)
-        rest = rest[np.argsort(pos[rest], kind="stable")]
-        gap, xs = pos[rest] // 2, xb[rest]
-        lo_lim, hi_lim = lo_lims[gap], hi_lims[gap]
-        with np.errstate(invalid="ignore"):  # inf - inf in the outer gaps, dropped by the limits
-            lo = np.fmax(lo_lim, hi_lim - (right_edges[gap] - xs))
-            hi = np.fmin(hi_lim, lo_lim + (xs - left_edges[gap]))
-        yb[rest] = _branch_root(gap_fns, gap, lam, xs, lo, hi, lo_lim, hi_lim, what)
-    return y.reshape(x.shape)
+    tables, fns = graph._tables, graph.branch_fns
+    table = tables.get(lam)
+    if table is None or table.fns is not fns:
+        if table is None and len(tables) >= _MAX_TABLES:
+            del tables[next(iter(tables))]
+        grid = np.linspace(-_PROBE_SPAN, _PROBE_SPAN, _TABLE_NODES)
+        table = tables[lam] = knot_table(graph._knots, [fns[i] for i in graph._gap_branch],
+                                         lam, grid, repr(graph.name), fns)
+    return table
 
 
 def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
-    """R_lam(x) for a graph with no fast path, on the knots the graph holds."""
-    fns = graph.branch_fns
-    return _resolve_on_knots(graph._knots, [fns[i] for i in graph._gap_branch], lam, x,
-                             repr(graph.name))
+    """R_lam(x) for a graph with no fast path, from its table at lam."""
+    lam, fns = float(lam), graph.branch_fns
+    return resolve_on_knots(_graph_table(graph, lam), [fns[i] for i in graph._gap_branch],
+                            lam, x, repr(graph.name), _ROOT_BLOCK, _MAX_ROOT_STEPS)
 
 
 def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
@@ -418,7 +277,7 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
         return graph.fast_resolvent(x if levels else flat, lam).reshape(x.shape)
     if not levels:
         return _branch_resolvent(graph, lam, flat).reshape(x.shape)
-    levels, lam = _sorted_unique(lam), np.broadcast_to(lam, x.shape).reshape(-1)
+    levels, lam = sorted_unique(lam), np.broadcast_to(lam, x.shape).reshape(-1)
     out = np.empty_like(flat)
     for level in levels:
         at = lam == level
@@ -439,14 +298,18 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
     """(f_lam)_mu(x): Yosida approximation of the function f_lam.
 
     f_lam is continuous and monotone, one branch with a knot at 0, so its
-    resolvent comes from the same engine as a generic graph's; this
-    deliberately does NOT use the algebraic reduction to f_{lam+mu}, which is
-    what tests compare it to.
+    resolvent comes from the same engine as a generic graph's, on a table of
+    the knot alone (one on a grid would cost a resolve per node per call);
+    this deliberately does NOT use the algebraic reduction to f_{lam+mu},
+    which is what tests compare it to.  lam and mu must be > 0 and finite.
     """
+    if not all(0.0 < level < np.inf for level in (lam, mu)):
+        raise ValueError("lambda must be > 0")
     x = np.asarray(x, dtype=float)
     f_lam = lambda r: yosida_array(graph, lam, r)  # noqa: E731
-    rho = _resolve_on_knots(np.zeros(1), (f_lam, f_lam), mu, x,
-                            f"the composed Yosida resolvent of {graph.name!r}")
+    what = f"the composed Yosida resolvent of {graph.name!r}"
+    table = knot_table(np.zeros(1), (f_lam, f_lam), mu, np.empty(0), what)
+    rho = resolve_on_knots(table, (f_lam, f_lam), mu, x, what, _ROOT_BLOCK, _MAX_ROOT_STEPS)
     return (x - rho) / mu
 
 

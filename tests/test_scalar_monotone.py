@@ -1,7 +1,9 @@
 """Scalar monotone machinery: sections, resolvents, Yosida maps, envelopes."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -203,13 +205,16 @@ class TestResolvent:
         cubic_jump = mid_value_graphs()[1]
         for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
             monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
-            with pytest.raises(NoConvergence, match="no stop after 2 steps"):
+            with pytest.raises(NoConvergence, match="no stop after 2 steps") as err:
                 resolvent_array(cubic_jump, 0.1, np.array([0.3, 2.5]))
+            assert str(err.value) == ("resolvent of 'cubic-jump': no stop after 2 steps "
+                                      "at lambda = 0.1, first at x = 0.3")
 
     @pytest.mark.parametrize("lam", [2.0**-8 + 2.0**-10, 0.1])
     def test_generic_engine_stops_within_ulps(self, monkeypatch, lam):
-        # Chandrupatla's steps stop every branch solve on these inputs within
-        # 9; bisection to two ulps would need about 44.  One call of 32 blocks.
+        # Steps from the table's interpolant stop every branch solve on these
+        # inputs within 4; bisection to two ulps would need about 44.  One
+        # call of 32 blocks.
         monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
         for f in mid_value_graphs()[1:]:
             x = np.random.default_rng(0).normal(0.0, 1.5, (1024, 127))
@@ -292,6 +297,73 @@ class TestResolvent:
         finally:
             tracemalloc.stop()
         assert peak < 4 * x.nbytes
+
+    def test_branch_calls_per_resolve(self):
+        # the benchmark's piecewise cubic at its two stepper levels: the table
+        # brackets and starts each solve, so a resolve evaluates each branch
+        # about twice (18 calls per resolve before the table)
+        f = mid_value_graphs()[1]
+        calls = []
+
+        def counted(fn):
+            return lambda x: calls.append(1) or fn(x)
+
+        object.__setattr__(f, "branch_fns", tuple(counted(fn) for fn in f.branch_fns))
+        rng = np.random.default_rng(7)
+        for lam in (2.0**-6 + 2.0**-10, 2.0**-7 + 2.0**-10):
+            for _ in range(64):
+                resolvent_array(f, lam, rng.normal(0.0, 1.0, 127))
+        assert len(calls) / 128 <= 5.0
+
+    @pytest.mark.parametrize("lam", [2.0**-7 + 2.0**-10, 0.1])
+    def test_table_edges(self, monkeypatch, lam):
+        # x on the table's nodes, on each knot's interval ends x_c-+, just
+        # inside and just past the table's x-range, and far past it, where the
+        # 1-Lipschitz bracket takes over
+        for f in mid_value_graphs()[1:]:
+            table = sm._graph_table(f, lam)
+            lo, hi = table.x[0], table.x[-1]
+            xs = np.concatenate([table.x[::3], table.ends[1:-1], np.nextafter([lo, hi], 0.0),
+                                 np.nextafter([lo, hi], [-np.inf, np.inf]),
+                                 [lo - 1.0, hi + 1.0, -1e6, 1e6]])
+            y = resolvent_array(f, lam, xs)
+            # the engine's stop rule: g changes sign within two ulps of y, or
+            # |g(y)| is at most one ulp of max(|x|, |y|)
+            g = lambda v: v + lam * f.mid_values(v) - xs  # noqa: E731
+            ulp = np.spacing(np.abs(y))
+            within = (g(y - 2.0 * ulp) <= 0.0) & (g(y + 2.0 * ulp) >= 0.0)
+            within |= np.abs(g(y)) <= np.spacing(np.maximum(np.abs(xs), np.abs(y)))
+            assert within.all(), (f.name, xs[~within])
+            # each knot's interval ends resolve to exactly the knot
+            assert np.all(resolvent_array(f, lam, table.ends[1:-1]) == np.repeat(f._knots, 2))
+            alone = np.array([resolvent_array(f, lam, x) for x in xs])
+            assert y.tobytes() == alone.tobytes(), f.name
+            monkeypatch.setattr(sm, "_ROOT_BLOCK", 7)
+            assert resolvent_array(f, lam, xs).tobytes() == y.tobytes(), f.name
+            monkeypatch.undo()
+
+    def test_table_follows_swapped_branches(self):
+        # a table is built for the branches of its time: swapped ones get their own
+        lam, xs = 2.0**-7 + 2.0**-10, np.random.default_rng(8).normal(0.0, 1.5, 127)
+        f = mid_value_graphs()[1]
+        first = resolvent_array(f, lam, xs)
+        fns = (compile_branch("x**3 - 2"), compile_branch("x**3 + 2"))
+        object.__setattr__(f, "branch_fns", fns)
+        again = resolvent_array(f, lam, xs)
+        fresh = resolvent_array(piecewise_graph("cubic-jump-2", [0.0], fns, 3.0, 2.0), lam, xs)
+        assert again.tobytes() == fresh.tobytes()
+        assert not np.array_equal(again, first)
+
+    def test_tables_live_on_their_graph(self):
+        # at most _MAX_TABLES levels each, and none outlives its graph
+        f = mid_value_graphs()[1]
+        for i in range(sm._MAX_TABLES + 3):
+            resolvent_array(f, 0.01 * (i + 1), np.array([0.5, -2.0]))
+        assert len(f._tables) == sm._MAX_TABLES
+        alive = weakref.ref(f)
+        del f
+        gc.collect()
+        assert alive() is None
 
     def test_lambda_column_matches_rows(self):
         # a (B, 1) column of levels gives each row its own scalar-lambda result
@@ -377,6 +449,16 @@ class TestResolvent:
 
 
 class TestYosida:
+    @pytest.mark.parametrize("lam, mu", [(0.25, 0.0), (0.25, -0.1), (0.0, 0.125), (-0.25, 0.125),
+                                         (np.inf, 0.125), (0.25, np.nan)])
+    def test_composed_needs_finite_positive_levels(self, lam, mu):
+        # before any solve: a branch that raises is never reached
+        g = piecewise_graph("untouched", [], [lambda x: x], 1.0, 1.0)
+        object.__setattr__(g, "branch_fns", (lambda x: pytest.fail("a branch was evaluated"),))
+        for f in (power_graph(3.0), g):
+            with pytest.raises(ValueError, match="^lambda must be > 0$"):
+                yosida_of_yosida_array(f, lam, mu, np.array([0.5]))
+
     def test_sign_clamp(self):
         assert yosida_array(sign_graph(), 0.5, 0.2) == pytest.approx(0.4, abs=1e-12)
         assert yosida_array(sign_graph(), 0.5, 3.0) == pytest.approx(1.0, abs=1e-12)
