@@ -131,7 +131,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     return EXIT_PASS if all(converged) else EXIT_INCONCLUSIVE
 
 
-def _default_forcing(cfg: RunConfig, sg):
+def _default_forcing(sg):
     nodes = sg.grid.nodes
 
     def forcing(times: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     if name == "l1":
         return l1_convergence_study(graph, paths, solver_cfg, u0, workers=workers)
     if name == "chain_rule":
-        return chain_rule_study(params["q"], sg, _default_forcing(cfg, sg), u0,
+        return chain_rule_study(params["q"], sg, _default_forcing(sg), u0,
                                 T=cfg.T, deltas=tuple(params["deltas"]))
     if name == "bernoulli":
         return bernoulli_study(n_samples=params["n_samples"], seed=cfg.master_seed)

@@ -7,8 +7,9 @@ at sorted nodes y, each knot twice, once per side.  One lookup there gives
 an x its knot, if x lies in the knot's jump interval, or a bracket between
 two nodes whose residuals g = y + lam*f(y) - x are known.  The root solve
 (_branch_root) starts at the table's interpolant of y and takes Newton
-steps on its slope, then Chandrupatla's bracketed hybrid (1997).  An x
-beyond the table gets a 1-Lipschitz bracket off the knots' intervals and a
+steps on its slope, then Chandrupatla's bracketed hybrid (1997), whose
+bisection halves a wide bracket's exponent (_midpoint).  An x beyond the
+table gets a 1-Lipschitz bracket off the table's end node nearer it and a
 regula falsi start.  Every element stops on its own, so its result does not
 depend on the others in its call: within two ulps of y, or once |g| is at
 most one ulp of max(|x|, |y|), which bounds its distance to the root as
@@ -54,9 +55,8 @@ class KnotTable(NamedTuple):
     so x holds its jump interval's ends x_c- <= x_c+; x is nondecreasing, as
     y + lam*f(y) is increasing.  Interval k is (x[k-1], x[k]]: gap[k] is its
     knot gap, -1 if it is a knot's jump interval, and -2 for k = 0 and
-    k = x.size, beyond the table, where the 1-Lipschitz bracket off ends (each
-    knot's interval ends, +-inf outside) and lims (the knots, the same) takes
-    over.  On interval k, with d1 the slope (y[k] - y[k-1]) / (x[k] - x[k-1]),
+    k = x.size, beyond the table, where the 1-Lipschitz bracket off the end node
+    nearer x takes over.  On interval k, with d1 = (y[k] - y[k-1]) / (x[k] - x[k-1]),
 
         y[k-1] + (x - x[k-1])*(d1 + (x - x[k])*(dd2[k] + (x - x3[k])*dd3[k]))
 
@@ -72,8 +72,6 @@ class KnotTable(NamedTuple):
     dd2: np.ndarray
     dd3: np.ndarray
     x3: np.ndarray
-    ends: np.ndarray
-    lims: np.ndarray
 
 
 def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: str,
@@ -123,12 +121,10 @@ def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: s
                                          (behind, from_node(d3, -3)), (ahead, 0.0), (behind, 0.0)]):
         ok = np.isfinite(second) & np.isfinite(third) & np.isfinite(at)
         dd2, dd3, x3 = np.where(ok, second, dd2), np.where(ok, third, dd3), np.where(ok, at, x3)
-    ends = np.concatenate([[-np.inf], x[edge_at], [np.inf]])
-    lims = np.concatenate([[-np.inf], knots, [np.inf]])
     # what the table keeps, in one allocation made after the build's temporaries
     kept = np.empty((5, x.size + 1))
     kept[0, :-1], kept[1, :-1], kept[2:] = y, x, (dd2, dd3, x3)
-    return KnotTable(fns, kept[0, :-1], kept[1, :-1], gap, *kept[2:], ends, lims)
+    return KnotTable(fns, kept[0, :-1], kept[1, :-1], gap, *kept[2:])
 
 
 def _gap_values(fns, bounds: list, y: np.ndarray) -> np.ndarray:
@@ -140,16 +136,31 @@ def _gap_values(fns, bounds: list, y: np.ndarray) -> np.ndarray:
     return fy
 
 
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A point between a and b, elementwise: their geometric mean where they have
+    the same sign and span more than a factor of 4, else a + (b - a)/2.
+
+    Halving the exponent narrows a bracket over many orders of magnitude in
+    a few steps.  Neither form overflows.
+    """
+    a_abs, b_abs = np.abs(a), np.abs(b)
+    wide = (np.sign(a) == np.sign(b)) & (0.25 * np.fmax(a_abs, b_abs) > np.fmin(a_abs, b_abs))
+    return np.where(wide, np.copysign(np.sqrt(a_abs) * np.sqrt(b_abs), a),
+                    a + (0.5 * b - 0.5 * a))
+
+
 def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np.ndarray,
                        what: str):
     """Ends y1, y2 of a bracket for x beyond the table, and g there, the end with
     the smaller |g| first.
 
-    R_lam is 1-Lipschitz, so |y - c| <= |x - x_c| for the nearer end x_c of
-    each neighbouring knot's interval.  An end where the branch is not finite
-    is pulled toward the other end by bisection until it is finite and past
-    the root; only a root beyond the branch's finite part raises, naming the
-    first non-finite value met.
+    gap is 0 for an x below the table and the outer gap for one above it.
+    R_lam is 1-Lipschitz and R_lam(x_e) = y_e at the table's end node e nearer
+    x, so the root lies between y_e, where g = x_e - x is known, and the far
+    end y_e + (x - x_e).  A far end where the branch is not finite is pulled
+    toward y_e by _midpoint until it is finite and past the root; only a root
+    beyond the branch's finite part raises, naming the first non-finite value
+    met.  A non-finite value here is handled, so it does not warn.
     """
     every_gap = np.arange(len(fns) + 1)
     met = []  # the error for each non-finite value met, in order
@@ -164,47 +175,35 @@ def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np
                 raise met[-1]
         return gy
 
-    def pull_in(end, f_end, near, sign):
-        """end and g(end), each non-finite end bisected toward near until g is finite
-        and sign * g >= 0 there."""
-        end, f_end = end.copy(), f_end.copy()
-        idx = np.flatnonzero(~np.isfinite(f_end))
-        far, near = end[idx], near[idx]
+    end = np.where(gap == 0, 0, table.y.size - 1)
+    near, f_near = table.y[end], table.x[end] - x
+    sign = np.where(gap == 0, -1.0, 1.0)  # of g at the far end
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = near + (x - table.x[end])
+        f_far = g(far, x, gap, lenient=True)
+        idx = np.flatnonzero(~np.isfinite(f_far))
+        lo, hi = near[idx], far[idx]  # g is finite at lo, not at hi
         while idx.size:
-            if np.any(np.abs(far - near) <= 2.0 * np.spacing(np.fmax(np.abs(far), np.abs(near)))):
+            if np.any(np.abs(hi - lo) <= 2.0 * np.spacing(np.fmax(np.abs(hi), np.abs(lo)))):
                 raise met[0]  # the root lies beyond the branch's finite part
-            mid = 0.5 * near + 0.5 * far  # no overflow, so mid stays finite
+            mid = _midpoint(lo, hi)
             gm = g(mid, x[idx], gap[idx], lenient=True)
             finite = np.isfinite(gm)
-            done = finite & (sign * gm >= 0.0)
-            end[idx[done]], f_end[idx[done]] = mid[done], gm[done]
-            far, near = np.where(finite, far, mid), np.where(finite, mid, near)
-            idx, far, near = idx[~done], far[~done], near[~done]
-        return end, f_end
-
-    lo_lim, hi_lim = table.lims[gap], table.lims[gap + 1]
-    with np.errstate(invalid="ignore"):  # inf - inf in the outer gaps, dropped by the limits
-        y1 = np.fmax(lo_lim, hi_lim - (table.ends[2 * gap + 1] - x))
-        y2 = np.fmin(hi_lim, lo_lim + (x - table.ends[2 * gap]))
-    f1, f2 = g(y1, x, gap, lenient=True), g(y2, x, gap, lenient=True)
-    if met:
-        if (~np.isfinite(f1) & ~np.isfinite(f2)).any():
-            raise met[0]
-        y1, f1 = pull_in(y1, f1, y2, -1.0)
-        y2, f2 = pull_in(y2, f2, y1, 1.0)
-    # Rounding can leave an end a hair short of the root.  g(y) - y is
-    # nondecreasing, so y - 2*g(y) bounds the root from the other side.
-    short1, short2 = f1 > 0.0, f2 < 0.0
-    if short1.any() or short2.any():
-        y1 = np.where(short1, np.maximum(lo_lim, y1 - 2.0 * f1), y1)
-        y2 = np.where(short2, np.minimum(hi_lim, y2 - 2.0 * f2), y2)
-        f1 = np.where(short1, g(y1, x, gap), f1)
-        f2 = np.where(short2, g(y2, x, gap), f2)
-        if (f1 > 0.0).any() or (f2 < 0.0).any():
-            raise BracketFailure(f"no sign change on the bracket for {what}")
-    swap = np.abs(f2) < np.abs(f1)
-    return (np.where(swap, y2, y1), np.where(swap, f2, f1),
-            np.where(swap, y1, y2), np.where(swap, f1, f2))
+            done = finite & (sign[idx] * gm >= 0.0)
+            far[idx[done]], f_far[idx[done]] = mid[done], gm[done]
+            lo, hi = np.where(finite, mid, lo), np.where(finite, hi, mid)
+            idx, lo, hi = idx[~done], lo[~done], hi[~done]
+        # Rounding can leave the far end a hair short of the root.  g(y) - y is
+        # nondecreasing, so y - 2*g(y) bounds the root from the other side.
+        short = sign * f_far < 0.0
+        if short.any():
+            far = np.where(short, far - 2.0 * f_far, far)
+            f_far = np.where(short, g(far, x, gap), f_far)
+            if (sign * f_far < 0.0).any():
+                raise BracketFailure(f"no sign change on the bracket for {what}")
+    swap = np.abs(f_far) < np.abs(f_near)
+    return (np.where(swap, far, near), np.where(swap, f_far, f_near),
+            np.where(swap, near, far), np.where(swap, f_near, f_far))
 
 
 def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: np.ndarray,
@@ -217,7 +216,7 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
     goes to start; the next _NEWTON_STEPS - 1, if slope (an estimate of dy/dx
     at x) is given, are Newton steps on it; then Chandrupatla's hybrid (1997)
     takes inverse quadratic interpolation steps where the last three points
-    allow it and bisection steps otherwise.  Every step stays in the bracket,
+    allow it and _midpoint steps otherwise.  Every step stays in the bracket,
     at least one ulp from its ends.  An element stops once its newest point
     y has |g(y)| at most one ulp of max(|x|, |y|), which bounds |y - root| as
     g(y) - y is nondecreasing, or its bracket is at most two ulps of y wide;
@@ -241,8 +240,9 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
 
     out = np.empty_like(x)
     live = np.ones(x.size, dtype=bool)
-    n_live, neg1, x_ulp = x.size, f1 < 0.0, np.spacing(np.abs(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n_live, neg1, x_ulp, bisect = x.size, f1 < 0.0, np.spacing(np.abs(x)), None
+    # a step may divide by 0 or overflow; the clip and the bisection test drop it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(max_steps + 1):
             d, ulp, a1 = y2 - y1, np.spacing(np.abs(y1)), np.abs(f1)
             dy, tol = np.abs(d), 2.0 * ulp
@@ -267,10 +267,12 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
                 d12, d32 = f1 - f2, f3 - f2
                 xi, phi = d / (y2 - y3), d12 / d32
                 t = f1 / d32 * (f3 / d12 + (y3 - y1) / d * f2 / (f3 - f1))
-                t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
+                bisect = ~((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi))
             # fmax and fmin drop a nan t, so a stopped element's step stays in its bracket
             tl = ulp / np.maximum(dy, tol)
             yt = y1 + np.fmin(np.fmax(t, tl), 1.0 - tl) * d
+            if bisect is not None:
+                yt = np.where(bisect, _midpoint(y1, y2), yt)
             ft = g(yt)
             negt = ft < 0.0
             same = negt == neg1
@@ -292,7 +294,8 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
     knot, and any other is the bracket [y[k-1], y[k]], whose g values
     x[k-1] - x and x[k] - x cost no evaluation.  The root solve starts at the
     table's interpolant and takes Newton steps on its slope.  An x beyond
-    the table gets the 1-Lipschitz bracket and a regula falsi start.
+    the table gets the 1-Lipschitz bracket off the table's end node and a
+    regula falsi start.
     The lookup, the bracket and the root solve run over x flattened in blocks
     of at most block elements, and each element's result is the one it gets
     alone; a branch solve raises NoConvergence past max_steps steps.
@@ -310,7 +313,8 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
             beyond = order[np.r_[0:below, above:k.size]]
             xs, gap = xb[beyond], np.repeat([0, outer], [below, k.size - above])
             y1, f1, y2, f2 = ends = _lipschitz_bracket(gap_fns, table, gap, lam, xs, what)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a bracket [c, c]
+            # a bracket [c, c], or an f1 - f2 past 1e308, which starts at y1
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 falsi = y1 + f1 / (f1 - f2) * (y2 - y1)
             yb[beyond] = _branch_root(gap_fns, gap, lam, xs, ends, falsi, None, what, max_steps)
             order, k = order[below:above], k[below:above]

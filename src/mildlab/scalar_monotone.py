@@ -13,9 +13,9 @@ Yosida approximations
 
 and the convex primitive phi(x) = int_0^x f.
 
-Resolvents come from closed forms (linear, quadratic, cubic, sign) or
-guarded Newton (other powers) where a fast path is attached to the graph.
-Any other graph goes through the generic engine
+Resolvents come from closed forms (linear, quadratic, cubic, sign) where a
+fast path is attached to the graph.  Any other graph, other powers included,
+goes through the generic engine
 (generic_engine.resolve_on_knots): an x inside a knot's jump interval
 resolves to exactly that knot, every other x to the one continuous branch
 between two knots.  A graph builds its knots (the breakpoints and 0) once,
@@ -73,11 +73,10 @@ __all__ = [
     "TEST_DRIFTS",
 ]
 
-# Caps past which a root solve raises NoConvergence: guarded Newton steps for
-# a power drift without a closed form, and steps per branch solve of the
-# generic engine (at most 3 on the benchmark's jump-at-0 cubic at its stepper
-# levels, 4 at lam = 0.1, where bisection to two ulps would take about 44).
-_MAX_NEWTON = 100
+# The cap on steps per branch solve of the generic engine, past which it
+# raises NoConvergence: at most 3 on the benchmark's jump-at-0 cubic at its
+# stepper levels, 4 at lam = 0.1, where bisection to two ulps would take about
+# 44, and 17 beyond the table up to |x| = 1e300 (see _midpoint).
 _MAX_ROOT_STEPS = 100
 # The generic engine's block: it solves at most this many elements at a time,
 # so its temporaries (about 33 doubles per element) stay near 1.1 MB however
@@ -413,47 +412,12 @@ def linear_graph(c: float = 1.0) -> MonotoneGraph:
     )
 
 
-def _power_newton(d: float, k, a: np.ndarray) -> np.ndarray:
-    """Guarded Newton for y + k*y^d = a with a >= 0, k > 0 a number or one per element.
-
-    The root lies in [0, a] and below (a/k)^(1/d), which starts the iteration,
-    so a large a takes a few steps rather than one per halving.  Each element
-    stops on its own at a step within two ulps of its new iterate, so its
-    result does not depend on the other elements.
-    """
-    flat = a.reshape(-1)
-    k = np.broadcast_to(k, a.shape).reshape(-1)
-    out = np.empty_like(flat)
-    live = np.arange(flat.size)
-    # g(0) = -a <= 0 and g(a) = k*a^d >= 0
-    lo, hi = np.zeros_like(flat), flat.copy()
-    y = np.minimum(flat, (flat / k) ** (1.0 / d))
-    for _ in range(_MAX_NEWTON):
-        g = y + k * y**d - flat
-        lo = np.where(g <= 0.0, y, lo)
-        hi = np.where(g > 0.0, y, hi)
-        dg = 1.0 + k * d * np.where(y > 0.0, y ** (d - 1.0), 0.0)
-        y_new = y - g / dg
-        # fall back to bisection when Newton leaves the bracket
-        outside = (y_new < lo) | (y_new > hi)
-        y_new = np.where(outside, 0.5 * (lo + hi), y_new)
-        done = np.abs(y_new - y) <= 2.0 * np.spacing(y_new)
-        out[live[done]] = y_new[done]
-        keep = ~done
-        if not keep.any():
-            return out.reshape(a.shape)
-        live, flat, k, lo, hi, y = (live[keep], flat[keep], k[keep], lo[keep], hi[keep],
-                                    y_new[keep])
-    raise NoConvergence(f"power(d={d:g}) resolvent: no Newton stop after {_MAX_NEWTON} steps")
-
-
 def _power_resolvent(d: float, coef: float):
-    """R_lam for y + lam*coef*|y|^{d-1} y = x (odd symmetry).
+    """R_lam for y + lam*coef*|y|^{d-1} y = x (odd symmetry), d = 1, 2 or 3.
 
-    Closed forms for d = 1, 2, 3, guarded Newton otherwise.  The quadratic's
-    root is written without cancellation; the cubic's is the hyperbolic form
-    of Cardano's, then one Newton step (Kahan 1986, "To solve a real cubic
-    equation").
+    The quadratic's root is written without cancellation; the cubic's is the
+    hyperbolic form of Cardano's, then one Newton step (Kahan 1986, "To solve
+    a real cubic equation").
     """
 
     def solve(x: np.ndarray, lam: float) -> np.ndarray:
@@ -464,17 +428,16 @@ def _power_resolvent(d: float, coef: float):
             return s * a / (1.0 + k)
         if d == 2.0:
             return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
-        if d == 3.0:
-            r = np.sqrt(3.0 * k)
-            y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
-            return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
-        return s * _power_newton(d, k, a)
+        r = np.sqrt(3.0 * k)
+        y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
+        return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
 
     return solve
 
 
 def power_graph(d: float, coef: float = 1.0) -> MonotoneGraph:
-    """f(x) = coef * x * |x|^{d-1} for d >= 1 (x^3 is d = 3)."""
+    """f(x) = coef * x * |x|^{d-1} for d >= 1 (x^3 is d = 3); the resolvent is
+    closed-form for d = 1, 2 and 3 and from the generic engine otherwise."""
     if d < 1:
         raise ValueError("power drift needs d >= 1")
     if coef <= 0:
@@ -485,7 +448,7 @@ def power_graph(d: float, coef: float = 1.0) -> MonotoneGraph:
         branch_fns=(lambda x: coef * np.sign(x) * np.abs(x) ** d,),
         growth_exponent=float(d),
         growth_constant=coef,
-        fast_resolvent=_power_resolvent(float(d), coef),
+        fast_resolvent=_power_resolvent(float(d), coef) if d in (1, 2, 3) else None,
         fast_primitive=lambda x: coef * np.abs(x) ** (d + 1.0) / (d + 1.0),
     )
 

@@ -173,9 +173,9 @@ class TestResolvent:
     def test_power_newton_stops_within_ulps(self, d, monkeypatch):
         # |N(0, 9)| inputs on which a stop test below one ulp ran to the cap
         # 941 times in 1024 for the cubic.  The cubic has a closed form; the
-        # quartic and d = 2.5 run Newton, which the ulp test stops within 6
-        # steps (quartic, worst residual 2 ulps) and 5 steps (d = 2.5, 1 ulp)
-        monkeypatch.setattr(sm, "_MAX_NEWTON", 8)
+        # quartic and d = 2.5 go through the generic engine, which stops them
+        # within 3 steps (quartic, worst residual 2 ulps) and 4 (d = 2.5, 1 ulp)
+        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 4)
         g, lam = power_graph(d), 2.0**-8 + 2.0**-10
         rng = np.random.default_rng(0)
         for _ in range(1024):
@@ -183,22 +183,21 @@ class TestResolvent:
             y = resolvent_array(g, lam, a)
             assert np.all(np.abs(y + lam * y**d - a) <= 2.0 * np.spacing(a))
 
-    def test_power_newton_cap_raises(self, monkeypatch):
-        # the quartic has no closed form, so it still runs Newton
-        monkeypatch.setattr(sm, "_MAX_NEWTON", 2)
-        with pytest.raises(NoConvergence, match="no Newton stop after 2 steps"):
-            resolvent_array(power_graph(4.0), 0.01, np.array([3.0]))
-
     @settings(max_examples=300, deadline=None)
     @given(a=st.floats(min_value=1e-300, max_value=1e100),
            lam=st.floats(min_value=1e-6, max_value=10.0))
     def test_power_closed_forms_agree_with_newton(self, a, lam):
+        # the oracle is the generic engine on the same branch
         x = np.array([a])
         for d in (2.0, 3.0):
-            closed = power_graph(d).fast_resolvent(x, lam)
-            newton = sm._power_newton(d, lam, x)
+            f = power_graph(d)
+            generic = MonotoneGraph(name=f.name + "-generic", breakpoints=(),
+                                    branch_fns=f.branch_fns, growth_exponent=d,
+                                    growth_constant=1.0)
+            closed = f.fast_resolvent(x, lam)
+            engine = resolvent_array(generic, lam, x)
             assert np.all(np.isfinite(closed)), d
-            assert np.all(np.abs(closed - newton) <= 4.0 * np.spacing(newton)), d
+            assert np.all(np.abs(closed - engine) <= 4.0 * np.spacing(engine)), d
 
     def test_generic_engine_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 2)
@@ -321,9 +320,10 @@ class TestResolvent:
         # inside and just past the table's x-range, and far past it, where the
         # 1-Lipschitz bracket takes over
         for f in mid_value_graphs()[1:]:
-            table = sm._graph_table(f, lam)
+            table, c = sm._graph_table(f, lam), f._knots
             lo, hi = table.x[0], table.x[-1]
-            xs = np.concatenate([table.x[::3], table.ends[1:-1], np.nextafter([lo, hi], 0.0),
+            ends = np.stack([c + lam * f.left_limits(c), c + lam * f.right_limits(c)], 1).ravel()
+            xs = np.concatenate([table.x[::3], ends, np.nextafter([lo, hi], 0.0),
                                  np.nextafter([lo, hi], [-np.inf, np.inf]),
                                  [lo - 1.0, hi + 1.0, -1e6, 1e6]])
             y = resolvent_array(f, lam, xs)
@@ -335,12 +335,34 @@ class TestResolvent:
             within |= np.abs(g(y)) <= np.spacing(np.maximum(np.abs(xs), np.abs(y)))
             assert within.all(), (f.name, xs[~within])
             # each knot's interval ends resolve to exactly the knot
-            assert np.all(resolvent_array(f, lam, table.ends[1:-1]) == np.repeat(f._knots, 2))
+            assert np.all(resolvent_array(f, lam, ends) == np.repeat(c, 2))
             alone = np.array([resolvent_array(f, lam, x) for x in xs])
             assert y.tobytes() == alone.tobytes(), f.name
             monkeypatch.setattr(sm, "_ROOT_BLOCK", 7)
             assert resolvent_array(f, lam, xs).tobytes() == y.tobytes(), f.name
             monkeypatch.undo()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_beyond_table_within_steps(self, monkeypatch):
+        # Beyond the table the bracket off its end node spans up to 300 orders
+        # of magnitude, and _midpoint halves its exponent, so each solve here
+        # stops within 17 steps.  A far end whose f overflows is pulled in,
+        # and that does not warn.
+        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 24)
+        far = np.array([1e3, 1e12, 1e40, 1e100, 1e200, 1e300])
+        xs = np.concatenate([far, -far])
+        for f in (power_graph(4.0), power_graph(2.5), power_graph(5.0), mid_value_graphs()[1]):
+            for lam in (2.0**-6, 2.0**-7 + 2.0**-10, 0.1, 1.0):
+                y = resolvent_array(f, lam, xs)
+                # test_table_edges' stop rule
+                g = lambda v: v + lam * f.mid_values(v) - xs  # noqa: E731
+                ulp = np.spacing(np.abs(y))
+                within = (g(y - 2.0 * ulp) <= 0.0) & (g(y + 2.0 * ulp) >= 0.0)
+                within |= np.abs(g(y)) <= np.spacing(np.maximum(np.abs(xs), np.abs(y)))
+                assert within.all(), (f.name, lam, xs[~within])
+        # past 1.8e308 / lam, f(root) itself overflows
+        with pytest.raises(NoConvergence, match=r"non-finite branch value f\(y\) = inf"):
+            resolvent_array(power_graph(4.0), 2.0**-6, np.array([1e307]))
 
     def test_table_follows_swapped_branches(self):
         # a table is built for the branches of its time: swapped ones get their own
@@ -386,7 +408,7 @@ class TestResolvent:
         rng = np.random.default_rng(4)
         xs = rng.normal(0.0, 3.0, (3, 40))
         lams = np.array([[0.25], [2.0**-4], [2.0**-8]])
-        for f in (power_graph(3.0), power_graph(2.5), sign_graph()):
+        for f in (power_graph(3.0), sign_graph()):
             seen = []
             spy = dataclasses.replace(f, fast_resolvent=lambda x, lam, f=f: (
                 seen.append((x.shape, lam.shape)) or f.fast_resolvent(x, lam)))
@@ -425,9 +447,10 @@ class TestResolvent:
             assert resolvent_array(f, 1.0, np.array([-3.0, 0.5, 7.0])).tolist() == [-1.0, 0.0, 3.0]
             with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as err:
                 resolvent_array(f, 1.0, np.array([1.0, 30.0]))
-            # x = 30 is bracketed by [0, 30 - f(0+)]; its upper end is the first value met
+            # x = 30 lies above the table's end node, y = 8 at x = 17, so it is
+            # bracketed by [8, 8 + (30 - 17)]; its upper end is the first value met
             assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
-                                      "value f(y) = nan at y = 29.0 on knot gap 1")
+                                      "value f(y) = nan at y = 21.0 on knot gap 1")
 
     def test_root_where_the_branch_is_finite_resolves(self):
         # the brackets of x = 12, 16, 17 reach y = 11, 15, 16, where the branch is
