@@ -40,7 +40,8 @@ from .solver import solve_mild
 from .verify import (apriori_constants_study, bernoulli_study,
                      cauchy_rate_study, chain_rule_study,
                      contraction_extension_study, eiconv_demo,
-                     l1_convergence_study, moment_study, propagation_study)
+                     l1_convergence_study, moment_study, propagation_study,
+                     run_invariant_battery)
 from .verify.report import StudyReport, atomic_write_text, config_digest, map_ordered
 
 EXIT_PASS, EXIT_ERROR, EXIT_INCONCLUSIVE = 0, 1, 2
@@ -199,8 +200,6 @@ def _cmd_study(name: str, cfg: RunConfig, out: Path, workers: int) -> int:
 
 
 def _cmd_check_invariants(cfg: RunConfig, out: Path) -> int:
-    from .verify import run_invariant_battery
-
     checks = run_invariant_battery(M=cfg.M, nu=cfg.nu, seed=cfg.master_seed)
     payload = {
         "checks": [

@@ -42,9 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidTimeGrid, ParseError, ValidationError
 from .grid_space import Grid, GridFunction
-from .noise import DiffusionSpec
+from .noise import DiffusionSpec, time_steps
 from .scalar_monotone import (MonotoneGraph, compile_branch, linear_graph,
                               piecewise_graph, power_graph, sign_graph,
                               sign_plus_linear_graph, zero_graph)
@@ -177,9 +177,10 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
 
 def _divides(delta: float, T: float) -> bool:
     """Whether a step of `delta` takes at least one step and lands on the horizon T."""
-    steps = T / delta
-    return (math.isfinite(steps) and round(steps) >= 1
-            and abs(round(steps) * delta - T) <= 1e-9 * T)
+    try:
+        return time_steps(T, delta) >= 1
+    except InvalidTimeGrid:
+        return False
 
 
 class _KeyFault(ValueError):

@@ -65,7 +65,6 @@ class KnotTable(NamedTuple):
     after k-1 and k is at x3.
     """
 
-    fns: tuple  # the branch_fns it was built from
     y: np.ndarray
     x: np.ndarray
     gap: np.ndarray
@@ -74,8 +73,7 @@ class KnotTable(NamedTuple):
     x3: np.ndarray
 
 
-def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: str,
-                fns: tuple = ()) -> KnotTable:
+def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: str) -> KnotTable:
     """The table on the knots and the grid points, one branch evaluation per node.
 
     A knot value that is not finite raises, naming the first one, as a root
@@ -96,7 +94,7 @@ def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: s
         raise _non_finite(what, node_gap[k], y[k], fy[k])
     x = y + lam * fy
     if grid.size and not (np.isfinite(x).all() and (np.diff(x) >= 0.0).all()):
-        return knot_table(knots, gap_fns, lam, grid[:0], what, fns)
+        return knot_table(knots, gap_fns, lam, grid[:0], what)
     gap = np.full(x.size + 1, -2, dtype=np.min_scalar_type(-2 - knots.size))
     gap[1:-1] = np.where(node_gap[:-1] == node_gap[1:], node_gap[1:], -1)
     with np.errstate(divide="ignore", invalid="ignore"):  # at an x tie, where no x lands
@@ -124,7 +122,7 @@ def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: s
     # what the table keeps, in one allocation made after the build's temporaries
     kept = np.empty((5, x.size + 1))
     kept[0, :-1], kept[1, :-1], kept[2:] = y, x, (dd2, dd3, x3)
-    return KnotTable(fns, kept[0, :-1], kept[1, :-1], gap, *kept[2:])
+    return KnotTable(kept[0, :-1], kept[1, :-1], gap, *kept[2:])
 
 
 def _gap_values(fns, bounds: list, y: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ __all__ = [
     "NoisePath",
     "path_seeds",
     "sample_path",
+    "time_steps",
     "restrict_path",
     "norm_ld_lqd",
     "export_series_csv",
@@ -120,9 +121,10 @@ class NoisePath:
         return self._fields
 
 
-def _steps(T: float, delta: float) -> int:
-    if not (T > 0 and delta > 0):
-        raise InvalidTimeGrid("need T > 0 and delta > 0")
+def time_steps(T: float, delta: float) -> int:
+    """The number n >= 1 of steps of delta to T, within 1e-9 T; else InvalidTimeGrid."""
+    if not (T > 0 and delta > 0 and np.isfinite(T / delta)):
+        raise InvalidTimeGrid(f"need T > 0, delta > 0 and T/delta finite: T={T}, delta={delta}")
     n = round(T / delta)
     if n < 1 or abs(n * delta - T) > 1e-9 * T:
         raise InvalidTimeGrid(f"delta={delta} does not divide T={T}")
@@ -137,7 +139,7 @@ def path_seeds(master_seed: int, n_paths: int) -> np.ndarray:
 def sample_path(sg: HeatSemigroup, spec: DiffusionSpec, T: float, delta: float,
                 seed: int) -> NoisePath:
     """Sample one path; deterministic given (sg, spec, T, delta, seed)."""
-    n_steps = _steps(T, delta)
+    n_steps = time_steps(T, delta)
     mu = sg.eigenvalues
     decay = np.exp(-mu * delta)
     sigma = spec.mode_weights(sg.grid.M) * np.sqrt(

@@ -231,18 +231,17 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 def _graph_table(graph: MonotoneGraph, lam: float) -> KnotTable:
     """The graph's table at lam on _TABLE_NODES grid points, built on first use.
 
-    The graph keeps it, for lam and its branch_fns of the time: at most
-    _MAX_TABLES of them, the oldest dropped first.
+    The graph keeps at most _MAX_TABLES, the oldest dropped first.  A graph is
+    frozen and replace() makes one with no tables, so none outlives its branches.
     """
-    tables, fns = graph._tables, graph.branch_fns
-    table = tables.get(lam)
-    if table is None or table.fns is not fns:
-        if table is None and len(tables) >= _MAX_TABLES:
+    tables = graph._tables
+    if lam not in tables:
+        if len(tables) >= _MAX_TABLES:
             del tables[next(iter(tables))]
         grid = np.linspace(-_PROBE_SPAN, _PROBE_SPAN, _TABLE_NODES)
-        table = tables[lam] = knot_table(graph._knots, [fns[i] for i in graph._gap_branch],
-                                         lam, grid, repr(graph.name), fns)
-    return table
+        gap_fns = [graph.branch_fns[i] for i in graph._gap_branch]
+        tables[lam] = knot_table(graph._knots, gap_fns, lam, grid, repr(graph.name))
+    return tables[lam]
 
 
 def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:

@@ -22,14 +22,14 @@ FFT kernel, _dst1, so their bits do not depend on the BLAS thread count and a
 row has the same bits alone and inside a block (tested).  The operators below
 take a GridFunction, check its grid, and apply the pair to its values.
 
-The time stepper instead multiplies by HeatSemigroup.stepper(delta), one
-cached operator per delta: v @ stepper(delta) is v exp(-delta A) for a state
-or a block of states.  Every stepper is built by one kernel, _sine_block,
-from a cosine table by the product-to-sum identity and without the BLAS, so
-its bits do not depend on the BLAS thread count at any M (tested).  Below
-SPLIT_FROM_M nodes the stepper is the dense exp(-delta A) as a read-only
-(M, M) matrix.  From SPLIT_FROM_M on it is a MirrorSplit: it uses that
-exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x, under
+The time stepper instead multiplies by HeatSemigroup.stepper(delta), built per
+call and fetched once per solve: v @ stepper(delta) is v exp(-delta A) for a
+state or a block of states.  Every stepper is built by one kernel,
+_sine_block, from a cosine table by the product-to-sum identity and without
+the BLAS, so its bits do not depend on the BLAS thread count at any M
+(tested).  Below SPLIT_FROM_M nodes the stepper is the dense exp(-delta A) as
+a read-only (M, M) matrix.  From SPLIT_FROM_M on it is a MirrorSplit: it uses
+that exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x, under
 which the odd-k modes are even and the even-k modes odd (Cantoni & Butler
 1976).  A state folds into its mirror-even part on ceil(M/2) nodes and its
 mirror-odd part on floor(M/2) nodes, each part is multiplied by a half-size
@@ -41,8 +41,6 @@ single state stays 1-D and a block of states stays one 2-D array.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -83,8 +81,6 @@ class HeatSemigroup:
         k = np.arange(1, grid.M + 1)
         self.eigenvalues = (4.0 * nu / h**2) * np.sin(0.5 * np.pi * k * h) ** 2
         self.eigenvalues.flags.writeable = False
-        self._steppers: dict[float, np.ndarray | MirrorSplit] = {}
-        self._cache_lock = threading.Lock()
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of node values, shape (..., M) to (..., M): h sum_i v_i e_k(x_i)."""
@@ -98,20 +94,14 @@ class HeatSemigroup:
         """The operator S(t) to step with: v @ stepper(t) is S(t) v for a state or a block.
 
         Below SPLIT_FROM_M nodes exp(-tA) as a read-only (M, M) matrix, from
-        there on its MirrorSplit (module docstring).  Built on first use for
-        each t and cached.  Threads may share a semigroup, so the first use is
-        locked: every caller gets the one operator.
+        there on its MirrorSplit (module docstring).  Built on each call, so a
+        caller fetches it once per solve; no state is shared between calls.
         """
-        with self._cache_lock:
-            out = self._steppers.get(t)
-            if out is None:
-                M = self.grid.M
-                if M < SPLIT_FROM_M:
-                    out = _sine_block(self, t, np.arange(1, M + 1), M)
-                    out.flags.writeable = False
-                else:
-                    out = MirrorSplit(self, t)
-                self._steppers[t] = out
+        M = self.grid.M
+        if M >= SPLIT_FROM_M:
+            return MirrorSplit(self, t)
+        out = _sine_block(self, t, np.arange(1, M + 1), M)
+        out.flags.writeable = False
         return out
 
     def _require(self, phi: GridFunction) -> np.ndarray:

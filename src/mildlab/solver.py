@@ -21,9 +21,9 @@ z = S<>B and the S that steps v are one object, so every function here takes
 S from the noise path (path.sg) and the step from path.delta; the one input
 check left is the initial datum's grid against the path's.
 
-The semigroup substep is one product with the cached operator S(delta) =
+The semigroup substep is one product with the operator S(delta) =
 exp(-delta A) (HeatSemigroup.stepper: the dense matrix, or from
-SPLIT_FROM_M nodes its two mirror half blocks), fetched once per call before
+SPLIT_FROM_M nodes its two mirror half blocks), built once per call before
 the time loop.  :func:`solve_regularized` is the one stepper, with one
 result: a read-only (B, n_steps + 1, M) block, one row per lambda level, so
 the verification studies solve a whole decreasing schedule in one call and
@@ -110,11 +110,11 @@ def solve_regularized(
     lam is one finite level > 0 or a 1-D array of B of them.  The result is
     one read-only (B, n_steps + 1, M) block, B = 1 for a number, whose row b
     is the trajectory at level b.  The rows are stepped together: each step
-    is one product with the path's cached S(delta) (path.sg.stepper) and one
-    resolvent, which takes several levels as a (B, 1) column and one level
-    as a float, at scalar cost in the closed forms.  A block row agrees with
-    its one-level call to rounding (one row and many take different BLAS
-    kernels); a call is reproducible bit for bit.
+    is one product with the path's S(delta) (path.sg.stepper, built once per
+    call) and one resolvent, which takes several levels as a (B, 1) column
+    and one level as a float, at scalar cost in the closed forms.  A block
+    row agrees with its one-level call to rounding (one row and many take
+    different BLAS kernels); a call is reproducible bit for bit.
     """
     levels = np.atleast_1d(np.asarray(lam, dtype=float))
     if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):

@@ -34,9 +34,9 @@ from itertools import pairwise
 
 import numpy as np
 
-from ..errors import StudyPrecondition
+from ..errors import InvalidTimeGrid, StudyPrecondition
 from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm, lq_norms
-from ..noise import NoisePath, norm_ld_lqd
+from ..noise import NoisePath, norm_ld_lqd, time_steps
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
                                yosida_array)
 from ..semigroup import HeatSemigroup, convolve_series, semigroup_series
@@ -259,8 +259,12 @@ def chain_rule_study(
     """
     if not q > 1:
         raise StudyPrecondition("chain rule study needs q > 1")
-    if not deltas or any(not d > 0 or round(T / d) < 1 for d in deltas):
+    if not deltas:
         raise StudyPrecondition("chain rule study needs deltas, each taking at least one step")
+    try:
+        n_steps = {d: time_steps(T, d) for d in deltas}
+    except InvalidTimeGrid as exc:
+        raise StudyPrecondition(f"chain rule study needs at least one step to T: {exc}") from exc
     report = StudyReport(
         study="chain_rule",
         claim="integrated norm-power inequality violated at most O(delta); "
@@ -272,8 +276,7 @@ def chain_rule_study(
     violations = []
     fd_ok = True
     for delta in sorted(deltas, reverse=True):
-        n_steps = round(T / delta)
-        times = delta * np.arange(n_steps + 1)
+        times = delta * np.arange(n_steps[delta] + 1)
         fvals = np.asarray(forcing(times), dtype=float)
         fseries = FieldSeries(grid, fvals)
         conv = convolve_series(sg, fseries, delta)

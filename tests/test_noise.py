@@ -65,6 +65,11 @@ class TestSampling:
         with pytest.raises(InvalidTimeGrid):
             sample_path(sg, spec, -1.0, 0.5, seed=1)
 
+    def test_step_count_must_be_finite(self, sg):
+        # T/delta overflows to inf: no whole number of steps, so no time grid
+        with pytest.raises(InvalidTimeGrid, match="finite"):
+            sample_path(sg, DiffusionSpec(), 1.0, 5e-324, seed=1)
+
     def test_assembly_consistency(self, sg, smooth_path):
         for n in (0, 3, smooth_path.n_steps):
             coeffs = sg.to_modes(smooth_path.fields[n].values)

@@ -364,18 +364,6 @@ class TestResolvent:
         with pytest.raises(NoConvergence, match=r"non-finite branch value f\(y\) = inf"):
             resolvent_array(power_graph(4.0), 2.0**-6, np.array([1e307]))
 
-    def test_table_follows_swapped_branches(self):
-        # a table is built for the branches of its time: swapped ones get their own
-        lam, xs = 2.0**-7 + 2.0**-10, np.random.default_rng(8).normal(0.0, 1.5, 127)
-        f = mid_value_graphs()[1]
-        first = resolvent_array(f, lam, xs)
-        fns = (compile_branch("x**3 - 2"), compile_branch("x**3 + 2"))
-        object.__setattr__(f, "branch_fns", fns)
-        again = resolvent_array(f, lam, xs)
-        fresh = resolvent_array(piecewise_graph("cubic-jump-2", [0.0], fns, 3.0, 2.0), lam, xs)
-        assert again.tobytes() == fresh.tobytes()
-        assert not np.array_equal(again, first)
-
     def test_tables_live_on_their_graph(self):
         # at most _MAX_TABLES levels each, and none outlives its graph
         f = mid_value_graphs()[1]
@@ -462,6 +450,24 @@ class TestResolvent:
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
         # at lam = 1/2 the root 23/3 lies past the first finite midpoint 5.75
         assert abs(resolvent_array(f, 0.5, 12.0) - 23.0 / 3.0) <= 2.0 * np.spacing(23.0 / 3.0)
+
+    def test_far_end_pulled_in_beyond_the_table(self):
+        # the branch is nan above 100, past the shape probe, so the table sees none;
+        # beyond the table the far bracket end reaches the nan and is pulled in
+        evaluated = []
+
+        def upper(y):
+            evaluated.append(np.max(y, initial=-np.inf))
+            return np.where(y > 100.0, np.nan, y + 1.0)
+
+        f = piecewise_graph("capped-far", [0.0], [lambda y: y - 1.0, upper], 1.0, 2.0)
+        for lam, xs, want in ((1.0, [150.0, 201.0], [74.5, 100.0]), (0.5, [140.0], [93.0])):
+            evaluated.clear()
+            got = resolvent_array(f, lam, np.array(xs))
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.array(want))), (lam, got)
+            assert max(evaluated) > 100.0
+        with pytest.raises(NoConvergence, match=r"f\(y\) = nan at y = 196\.0"):
+            resolvent_array(f, 1.0, np.array([205.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(x=finite_floats, y=finite_floats, lam=small_lams)

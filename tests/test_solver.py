@@ -121,7 +121,7 @@ class TestSolveRegularized:
             for lam, traj in zip(lams, batch):
                 alone = trajectory(f, float(lam), u0, path)
                 assert np.max(np.abs(traj - alone.values)) <= 1e-12, (f.name, lam)
-        assert len(sg._steppers) == 1 and isinstance(sg._steppers[path.delta], MirrorSplit)
+        assert isinstance(sg.stepper(path.delta), MirrorSplit)
 
     def test_lambda_array_call_reproducible(self, smooth_path, sine_u0):
         lams = np.array([0.25, 0.125, 2.0**-6])

@@ -153,6 +153,12 @@ class TestChainRule:
         with pytest.raises(StudyPrecondition, match="at least one step"):
             chain_rule_study(2.0, sg, self.forcing(grid), u0, T=0.5, deltas=deltas)
 
+    def test_needs_deltas_that_end_on_T(self, small):
+        # 3 steps of 0.3 end at 0.9 and 7 of 0.15 at 1.05, not at T = 1
+        grid, sg, paths, u0, config = small
+        with pytest.raises(StudyPrecondition, match="does not divide T=1.0"):
+            chain_rule_study(2.0, sg, self.forcing(grid), u0, T=1.0, deltas=(0.3, 0.15))
+
     def test_zero_forcing_norm_decreasing(self, small):
         grid, sg, paths, u0, config = small
         rep = chain_rule_study(3.0, sg, lambda t: np.zeros((len(t), grid.M)), u0,
