@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,27 @@ class TestPropagator:
         # the split builds its two half blocks with the same kernel
         HeatSemigroup(Grid(SPLIT_FROM_M + 1)).stepper(0.01)
         assert calls[1:] == [(SPLIT_FROM_M + 2) // 2, (SPLIT_FROM_M + 1) // 2]
+
+    @pytest.mark.parametrize("M", [31, SPLIT_FROM_M])
+    def test_concurrent_calls_agree_without_a_lock(self, M):
+        # stepper keeps no shared state, so threads sharing a semigroup build the same bits
+        sg = HeatSemigroup(Grid(M))
+        barrier = threading.Barrier(8)
+
+        def build(_):
+            barrier.wait(timeout=10.0)
+            step = sg.stepper(0.01)
+            return step if isinstance(step, np.ndarray) else np.concatenate(
+                [step.even.ravel(), step.odd.ravel()])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(build, range(8), timeout=30.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g.tobytes() == got[0].tobytes() for g in got)
 
     def test_is_the_modal_semigroup(self, sg, rng):
         # read-only flag, modal product, composition: test_below_switch_is_the_dense_product
