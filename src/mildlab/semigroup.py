@@ -5,10 +5,13 @@ on the interior nodes, whose exact eigenpairs are
 
     mu_k = (4 nu / h^2) sin^2(k pi h / 2),      e_k(x_i) = sqrt(2) sin(k pi x_i),
 
-orthonormal with respect to the h-weighted pairing.  exp(-tA) is an entrywise
-nonnegative sub-stochastic symmetric matrix, so positivity and contraction in
-every L^q hold exactly at the discrete level (the semigroup is subMarkovian
-by construction, not by truncation of a continuum operator).
+orthonormal with respect to the h-weighted pairing.  The exact exp(-tA) is an
+entrywise nonnegative sub-stochastic symmetric matrix, so positivity and
+contraction in every L^q hold at the discrete level (the semigroup is
+subMarkovian by construction, not by truncation of a continuum operator).
+The built stepper has these properties only to rounding: entries the exact
+operator makes tiny may come out a few ulps of its largest entry below zero
+(tested).
 
 The deterministic convolution (S*F)(t_n) integrates the semigroup factor
 exactly on each substep while F is frozen at the left endpoint:
@@ -24,20 +27,25 @@ take a GridFunction, check its grid, and apply the pair to its values.
 
 The time stepper instead multiplies by HeatSemigroup.stepper(delta), built per
 call and fetched once per solve: v @ stepper(delta) is v exp(-delta A) for a
-state or a block of states.  Every stepper is built by one kernel,
-_sine_block, from a cosine table by the product-to-sum identity and without
-the BLAS, so its bits do not depend on the BLAS thread count at any M
-(tested).  Below SPLIT_FROM_M nodes the stepper is the dense exp(-delta A) as
-a read-only (M, M) matrix.  From SPLIT_FROM_M on it is a MirrorSplit: it uses
-that exp(-delta A) is symmetric and commutes with the mirror x -> 1 - x, under
-which the odd-k modes are even and the even-k modes odd (Cantoni & Butler
-1976).  A state folds into its mirror-even part on ceil(M/2) nodes and its
-mirror-odd part on floor(M/2) nodes, each part is multiplied by a half-size
-block and the results unfold.  That is half the flops and half the matrix
-bytes, and the dense matrix is never built.
+state or a block of states.  Every stepper is built from one cosine or sine
+table and without the BLAS, so its bits do not depend on the BLAS thread
+count at any M (tested).  Below SPLIT_FROM_M nodes the stepper is the dense
+exp(-delta A) as a read-only (M, M) matrix from _sine_block.  From
+SPLIT_FROM_M on it is a MirrorSplit: it uses that exp(-delta A) is symmetric
+and commutes with the mirror x -> 1 - x, under which the odd-k modes are even
+and the even-k modes odd (Cantoni & Butler 1976).  A state folds into its
+mirror-even part on ceil(M/2) nodes and its mirror-odd part on floor(M/2)
+nodes, each part is multiplied by its half and the results unfold, and the
+dense matrix is never built.  A half is a half-size block (the two take half
+the flops and bytes of the dense matrix) or, when the smoothing leaves fewer
+than half of that parity's modes above MODE_CUTOFF, a rank-r factor pair
+that steps those r modes only (at M = 511, delta = 2^-10, 33 of 256).
 The stepper's products are BLAS products: a 1-D state and a row of a 2-D
 block take different BLAS kernels and may differ in the last bits, so a
-single state stays 1-D and a block of states stays one 2-D array.
+single state stays 1-D and a block of states stays one 2-D array.  At
+M = 127, 384 and 511 a row has the same bits at every position of a block
+of 2 to 8 rows, whatever its height (tested); where a half has 8j + 1
+nodes, as at M = 385, rows past the fourth may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -49,24 +57,33 @@ from .grid_space import FieldSeries, Grid, GridFunction
 
 __all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
            "apply_resolvent", "apply_generator", "modal_recursion",
-           "convolve_series", "MirrorSplit", "SPLIT_FROM_M"]
+           "convolve_series", "MirrorSplit", "SPLIT_FROM_M", "MODE_CUTOFF"]
 
 # Grid size from which HeatSemigroup.stepper splits exp(-delta A) into its
-# mirror-even and mirror-odd half blocks.  Microseconds per step at
-# delta = 2^-10, dense / split, best of 5 interleaved rounds of 300 steps
-# (OpenBLAS 0.3.31 with 1 thread, numpy 2.4, 2-vCPU x86-64 guest):
+# mirror-even and mirror-odd halves.  Microseconds per step at
+# delta = 2^-10, dense / split into half blocks / split into factor pairs
+# (33 or 34 modes a half; 38 at M = 127, where _mirror_half would keep the
+# blocks), best of 7 interleaved rounds of 300 steps (OpenBLAS 0.3.31 with
+# 1 thread, numpy 2.4, 2-vCPU x86-64 guest):
 #
-#       M      1 row            7 rows
-#     127     4.3 /  12.4     8.9 /  21.8
-#     255    11.9 /  16.4    35.3 /  35.1
-#     319    17.9 /  16.1    50.7 /  40.0
-#     383    27.3 /  25.1   117.0 /  63.6
-#     447    40.8 /  32.1   153.0 /  85.7
-#     511    60.1 /  32.5   219.2 /  97.8
+#       M      1 row                  7 rows
+#     127     4.7 / 14.5 / 18.4     10.1 /  26.1 /  30.8
+#     255    13.7 / 18.7 / 19.7     40.0 /  43.0 /  36.2
+#     319    20.6 / 23.9 / 22.5     61.3 /  54.6 /  40.5
+#     383    27.4 / 24.1 / 23.4    105.8 /  49.1 /  38.6
+#     447    39.8 / 23.0 / 16.1    147.5 /  72.7 /  36.7
+#     511    57.1 / 29.0 / 17.1    194.2 /  89.7 /  40.9
 #
 # Seven rows (a study's lambda schedule) gain from M ~ 300, one row from
-# M ~ 320-380 (runs vary); from 384 both gained in every run.
+# M ~ 320-380 (runs vary); from 384 both gained in every run, with half
+# blocks and more so with factor pairs.
 SPLIT_FROM_M = 384
+
+# A factor pair drops mode k when exp(-t mu_k) <= MODE_CUTOFF.  Such a mode
+# adds h sum_j v_j e_k(x_j) exp(-t mu_k) e_k(x_i) to entry i of S(t) v, and
+# |e_k| <= sqrt(2) with h M < 1 bound that by 2 MODE_CUTOFF ||v||_inf =
+# 2^-59 ||v||_inf, under 1/64 of an ulp of ||v||_inf.
+MODE_CUTOFF = 2.0**-60
 
 
 class HeatSemigroup:
@@ -96,7 +113,9 @@ class HeatSemigroup:
         Below SPLIT_FROM_M nodes exp(-tA) as a read-only (M, M) matrix, from
         there on its MirrorSplit (module docstring).  Built on each call, so a
         caller fetches it once per solve; no state is shared between calls.
+        t must be finite (ValueError) and >= 0 (NegativeTime).
         """
+        _check_time(t)
         M = self.grid.M
         if M >= SPLIT_FROM_M:
             return MirrorSplit(self, t)
@@ -108,6 +127,14 @@ class HeatSemigroup:
         if phi.grid != self.grid:
             raise GridMismatch("grid function does not live on the semigroup grid")
         return phi.values
+
+
+def _check_time(t: float | np.ndarray) -> None:
+    """Reject a semigroup time, or any of an array of them, that is not finite or is negative."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"semigroup time must be finite, got {t}")
+    if np.any(t < 0):
+        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
 
 
 def _dst1(v: np.ndarray) -> np.ndarray:
@@ -142,39 +169,70 @@ def _sine_block(sg: HeatSemigroup, t: float, k: np.ndarray, size: int) -> np.nda
 
 
 class MirrorSplit:
-    """exp(-tA) as two half blocks, one per mirror parity: v @ split is S(t) v.
+    """exp(-tA) as two halves, one per mirror parity: v @ split is S(t) v.
 
     v, of shape (M,) or (B, M), folds into v_i + v_{M-1-i} on ceil(M/2) nodes
     (the odd-k modes) and v_i - v_{M-1-i} on floor(M/2) nodes (the even-k
-    modes).  Each fold is multiplied by its block (_sine_block over its k),
-    and the two results unfold into the mirror-even and mirror-odd parts of
-    S(t) v.  For odd M the middle node folds to v_m + v_m, so its row of the
-    even block is halved.
+    modes).  Each fold is multiplied in turn by the operators of its half,
+    even or odd: a tuple of the dense block, or of the factor pair
+    (analysis, synthesis) that keeps only the modes S(t) has not damped below
+    MODE_CUTOFF (_mirror_half).  The two results unfold into the mirror-even
+    and mirror-odd parts of S(t) v.  For odd M the middle node folds to
+    v_m + v_m, so its row of the even half's first operator is halved.
     """
 
     __array_ufunc__ = None  # so that ndarray @ split calls __rmatmul__
 
     def __init__(self, sg: HeatSemigroup, t: float):
         M = sg.grid.M
-        self.even = _sine_block(sg, t, np.arange(1, M + 1, 2), (M + 1) // 2)
-        self.odd = _sine_block(sg, t, np.arange(2, M + 1, 2), M // 2)
+        self.even = _mirror_half(sg, t, np.arange(1, M + 1, 2), (M + 1) // 2)
+        self.odd = _mirror_half(sg, t, np.arange(2, M + 1, 2), M // 2)
         if M % 2:
-            self.even[M // 2] *= 0.5
-        self.even.flags.writeable = self.odd.flags.writeable = False
+            self.even[0][M // 2] *= 0.5
+        for op in self.even + self.odd:
+            op.flags.writeable = False
 
     def __rmatmul__(self, v: np.ndarray) -> np.ndarray:
-        n, m = self.even.shape[0], self.odd.shape[0]
+        n, m = self.even[0].shape[0], self.odd[0].shape[0]
         mirrored = v[..., ::-1]
-        ys = (v[..., :n] + mirrored[..., :n]) @ self.even
-        ya = (v[..., :m] - mirrored[..., :m]) @ self.odd
+        ys = v[..., :n] + mirrored[..., :n]
+        for op in self.even:
+            ys = ys @ op
+        ya = v[..., :m] - mirrored[..., :m]
+        for op in self.odd:
+            ya = ya @ op
         head = ys[..., :m]
         return np.concatenate([head + ya, ys[..., m:], (head - ya)[..., ::-1]], axis=-1)
 
 
+def _mirror_half(sg: HeatSemigroup, t: float, k: np.ndarray,
+                 size: int) -> tuple[np.ndarray, ...]:
+    """The operators one mirror half applies in turn: its dense block, or a factor pair.
+
+    r counts the modes k with exp(-mu_k t) > MODE_CUTOFF.  The pair
+    (analysis, synthesis) = (h B diag(exp(-mu_k t)), B^T), with
+    B[i, k] = e_k(x_i) over those r modes, holds 2 r size entries against
+    size^2 for the block from _sine_block, and a product costs in
+    proportion, so the pair is taken when 2 r < size.  B is read off one
+    sine table at k (i + 1) mod 2(M + 1), so no argument exceeds 2 pi and
+    no BLAS product enters.
+    """
+    kept = k[np.exp(-sg.eigenvalues[k - 1] * t) > MODE_CUTOFF]
+    if 2 * kept.size >= size:
+        return (_sine_block(sg, t, k, size),)
+    M = sg.grid.M
+    period = 2 * (M + 1)
+    sines = np.sqrt(2.0) * np.sin(np.arange(period) * (np.pi / (M + 1)))
+    basis = sines[np.outer(np.arange(1, size + 1), kept) % period]
+    analysis = basis * (sg.grid.h * np.exp(-sg.eigenvalues[kept - 1] * t))
+    # row-major: 7-row steps are 14% faster, and a row's bits do not depend on the
+    # block's height (a column-major synthesis gave 2-4 and 5-8 rows other bits)
+    return analysis, np.ascontiguousarray(basis.T)
+
+
 def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunction:
     """S(t) phi: modewise decay by exp(-mu_k t); S(0) is the exact identity."""
-    if t < 0:
-        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
+    _check_time(t)
     values = sg._require(phi)
     if t == 0.0:
         return phi
@@ -185,6 +243,7 @@ def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunct
 def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
                      times: np.ndarray) -> FieldSeries:
     """S(t_n) phi for every t_n in ``times``, one snapshot per time."""
+    _check_time(times)
     coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * sg.to_modes(sg._require(phi))
     return FieldSeries(sg.grid, sg.from_modes(coeffs))
 

@@ -15,7 +15,7 @@ from mildlab import semigroup
 from mildlab.errors import EmptyInput, GridMismatch, NegativeTime
 from mildlab.grid_space import (FieldSeries, Grid, GridFunction, duality_map,
                                 gamma_eps, lq_norm, pairing)
-from mildlab.semigroup import (SPLIT_FROM_M, HeatSemigroup, MirrorSplit,
+from mildlab.semigroup import (MODE_CUTOFF, SPLIT_FROM_M, HeatSemigroup, MirrorSplit,
                                apply_generator, apply_resolvent, apply_semigroup,
                                convolve_series, semigroup_series)
 
@@ -139,9 +139,11 @@ class TestPropagator:
         assert calls == []
         sg.stepper(0.01)
         assert calls == [15]
-        # the split builds its two half blocks with the same kernel
-        HeatSemigroup(Grid(SPLIT_FROM_M + 1)).stepper(0.01)
+        # the split builds dense halves with the same kernel, factor pairs from a sine table
+        HeatSemigroup(Grid(SPLIT_FROM_M + 1)).stepper(2.0**-14)
         assert calls[1:] == [(SPLIT_FROM_M + 2) // 2, (SPLIT_FROM_M + 1) // 2]
+        assert len(HeatSemigroup(Grid(SPLIT_FROM_M + 1)).stepper(0.01).even) == 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("M", [31, SPLIT_FROM_M])
     def test_concurrent_calls_agree_without_a_lock(self, M):
@@ -153,7 +155,7 @@ class TestPropagator:
             barrier.wait(timeout=10.0)
             step = sg.stepper(0.01)
             return step if isinstance(step, np.ndarray) else np.concatenate(
-                [step.even.ravel(), step.odd.ravel()])
+                [op.ravel() for op in step.even + step.odd])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -179,15 +181,19 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from mildlab.grid_space import Grid
 from mildlab.semigroup import SPLIT_FROM_M, HeatSemigroup
-for M in (127, SPLIT_FROM_M - 1, SPLIT_FROM_M, SPLIT_FROM_M + 1):
-    step = HeatSemigroup(Grid(M)).stepper(2.0**-10)
-    v = np.random.default_rng(M).standard_normal((7, M))
-    print(M, hashlib.sha256((v @ step).tobytes() + (v[0] @ step).tobytes()).hexdigest())
+for M in (127, SPLIT_FROM_M - 1, SPLIT_FROM_M, SPLIT_FROM_M + 1, 511):
+    for delta in (2.0**-10, 2.0**-14):
+        step = HeatSemigroup(Grid(M)).stepper(delta)
+        v = np.random.default_rng(M).standard_normal((7, M))
+        out = (v @ step).tobytes() + (v[0] @ step).tobytes()
+        print(M, delta, hashlib.sha256(out).hexdigest())
 """
 
 
 class TestStepper:
     T = 2.0**-10
+    # at M = SPLIT_FROM_M and above, T keeps both halves as factor pairs, FINE dense blocks
+    FINE = 2.0**-14
 
     @pytest.mark.parametrize("M", [63, 127, SPLIT_FROM_M - 1])
     def test_below_switch_is_the_dense_product(self, M, rng):
@@ -204,50 +210,106 @@ class TestStepper:
 
     @pytest.mark.parametrize("M", [31, 127, SPLIT_FROM_M - 1, SPLIT_FROM_M + 1])
     def test_blocks_are_exactly_symmetric(self, M):
-        # A is self-adjoint, and entry (i, j) = c(|i - j|) - c(i + j + 2) keeps S(t) symmetric bit for bit
-        step = HeatSemigroup(Grid(M)).stepper(self.T)
-        blocks = (step,)
-        if isinstance(step, MirrorSplit):
-            even = step.even.copy()
-            if M % 2:
-                even[M // 2] *= 2.0  # undo the exact halving of the middle node's row
-            blocks = (even, step.odd)
-        for block in blocks:
-            assert block.shape[0] > 0 and np.array_equal(block, block.T)
+        # A is self-adjoint, and entry (i, j) = c(|i - j|) - c(i + j + 2) keeps S(t) symmetric
+        # bit for bit; a factor pair is symmetric as analysis = synthesis^T h diag(exp(-mu t))
+        sg = HeatSemigroup(Grid(M))
+        for t in (self.T, self.FINE):
+            step = sg.stepper(t)
+            if not isinstance(step, MirrorSplit):
+                assert np.array_equal(step, step.T)
+                continue
+            for first, half in ((1, step.even), (2, step.odd)):
+                head = half[0].copy()
+                if M % 2 and first == 1:
+                    head[M // 2] *= 2.0  # undo the exact halving of the middle node's row
+                if len(half) == 1:
+                    assert head.shape[0] > 0 and np.array_equal(head, head.T)
+                    continue
+                synthesis = half[1]
+                k = np.arange(first, M + 1, 2)[:synthesis.shape[0]]
+                scale = sg.grid.h * np.exp(-sg.eigenvalues[k - 1] * t)
+                assert k.size > 0 and np.array_equal(head, synthesis.T * scale)
 
     @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
     def test_split_is_the_dense_product(self, M, rng):
         sg = HeatSemigroup(Grid(M))
-        step = sg.stepper(self.T)
-        assert isinstance(step, MirrorSplit)
-        # the reference is h B diag(w) B^T from the np.sin basis, not the stepper's kernel
+        # the reference is h B diag(w) B^T from the np.sin basis over all M modes, not the
+        # stepper's kernels, so it also measures the modes a factor pair drops
         basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(sg.grid.nodes, np.arange(1, M + 1)))
-        dense = (sg.grid.h * basis * np.exp(-sg.eigenvalues * self.T)) @ basis.T
-        for v in (rng.standard_normal(M), rng.standard_normal((7, M))):
-            out = v @ step
-            assert out.shape == v.shape
-            assert np.max(np.abs(out - v @ dense)) <= 1e-14
+        for t, operators in ((self.T, 2), (self.FINE, 1)):
+            step = sg.stepper(t)
+            assert isinstance(step, MirrorSplit)
+            assert len(step.even) == len(step.odd) == operators
+            dense = (sg.grid.h * basis * np.exp(-sg.eigenvalues * t)) @ basis.T
+            for v in (rng.standard_normal(M), rng.standard_normal((7, M))):
+                out = v @ step
+                assert out.shape == v.shape
+                assert np.max(np.abs(out - v @ dense)) <= 1e-14
 
     @pytest.mark.parametrize("M", [SPLIT_FROM_M, SPLIT_FROM_M + 1])
     def test_split_keeps_mirror_parity_exactly(self, M, rng):
-        step = HeatSemigroup(Grid(M)).stepper(self.T)
         half = rng.standard_normal((7, M // 2))
         middle = rng.standard_normal((7, M % 2))
         even = np.concatenate([half, middle, half[:, ::-1]], axis=1)
         odd = np.concatenate([half, 0.0 * middle, -half[:, ::-1]], axis=1)
-        for v in (even, even[0]):
-            out = v @ step
-            assert np.array_equal(out, out[..., ::-1])
-        for v in (odd, odd[0]):
-            out = v @ step
-            assert np.array_equal(out, -out[..., ::-1])
-            if M % 2:
-                assert np.all(out[..., M // 2] == 0.0)
+        for t in (self.T, self.FINE):
+            step = HeatSemigroup(Grid(M)).stepper(t)
+            for v in (even, even[0]):
+                out = v @ step
+                assert np.array_equal(out, out[..., ::-1])
+            for v in (odd, odd[0]):
+                out = v @ step
+                assert np.array_equal(out, -out[..., ::-1])
+                if M % 2:
+                    assert np.all(out[..., M // 2] == 0.0)
+
+    def test_halves_keep_the_modes_above_the_cutoff(self):
+        # a half is a factor pair over the r modes with exp(-mu_k t) > MODE_CUTOFF when
+        # 2 r < its size: 33 of 256 and 33 of 255 at M = 511, t = 2^-10
+        sg = HeatSemigroup(Grid(511))
+        step = sg.stepper(self.T)
+        assert [op.shape for op in step.even] == [(256, 33), (33, 256)]
+        assert [op.shape for op in step.odd] == [(255, 33), (33, 255)]
+        factors = np.exp(-sg.eigenvalues * self.T)
+        assert factors[65] > MODE_CUTOFF >= factors[66]  # k = 66 kept, k = 67 dropped
+        # 2 r >= size keeps the dense half blocks: 193 and 192 modes of 193 and 192 at M = 385,
+        # and 153 and 152 of 256 and 255 at M = 511, where a pair would store more entries
+        step = HeatSemigroup(Grid(SPLIT_FROM_M + 1)).stepper(self.FINE)
+        assert [op.shape for op in step.even] == [(193, 193)]
+        assert [op.shape for op in step.odd] == [(192, 192)]
+        assert np.count_nonzero(np.exp(-sg.eigenvalues * self.FINE) > MODE_CUTOFF) == 305
+        step = sg.stepper(self.FINE)
+        assert [op.shape for op in step.even] == [(256, 256)]
+        assert [op.shape for op in step.odd] == [(255, 255)]
+
+    # not at M = SPLIT_FROM_M + 1, in either form: for a half of 193 = 8 * 24 + 1 nodes OpenBLAS
+    # steps the rows past the fourth with another kernel, whose last bit may differ
+    @pytest.mark.parametrize("M, t", [(127, T), (SPLIT_FROM_M, FINE), (SPLIT_FROM_M, T),
+                                      (511, FINE), (511, T)])
+    def test_row_bits_do_not_depend_on_its_place_in_a_block(self, M, t, rng):
+        # nor on the block's height; a column-major synthesis gave 2-4 and 5-8 rows other bits
+        step = HeatSemigroup(Grid(M)).stepper(t)
+        row = rng.standard_normal(M)
+        got = set()
+        for rows in range(2, 9):
+            for place in range(rows):
+                block = rng.standard_normal((rows, M))
+                block[place] = row
+                got.add((block @ step)[place].tobytes())
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("M, t", [(127, T), (SPLIT_FROM_M + 1, FINE),
+                                      (SPLIT_FROM_M, T), (511, T)])
+    def test_negative_entries_are_rounding(self, M, t):
+        # exact exp(-tA) is entrywise nonnegative; the built one only up to a few ulps
+        dense = np.eye(M) @ HeatSemigroup(Grid(M)).stepper(t)
+        assert dense.min() < 0.0
+        assert dense.min() >= -8 * np.spacing(dense.max())
 
     def test_stepper_bits_do_not_depend_on_blas_threads(self):
         # every stepper is built without the BLAS; a threaded GEMM build is not reproducible.
         outputs = [run_with_blas_threads(STEPPER_SCRIPT, threads) for threads in ("1", "2")]
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 10
 
 
 class TestSemigroupAxioms:
@@ -259,6 +321,24 @@ class TestSemigroupAxioms:
         phi = GridFunction(sg.grid, np.zeros(sg.grid.M))
         with pytest.raises(NegativeTime):
             apply_semigroup(sg, phi, -0.1)
+
+    @pytest.mark.parametrize("M", [15, SPLIT_FROM_M])
+    def test_times_must_be_finite_and_nonnegative(self, M):
+        # a negative time grows every mode (entries of 1e43 at M = 15, t = -0.1), a nan one
+        # gives nan, and a factor pair would keep no mode at a nan time and step with zero
+        sg = HeatSemigroup(Grid(M))
+        with pytest.raises(NegativeTime):
+            sg.stepper(-0.1)
+        phi = GridFunction(sg.grid, np.zeros(M))
+        with pytest.raises(NegativeTime):
+            semigroup_series(sg, phi, np.array([0.0, -0.1]))
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sg.stepper(t)
+            with pytest.raises(ValueError, match="finite"):
+                apply_semigroup(sg, phi, t)
+            with pytest.raises(ValueError, match="finite"):
+                semigroup_series(sg, phi, np.array([0.0, t]))
 
     def test_eigenvector_decay(self, sg):
         ek = eigenvector(sg.grid, 4)
