@@ -28,6 +28,15 @@ from .errors import BracketFailure, NoConvergence
 # Newton steps on the table interpolant's slope run until a branch solve's
 # _NEWTON_STEPS-th step, Chandrupatla's from there on.
 _NEWTON_STEPS = 3
+# The cap on steps per branch solve, past which it raises NoConvergence: at
+# most 3 on the benchmark's jump-at-0 cubic at its stepper levels, 4 at
+# lam = 0.1, where bisection to two ulps would take about 44, and 17 beyond
+# the table up to |x| = 1e300 (see _midpoint).
+_MAX_ROOT_STEPS = 100
+# The block: resolve_on_knots solves at most this many elements at a time, so
+# its temporaries (about 33 doubles per element) stay near 1.1 MB however long
+# the input.  A stepper call, B*M <= 7*511 elements, is one block.
+_ROOT_BLOCK = 4096
 
 
 def sorted_unique(a) -> np.ndarray:
@@ -205,7 +214,7 @@ def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np
 
 
 def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: np.ndarray,
-                 slope: Optional[np.ndarray], what: str, max_steps: int) -> np.ndarray:
+                 slope: Optional[np.ndarray], what: str) -> np.ndarray:
     """Zero of g(y) = y + lam*fns[gap](y) - x between y1 and y2, elementwise.
 
     ends = (y1, g(y1), y2, g(y2)), the g values of opposite signs (or 0), and
@@ -241,7 +250,7 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
     n_live, neg1, x_ulp, bisect = x.size, f1 < 0.0, np.spacing(np.abs(x)), None
     # a step may divide by 0 or overflow; the clip and the bisection test drop it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(max_steps + 1):
+        for step in range(_MAX_ROOT_STEPS + 1):
             d, ulp, a1 = y2 - y1, np.spacing(np.abs(y1)), np.abs(f1)
             dy, tol = np.abs(d), 2.0 * ulp
             stop = (dy <= tol) | (a1 <= np.fmax(ulp, x_ulp))
@@ -255,7 +264,7 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
                 n_live -= n
                 if not n_live:
                     return out
-            if step == max_steps:
+            if step == _MAX_ROOT_STEPS:
                 break
             if not step:
                 t = (start - y1) / d
@@ -278,12 +287,11 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
             y2, f2 = np.where(same, y2, y1), np.where(same, f2, f1)
             y1, f1, neg1 = yt, ft, negt
     k = np.argmax(live)
-    raise NoConvergence(f"resolvent of {what}: no stop after {max_steps} steps "
+    raise NoConvergence(f"resolvent of {what}: no stop after {_MAX_ROOT_STEPS} steps "
                         f"at lambda = {lam!r}, first at x = {float(x[k])!r}")
 
 
-def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what: str,
-                     block: int, max_steps: int) -> np.ndarray:
+def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what: str) -> np.ndarray:
     """Solve y + lam*f(y) = x, elementwise, for f continuous between the table's knots.
 
     gap_fns[j] evaluates f on the j-th open gap (-inf, c_0), (c_0, c_1), ...,
@@ -295,14 +303,14 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
     the table gets the 1-Lipschitz bracket off the table's end node and a
     regula falsi start.
     The lookup, the bracket and the root solve run over x flattened in blocks
-    of at most block elements, and each element's result is the one it gets
-    alone; a branch solve raises NoConvergence past max_steps steps.
+    of at most _ROOT_BLOCK elements, and each element's result is the one it
+    gets alone; a branch solve raises NoConvergence past _MAX_ROOT_STEPS steps.
     """
     flat = x.reshape(-1)
     y = np.empty_like(flat)
     tx, ty, outer = table.x, table.y, len(gap_fns) - 1
-    for begin in range(0, flat.size, block):
-        xb, yb = flat[begin: begin + block], y[begin: begin + block]
+    for begin in range(0, flat.size, _ROOT_BLOCK):
+        xb, yb = flat[begin: begin + _ROOT_BLOCK], y[begin: begin + _ROOT_BLOCK]
         k = np.searchsorted(tx, xb, side="left")
         order = np.argsort(k, kind="stable")
         k = k[order]
@@ -314,7 +322,7 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
             # a bracket [c, c], or an f1 - f2 past 1e308, which starts at y1
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 falsi = y1 + f1 / (f1 - f2) * (y2 - y1)
-            yb[beyond] = _branch_root(gap_fns, gap, lam, xs, ends, falsi, None, what, max_steps)
+            yb[beyond] = _branch_root(gap_fns, gap, lam, xs, ends, falsi, None, what)
             order, k = order[below:above], k[below:above]
         gap = table.gap[k]
         on_knot = gap == -1
@@ -329,6 +337,5 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
             # the interpolant at xs, x[k-1] - xs = f1 and x[k] - xs = f2, and its slope
             start = y1 - f1 * (d1 - f2 * dd2)
             slope = d1 - (f1 + f2) * dd2 + f1 * f2 * dd3
-            yb[order] = _branch_root(gap_fns, gap, lam, xs, (y1, f1, y2, f2), start, slope, what,
-                                     max_steps)
+            yb[order] = _branch_root(gap_fns, gap, lam, xs, (y1, f1, y2, f2), start, slope, what)
     return y.reshape(x.shape)

@@ -13,18 +13,20 @@ Yosida approximations
 
 and the convex primitive phi(x) = int_0^x f.
 
-Resolvents come from closed forms (linear, quadratic, cubic, sign) where a
-fast path is attached to the graph.  Any other graph, other powers included,
-goes through the generic engine
+The built-in drifts (zero, linear, power, sign, sign+linear) are one family,
+f(x) = sgn(x)*(j + c*|x|^d) with j = 0 or 1, built by _family: one resolvent,
+a soft threshold by lam when j = 1 and then the closed form for c = 0 or
+d = 1, 2, 3, and one primitive j*|x| + c*|x|^(d+1)/(d+1).  Any other graph,
+other powers included, goes through the generic engine
 (generic_engine.resolve_on_knots): an x inside a knot's jump interval
 resolves to exactly that knot, every other x to the one continuous branch
 between two knots.  A graph builds its knots (the breakpoints and 0) once,
 and on first use at a lam the engine's table for it, which it keeps.  The
-engine solves its input in blocks of at most _ROOT_BLOCK elements, so a
-whole trajectory costs it one block's temporaries.  Every root solve stops
-each element on its own and raises NoConvergence at its step cap, so a
-result does not depend on its block.  phi without a closed form comes from
-one adaptive Gauss-Legendre loop to QUAD_TOL (see primitive_array).
+engine solves its input in blocks of bounded size, so a whole trajectory
+costs it one block's temporaries.  Every root solve stops each element on
+its own and raises NoConvergence at its step cap, so a result does not
+depend on its block.  phi without a closed form comes from one adaptive
+Gauss-Legendre loop to QUAD_TOL (see primitive_array).
 Resolvent and Yosida functions take (graph, lam, x);
 the resolvent's and Yosida's lam may be an array that broadcasts against x.
 Every function here is vectorized: x is an array or a Python scalar, and the
@@ -73,15 +75,6 @@ __all__ = [
     "TEST_DRIFTS",
 ]
 
-# The cap on steps per branch solve of the generic engine, past which it
-# raises NoConvergence: at most 3 on the benchmark's jump-at-0 cubic at its
-# stepper levels, 4 at lam = 0.1, where bisection to two ulps would take about
-# 44, and 17 beyond the table up to |x| = 1e300 (see _midpoint).
-_MAX_ROOT_STEPS = 100
-# The generic engine's block: it solves at most this many elements at a time,
-# so its temporaries (about 33 doubles per element) stay near 1.1 MB however
-# long the input.  A stepper call, B*M <= 7*511 elements, is one block.
-_ROOT_BLOCK = 4096
 # The generic engine's tables: a graph's table at a lam has _TABLE_NODES
 # evenly spaced nodes over the build-time shape probe's range [-_PROBE_SPAN,
 # _PROBE_SPAN], and its knots (about 42 kB); a graph keeps at most
@@ -174,12 +167,6 @@ class MonotoneGraph:
         ):
             raise ValueError(f"graph {self.name!r} declared 0 in f(0) but it is not")
 
-    @property
-    def jump_points(self) -> tuple[float, ...]:
-        """The breakpoints b with f(b-) < f(b+)."""
-        b = self._breaks
-        return tuple(b[self.left_limits(b) < self.right_limits(b)].tolist())
-
     # -- one-sided limits ---------------------------------------------------
 
     def _branch_eval(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -248,7 +235,7 @@ def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.nda
     """R_lam(x) for a graph with no fast path, from its table at lam."""
     lam, fns = float(lam), graph.branch_fns
     return resolve_on_knots(_graph_table(graph, lam), [fns[i] for i in graph._gap_branch],
-                            lam, x, repr(graph.name), _ROOT_BLOCK, _MAX_ROOT_STEPS)
+                            lam, x, repr(graph.name))
 
 
 def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
@@ -307,7 +294,7 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
     f_lam = lambda r: yosida_array(graph, lam, r)  # noqa: E731
     what = f"the composed Yosida resolvent of {graph.name!r}"
     table = knot_table(np.zeros(1), (f_lam, f_lam), mu, np.empty(0), what)
-    rho = resolve_on_knots(table, (f_lam, f_lam), mu, x, what, _ROOT_BLOCK, _MAX_ROOT_STEPS)
+    rho = resolve_on_knots(table, (f_lam, f_lam), mu, x, what)
     return (x - rho) / mu
 
 
@@ -383,55 +370,60 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
 # -- built-in graphs ----------------------------------------------------------
 
 
+def _family(name: str, j: int, c: float, d: float, growth_constant: float) -> MonotoneGraph:
+    """f(x) = sgn(x)*(j + c*|x|^d) with j = 0 or 1 and c >= 0, growth exponent d.
+
+    j = 1 puts a jump [-1, 1] at 0.  The resolvent of sgn + g, for g odd and
+    continuous, is g's resolvent after a soft threshold by lam, so one
+    closed form serves every member with c = 0 or d = 1, 2 or 3; the
+    quadratic's root is written without cancellation, the cubic's is the
+    hyperbolic form of Cardano's, then one Newton step (Kahan 1986, "To solve
+    a real cubic equation").  Other powers go through the generic engine.
+    """
+
+    def term(x: np.ndarray) -> np.ndarray:
+        return c * np.sign(x) * np.abs(x) ** d if c else np.zeros_like(x)
+
+    def resolvent(x: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+        a = np.maximum(np.abs(x) - lam, 0.0) if j else np.abs(x)
+        s = np.sign(x)
+        if not c:
+            return s * a
+        k = lam * c
+        if d == 1:
+            return s * a / (1.0 + k)
+        if d == 2:
+            return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
+        r = np.sqrt(3.0 * k)
+        y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
+        return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
+
+    def primitive(x: np.ndarray) -> np.ndarray:
+        a = np.abs(x)
+        power = c * a ** (d + 1.0) / (d + 1.0) if c else np.zeros_like(a)
+        return a + power if j else power
+
+    return MonotoneGraph(
+        name=name,
+        breakpoints=(0.0,) if j else (),
+        branch_fns=(lambda x: term(x) - j, lambda x: term(x) + j) if j else (term,),
+        growth_exponent=float(d),
+        growth_constant=growth_constant,
+        fast_resolvent=resolvent if not c or d in (1, 2, 3) else None,
+        fast_primitive=primitive,
+    )
+
+
 def zero_graph() -> MonotoneGraph:
     """f identically zero (the linear heat equation)."""
-    return MonotoneGraph(
-        name="zero",
-        breakpoints=(),
-        branch_fns=(lambda x: np.zeros_like(x),),
-        growth_exponent=0.0,
-        growth_constant=1.0,
-        fast_resolvent=lambda x, lam: x.copy(),
-        fast_primitive=lambda x: np.zeros_like(x),
-    )
+    return _family("zero", 0, 0.0, 0.0, 1.0)
 
 
 def linear_graph(c: float = 1.0) -> MonotoneGraph:
     """f(x) = c*x with c >= 0."""
     if c < 0:
         raise ValueError("linear coefficient must be >= 0")
-    return MonotoneGraph(
-        name=f"linear(c={c:g})",
-        breakpoints=(),
-        branch_fns=(lambda x: c * x,),
-        growth_exponent=1.0,
-        growth_constant=max(c, 1e-300),
-        fast_resolvent=lambda x, lam: x / (1.0 + lam * c),
-        fast_primitive=lambda x: 0.5 * c * x * x,
-    )
-
-
-def _power_resolvent(d: float, coef: float):
-    """R_lam for y + lam*coef*|y|^{d-1} y = x (odd symmetry), d = 1, 2 or 3.
-
-    The quadratic's root is written without cancellation; the cubic's is the
-    hyperbolic form of Cardano's, then one Newton step (Kahan 1986, "To solve
-    a real cubic equation").
-    """
-
-    def solve(x: np.ndarray, lam: float) -> np.ndarray:
-        a = np.abs(x)
-        s = np.sign(x)
-        k = lam * coef
-        if d == 1.0:
-            return s * a / (1.0 + k)
-        if d == 2.0:
-            return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
-        r = np.sqrt(3.0 * k)
-        y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
-        return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
-
-    return solve
+    return _family(f"linear(c={c:g})", 0, c, 1.0, max(c, 1e-300))
 
 
 def power_graph(d: float, coef: float = 1.0) -> MonotoneGraph:
@@ -441,50 +433,18 @@ def power_graph(d: float, coef: float = 1.0) -> MonotoneGraph:
         raise ValueError("power drift needs d >= 1")
     if coef <= 0:
         raise ValueError("power coefficient must be > 0")
-    return MonotoneGraph(
-        name=f"power(d={d:g})" if coef == 1.0 else f"power(d={d:g},c={coef:g})",
-        breakpoints=(),
-        branch_fns=(lambda x: coef * np.sign(x) * np.abs(x) ** d,),
-        growth_exponent=float(d),
-        growth_constant=coef,
-        fast_resolvent=_power_resolvent(float(d), coef) if d in (1, 2, 3) else None,
-        fast_primitive=lambda x: coef * np.abs(x) ** (d + 1.0) / (d + 1.0),
-    )
-
-
-def _sign_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    name = f"power(d={d:g})" if coef == 1.0 else f"power(d={d:g},c={coef:g})"
+    return _family(name, 0, coef, d, coef)
 
 
 def sign_graph() -> MonotoneGraph:
     """f = sgn with the jump at 0 filled by [-1, 1]."""
-    return MonotoneGraph(
-        name="sign",
-        breakpoints=(0.0,),
-        branch_fns=(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, 1.0)),
-        growth_exponent=0.0,
-        growth_constant=1.0,
-        fast_resolvent=_sign_resolvent,
-        fast_primitive=lambda x: np.abs(x),
-    )
-
-
-def _sign_plus_linear_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
-    y = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-    return y / (1.0 + lam)
+    return _family("sign", 1, 0.0, 0.0, 1.0)
 
 
 def sign_plus_linear_graph() -> MonotoneGraph:
     """f(x) = sgn(x) + x: a discontinuous drift with linear growth."""
-    return MonotoneGraph(
-        name="sign+linear",
-        breakpoints=(0.0,),
-        branch_fns=(lambda x: x - 1.0, lambda x: x + 1.0),
-        growth_exponent=1.0,
-        growth_constant=1.0,
-        fast_resolvent=_sign_plus_linear_resolvent,
-        fast_primitive=lambda x: np.abs(x) + 0.5 * x * x,
-    )
+    return _family("sign+linear", 1, 1.0, 1.0, 1.0)
 
 
 def piecewise_graph(

@@ -22,9 +22,9 @@ from ..solver import solve_regularized
 
 __all__ = ["InvariantCheck", "run_invariant_battery"]
 
-# Scales the bounds of the resolvent and Yosida checks below (10 * ROOT_TOL);
-# the root solvers stop in ulps and read no tolerance.
-ROOT_TOL = 1e-12
+# The bound of the resolvent and Yosida checks below; the root solvers stop in
+# ulps and read no tolerance.
+RESOLVENT_CHECK_TOL = 1e-11
 
 
 @dataclass
@@ -51,13 +51,13 @@ def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
         fy = (y - ry) / 0.5
         checks.append(InvariantCheck(
             f"resolvent_contraction[{name}]",
-            float(np.max(np.abs(rx - ry) - np.abs(x - y))), 10 * ROOT_TOL))
+            float(np.max(np.abs(rx - ry) - np.abs(x - y))), RESOLVENT_CHECK_TOL))
         checks.append(InvariantCheck(
             f"yosida_lipschitz[{name}]",
-            float(np.max(np.abs(fx - fy) - np.abs(x - y) / 0.5)), 10 * ROOT_TOL / 0.5))
+            float(np.max(np.abs(fx - fy) - np.abs(x - y) / 0.5)), RESOLVENT_CHECK_TOL / 0.5))
         checks.append(InvariantCheck(
             f"yosida_monotone[{name}]",
-            float(np.max(-(fx - fy) * (x - y))), 10 * ROOT_TOL))
+            float(np.max(-(fx - fy) * (x - y))), RESOLVENT_CHECK_TOL))
         # identity: x - y = R_lam x - R_mu y + lam f_lam(x) - mu f_mu(y)
         rlx = resolvent_array(f, lams[:200], x[:200])
         rmy = resolvent_array(f, mus[:200], y[:200])
@@ -65,22 +65,22 @@ def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
         fmy = (y[:200] - rmy) / mus[:200]
         ident = (x[:200] - y[:200]) - (rlx - rmy + lams[:200] * flx - mus[:200] * fmy)
         checks.append(InvariantCheck(
-            f"resolvent_identity[{name}]", float(np.max(np.abs(ident))), 10 * ROOT_TOL))
+            f"resolvent_identity[{name}]", float(np.max(np.abs(ident))), RESOLVENT_CHECK_TOL))
         lower = (flx - fmy) * (x[:200] - y[:200]) - (flx - fmy) * (
             lams[:200] * flx - mus[:200] * fmy)
         chain = (flx - fmy) * (lams[:200] * flx - mus[:200] * fmy) + (
             lams[:200] + mus[:200]) * (flx**2 + fmy**2)
         checks.append(InvariantCheck(
             f"yosida_product_lower_bound[{name}]",
-            float(max(np.max(-lower), np.max(-chain))), 10 * ROOT_TOL))
+            float(max(np.max(-lower), np.max(-chain))), RESOLVENT_CHECK_TOL))
         comp = yosida_of_yosida_array(f, 0.25, 0.125, x[:200])
         direct = yosida_array(f, 0.375, x[:200])
         checks.append(InvariantCheck(
             f"yosida_semigroup_property[{name}]",
-            float(np.max(np.abs(comp - direct))), 10 * ROOT_TOL))
+            float(np.max(np.abs(comp - direct))), RESOLVENT_CHECK_TOL))
         dom = np.abs(yosida_array(f, 0.5, x)) - np.abs(section_min_abs(f, x))
         checks.append(InvariantCheck(
-            f"yosida_domination[{name}]", float(np.max(dom)), 10 * ROOT_TOL))
+            f"yosida_domination[{name}]", float(np.max(dom)), RESOLVENT_CHECK_TOL))
     return checks
 
 

@@ -103,8 +103,3 @@ class StudyReport:
                        for name in sorted(self.series)
                        for i, value in enumerate(self.series[name]))
         atomic_write_text(directory / "series.csv", "series,index,value\n" + rows)
-
-    @staticmethod
-    def load(directory: Path) -> "StudyReport":
-        data = json.loads((Path(directory) / "report.json").read_text())
-        return StudyReport(**data)

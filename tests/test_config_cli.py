@@ -182,7 +182,7 @@ class TestParseConfig:
         piecewise = {"kind": "piecewise", "breakpoints": [0.0],
                      "expressions": ["x - 1", "x + 1"], "d": 1.0, "C_f": 1.0}
         g = parse_config(json.dumps({"drift": piecewise})).build_graph()
-        assert g.jump_points == (0.0,)
+        assert g.breakpoints == (0.0,) and g.left_limits(0.0) < g.right_limits(0.0)
         assert g.right_limits(0.0) == 1.0
         for kind, probe, want in [
             ("zero", 3.0, 0.0), ("linear", 3.0, 3.0), ("power", 2.0, 8.0),

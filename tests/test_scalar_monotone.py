@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mildlab.generic_engine as ge
 import mildlab.scalar_monotone as sm
 from mildlab.errors import BracketFailure, NoConvergence, NonFiniteInput
 from mildlab.scalar_monotone import (MonotoneGraph, compile_branch,
@@ -70,6 +72,12 @@ def mid_value_graphs() -> list[MonotoneGraph]:
         piecewise_graph("kink-jump", [-1.0, 1.0],
                         [compile_branch(e) for e in ("x - 1", "2*x", "x + 3")], 1.0, 3.0),
     ]
+
+
+def jumps(f: MonotoneGraph) -> np.ndarray:
+    """The breakpoints b with f(b-) < f(b+)."""
+    b = np.asarray(f.breakpoints)
+    return b[f.left_limits(b) < f.right_limits(b)]
 
 
 on_breakpoints = st.sampled_from([-1.0, 0.0, -0.0, 1.0])
@@ -161,12 +169,13 @@ class TestResolvent:
         g = piecewise_graph("abyss", [], [lambda x: np.zeros_like(x)], 0.0, 1.0)
         object.__setattr__(g, "branch_fns", (lambda x: np.full_like(x, -1e300),))
         xs = np.array([-1.0, 0.0, 2.0])
-        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
-            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+        for block in (ge._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(ge, "_ROOT_BLOCK", block)
             with pytest.raises(BracketFailure, match="^no sign change on the bracket for 'abyss'$"):
                 resolvent_array(g, 0.5, xs)
+            # the outer solve fails, or an inner resolve of 'abyss' inside it
             with pytest.raises(BracketFailure, match="^no sign change on the bracket for "
-                               "the composed Yosida resolvent of 'abyss'$"):
+                               "(the composed Yosida resolvent of )?'abyss'$"):
                 yosida_of_yosida_array(g, 0.25, 0.125, xs)
 
     @pytest.mark.parametrize("d", [3.0, 4.0, 2.5])
@@ -175,7 +184,7 @@ class TestResolvent:
         # 941 times in 1024 for the cubic.  The cubic has a closed form; the
         # quartic and d = 2.5 go through the generic engine, which stops them
         # within 3 steps (quartic, worst residual 2 ulps) and 4 (d = 2.5, 1 ulp)
-        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 4)
+        monkeypatch.setattr(ge, "_MAX_ROOT_STEPS", 4)
         g, lam = power_graph(d), 2.0**-8 + 2.0**-10
         rng = np.random.default_rng(0)
         for _ in range(1024):
@@ -200,10 +209,10 @@ class TestResolvent:
             assert np.all(np.abs(closed - engine) <= 4.0 * np.spacing(engine)), d
 
     def test_generic_engine_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 2)
+        monkeypatch.setattr(ge, "_MAX_ROOT_STEPS", 2)
         cubic_jump = mid_value_graphs()[1]
-        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
-            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+        for block in (ge._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(ge, "_ROOT_BLOCK", block)
             with pytest.raises(NoConvergence, match="no stop after 2 steps") as err:
                 resolvent_array(cubic_jump, 0.1, np.array([0.3, 2.5]))
             assert str(err.value) == ("resolvent of 'cubic-jump': no stop after 2 steps "
@@ -214,7 +223,7 @@ class TestResolvent:
         # Steps from the table's interpolant stop every branch solve on these
         # inputs within 4; bisection to two ulps would need about 44.  One
         # call of 32 blocks.
-        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
+        monkeypatch.setattr(ge, "_MAX_ROOT_STEPS", 16)
         for f in mid_value_graphs()[1:]:
             x = np.random.default_rng(0).normal(0.0, 1.5, (1024, 127))
             y = resolvent_array(f, lam, x)
@@ -235,7 +244,7 @@ class TestResolvent:
 
     def test_large_inputs_within_ulps(self, monkeypatch):
         # an absolute stop below one ulp of y used to run to its cap here
-        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 16)
+        monkeypatch.setattr(ge, "_MAX_ROOT_STEPS", 16)
         f, lam = piecewise_graph("linear-generic", [], [lambda x: x], 1.0, 1.0), 0.1
         x = np.array([1e4, 1e7, 1e12, -1e4, -1e7, -1e12])
         y = resolvent_array(f, lam, x)
@@ -263,7 +272,7 @@ class TestResolvent:
                 alone = np.array([resolvent_array(f, lam, x) for x in xs])
                 assert batch.tobytes() == alone.tobytes(), (f.name, lam)
 
-    @pytest.mark.parametrize("block", [7, sm._ROOT_BLOCK])
+    @pytest.mark.parametrize("block", [7, ge._ROOT_BLOCK])
     def test_block_boundaries_do_not_move_bits(self, monkeypatch, block):
         # about three blocks, the last one short; every third x lies in a
         # knot's jump interval and every sixth is 0, the knot of f_lam
@@ -273,13 +282,13 @@ class TestResolvent:
         for f in mid_value_graphs()[1:]:
             x = rng.normal(0.0, 1.5, 3 * block - 2)
             ends = np.array([(b + lam * f.left_limits(b), b + lam * f.right_limits(b))
-                             for b in f.jump_points])
+                             for b in jumps(f)])
             lo, hi = ends[rng.integers(len(ends), size=x[::3].size)].T
             x[::3], x[1::6] = rng.uniform(lo, hi), 0.0
             inputs.append((f, x))
 
         def run(size):
-            monkeypatch.setattr(sm, "_ROOT_BLOCK", size)
+            monkeypatch.setattr(ge, "_ROOT_BLOCK", size)
             return [(resolvent_array(f, lam, x).tobytes(),
                      yosida_of_yosida_array(f, lam, mu, x).tobytes()) for f, x in inputs]
 
@@ -338,7 +347,7 @@ class TestResolvent:
             assert np.all(resolvent_array(f, lam, ends) == np.repeat(c, 2))
             alone = np.array([resolvent_array(f, lam, x) for x in xs])
             assert y.tobytes() == alone.tobytes(), f.name
-            monkeypatch.setattr(sm, "_ROOT_BLOCK", 7)
+            monkeypatch.setattr(ge, "_ROOT_BLOCK", 7)
             assert resolvent_array(f, lam, xs).tobytes() == y.tobytes(), f.name
             monkeypatch.undo()
 
@@ -348,7 +357,7 @@ class TestResolvent:
         # of magnitude, and _midpoint halves its exponent, so each solve here
         # stops within 17 steps.  A far end whose f overflows is pulled in,
         # and that does not warn.
-        monkeypatch.setattr(sm, "_MAX_ROOT_STEPS", 24)
+        monkeypatch.setattr(ge, "_MAX_ROOT_STEPS", 24)
         far = np.array([1e3, 1e12, 1e40, 1e100, 1e200, 1e300])
         xs = np.concatenate([far, -far])
         for f in (power_graph(4.0), power_graph(2.5), power_graph(5.0), mid_value_graphs()[1]):
@@ -430,8 +439,8 @@ class TestResolvent:
         # nan only beyond the [-8, 8] that the build-time shape probe samples
         f = piecewise_graph("capped", [0.0], [lambda x: x - 1.0, lambda x: np.where(
             np.abs(x) > 8.0, np.nan, x + 1.0)], 1.0, 2.0)
-        for block in (sm._ROOT_BLOCK, 1):  # then each element in a block of its own
-            monkeypatch.setattr(sm, "_ROOT_BLOCK", block)
+        for block in (ge._ROOT_BLOCK, 1):  # then each element in a block of its own
+            monkeypatch.setattr(ge, "_ROOT_BLOCK", block)
             assert resolvent_array(f, 1.0, np.array([-3.0, 0.5, 7.0])).tolist() == [-1.0, 0.0, 3.0]
             with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as err:
                 resolvent_array(f, 1.0, np.array([1.0, 30.0]))
@@ -475,6 +484,71 @@ class TestResolvent:
         g = power_graph(3.0)
         rx, ry = resolvent_array(g, lam, x), resolvent_array(g, lam, y)
         assert abs(rx - ry) <= abs(x - y) + 1e-10
+
+
+def family_digests(f: MonotoneGraph) -> tuple[str, str]:
+    """sha256 of a built-in graph's resolvent at a number and at a (7, 1) column
+    of levels and its one-sided limits, then of its primitive, on FAMILY_X."""
+    maps, primitive = hashlib.sha256(), hashlib.sha256(primitive_array(f, FAMILY_X).tobytes())
+    for out in (resolvent_array(f, 0.3, FAMILY_X), resolvent_array(f, FAMILY_LAMS, FAMILY_X),
+                f.left_limits(FAMILY_X), f.right_limits(FAMILY_X)):
+        maps.update(np.ascontiguousarray(out).tobytes())
+    return maps.hexdigest(), primitive.hexdigest()
+
+
+# Tiny, huge and zero inputs (never -0.0, whose sign a closed form may drop),
+# and a grid across the jumps' dead zones.
+FAMILY_X = np.concatenate([[-1e10, -1e3, -1e-300, 0.0, 1e-300, 1e3, 1e10],
+                           np.linspace(-4.0, 4.0, 41)])
+FAMILY_LAMS = 0.5 ** np.arange(1.0, 8.0)[:, None]
+# Recorded before the built-ins shared one family builder.  linear(c=2.5)'s
+# primitive moved by at most one ulp then, and is checked to that.
+FAMILY_DIGESTS = {
+    "zero": ("97d6c57aebd8cc1c972395edb5c0611238124fa646e2aa3ecc61e6abd637d50c",
+             "a1a4f5721c1c4610af7f71078f3a68c330536d679803b0e0507ee8dc10c5dfca"),
+    "linear(c=1)": ("bef466e14f58eb63c24edcd3b10f78f9ec24629850af152120fa4538e31cc4a9",
+                    "e50e1abaa18c7c153071cd311d377690e89135ed8a70d7f1bda65fb8c15f083c"),
+    "linear(c=2.5)": ("03abdc07f148eeca8fe8415a87867c1c98866e98bbb8c1ffa4a0ba911db15a3a", None),
+    "power(d=2)": ("cc26ba5e9cbed0031807049d8267a823a6f46a4bdd15af107026d0252271c49b",
+                   "5e857200f7ad3b185a94b65a9e7526be5e535dfd0d0204436c9f68c2e9be3edf"),
+    "power(d=3)": ("0c3cb78510b2eb272a0b3c9d770f0657221c4ce97f71898d91135858bfe5d1ad",
+                   "a7ea938a09a226de9f071b610596c398f96eb2948979b6440af96303af5107ec"),
+    "power(d=3,c=2)": ("44c8e6a18c1bbf7abf00e0147ab18fd6c5194af557c2261a4d544b0a9d90ce55",
+                       "4d1b912913403246fb5fe3d7d285e4acf9433a361fbf48cf1ef6be479ad3c697"),
+    "sign": ("423026a93389ec4990386a567c63f0fd26cc6ab4aab051ca81354633bfd0697d",
+             "444faded0b440582c94f146488aeb9d6fc861de15dfda2f395957ac233807f8d"),
+    "sign+linear": ("00f02ec0b77f6e3989b9b1a52f3738cb4f4f1fd0a393ca673bf21b973ae60137",
+                    "85a794095792064998c9618d0de4efdd7c573528f513145b9eeb9a3c72cdd400"),
+}
+
+
+class TestDriftFamily:
+    """The built-in drifts sgn(x)*(j + c*|x|^d) keep their bits."""
+
+    @pytest.mark.parametrize("make", [
+        zero_graph, linear_graph, lambda: linear_graph(2.5), lambda: power_graph(2),
+        lambda: power_graph(3.0), lambda: power_graph(3, 2.0), sign_graph,
+        sign_plus_linear_graph])
+    def test_outputs_keep_their_bits(self, make):
+        f = make()
+        assert f.fast_resolvent is not None and f.fast_primitive is not None, f.name
+        maps, primitive = family_digests(f)
+        assert maps == FAMILY_DIGESTS[f.name][0], f.name
+        if FAMILY_DIGESTS[f.name][1] is not None:
+            assert primitive == FAMILY_DIGESTS[f.name][1], f.name
+
+    @pytest.mark.parametrize("c", [0.5, 2.5, 3.0])
+    def test_linear_primitive_within_an_ulp(self, c):
+        # c*x^2/2 in the power primitive's order is within one ulp of 0.5*c*x*x
+        want = 0.5 * c * FAMILY_X * FAMILY_X
+        got = primitive_array(linear_graph(c), FAMILY_X)
+        assert np.all(np.abs(got - want) <= np.spacing(want)), c
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    def test_first_power_is_linear(self, c):
+        for lam in (0.3, FAMILY_LAMS):
+            assert resolvent_array(power_graph(1, c), lam, FAMILY_X).tobytes() == \
+                resolvent_array(linear_graph(c), lam, FAMILY_X).tobytes(), (c, lam)
 
 
 class TestYosida:
@@ -643,20 +717,7 @@ class TestGraphConstruction:
 
     def test_declared_jumps_are_strict(self, drifts):
         for f in drifts.values():
-            for b in f.jump_points:
-                assert f.left_limits(b) < f.right_limits(b)
-
-    def test_jump_points_derived_from_limits(self):
-        assert sign_graph().jump_points == (0.0,)
-        assert sign_plus_linear_graph().jump_points == (0.0,)
-        kinked = MonotoneGraph(
-            name="kink", breakpoints=(0.0, 1.0),
-            branch_fns=(lambda x: x, lambda x: 2.0 * x, lambda x: 2.0 * x + 1.0),
-            growth_exponent=1.0, growth_constant=3.0,
-        )
-        assert kinked.jump_points == (1.0,)
-        with pytest.raises(AttributeError):
-            kinked.jump_points = (0.0,)
+            assert jumps(f).tolist() == list(f.breakpoints), f.name
 
     def test_zero_graph_is_identity_resolvent(self):
         xs = np.linspace(-3, 3, 11)

@@ -390,9 +390,9 @@ class TestReportMachinery:
     def test_save_and_load(self, tmp_path):
         rep = bernoulli_study(20, seed=3)
         rep.save(tmp_path / "bern")
-        loaded = StudyReport.load(tmp_path / "bern")
-        assert loaded.verdict == rep.verdict
-        assert loaded.fitted == rep.fitted
+        loaded = json.loads((tmp_path / "bern" / "report.json").read_text())
+        assert loaded["verdict"] == rep.verdict
+        assert loaded["fitted"] == rep.fitted
         series_csv = (tmp_path / "bern" / "series.csv").read_text()
         assert series_csv.startswith("series,index,value")
 
