@@ -1,8 +1,8 @@
 """Atomic artifact writes: a temp file in the destination directory, then rename.
 
 Readers see the previous file or the complete new one, never a partial
-write.  Files are created with mode 0600 and written without newline
-translation, so the bytes on disk are exactly the text written.
+write.  Files are created with mode 0600; text is written without newline
+translation, so the bytes on disk are exactly the text or bytes written.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 
 @contextmanager
-def atomic_writer(dest: Path) -> Iterator[TextIO]:
-    """Text handle on a temp file next to dest, renamed over dest on success.
+def atomic_writer(dest: Path, binary: bool = False) -> Iterator[IO]:
+    """Text (bytes if binary) handle on a temp file next to dest, renamed over it on success.
 
     On an exception the temp file is removed and dest is left as it was.
     """
@@ -24,7 +24,7 @@ def atomic_writer(dest: Path) -> Iterator[TextIO]:
     dest.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, dest)
     except BaseException:

@@ -3,7 +3,7 @@
 Subcommands (consumers are scripts and CI, not interactive humans):
 
     mildlab sample-noise CONFIG     sample and export the configured paths
-    mildlab solve CONFIG            run the continuation per seed, export u
+    mildlab solve CONFIG            run the continuation per seed, export u (.npy)
     mildlab study NAME CONFIG       run one named study (its config section
                                     must be present under "studies")
     mildlab check-invariants CONFIG run the fast cross-module battery
@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write_text, atomic_writer
 from .config import STUDY_KEYS, RunConfig, parse_config
 from .errors import MildlabError
 from .noise import export_noise_sidecar, export_series_csv, path_seeds, sample_path
@@ -42,7 +43,7 @@ from .verify import (apriori_constants_study, bernoulli_study,
                      contraction_extension_study, eiconv_demo,
                      l1_convergence_study, moment_study, propagation_study,
                      run_invariant_battery)
-from .verify.report import StudyReport, atomic_write_text, config_digest, map_ordered
+from .verify.report import StudyReport, config_digest, map_ordered
 
 EXIT_PASS, EXIT_ERROR, EXIT_INCONCLUSIVE = 0, 1, 2
 
@@ -110,7 +111,8 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
 
     def solve(i: int, path) -> bool:
         sol = solve_mild(graph, u0, path, solver_cfg)
-        export_series_csv(sol.u, path.times, out / f"solution{i}_u.csv")
+        with atomic_writer(out / f"solution{i}_u.npy", binary=True) as fh:
+            np.lib.format.write_array(fh, sol.u.values, version=(1, 0), allow_pickle=False)
         run_record = {
             "seed": path.seed,
             "drift": cfg.raw["drift"],
@@ -128,7 +130,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
     converged = _map_paths(cfg, sg, solve, workers)
     _write_manifest(cfg, out, "solve",
                     [f"solution{i}{ext}" for i in range(cfg.n_paths)
-                     for ext in ("_u.csv", ".json")])
+                     for ext in ("_u.npy", ".json")])
     return EXIT_PASS if all(converged) else EXIT_INCONCLUSIVE
 
 

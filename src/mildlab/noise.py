@@ -184,14 +184,15 @@ def norm_ld_lqd(path: NoisePath, d: float, q: float) -> float:
 
 # Rows per %-template.  A filled piece of 16 rows stays under 1 kB, a size
 # the C allocator recycles from per-size caches.  Whole-snapshot strings
-# (~5 kB at M=127) fragment the heap around the solver's arrays and raise the
-# peak RSS of `mildlab solve` by about 2 MB.
+# (~5 kB at M=127) fragment the heap: they raised `mildlab solve`'s peak RSS
+# by about 2 MB when it wrote u as CSV.  Only `sample-noise` writes CSV now.
 _ROWS_PER_PIECE = 16
 
 
 def export_series_csv(fields: FieldSeries, times: np.ndarray, dest: Path) -> None:
     """Write a field series as CRLF rows (time, node, value), 17 significant digits.
 
+    Only `mildlab sample-noise` writes CSV series (`solve` writes u as .npy).
     The rows of a snapshot are filled into %-templates of _ROWS_PER_PIECE
     rows from its (time, value) pairs.  Snapshots stream into a temp file
     that replaces dest only once complete.

@@ -349,11 +349,11 @@ def primitive_array(graph: MonotoneGraph, x) -> np.ndarray:
     each x adds the integral from its segment's knot nearest 0: one branch each.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("primitive input must be finite")
     flat = x.reshape(-1)
     if graph.fast_primitive is not None:
         return graph.fast_primitive(flat).reshape(x.shape)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("primitive input must be finite")
     knots = graph._knots
     knots = knots[(knots >= np.min(flat, initial=0.0)) & (knots <= np.max(flat, initial=0.0))]
     near = np.where(flat >= 0.0, np.searchsorted(knots, flat, side="right") - 1,

@@ -28,8 +28,8 @@ from mildlab.solver import (SolverConfig, inclusion_check, solve_mild,
 from mildlab.verify import (apriori_constants_study, bernoulli_study,
                             cauchy_rate_study, chain_rule_study, eiconv_demo,
                             l1_convergence_study)
+from mildlab.verify.invariants import RESOLVENT_CHECK_TOL
 
-ROOT_TOL = 1e-12
 SCHEDULE7 = tuple(0.25 * 2.0**-j for j in range(7))  # 2^-2 .. 2^-8
 
 
@@ -67,17 +67,17 @@ def test_criterion_01_scalar_identities(drifts, rng):
             ry = resolvent_array(f, mu, y)
             flx, fmy = (x - rx) / lam, (y - ry) / mu
             ident = (x - y) - (rx - ry + lam * flx - mu * fmy)
-            assert np.max(np.abs(ident)) <= 10 * ROOT_TOL, name
+            assert np.max(np.abs(ident)) <= RESOLVENT_CHECK_TOL, name
             first = (flx - fmy) * (x - y)
             second = (flx - fmy) * (lam * flx - mu * fmy)
             floor = -(lam + mu) * (flx**2 + fmy**2)
-            assert np.min(first - second) >= -10 * ROOT_TOL, name
-            assert np.min(second - floor) >= -10 * ROOT_TOL, name
+            assert np.min(first - second) >= -RESOLVENT_CHECK_TOL, name
+            assert np.min(second - floor) >= -RESOLVENT_CHECK_TOL, name
         for lam, mu in [(0.25, 0.125), (0.8, 0.04)]:
             x = rng.uniform(-5.0, 5.0, 10000)
             comp = yosida_of_yosida_array(f, lam, mu, x)
             direct = yosida_array(f, lam + mu, x)
-            assert np.max(np.abs(comp - direct)) <= 10 * ROOT_TOL, name
+            assert np.max(np.abs(comp - direct)) <= RESOLVENT_CHECK_TOL, name
     elapsed = time.time() - start
     assert elapsed < 10.0
     record_criterion(1, f"scalar identity, product bound, Yosida composition "
@@ -385,7 +385,7 @@ def test_criterion_14_determinism(tmp_path):
         blobs.append(b"".join(
             (out / name).read_bytes()
             for name in ("cauchy/report.json", "cauchy/series.csv",
-                         "solution0_u.csv", "solution1_u.csv", "manifest.json")))
+                         "solution0_u.npy", "solution1_u.npy", "manifest.json")))
     assert blobs[0] == blobs[1] == blobs[2]
     trees = []
     for workers in ("1", "2", "4"):

@@ -2,17 +2,19 @@
 
 The inputs are built by exact arithmetic, without the solver or BLAS, so the
 digests do not depend on the platform.  They pin the bytes the export layer
-writes: CRLF rows "time,node,value" in the solution and noise CSVs, LF rows
-in a study's series.csv, the .17g digits and the report's JSON layout.  A
-rewrite of the export layer must keep both digests, and the series export
-must write what a plain csv.writer loop writes for any values.
+writes: CRLF rows "time,node,value" in the noise CSVs, LF rows in a study's
+series.csv, the .17g digits and the report's JSON layout.  A rewrite of the
+export layer must keep both digests, and the series export must write what a
+plain csv.writer loop writes for any values.
 """
 
 import csv
 import hashlib
 
 import numpy as np
+import pytest
 
+from mildlab.atomic import atomic_writer
 from mildlab.grid_space import FieldSeries, Grid
 from mildlab.noise import export_series_csv
 from mildlab.verify import StudyReport
@@ -89,3 +91,24 @@ def test_study_report_save_bytes(tmp_path):
     assert b"\r" not in (tmp_path / "golden" / "series.csv").read_bytes()
     assert {name: sha256(tmp_path / "golden" / name)
             for name in STUDY_REPORT_SHA256} == STUDY_REPORT_SHA256
+
+
+@pytest.mark.parametrize("previous", [None, b"previous .npy bytes"])
+def test_failed_binary_write_leaves_dest(tmp_path, previous):
+    # the text writer's temp file and rename, here on bytes that stop partway
+    dest = tmp_path / "solution0_u.npy"
+    if previous is not None:
+        dest.write_bytes(previous)
+    values = np.arange(64 * 31, dtype=float).reshape(64, 31)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_writer(dest, binary=True) as fh:
+            np.lib.format.write_array(fh, values[:32], version=(1, 0), allow_pickle=False)
+            fh.flush()
+            assert len(list(tmp_path.iterdir())) == 1 + (previous is not None)
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == ([] if previous is None else [dest])
+    assert previous is None or dest.read_bytes() == previous
+    with atomic_writer(dest, binary=True) as fh:
+        np.lib.format.write_array(fh, values, version=(1, 0), allow_pickle=False)
+    assert list(tmp_path.iterdir()) == [dest]
+    assert np.load(dest, allow_pickle=False).tobytes() == values.tobytes()

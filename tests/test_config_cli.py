@@ -47,6 +47,13 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+def assert_u_npy_header(path, shape):
+    """solve's u is NPY format 1.0: little-endian float64, C order, (n_steps + 1, M)."""
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        assert np.lib.format.read_array_header_1_0(fh) == (shape, False, np.dtype("<f8"))
+
+
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config("{}")
@@ -397,8 +404,7 @@ class TestCli:
         out = tmp_path / "run"
         record = json.loads((out / "solution0.json").read_text())
         assert "final_lambda" in record and "gaps" in record
-        lines = (out / "solution0_u.csv").read_text().splitlines()
-        assert lines[0] == "time,node,value"
+        assert_u_npy_header(out / "solution0_u.npy", (33, 21))  # T / delta + 1 times, M nodes
 
     def test_rerun_byte_identical_and_worker_free(self, tmp_path, monkeypatch):
         cfg_payload = {**SMALL_CONFIG, "studies": {"cauchy": {}}}
@@ -424,7 +430,7 @@ class TestCli:
             monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(root))
             cfg = write_config(tmp_path, name=f"cfg_{tag}.json")
             assert self.run_cli("solve", str(cfg)) in (0, 2)
-            outs.append((root / "run" / "solution0_u.csv").read_bytes())
+            outs.append((root / "run" / "solution0_u.npy").read_bytes())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -433,11 +439,12 @@ class TestCli:
         {"kind": "piecewise", "breakpoints": [0.0], "expressions": ["x**3 - 1", "x**3 + 1"],
          "d": 3, "C_f": 2},  # the generic engine
     ])
-    def test_g_regenerates_from_the_u_csv(self, tmp_path, drift, workers):
+    def test_g_regenerates_from_the_u_npy(self, tmp_path, drift, workers):
         # solve writes no g: g = f_lam(u) at the final lambda, so it is rebuilt,
         # as README's Artifacts section shows, from the manifest's config, the
-        # run record's final_lambda and the u CSV, with the bytes solve_mild has
-        from mildlab.noise import path_seeds, sample_path
+        # run record's final_lambda and the u .npy, with the bytes solve_mild
+        # has.  The .npy holds the values the CSV export of the same u parses to.
+        from mildlab.noise import export_series_csv, path_seeds, sample_path
         from mildlab.scalar_monotone import yosida_array
         from mildlab.solver import solve_mild
 
@@ -451,11 +458,17 @@ class TestCli:
         sg, u0 = cfg.build_semigroup(), cfg.build_initial(cfg.build_grid())
         for i, seed in enumerate(path_seeds(cfg.master_seed, cfg.n_paths)):
             lam = json.loads((run / f"solution{i}.json").read_text())["final_lambda"]
-            u = np.loadtxt(run / f"solution{i}_u.csv", delimiter=",", skiprows=1)[:, 2]
-            g = yosida_array(graph, lam, u.reshape(-1, config["grid"]["M"]))
             path = sample_path(sg, cfg.build_noise_spec(), cfg.T, cfg.delta, int(seed))
+            assert_u_npy_header(run / f"solution{i}_u.npy", (path.n_steps + 1, config["grid"]["M"]))
+            u = np.load(run / f"solution{i}_u.npy", allow_pickle=False)
+            g = yosida_array(graph, lam, u)
             sol = solve_mild(cfg.build_graph(), u0, path, cfg.solver_config())
             assert g.tobytes() == sol.g.values.tobytes()
+            export_series_csv(sol.u, path.times, tmp_path / "u.csv")
+            rows = np.loadtxt(tmp_path / "u.csv", delimiter=",", skiprows=1)
+            times = np.arange(path.n_steps + 1) * cfg.delta
+            assert np.array_equal(rows[:, 0], np.repeat(times, u.shape[1]))
+            assert u.tobytes() == rows[:, 2].reshape(u.shape).tobytes()
 
     def test_output_root_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "env"))
@@ -552,7 +565,7 @@ class TestCli:
                                 "--output-root", str(root)) == 1
             errors.append(capsys.readouterr().err)
             names = {p.name for p in (root / "run").iterdir()}
-            others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.csv", ".json")}
+            others = {f"solution{i}{ext}" for i in (0, 2, 3) for ext in ("_u.npy", ".json")}
             # no solution1* and no temp file; on the pool the other paths finish
             assert names == others if workers == "2" else names <= others
             assert multiprocessing.active_children() == []

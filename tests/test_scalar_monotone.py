@@ -638,6 +638,15 @@ class TestPrimitive:
     def test_sign_negative_side(self):
         assert primitive_array(sign_graph(), -3.0) == pytest.approx(3.0, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("f", [zero_graph(), linear_graph(), power_graph(3.0), sign_graph(),
+                                   sign_plus_linear_graph(), generic_sign()],
+                             ids=lambda f: f.name)
+    def test_nonfinite_input_rejected(self, f, bad):
+        # the closed forms reject it as the quadrature does, not just the resolvent
+        with pytest.raises(NonFiniteInput, match="primitive input must be finite"):
+            primitive_array(f, np.array([0.5, bad]))
+
     def test_quadrature_against_closed_forms(self):
         # generic engine (adaptive Gauss-Legendre + jump handling) vs closed forms
         for f, phi in [

@@ -92,16 +92,16 @@ ARTIFACTS = {
     "solve": {
         "solution0.json":
             "169f13a99d15547428bbdabf66fe93f3f9ce80e93852b33bb95477d643193813",
-        "solution0_u.csv":
-            "a777d4cfa6a32c1d01d2ed8edeb31235c02ba4af6f097bf582927e1f58f93b65",
+        "solution0_u.npy":
+            "05ecb92ba40af94e80891cb7aca5e5714453eb5863a6bab4061321be18443274",
         "solution1.json":
             "5fd2a50061968387ee459ca618a97399c799619d56bca171bfe5dfbf038e0521",
-        "solution1_u.csv":
-            "fdbaff4b9f7574a1431d355bb6b79d47e6241bb6911e73356e38bff5cf76ed7b",
+        "solution1_u.npy":
+            "9c58c681fce6f76fd79c024b0f08e8efe59e395be227f3c6f2a788a0d8f5ad77",
         "solution2.json":
             "e6e0e988caac13754eb76f581cb94790bc6968aec91f852472c5824a5405138a",
-        "solution2_u.csv":
-            "f8a6e8492d06d5718094af921a5a59dba473b76659af7c42bea8b468373cb8b1",
+        "solution2_u.npy":
+            "31f35709eb2635cf5a384542048304bbbd3f04d82d0441ab99a0df3525967c86",
     },
 }
 
