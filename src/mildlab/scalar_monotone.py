@@ -248,13 +248,13 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
     generic engine solves the elements of each distinct lam apart.
     """
     levels = isinstance(lam, np.ndarray) and lam.ndim > 0
-    if not (np.all(lam > 0) if levels else lam > 0):
+    if not ((lam > 0).all() if levels else lam > 0):
         raise ValueError("lambda must be > 0")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInput("resolvent input must be finite")
     if levels:
-        shape = np.broadcast_shapes(x.shape, lam.shape)
+        shape = np.broadcast(x, lam).shape
         if x.shape != shape:
             x = np.ascontiguousarray(np.broadcast_to(x, shape))
     flat = x.reshape(-1)
@@ -394,9 +394,14 @@ def _family(name: str, j: int, c: float, d: float, growth_constant: float) -> Mo
             return s * a / (1.0 + k)
         if d == 2:
             return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
-        r = np.sqrt(3.0 * k)
-        y = (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * a) / 3.0)
-        return s * (y - (y + k * y**3 - a) / (1.0 + 3.0 * k * y * y))
+        r = np.sqrt(3.0 * k)  # then s * (y - (y + k y^3 - a) / (1 + 3 k y y)) on 3 buffers
+        y = np.arcsinh((1.5 * r) * a)
+        np.multiply(np.sinh(np.divide(y, 3.0, out=y), out=y), 2.0 / r, out=y)
+        num, den = y**3, (3.0 * k) * y
+        np.subtract(np.add(np.multiply(num, k, out=num), y, out=num), a, out=num)
+        np.add(np.multiply(den, y, out=den), 1.0, out=den)
+        np.subtract(y, np.divide(num, den, out=num), out=num)
+        return np.multiply(num, s, out=num)
 
     def primitive(x: np.ndarray) -> np.ndarray:
         a = np.abs(x)

@@ -85,6 +85,8 @@ SPLIT_FROM_M = 384
 # 2^-59 ||v||_inf, under 1/64 of an ulp of ||v||_inf.
 MODE_CUTOFF = 2.0**-60
 
+_DST_ROWS = 64  # rows per FFT block of _dst1: a 0.5 MB pad and 0.5 MB spectrum at M = 511
+
 
 class HeatSemigroup:
     """Eigen-decomposition of the discrete Dirichlet Laplacian on a grid."""
@@ -101,11 +103,11 @@ class HeatSemigroup:
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
         """Mode coefficients of node values, shape (..., M) to (..., M): h sum_i v_i e_k(x_i)."""
-        return (self.grid.h * np.sqrt(2.0)) * _dst1(values)
+        return _dst1(values, self.grid.h * np.sqrt(2.0))
 
     def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
         """Node values of mode coefficients, shape (..., M) to (..., M): sum_k c_k e_k(x_i)."""
-        return np.sqrt(2.0) * _dst1(coeffs)
+        return _dst1(coeffs, np.sqrt(2.0))
 
     def stepper(self, t: float) -> np.ndarray | MirrorSplit:
         """The operator S(t) to step with: v @ stepper(t) is S(t) v for a state or a block.
@@ -137,17 +139,24 @@ def _check_time(t: float | np.ndarray) -> None:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
 
 
-def _dst1(v: np.ndarray) -> np.ndarray:
-    """DST-I along the last axis: out[..., k-1] = sum_i v[..., i] sin(k (i+1) pi / (M+1)).
+def _dst1(v: np.ndarray, scale: float) -> np.ndarray:
+    """Scaled DST-I along the last axis: scale * sum_i v[..., i] sin(k (i+1) pi / (M+1)).
 
-    v fills entries 1..M of a zero row of length 2(M + 1); minus the
+    A row of v fills entries 1..M of a zero row of length 2(M + 1); minus the
     imaginary part of its real FFT at k = 1..M is the DST-I (Makhoul 1980),
-    which is its own inverse up to the factor (M + 1) / 2.
+    its own inverse up to the factor (M + 1) / 2.  Rows share one zero pad, in
+    blocks of at most _DST_ROWS.  Sign and scale are one product by -scale,
+    bit-equal to scale * (-imag): negation is exact and products commute.
     """
     M = v.shape[-1]
-    padded = np.zeros(v.shape[:-1] + (2 * (M + 1),))
-    padded[..., 1:M + 1] = v
-    return -np.fft.rfft(padded)[..., 1:M + 1].imag
+    rows = v.reshape(-1, M)
+    out = np.empty(rows.shape)
+    pad = np.zeros((min(_DST_ROWS, len(rows)), 2 * (M + 1)))
+    for start in range(0, len(rows), _DST_ROWS):
+        stop = min(start + _DST_ROWS, len(rows))
+        pad[:stop - start, 1:M + 1] = rows[start:stop]
+        np.multiply(np.fft.rfft(pad[:stop - start])[:, 1:M + 1].imag, -scale, out=out[start:stop])
+    return out.reshape(v.shape)
 
 
 def _sine_block(sg: HeatSemigroup, t: float, k: np.ndarray, size: int) -> np.ndarray:
@@ -201,8 +210,11 @@ class MirrorSplit:
         ya = v[..., :m] - mirrored[..., :m]
         for op in self.odd:
             ya = ya @ op
-        head = ys[..., :m]
-        return np.concatenate([head + ya, ys[..., m:], (head - ya)[..., ::-1]], axis=-1)
+        out = np.empty(v.shape)
+        out[..., :n] = ys
+        out[..., :m] += ya
+        np.subtract(ys[..., :m], ya, out=out[..., n:][..., ::-1])
+        return out
 
 
 def _mirror_half(sg: HeatSemigroup, t: float, k: np.ndarray,
@@ -273,8 +285,9 @@ def modal_recursion(decay: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.
     deterministic convolution.
     """
     out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    np.multiply(weight, x, out=out[1:])
     for n in range(x.shape[0]):
-        out[n + 1] = decay * out[n] + weight * x[n]
+        out[n + 1] += decay * out[n]
     return out
 
 

@@ -24,20 +24,20 @@ check left is the initial datum's grid against the path's.
 The semigroup substep is one product with the operator S(delta) =
 exp(-delta A) (HeatSemigroup.stepper: the dense matrix, or from
 SPLIT_FROM_M nodes its two mirror half blocks), built once per call before
-the time loop.  :func:`solve_regularized` is the one stepper, with one
-result: a read-only (B, n_steps + 1, M) block, one row per lambda level, so
-the verification studies solve a whole decreasing schedule in one call and
-reduce the block one level at a time.  :func:`solve_mild` solves the schedule
-one level at a time and certifies the Cauchy property in sup-L^q, stopping
-at the first gap below tolerance; exhaustion of the schedule without meeting
-the Cauchy tolerance is a reported outcome with full gap diagnostics, never
-an exception.
+the time loop.  :func:`regularized_chunks` is the one time loop: it steps B
+lambda levels together and yields chunks of their trajectories, so a study
+that keeps running maxima holds one chunk, not the whole run, and
+:func:`solve_regularized` fills a (B, n_steps + 1, M) block from them.
+:func:`solve_mild` solves the schedule one level at a time and certifies the
+Cauchy property in sup-L^q, stopping at the first gap below tolerance;
+exhaustion of the schedule without meeting the Cauchy tolerance is a
+reported outcome with full gap diagnostics, never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .semigroup import convolve_series, semigroup_series
 __all__ = [
     "SolverConfig",
     "MildSolution",
+    "regularized_chunks",
     "solve_regularized",
     "extract_g",
     "solve_mild",
@@ -61,6 +62,8 @@ __all__ = [
 
 # The halving schedule lam_j = 0.25 * 2^-j, j = 0..6.
 DEFAULT_LAMBDA_SCHEDULE = tuple(0.25 * 2.0**-j for j in range(7))
+
+_CHUNK_ROWS = 64  # time rows per chunk: 7 levels at M = 511 are 1.8 MB, within a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,17 @@ class MildSolution:
     sup_norms: list[float]     # sup-L^q norm of each iterate
 
 
-def solve_regularized(
-    f: MonotoneGraph,
-    lam: float | np.ndarray,
-    u0: GridFunction,
-    path: NoisePath,
-) -> np.ndarray:
-    """Trajectories of the regularized equation, stepped at path.delta.
+def regularized_chunks(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFunction,
+                       path: NoisePath) -> Iterator[np.ndarray]:
+    """Trajectories of the regularized equation, stepped at path.delta, in time chunks.
 
-    lam is one finite level > 0 or a 1-D array of B of them.  The result is
-    one read-only (B, n_steps + 1, M) block, B = 1 for a number, whose row b
-    is the trajectory at level b.  The rows are stepped together: each step
-    is one product with the path's S(delta) (path.sg.stepper, built once per
-    call) and one resolvent, which takes several levels as a (B, 1) column
-    and one level as a float, at scalar cost in the closed forms.  A block
-    row agrees with its one-level call to rounding (one row and many take
-    different BLAS kernels); a call is reproducible bit for bit.
+    lam is one finite level > 0 or a 1-D array of B of them (B = 1 for a
+    number).  Yields time rows 0..n_steps in order as read-only (B, k, M)
+    views, k = _CHUNK_ROWS but for the last, of one buffer the next chunk
+    overwrites.  Each step is one product with path.sg.stepper(delta) and one
+    resolvent, which takes several levels as a (B, 1) column and one as a
+    float.  A level agrees with its one-level call to rounding (one row and
+    many take different BLAS kernels); a call is reproducible bit for bit.
     """
     levels = np.atleast_1d(np.asarray(lam, dtype=float))
     if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):
@@ -125,14 +123,32 @@ def solve_regularized(
     z = path.fields.values
     step = path.sg.stepper(delta)
     shifted = float(levels[0]) + delta if levels.size == 1 else levels[:, None] + delta
-    out = np.empty((levels.size, path.n_steps + 1, path.grid.M))
-    out[:, 0] = u0.values
+    buf = np.empty((levels.size, min(_CHUNK_ROWS, path.n_steps + 1), path.grid.M))
+    buf[:, 0] = u0.values
+    chunk = buf.view()
+    chunk.flags.writeable = False
     v = np.tile(u0.values - z[0], (levels.size, 1))
-    for n in range(path.n_steps):
-        r = v @ step + z[n + 1]
-        w = r - delta * yosida_array(f, shifted, r)
-        out[:, n + 1] = w
-        v = w - z[n + 1]
+    for n in range(1, path.n_steps + 1):  # row n of the trajectory is buf row n % buf.shape[1]
+        k = n % buf.shape[1]
+        if not k:
+            yield chunk
+        r = v @ step
+        r += z[n]
+        w = yosida_array(f, shifted, r)
+        w *= delta
+        np.subtract(r, w, out=buf[:, k])
+        np.subtract(buf[:, k], z[n], out=v)
+    yield chunk[:, :path.n_steps % buf.shape[1] + 1]
+
+
+def solve_regularized(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFunction,
+                      path: NoisePath) -> np.ndarray:
+    """The chunks of regularized_chunks, in order, as one read-only (B, n_steps + 1, M) block."""
+    out = np.empty((np.size(lam), path.n_steps + 1, path.grid.M))
+    start = 0
+    for chunk in regularized_chunks(f, lam, u0, path):
+        out[:, start:start + chunk.shape[1]] = chunk
+        start += chunk.shape[1]
     out.flags.writeable = False
     return out
 

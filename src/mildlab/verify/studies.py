@@ -21,16 +21,16 @@ Such a study takes ``workers`` and runs one path per task on
 :func:`map_ordered`; a task sends back only that path's seed and measurements,
 never its trajectories, and a report does not depend on ``workers``.  A
 sequence of paths that samples on indexing (the CLI's) thus samples each path
-in its task.  The cauchy,
-l1, moment and apriori studies solve a path's schedule as one block and
-reduce it one level (or level pair) at a time.
+in its task.  The cauchy, moment and apriori studies reduce each time chunk
+of a path's whole schedule (solver.regularized_chunks) into running maxima,
+so a task never holds a (levels, n_steps + 1, M) block.  The l1 study keeps it:
+its top-k partition and whole-level sums would change bits if chunked.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
-from itertools import pairwise
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..noise import NoisePath, norm_ld_lqd, time_steps
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
                                yosida_array)
 from ..semigroup import HeatSemigroup, convolve_series, semigroup_series
-from ..solver import SolverConfig, qstar, solve_mild, solve_regularized
+from ..solver import SolverConfig, qstar, regularized_chunks, solve_mild, solve_regularized
 from .report import StudyReport, map_ordered
 
 __all__ = [
@@ -123,8 +123,10 @@ def cauchy_rate_study(
     )
 
     def run(path: NoisePath) -> list[float]:
-        block = solve_regularized(f, config.lambda_schedule, u0, path)
-        return [float(np.max(lq_norms(a - b, u0.grid.h, q))) for a, b in pairwise(block)]
+        gaps = np.full(len(config.lambda_schedule) - 1, -np.inf)
+        for chunk in regularized_chunks(f, config.lambda_schedule, u0, path):
+            np.maximum(gaps, lq_norms(chunk[:-1] - chunk[1:], u0.grid.h, q).max(axis=1), out=gaps)
+        return [float(gap) for gap in gaps]
 
     lams = np.asarray(config.lambda_schedule[:-1])
     slopes = []
@@ -438,9 +440,10 @@ def moment_study(
             + path.fields.sup_norm(q)
             + 4.0 * path.delta * float(np.sum(fq[:-1]))
         )
-        block = solve_regularized(f, config.lambda_schedule, u0, path)
-        sups = [float(np.max(lq_norms(traj, grid.h, q))) ** p for traj in block]
-        return sups, bound_base**p
+        sups = np.full(len(config.lambda_schedule), -np.inf)
+        for chunk in regularized_chunks(f, config.lambda_schedule, u0, path):
+            np.maximum(sups, lq_norms(chunk, grid.h, q).max(axis=1), out=sups)
+        return [float(sup) ** p for sup in sups], bound_base**p
 
     report.inputs["seeds"], results = _map_seeded(run, paths, workers)
     sups = np.asarray([r[0] for r in results])  # (n_paths, n_lambda)
@@ -628,14 +631,16 @@ def apriori_constants_study(
         square = [(q, lq_norm(u0, q), left_sums(lq_norms(phi_z, grid.h, q / 2.0)))
                   for q in qs_square]
         worst_linear = worst_square = -np.inf
-        for traj in solve_regularized(f, config.lambda_schedule, u0, path):
-            v = traj - z  # u - z at one level; each q's norms taken once
+        rows = slice(0, 0)
+        for chunk in regularized_chunks(f, config.lambda_schedule, u0, path):
+            rows = slice(rows.stop, rows.stop + chunk.shape[1])
+            v = chunk - z[rows]  # u - z at every level; each q's norms taken once
             norms = {q: lq_norms(v, grid.h, q) for q in {*qs_linear, *qs_square}}
             for q, u0q, csum in linear:
-                worst_linear = max(worst_linear, float(np.max(norms[q] - u0q - 4.0 * csum)))
+                worst_linear = max(worst_linear, float(np.max(norms[q] - u0q - 4.0 * csum[rows])))
             for q, u0q, csum in square:
                 worst_square = max(
-                    worst_square, float(np.max(norms[q] ** 2 - u0q**2 - 2.0 * csum))
+                    worst_square, float(np.max(norms[q] ** 2 - u0q**2 - 2.0 * csum[rows]))
                 )
         return worst_linear, worst_square
 

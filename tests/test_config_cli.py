@@ -583,14 +583,14 @@ class TestCli:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(payload))
         failing = int(path_seeds(12, 3)[1])
-        solve_regularized = studies.solve_regularized
+        regularized_chunks = studies.regularized_chunks
 
         def fail_on_path_1(f, lam, u0, path):
             if path.seed == failing:
                 raise NoConvergence(f"path {path.seed} did not converge")
-            return solve_regularized(f, lam, u0, path)
+            return regularized_chunks(f, lam, u0, path)
 
-        monkeypatch.setattr(studies, "solve_regularized", fail_on_path_1)  # forked children see it
+        monkeypatch.setattr(studies, "regularized_chunks", fail_on_path_1)  # forked children see it
         errors = []
         for workers in ("1", "2"):
             root = tmp_path / f"w{workers}"
