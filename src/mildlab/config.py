@@ -24,11 +24,11 @@ Defaults: M = 127, nu = 1, T = 1, delta = 2^-10, lambda schedule
 0.25 * 2^-j for j = 0..6, exponents.d = the drift's growth exponent.  An
 absent drift, noise or initial section takes the whole section shown above;
 a given one takes per-key defaults instead (noise c = gamma = 1, initial
-amplitude = 1).  The drift graph and the initial datum are built once, while
-parsing; whatever building raises (say, a malformed branch expression) is a
-violation.  A study subcommand refuses to run unless its section is present
-under "studies".  The number of worker processes is the CLI's --workers,
-not a config key.
+amplitude = 1), and noise weights exclude c and gamma.  The drift graph and
+the initial datum are built once, while parsing; whatever building raises
+(say, a malformed branch expression) is a violation.  A study subcommand
+refuses to run unless its section is present under "studies".  The number
+of worker processes is the CLI's --workers, not a config key.
 """
 
 from __future__ import annotations
@@ -268,8 +268,9 @@ class RunConfig:
     """Validated run parameters; `raw` is the canonical merged mapping.
 
     Made by parse_config, which also builds the graph and the initial datum
-    that build_graph() and build_initial() return.  `studies` holds each
-    present study's parameters, defaults filled in.
+    (_graph, _u0, which replace() carries over) that build_graph() and
+    build_initial() return.  `studies` holds each present study's
+    parameters, defaults filled in.
     """
 
     M: int
@@ -288,6 +289,8 @@ class RunConfig:
     output_dir: str
     studies: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+    _graph: Optional[MonotoneGraph] = field(default=None, repr=False, compare=False)
+    _u0: Optional[GridFunction] = field(default=None, repr=False, compare=False)
 
     def build_grid(self) -> Grid:
         return Grid(self.M)
@@ -337,6 +340,9 @@ def parse_config(text: str) -> RunConfig:
     weights = top["noise"]["weights"]
     if None not in (weights, M) and len(weights) != M:
         problems.append(f"noise.weights: need exactly M={M} entries")
+    power_law = sorted({"c", "gamma"} & set(raw["noise"] or {}))
+    if weights is not None and power_law:
+        problems.append(f"noise: {' and '.join(power_law)} would take no effect beside weights")
     schedule = top["lambda_schedule"]
     if schedule is not None and (
             not schedule or any(b >= a for a, b in zip(schedule, schedule[1:]))):
@@ -370,7 +376,7 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(problems)
 
     raw.update({name: top[name] for name in ("grid", "time", "exponents", "seeds")})
-    cfg = RunConfig(
+    return RunConfig(
         M=M, nu=grid["nu"], T=T, delta=delta,
         noise=raw["noise"],
         q=exponents["q"], r=exponents["r"], p=exponents["p"], d=exponents["d"],
@@ -378,8 +384,5 @@ def parse_config(text: str) -> RunConfig:
         cauchy_tol=top["cauchy_tol"],
         master_seed=top["seeds"]["master"], n_paths=top["seeds"]["n_paths"],
         output_dir=top["output_dir"],
-        studies=studies, raw=raw,
+        studies=studies, raw=raw, _graph=graph, _u0=u0,
     )
-    object.__setattr__(cfg, "_graph", graph)
-    object.__setattr__(cfg, "_u0", u0)
-    return cfg

@@ -2,11 +2,12 @@
 continuous and nondecreasing between sorted knots.
 
 scalar_monotone sends here every graph without a closed-form resolvent, and
-the Yosida approximation of one.  A table (knot_table) holds x = y + lam*f(y)
-at sorted nodes y, each knot twice, once per side.  One lookup there gives
-an x its knot, if x lies in the knot's jump interval, or a bracket between
-two nodes whose residuals g = y + lam*f(y) - x are known.  The root solve
-(_branch_root) starts at the table's interpolant of y and takes Newton
+the Yosida approximation of one.  A table (knot_table), one per (graph, lam),
+binds f's branches, lam and the graph's name, and holds x = y + lam*f(y) at
+sorted nodes y, each knot twice, once per side.  One lookup there gives an x
+its knot, if x lies in the knot's jump interval, or a bracket between two
+nodes whose residuals g = y + lam*f(y) - x (_residual) are known.  The root
+solve (_branch_root) starts at the table's interpolant of y and takes Newton
 steps on its slope, then Chandrupatla's bracketed hybrid (1997), whose
 bisection halves a wide bracket's exponent (_midpoint).  An x beyond the
 table gets a 1-Lipschitz bracket off the table's end node nearer it and a
@@ -58,7 +59,8 @@ def _non_finite(what: str, gap: int, y, fy) -> NoConvergence:
 
 
 class KnotTable(NamedTuple):
-    """Nodes y, sorted, and x = y + lam*f(y) there, by the expression the root solve's g uses.
+    """f's branch fns[j] on each knot gap j, lam and a name for errors (what); nodes y,
+    sorted, and x = y + lam*f(y) there, by the expression _residual uses.
 
     Each knot c is a node twice, valued by its left gap and then by its right,
     so x holds its jump interval's ends x_c- <= x_c+; x is nondecreasing, as
@@ -71,7 +73,8 @@ class KnotTable(NamedTuple):
 
     interpolates y through four nodes of its gap, or three (dd3 = 0) or two
     (dd2 = 0) where the gap has no more: the Newton form, whose third node
-    after k-1 and k is at x3.
+    after k-1 and k is at x3.  The knot gaps are (-inf, c_0), (c_0, c_1), ...,
+    (c_{n-1}, inf).
     """
 
     y: np.ndarray
@@ -80,10 +83,13 @@ class KnotTable(NamedTuple):
     dd2: np.ndarray
     dd3: np.ndarray
     x3: np.ndarray
+    fns: tuple
+    lam: float
+    what: str
 
 
 def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: str) -> KnotTable:
-    """The table on the knots and the grid points, one branch evaluation per node.
+    """The table of gap_fns at lam on the knots and the grid points, one evaluation per node.
 
     A knot value that is not finite raises, naming the first one, as a root
     solve would; a table that is elsewhere not finite or not nondecreasing
@@ -128,19 +134,19 @@ def knot_table(knots: np.ndarray, gap_fns, lam: float, grid: np.ndarray, what: s
                                          (behind, from_node(d3, -3)), (ahead, 0.0), (behind, 0.0)]):
         ok = np.isfinite(second) & np.isfinite(third) & np.isfinite(at)
         dd2, dd3, x3 = np.where(ok, second, dd2), np.where(ok, third, dd3), np.where(ok, at, x3)
-    # what the table keeps, in one allocation made after the build's temporaries
-    kept = np.empty((5, x.size + 1))
-    kept[0, :-1], kept[1, :-1], kept[2:] = y, x, (dd2, dd3, x3)
-    return KnotTable(kept[0, :-1], kept[1, :-1], gap, *kept[2:])
+    return KnotTable(y, x, gap, dd2, dd3, x3, tuple(gap_fns), lam, what)
 
 
-def _gap_values(fns, bounds: list, y: np.ndarray) -> np.ndarray:
-    """fns[j] on y[bounds[j]:bounds[j + 1]] for each gap j: y sorted by gap."""
+def _residual(table: KnotTable, bounds: list, y: np.ndarray, x: np.ndarray):
+    """g = y + lam*f(y) - x and f(y), elementwise: fns[j] on y[bounds[j]:bounds[j + 1]]."""
     fy = np.empty_like(y)
-    for fn, start, stop in zip(fns, bounds, bounds[1:]):
+    for fn, start, stop in zip(table.fns, bounds, bounds[1:]):
         if start < stop:
             fy[start:stop] = fn(y[start:stop])
-    return fy
+    gy = table.lam * fy
+    gy += y
+    gy -= x
+    return gy, fy
 
 
 def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,8 +162,7 @@ def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     a + (0.5 * b - 0.5 * a))
 
 
-def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np.ndarray,
-                       what: str):
+def _lipschitz_bracket(table: KnotTable, gap: np.ndarray, x: np.ndarray):
     """Ends y1, y2 of a bracket for x beyond the table, and g there, the end with
     the smaller |g| first.
 
@@ -169,15 +174,14 @@ def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np
     beyond the branch's finite part raises, naming the first non-finite value
     met.  A non-finite value here is handled, so it does not warn.
     """
-    every_gap = np.arange(len(fns) + 1)
+    every_gap = np.arange(len(table.fns) + 1)
     met = []  # the error for each non-finite value met, in order
 
     def g(y, x, gap, lenient=False):
-        fy = _gap_values(fns, np.searchsorted(gap, every_gap).tolist(), y)
-        gy = y + lam * fy - x
+        gy, fy = _residual(table, np.searchsorted(gap, every_gap).tolist(), y, x)
         if not np.isfinite(gy).all():
             k = np.flatnonzero(~np.isfinite(gy))[0]
-            met.append(_non_finite(what, gap[k], y[k], fy[k]))
+            met.append(_non_finite(table.what, gap[k], y[k], fy[k]))
             if not lenient:
                 raise met[-1]
         return gy
@@ -207,14 +211,14 @@ def _lipschitz_bracket(fns, table: KnotTable, gap: np.ndarray, lam: float, x: np
             far = np.where(short, far - 2.0 * f_far, far)
             f_far = np.where(short, g(far, x, gap), f_far)
             if (sign * f_far < 0.0).any():
-                raise BracketFailure(f"no sign change on the bracket for {what}")
+                raise BracketFailure(f"no sign change on the bracket for {table.what}")
     swap = np.abs(f_far) < np.abs(f_near)
     return (np.where(swap, far, near), np.where(swap, f_far, f_near),
             np.where(swap, near, far), np.where(swap, f_near, f_far))
 
 
-def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: np.ndarray,
-                 slope: Optional[np.ndarray], what: str) -> np.ndarray:
+def _branch_root(table: KnotTable, gap: np.ndarray, x: np.ndarray, ends, start: np.ndarray,
+                 slope: Optional[np.ndarray]) -> np.ndarray:
     """Zero of g(y) = y + lam*fns[gap](y) - x between y1 and y2, elementwise.
 
     ends = (y1, g(y1), y2, g(y2)), the g values of opposite signs (or 0), and
@@ -231,18 +235,15 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
     result while the others go on, so its result does not depend on theirs.
     """
     y1, f1, y2, f2 = ends
-    bounds = np.searchsorted(gap, np.arange(len(fns) + 1)).tolist()
+    bounds = np.searchsorted(gap, np.arange(len(table.fns) + 1)).tolist()
 
     def g(y):
-        fy = _gap_values(fns, bounds, y)
-        gy = lam * fy
-        gy += y
-        gy -= x
+        gy, fy = _residual(table, bounds, y, x)
         if not math.isfinite(np.add.reduce(gy)):  # a finite sum overflows only past 1e308
             bad = np.flatnonzero(~np.isfinite(gy) & live)
             if bad.size:
                 k = bad[0]
-                raise _non_finite(what, gap[k], y[k], fy[k])
+                raise _non_finite(table.what, gap[k], y[k], fy[k])
         return gy
 
     out = np.empty_like(x)
@@ -287,28 +288,27 @@ def _branch_root(fns, gap: np.ndarray, lam: float, x: np.ndarray, ends, start: n
             y2, f2 = np.where(same, y2, y1), np.where(same, f2, f1)
             y1, f1, neg1 = yt, ft, negt
     k = np.argmax(live)
-    raise NoConvergence(f"resolvent of {what}: no stop after {_MAX_ROOT_STEPS} steps "
-                        f"at lambda = {lam!r}, first at x = {float(x[k])!r}")
+    raise NoConvergence(f"resolvent of {table.what}: no stop after {_MAX_ROOT_STEPS} steps "
+                        f"at lambda = {table.lam!r}, first at x = {float(x[k])!r}")
 
 
-def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what: str) -> np.ndarray:
-    """Solve y + lam*f(y) = x, elementwise, for f continuous between the table's knots.
+def resolve_on_knots(table: KnotTable, x: np.ndarray) -> np.ndarray:
+    """Solve y + lam*f(y) = x, elementwise, for the table's f and lam.
 
-    gap_fns[j] evaluates f on the j-th open gap (-inf, c_0), (c_0, c_1), ...,
-    (c_{n-1}, inf).  One lookup in the table's x puts each element in an
-    interval (x[k-1], x[k]]: a knot's jump interval resolves to exactly that
-    knot, and any other is the bracket [y[k-1], y[k]], whose g values
-    x[k-1] - x and x[k] - x cost no evaluation.  The root solve starts at the
-    table's interpolant and takes Newton steps on its slope.  An x beyond
-    the table gets the 1-Lipschitz bracket off the table's end node and a
-    regula falsi start.
+    f is continuous on each gap between the table's knots.  One lookup in
+    the table's x puts each element in an interval (x[k-1], x[k]]: a knot's
+    jump interval resolves to exactly that knot, and any other is the
+    bracket [y[k-1], y[k]], whose g values x[k-1] - x and x[k] - x cost no
+    evaluation.  The root solve starts at the table's interpolant and takes
+    Newton steps on its slope.  An x beyond the table gets the 1-Lipschitz
+    bracket off the table's end node and a regula falsi start.
     The lookup, the bracket and the root solve run over x flattened in blocks
     of at most _ROOT_BLOCK elements, and each element's result is the one it
     gets alone; a branch solve raises NoConvergence past _MAX_ROOT_STEPS steps.
     """
     flat = x.reshape(-1)
     y = np.empty_like(flat)
-    tx, ty, outer = table.x, table.y, len(gap_fns) - 1
+    tx, ty, outer = table.x, table.y, len(table.fns) - 1
     for begin in range(0, flat.size, _ROOT_BLOCK):
         xb, yb = flat[begin: begin + _ROOT_BLOCK], y[begin: begin + _ROOT_BLOCK]
         k = np.searchsorted(tx, xb, side="left")
@@ -318,11 +318,11 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
             below, above = np.searchsorted(k, [1, tx.size]).tolist()
             beyond = order[np.r_[0:below, above:k.size]]
             xs, gap = xb[beyond], np.repeat([0, outer], [below, k.size - above])
-            y1, f1, y2, f2 = ends = _lipschitz_bracket(gap_fns, table, gap, lam, xs, what)
+            y1, f1, y2, f2 = ends = _lipschitz_bracket(table, gap, xs)
             # a bracket [c, c], or an f1 - f2 past 1e308, which starts at y1
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 falsi = y1 + f1 / (f1 - f2) * (y2 - y1)
-            yb[beyond] = _branch_root(gap_fns, gap, lam, xs, ends, falsi, None, what)
+            yb[beyond] = _branch_root(table, gap, xs, ends, falsi, None)
             order, k = order[below:above], k[below:above]
         gap = table.gap[k]
         on_knot = gap == -1
@@ -337,5 +337,5 @@ def resolve_on_knots(table: KnotTable, gap_fns, lam: float, x: np.ndarray, what:
             # the interpolant at xs, x[k-1] - xs = f1 and x[k] - xs = f2, and its slope
             start = y1 - f1 * (d1 - f2 * dd2)
             slope = d1 - (f1 + f2) * dd2 + f1 * f2 * dd3
-            yb[order] = _branch_root(gap_fns, gap, lam, xs, (y1, f1, y2, f2), start, slope, what)
+            yb[order] = _branch_root(table, gap, xs, (y1, f1, y2, f2), start, slope)
     return y.reshape(x.shape)

@@ -182,36 +182,24 @@ def norm_ld_lqd(path: NoisePath, d: float, q: float) -> float:
 # -- export / regeneration ----------------------------------------------------
 
 
-# Rows per %-template.  A filled piece of 16 rows stays under 1 kB, a size
-# the C allocator recycles from per-size caches.  Whole-snapshot strings
-# (~5 kB at M=127) fragment the heap: they raised `mildlab solve`'s peak RSS
-# by about 2 MB when it wrote u as CSV.  Only `sample-noise` writes CSV now.
-_ROWS_PER_PIECE = 16
-
-
 def export_series_csv(fields: FieldSeries, times: np.ndarray, dest: Path) -> None:
     """Write a field series as CRLF rows (time, node, value), 17 significant digits.
 
     Only `mildlab sample-noise` writes CSV series (`solve` writes u as .npy).
-    The rows of a snapshot are filled into %-templates of _ROWS_PER_PIECE
-    rows from its (time, value) pairs.  Snapshots stream into a temp file
-    that replaces dest only once complete.
+    Each snapshot fills one %-template of all M rows from its (time, value)
+    pairs.  Snapshots stream into a temp file that replaces dest only once
+    complete.
     """
     vals = fields.values
     M = vals.shape[1]
-    pieces = []
-    for start in range(0, M, _ROWS_PER_PIECE):
-        stop = min(start + _ROWS_PER_PIECE, M)
-        template = "".join(f"%s,{i + 1},%.17g\r\n" for i in range(start, stop))
-        pieces.append((template, slice(2 * start, 2 * stop)))
+    template = "".join(f"%s,{i + 1},%.17g\r\n" for i in range(M))
     pairs: list = [None] * (2 * M)
     with atomic_writer(dest) as fh:
         fh.write("time,node,value\r\n")
         for n in range(vals.shape[0]):
             pairs[0::2] = [f"{times[n]:.17g}"] * M
             pairs[1::2] = vals[n].tolist()
-            for template, cut in pieces:
-                fh.write(template % tuple(pairs[cut]))
+            fh.write(template % tuple(pairs))
 
 
 def export_noise_sidecar(path: NoisePath, dest: Path) -> None:

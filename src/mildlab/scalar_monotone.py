@@ -218,10 +218,11 @@ def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
 def _graph_table(graph: MonotoneGraph, lam: float) -> KnotTable:
     """The graph's table at lam on _TABLE_NODES grid points, built on first use.
 
+    The table binds the branch on each knot gap as the graph holds them then.
     The graph keeps at most _MAX_TABLES, the oldest dropped first.  A graph is
     frozen and replace() makes one with no tables, so none outlives its branches.
     """
-    tables = graph._tables
+    lam, tables = float(lam), graph._tables
     if lam not in tables:
         if len(tables) >= _MAX_TABLES:
             del tables[next(iter(tables))]
@@ -229,13 +230,6 @@ def _graph_table(graph: MonotoneGraph, lam: float) -> KnotTable:
         gap_fns = [graph.branch_fns[i] for i in graph._gap_branch]
         tables[lam] = knot_table(graph._knots, gap_fns, lam, grid, repr(graph.name))
     return tables[lam]
-
-
-def _branch_resolvent(graph: MonotoneGraph, lam: float, x: np.ndarray) -> np.ndarray:
-    """R_lam(x) for a graph with no fast path, from its table at lam."""
-    lam, fns = float(lam), graph.branch_fns
-    return resolve_on_knots(_graph_table(graph, lam), [fns[i] for i in graph._gap_branch],
-                            lam, x, repr(graph.name))
 
 
 def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
@@ -261,12 +255,12 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
     if graph.fast_resolvent is not None:
         return graph.fast_resolvent(x if levels else flat, lam).reshape(x.shape)
     if not levels:
-        return _branch_resolvent(graph, lam, flat).reshape(x.shape)
+        return resolve_on_knots(_graph_table(graph, lam), flat).reshape(x.shape)
     levels, lam = sorted_unique(lam), np.broadcast_to(lam, x.shape).reshape(-1)
     out = np.empty_like(flat)
     for level in levels:
         at = lam == level
-        out[at] = _branch_resolvent(graph, float(level), flat[at])
+        out[at] = resolve_on_knots(_graph_table(graph, level), flat[at])
     return out.reshape(x.shape)
 
 
@@ -294,8 +288,7 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
     f_lam = lambda r: yosida_array(graph, lam, r)  # noqa: E731
     what = f"the composed Yosida resolvent of {graph.name!r}"
     table = knot_table(np.zeros(1), (f_lam, f_lam), mu, np.empty(0), what)
-    rho = resolve_on_knots(table, (f_lam, f_lam), mu, x, what)
-    return (x - rho) / mu
+    return (x - resolve_on_knots(table, x)) / mu
 
 
 # -- primitive ---------------------------------------------------------------

@@ -243,13 +243,9 @@ def _mirror_half(sg: HeatSemigroup, t: float, k: np.ndarray,
 
 
 def apply_semigroup(sg: HeatSemigroup, phi: GridFunction, t: float) -> GridFunction:
-    """S(t) phi: modewise decay by exp(-mu_k t); S(0) is the exact identity."""
-    _check_time(t)
-    values = sg._require(phi)
-    if t == 0.0:
-        return phi
-    coeffs = sg.to_modes(values) * np.exp(-sg.eigenvalues * t)
-    return GridFunction(sg.grid, sg.from_modes(coeffs))
+    """S(t) phi: semigroup_series at the one time t; S(0) is the exact identity, phi itself."""
+    series = semigroup_series(sg, phi, np.array([t], dtype=float))
+    return phi if t == 0.0 else series[0]
 
 
 def semigroup_series(sg: HeatSemigroup, phi: GridFunction,

@@ -1,5 +1,6 @@
 """Config schema validation and the batch CLI contract."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -163,6 +164,17 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="M=31"):
             parse_config(json.dumps({"grid": {"M": 31}, "noise": {"weights": [1.0, 2.0]}}))
 
+    @pytest.mark.parametrize("power_law, named", [({"c": 5.0}, "c"), ({"gamma": 0.0}, "gamma"),
+                                                  ({"c": 5.0, "gamma": 0.0}, "c and gamma")])
+    def test_weights_exclude_the_power_law(self, power_law, named):
+        # the weights alone set the noise, so the manifest would record a c or gamma unused
+        noise = {**power_law, "weights": [1, 1, 1]}
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps({"grid": {"M": 3}, "noise": noise}))
+        assert err.value.violations == [f"noise: {named} would take no effect beside weights"]
+        cfg = parse_config(json.dumps({"grid": {"M": 3}, "noise": {"weights": [1, 1, 1]}}))
+        assert cfg.build_noise_spec().weights == (1.0, 1.0, 1.0)
+
     def test_builders(self):
         cfg = parse_config(json.dumps(SMALL_CONFIG))
         sgp = cfg.build_semigroup()
@@ -175,6 +187,13 @@ class TestParseConfig:
         assert cfg.build_initial(cfg.build_grid()) is u0
         solver_cfg = cfg.solver_config()
         assert solver_cfg.lambda_schedule == (0.25, 0.125, 0.0625)
+
+    def test_replaced_config_builds_the_same_graph_and_datum(self):
+        cfg = parse_config("{}")
+        again = dataclasses.replace(cfg, n_paths=2)
+        assert again.n_paths == 2
+        assert again.build_graph() is cfg.build_graph()
+        assert again.build_initial(again.build_grid()) is cfg.build_initial(cfg.build_grid())
 
     def test_initial_kinds(self):
         for kind, extra in [("zero", {}), ("sine", {"amplitude": 2.0}),

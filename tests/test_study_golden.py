@@ -120,3 +120,46 @@ def test_command_bytes_are_pinned(name, tmp_path):
     # nothing is written that the manifest does not list
     written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert written == {"manifest.json", *listed}
+
+
+# solve through the generic root engine, and the check-invariants battery, which
+# runs apply_semigroup, yosida_of_yosida_array and the engine on the quartic
+ENGINE_CASES = {
+    "check-invariants": (["check-invariants"], {}),
+    "solve-piecewise": (["solve"], {
+        "drift": {"kind": "piecewise", "breakpoints": [0.0],
+                  "expressions": ["x**3 - 1", "x**3 + 1"], "d": 3, "C_f": 2},
+        "lambda_schedule": [2.0**-6, 2.0**-7, 2.0**-8]}),
+}
+ENGINE_ARTIFACTS = {
+    "check-invariants": {
+        "invariants/report.json":
+            "cb342d53b900321d90dd80519de9a8727651e5a3cbae4d3f2e106f2181d27a05",
+    },
+    "solve-piecewise": {
+        "solution0.json":
+            "b96e1dcec04a2ab34dd2e05b6d11625fbfe476e8e8d6380d15f956b1d57c5fb8",
+        "solution0_u.npy":
+            "6bbabd66a28e29444b33e34747c3196ea8ea3bfa6043ccb16374ffbb31feeb38",
+        "solution1.json":
+            "95c803feb4351022bd072417a19143a75fa57fafe5cb75b3be99888d9b446d45",
+        "solution1_u.npy":
+            "ee6450f6e209007b0be5587233880c767dbdee5ab0b7339f8f7f0f03a4735ef7",
+        "solution2.json":
+            "4da9f9a41a250391049101338b2b92a7567ab1d1dac1d03a71b6436d6eeae6ac",
+        "solution2_u.npy":
+            "36d82e70c58724072581f9d8ac71ed8687d41c415d1c0c78cc723e25f4644510",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_and_battery_bytes_are_pinned(name, tmp_path):
+    command, section = ENGINE_CASES[name]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**BASE, **section}))
+    code = main([*command, str(cfg), "--workers", "1", "--output-root", str(tmp_path)])
+    assert code == 0
+    out = tmp_path / "golden"
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert {a: sha256(out / a) for a in listed} == ENGINE_ARTIFACTS[name]
