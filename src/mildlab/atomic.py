@@ -7,6 +7,7 @@ translation, so the bytes on disk are exactly the text or bytes written.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -37,3 +38,8 @@ def atomic_write_text(dest: Path, text: str) -> None:
     """Write via a temp file + rename so partial artifacts never appear."""
     with atomic_writer(dest) as fh:
         fh.write(text)
+
+
+def json_text(obj) -> str:
+    """The one JSON artifact layout: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

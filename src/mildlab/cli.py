@@ -9,12 +9,14 @@ Subcommands (consumers are scripts and CI, not interactive humans):
     mildlab check-invariants CONFIG run the fast cross-module battery
 
 Artifacts land under <output root>/<output_dir>/ with a manifest.json;
-writes are atomic (temp file + rename).  --workers N runs the paths of
-solve, sample-noise and the cauchy, l1, moment, propagation and apriori
-studies, one path per task that samples it (the parent holds only seeds), or
-the solves of contraction_extension, on N forked processes; a platform
-without fork runs them in order, and chain_rule, bernoulli, eiconv and
-check-invariants run in one process.
+writes are atomic (temp file + rename), and every JSON artifact has sorted
+keys and a two-space indent.  solution<i>.json holds the path's seed, the
+drift and every MildSolution field but the trajectories u and g.  --workers
+N runs the paths of solve, sample-noise and the cauchy, l1, moment,
+propagation and apriori studies, one path per task that samples it (the
+parent holds only seeds), or the solves of contraction_extension, on N
+forked processes; a platform without fork runs them in order, and
+chain_rule, bernoulli, eiconv and check-invariants run in one process.
 Reruns with the same config and seed are byte-identical and independent of
 --workers.  Exit status: 0 all selected verdicts pass, 2 inconclusive, 1
 error or failed verdict.
@@ -24,16 +26,16 @@ The environment variable MILDLAB_OUTPUT_ROOT overrides the output root.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_write_text, atomic_writer
+from .atomic import atomic_write_text, atomic_writer, json_text
 from .config import STUDY_KEYS, RunConfig, parse_config
 from .errors import MildlabError
 from .noise import export_noise_sidecar, export_series_csv, path_seeds, sample_path
@@ -61,7 +63,7 @@ def _write_manifest(cfg: RunConfig, out: Path, subcommand: str, artifacts: list[
         "config": cfg.raw,
         "artifacts": sorted(artifacts),
     }
-    atomic_write_text(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out / "manifest.json", json_text(manifest))
 
 
 class _Paths(Sequence):
@@ -91,7 +93,7 @@ def _map_paths(cfg: RunConfig, sg, job, workers: int) -> list:
     return map_ordered(lambda i: job(i, paths[i]), range(len(paths)), workers)
 
 
-def _cmd_sample_noise(cfg: RunConfig, out: Path, workers: int) -> int:
+def _cmd_sample_noise(args, cfg: RunConfig, out: Path, workers: int) -> int:
     def export(i: int, path) -> None:
         export_series_csv(path.fields, path.times, out / f"noise_path{i}.csv")
         export_noise_sidecar(path, out / f"noise_path{i}.json")
@@ -103,7 +105,7 @@ def _cmd_sample_noise(cfg: RunConfig, out: Path, workers: int) -> int:
     return EXIT_PASS
 
 
-def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
+def _cmd_solve(args, cfg: RunConfig, out: Path, workers: int) -> int:
     sg = cfg.build_semigroup()
     graph = cfg.build_graph()
     u0 = cfg.build_initial(sg.grid)
@@ -113,18 +115,8 @@ def _cmd_solve(cfg: RunConfig, out: Path, workers: int) -> int:
         sol = solve_mild(graph, u0, path, solver_cfg)
         with atomic_writer(out / f"solution{i}_u.npy", binary=True) as fh:
             np.lib.format.write_array(fh, sol.u.values, version=(1, 0), allow_pickle=False)
-        run_record = {
-            "seed": path.seed,
-            "drift": cfg.raw["drift"],
-            "final_lambda": sol.final_lambda,
-            "residual": sol.residual,
-            "converged": sol.converged,
-            "lambdas": sol.lambdas,
-            "gaps": sol.gaps,
-            "sup_norms": sol.sup_norms,
-        }
-        atomic_write_text(out / f"solution{i}.json",
-                          json.dumps(run_record, sort_keys=True, indent=2) + "\n")
+        record = {"seed": path.seed, "drift": cfg.raw["drift"], **sol.certificate()}
+        atomic_write_text(out / f"solution{i}.json", json_text(record))
         return sol.converged
 
     converged = _map_paths(cfg, sg, solve, workers)
@@ -179,7 +171,8 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     raise MildlabError(f"unknown study {name!r}")
 
 
-def _cmd_study(name: str, cfg: RunConfig, out: Path, workers: int) -> int:
+def _cmd_study(args, cfg: RunConfig, out: Path, workers: int) -> int:
+    name = args.name
     if name not in STUDY_KEYS:
         print(f"error: unknown study {name!r}; known: {', '.join(STUDY_KEYS)}",
               file=sys.stderr)
@@ -190,29 +183,17 @@ def _cmd_study(name: str, cfg: RunConfig, out: Path, workers: int) -> int:
         return EXIT_ERROR
     report = _run_study(name, cfg, workers)
     report.inputs["config_digest"] = config_digest(cfg.raw)
-    report.save(out / name)
-    _write_manifest(cfg, out, f"study {name}",
-                    [f"{name}/report.json", f"{name}/series.csv"])
+    written = report.save(out / name)
+    _write_manifest(cfg, out, f"study {name}", [f"{name}/{file}" for file in written])
     print(f"{report.study}: {report.verdict}")
-    if report.verdict == "pass":
-        return EXIT_PASS
-    if report.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_ERROR
+    return {"pass": EXIT_PASS, "inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_ERROR)
 
 
-def _cmd_check_invariants(cfg: RunConfig, out: Path) -> int:
+def _cmd_check_invariants(args, cfg: RunConfig, out: Path, workers: int) -> int:
     checks = run_invariant_battery(M=cfg.M, nu=cfg.nu, seed=cfg.master_seed)
-    payload = {
-        "checks": [
-            {"name": c.name, "violation": c.violation,
-             "tolerance": c.tolerance, "passed": c.passed}
-            for c in checks
-        ],
-        "all_passed": all(c.passed for c in checks),
-    }
-    atomic_write_text(out / "invariants" / "report.json",
-                      json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    payload = {"checks": [{**asdict(c), "passed": c.passed} for c in checks],
+               "all_passed": all(c.passed for c in checks)}
+    atomic_write_text(out / "invariants" / "report.json", json_text(payload))
     _write_manifest(cfg, out, "check-invariants", ["invariants/report.json"])
     for c in checks:
         if not c.passed:
@@ -227,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    # a subcommand's _cmd_* rides on its parser: main calls args.run(args, cfg, out, workers)
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("config", help="path to the JSON config file")
         p.add_argument("--workers", type=int, default=None,
                        help="number of forked processes that run the paths of "
@@ -239,12 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-root", default=None,
                        help="root for output_dir (default: MILDLAB_OUTPUT_ROOT or '.')")
 
-    common(sub.add_parser("sample-noise", help="sample and export noise paths"))
-    common(sub.add_parser("solve", help="run the continuation and export trajectories"))
+    common(sub.add_parser("sample-noise", help="sample and export noise paths"), _cmd_sample_noise)
+    common(sub.add_parser("solve", help="run the continuation and export trajectories"), _cmd_solve)
     study = sub.add_parser("study", help="run one named verification study")
     study.add_argument("name", help=f"one of: {', '.join(STUDY_KEYS)}")
-    common(study)
-    common(sub.add_parser("check-invariants", help="run the invariant battery"))
+    common(study, _cmd_study)
+    common(sub.add_parser("check-invariants", help="run the invariant battery"),
+           _cmd_check_invariants)
     return parser
 
 
@@ -264,21 +248,13 @@ def main(argv=None) -> int:
     workers = args.workers or os.cpu_count() or 1
     out = _output_dir(cfg, args.output_root)
     try:
-        if args.subcommand == "sample-noise":
-            return _cmd_sample_noise(cfg, out, workers)
-        if args.subcommand == "solve":
-            return _cmd_solve(cfg, out, workers)
-        if args.subcommand == "study":
-            return _cmd_study(args.name, cfg, out, workers)
-        if args.subcommand == "check-invariants":
-            return _cmd_check_invariants(cfg, out)
+        return args.run(args, cfg, out, workers)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MildlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ identities exact at the discrete level:
 
 plus the piecewise-linear sign approximation gamma_eps, its convex primitive
 Gamma0_eps (a C^1 approximation of |.| with Gamma0_eps(0) = sqrt(eps)/4) and
-the integrated functional Gamma_eps.
+the integrated functional Gamma_eps.  same_grid, on anything with a .grid,
+raises every GridMismatch of the package: "grids differ: M=a vs M=b".
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "FieldSeries",
+    "same_grid",
     "lq_norms",
     "lq_norm",
     "pairing",
@@ -79,11 +81,11 @@ class GridFunction:
         return GridFunction, (self.grid, self.values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self, other)
+        same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _same_grid(self, other)
+        same_grid(self, other)
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "GridFunction":
@@ -118,7 +120,7 @@ class FieldSeries:
         return GridFunction(self.grid, self.values[n])
 
     def __sub__(self, other: "FieldSeries") -> "FieldSeries":
-        _same_grid(self, other)
+        same_grid(self, other)
         return FieldSeries(self.grid, self.values - other.values)
 
     def norms(self, q: float) -> np.ndarray:
@@ -130,7 +132,8 @@ class FieldSeries:
         return float(np.max(self.norms(q)))
 
 
-def _same_grid(a, b) -> None:
+def same_grid(a, b) -> None:
+    """Raise GridMismatch, naming both sizes, unless a.grid == b.grid."""
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: M={a.grid.M} vs M={b.grid.M}")
 
@@ -151,7 +154,7 @@ def lq_norm(phi: GridFunction, q: float) -> float:
 
 def pairing(phi: GridFunction, psi: GridFunction) -> float:
     """Discrete duality form h * sum phi_i psi_i."""
-    _same_grid(phi, psi)
+    same_grid(phi, psi)
     return float(phi.grid.h * np.dot(phi.values, psi.values))
 
 
@@ -173,7 +176,7 @@ def bracket_l1(x: GridFunction, y: GridFunction) -> float:
     Where x_i != 0 the selection is forced to sgn(x_i); where x_i = 0 it is
     free and the maximum picks sgn(y_i), giving [0, y] = ||y||_1.
     """
-    _same_grid(x, y)
+    same_grid(x, y)
     s = np.where(x.values != 0.0, np.sign(x.values), np.sign(y.values))
     return float(x.grid.h * np.dot(s, y.values))
 

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .atomic import atomic_write_text, atomic_writer
+from .atomic import atomic_write_text, atomic_writer, json_text
 from .errors import InvalidTimeGrid
 from .grid_space import FieldSeries, Grid
 from .semigroup import HeatSemigroup, modal_recursion
@@ -210,7 +210,7 @@ def export_noise_sidecar(path: NoisePath, dest: Path) -> None:
         "grid": {"M": path.grid.M, "nu": path.sg.nu},
         "time": {"T": path.T, "delta": path.delta},
     }
-    atomic_write_text(dest, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(dest, json_text(sidecar))
 
 
 def load_sidecar_and_resample(src: Path) -> NoisePath:

@@ -23,7 +23,7 @@ Every operator acts modewise through one transform pair over arrays of shape
 (..., M): to_modes is h sqrt(2) DST-I and from_modes sqrt(2) DST-I, both one
 FFT kernel, _dst1, so their bits do not depend on the BLAS thread count and a
 row has the same bits alone and inside a block (tested).  The operators below
-take a GridFunction, check its grid, and apply the pair to its values.
+take a GridFunction, check it with grid_space.same_grid, and apply the pair.
 
 The time stepper instead multiplies by HeatSemigroup.stepper(delta), built per
 call and fetched once per solve: v @ stepper(delta) is v exp(-delta A) for a
@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput, GridMismatch, NegativeTime
-from .grid_space import FieldSeries, Grid, GridFunction
+from .errors import EmptyInput, NegativeTime
+from .grid_space import FieldSeries, Grid, GridFunction, same_grid
 
 __all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
            "apply_resolvent", "apply_generator", "modal_recursion",
@@ -124,11 +124,6 @@ class HeatSemigroup:
         out = _sine_block(self, t, np.arange(1, M + 1), M)
         out.flags.writeable = False
         return out
-
-    def _require(self, phi: GridFunction) -> np.ndarray:
-        if phi.grid != self.grid:
-            raise GridMismatch("grid function does not live on the semigroup grid")
-        return phi.values
 
 
 def _check_time(t: float | np.ndarray) -> None:
@@ -252,7 +247,8 @@ def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
                      times: np.ndarray) -> FieldSeries:
     """S(t_n) phi for every t_n in ``times``, one snapshot per time."""
     _check_time(times)
-    coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * sg.to_modes(sg._require(phi))
+    same_grid(phi, sg)
+    coeffs = np.exp(-np.outer(times, sg.eigenvalues)) * sg.to_modes(phi.values)
     return FieldSeries(sg.grid, sg.from_modes(coeffs))
 
 
@@ -260,13 +256,15 @@ def apply_resolvent(sg: HeatSemigroup, phi: GridFunction, eps: float) -> GridFun
     """(I + eps A)^{-1} phi: modewise division by 1 + eps mu_k."""
     if not eps > 0:
         raise ValueError("resolvent parameter eps must be > 0")
-    coeffs = sg.to_modes(sg._require(phi)) / (1.0 + eps * sg.eigenvalues)
+    same_grid(phi, sg)
+    coeffs = sg.to_modes(phi.values) / (1.0 + eps * sg.eigenvalues)
     return GridFunction(sg.grid, sg.from_modes(coeffs))
 
 
 def apply_generator(sg: HeatSemigroup, phi: GridFunction) -> GridFunction:
     """A phi by the second-difference stencil (zero Dirichlet boundary)."""
-    v = sg._require(phi)
+    same_grid(phi, sg)
+    v = phi.values
     out = 2.0 * v
     out[1:] -= v[:-1]
     out[:-1] -= v[1:]
@@ -295,8 +293,7 @@ def convolve_series(sg: HeatSemigroup, fields: FieldSeries, delta: float) -> Fie
     """
     if not delta > 0:
         raise ValueError("delta must be > 0")
-    if fields.grid != sg.grid:
-        raise GridMismatch("series does not live on the semigroup grid")
+    same_grid(fields, sg)
     if len(fields) == 0:
         raise EmptyInput("convolution needs at least one field")
     fhat = sg.to_modes(fields.values)

@@ -36,13 +36,13 @@ reported outcome with full gap diagnostics, never an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidExponents
-from .grid_space import FieldSeries, GridFunction
+from .errors import InvalidExponents
+from .grid_space import FieldSeries, GridFunction, same_grid
 from .noise import NoisePath
 from .scalar_monotone import MonotoneGraph, yosida_array
 from .semigroup import convolve_series, semigroup_series
@@ -101,6 +101,10 @@ class MildSolution:
     gaps: list[float]          # sup-L^q gaps between consecutive iterates
     sup_norms: list[float]     # sup-L^q norm of each iterate
 
+    def certificate(self) -> dict:
+        """Every field but the trajectories u and g: what a solve records of its run."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("u", "g")}
+
 
 def regularized_chunks(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFunction,
                        path: NoisePath) -> Iterator[np.ndarray]:
@@ -117,8 +121,7 @@ def regularized_chunks(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFuncti
     levels = np.atleast_1d(np.asarray(lam, dtype=float))
     if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):
         raise ValueError("lambda must be > 0 and finite, a number or a nonempty 1-D array")
-    if u0.grid != path.grid:
-        raise GridMismatch(f"initial datum has M={u0.grid.M}, the noise path M={path.grid.M}")
+    same_grid(u0, path)
     delta = path.delta
     z = path.fields.values
     step = path.sg.stepper(delta)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..atomic import atomic_write_text
+from ..atomic import atomic_write_text, json_text
 
 __all__ = ["StudyReport", "config_digest", "atomic_write_text", "map_ordered"]
 
@@ -93,13 +93,14 @@ class StudyReport:
         return self
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))
 
-    def save(self, directory: Path) -> None:
-        """Write report.json and series.csv under the given directory."""
-        directory = Path(directory)
-        atomic_write_text(directory / "report.json", self.to_json())
+    def save(self, directory: Path) -> list[str]:
+        """Write report.json and series.csv under the given directory; return their names."""
         rows = "".join(f"{name},{i},{float(value):.17g}\n"
                        for name in sorted(self.series)
                        for i, value in enumerate(self.series[name]))
-        atomic_write_text(directory / "series.csv", "series,index,value\n" + rows)
+        files = {"report.json": self.to_json(), "series.csv": "series,index,value\n" + rows}
+        for name, text in files.items():
+            atomic_write_text(Path(directory) / name, text)
+        return list(files)

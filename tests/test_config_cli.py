@@ -425,6 +425,27 @@ class TestCli:
         assert "final_lambda" in record and "gaps" in record
         assert_u_npy_header(out / "solution0_u.npy", (33, 21))  # T / delta + 1 times, M nodes
 
+    def test_solve_record_is_seed_drift_and_certificate(self, tmp_path, monkeypatch):
+        # solution<i>.json is the path's seed, the drift and every field of the
+        # run's solve_mild result but the trajectories u and g, with its values
+        from mildlab.noise import path_seeds, sample_path
+        from mildlab.solver import MildSolution, solve_mild
+
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg_file = write_config(tmp_path)
+        assert self.run_cli("solve", str(cfg_file), "--workers", "1") in (0, 2)
+        cfg = parse_config(cfg_file.read_text())
+        certified = {f.name for f in dataclasses.fields(MildSolution)} - {"u", "g"}
+        sg = cfg.build_semigroup()
+        for i, seed in enumerate(path_seeds(cfg.master_seed, cfg.n_paths)):
+            record = json.loads((tmp_path / "run" / f"solution{i}.json").read_text())
+            assert set(record) == {"seed", "drift"} | certified
+            path = sample_path(sg, cfg.build_noise_spec(), cfg.T, cfg.delta, int(seed))
+            sol = solve_mild(cfg.build_graph(), cfg.build_initial(sg.grid), path,
+                             cfg.solver_config())
+            assert record == {"seed": int(seed), "drift": cfg.raw["drift"],
+                              **{name: getattr(sol, name) for name in certified}}
+
     def test_rerun_byte_identical_and_worker_free(self, tmp_path, monkeypatch):
         cfg_payload = {**SMALL_CONFIG, "studies": {"cauchy": {}}}
         results = {}

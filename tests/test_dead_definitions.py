@@ -1,10 +1,12 @@
-"""Every module-level function and class in the package is named by the package's own code.
+"""Every definition in the package is read by the package's own code.
 
-A definition no module names is dead weight unless something outside the
-package needs it; those few are listed below with the reason.  A name counts
-wherever the code reads it (a call, an attribute, an annotation, an import),
-except inside the definition's own body, so a function that only calls
-itself is still dead.
+A definition is a module-level function, class or name, or a method or
+property of a module-level class; dunder names are exempt, since Python
+reads them.  A definition no module reads is dead weight unless something
+outside the package needs it; those few are listed below with the reason.
+A name counts wherever the code reads it (a call, an attribute, an
+annotation, an import), except inside the definition's own body, so a
+function that only calls itself is still dead.
 """
 
 import ast
@@ -12,25 +14,45 @@ from pathlib import Path
 
 import mildlab
 
-# definitions the package does not name, and who names them instead
+# definitions the package does not read, and who reads them instead
 USED_OUTSIDE = {
     "restrict_path": "tests restrict a fine noise path to a coarser step, bit for bit",
     "load_sidecar_and_resample": "tests regenerate a noise path from its JSON sidecar",
     "inclusion_check": "README names it as the graph-inclusion certificate; tests run it",
 }
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defined(node):
+    """(name, node) for each name a module-level statement defines, methods included."""
+    if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+        yield node.name, node
+    if isinstance(node, ast.ClassDef):
+        yield from ((item.name, item) for item in node.body if isinstance(item, _FUNCTIONS))
+    targets = []
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    for target in targets:
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name):
+                yield name.id, node
+
 
 def _definitions_and_names():
     root = Path(mildlab.__file__).resolve().parent
     trees = [ast.parse(m.read_text(), str(m)) for m in sorted(root.rglob("*.py"))]
-    definitions = [node for tree in trees for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    definitions = [(name, node) for tree in trees for stmt in tree.body
+                   for name, node in _defined(stmt)
+                   if not (name.startswith("__") and name.endswith("__"))]
     names = []  # (name, node) for every name the code reads
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.append((node.id, node))
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.append((node.attr, node))
             elif isinstance(node, ast.ImportFrom):
                 names += [(alias.name, node) for alias in node.names]
@@ -39,11 +61,11 @@ def _definitions_and_names():
 
 def test_every_definition_is_named_or_listed():
     definitions, names = _definitions_and_names()
-    unnamed = []
-    for node in definitions:
+    unread = []
+    for defined, node in definitions:
         inside = {id(n) for n in ast.walk(node)}
-        if not any(name == node.name and id(at) not in inside for name, at in names):
-            unnamed.append(node.name)
-    assert sorted(set(unnamed) - set(USED_OUTSIDE)) == []
-    # and the list holds nothing the package names or no longer defines
-    assert sorted(unnamed) == sorted(USED_OUTSIDE)
+        if not any(name == defined and id(at) not in inside for name, at in names):
+            unread.append(defined)
+    assert sorted(set(unread) - set(USED_OUTSIDE)) == []
+    # and the list holds nothing the package reads or no longer defines
+    assert sorted(unread) == sorted(USED_OUTSIDE)

@@ -98,13 +98,19 @@ class TestModeTransform:
             assert np.sum(coeffs**2) == pytest.approx(lq_norm(phi, 2.0) ** 2, rel=1e-12)
 
     def test_grid_mismatch(self, sg):
+        # every operator names both sizes, the input's first
         other = GridFunction(Grid(5), np.zeros(5))
-        with pytest.raises(GridMismatch):
+        both = f"M=5 vs M={sg.grid.M}"
+        with pytest.raises(GridMismatch, match=both):
             apply_semigroup(sg, other, 0.1)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match=both):
             semigroup_series(sg, other, np.zeros(2))
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match=both):
             apply_resolvent(sg, other, 0.1)
+        with pytest.raises(GridMismatch, match=both):
+            apply_generator(sg, other)
+        with pytest.raises(GridMismatch, match=both):
+            convolve_series(sg, FieldSeries(Grid(5), np.zeros((3, 5))), 0.1)
 
     def test_grid_mismatch_at_time_zero(self, sg):
         # S(0) is the identity, but only on the semigroup's own grid
