@@ -168,7 +168,6 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
                                        tuple(params["qs_square"]), paths, solver_cfg, u0,
                                        workers=workers)
-    raise MildlabError(f"unknown study {name!r}")
 
 
 def _cmd_study(args, cfg: RunConfig, out: Path, workers: int) -> int:

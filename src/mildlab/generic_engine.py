@@ -143,10 +143,7 @@ def _residual(table: KnotTable, bounds: list, y: np.ndarray, x: np.ndarray):
     for fn, start, stop in zip(table.fns, bounds, bounds[1:]):
         if start < stop:
             fy[start:stop] = fn(y[start:stop])
-    gy = table.lam * fy
-    gy += y
-    gy -= x
-    return gy, fy
+    return table.lam * fy + y - x, fy
 
 
 def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -387,14 +387,9 @@ def _family(name: str, j: int, c: float, d: float, growth_constant: float) -> Mo
             return s * a / (1.0 + k)
         if d == 2:
             return s * (2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * k * a)))
-        r = np.sqrt(3.0 * k)  # then s * (y - (y + k y^3 - a) / (1 + 3 k y y)) on 3 buffers
-        y = np.arcsinh((1.5 * r) * a)
-        np.multiply(np.sinh(np.divide(y, 3.0, out=y), out=y), 2.0 / r, out=y)
-        num, den = y**3, (3.0 * k) * y
-        np.subtract(np.add(np.multiply(num, k, out=num), y, out=num), a, out=num)
-        np.add(np.multiply(den, y, out=den), 1.0, out=den)
-        np.subtract(y, np.divide(num, den, out=num), out=num)
-        return np.multiply(num, s, out=num)
+        r = np.sqrt(3.0 * k)
+        y = (2.0 / r) * np.sinh(np.arcsinh((1.5 * r) * a) / 3.0)
+        return s * (y - (k * y**3 + y - a) / ((3.0 * k) * y * y + 1.0))
 
     def primitive(x: np.ndarray) -> np.ndarray:
         a = np.abs(x)

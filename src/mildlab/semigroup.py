@@ -205,11 +205,8 @@ class MirrorSplit:
         ya = v[..., :m] - mirrored[..., :m]
         for op in self.odd:
             ya = ya @ op
-        out = np.empty(v.shape)
-        out[..., :n] = ys
-        out[..., :m] += ya
-        np.subtract(ys[..., :m], ya, out=out[..., n:][..., ::-1])
-        return out
+        return np.concatenate((ys[..., :m] + ya, ys[..., m:], (ys[..., :m] - ya)[..., ::-1]),
+                              axis=-1)
 
 
 def _mirror_half(sg: HeatSemigroup, t: float, k: np.ndarray,

@@ -135,12 +135,9 @@ def regularized_chunks(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFuncti
         k = n % buf.shape[1]
         if not k:
             yield chunk
-        r = v @ step
-        r += z[n]
-        w = yosida_array(f, shifted, r)
-        w *= delta
-        np.subtract(r, w, out=buf[:, k])
-        np.subtract(buf[:, k], z[n], out=v)
+        r = v @ step + z[n]
+        buf[:, k] = r - delta * yosida_array(f, shifted, r)
+        v = buf[:, k] - z[n]
     yield chunk[:, :path.n_steps % buf.shape[1] + 1]
 
 

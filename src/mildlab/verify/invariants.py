@@ -38,12 +38,12 @@ class InvariantCheck:
         return self.violation <= self.tolerance
 
 
-def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
+def _scalar_checks(rng) -> list[InvariantCheck]:
     checks = []
-    x = rng.uniform(-5.0, 5.0, n_samples)
-    y = rng.uniform(-5.0, 5.0, n_samples)
-    lams = rng.uniform(1e-3, 1.0, n_samples)
-    mus = rng.uniform(1e-3, 1.0, n_samples)
+    x = rng.uniform(-5.0, 5.0, 2000)
+    y = rng.uniform(-5.0, 5.0, 2000)
+    lams = rng.uniform(1e-3, 1.0, 2000)
+    mus = rng.uniform(1e-3, 1.0, 2000)
     for name, f in TEST_DRIFTS().items():
         rx = resolvent_array(f, 0.5, x)
         ry = resolvent_array(f, 0.5, y)
@@ -84,22 +84,22 @@ def _scalar_checks(rng, n_samples: int) -> list[InvariantCheck]:
     return checks
 
 
-def _lemma_checks(rng, n_samples: int) -> list[InvariantCheck]:
+def _lemma_checks(rng) -> list[InvariantCheck]:
     checks = []
-    x = rng.uniform(0.0, 4.0, n_samples)
-    y = rng.uniform(0.0, 4.0, n_samples)
-    a = rng.uniform(0.0, 1.0, n_samples)
+    x = rng.uniform(0.0, 4.0, 10000)
+    y = rng.uniform(0.0, 4.0, 10000)
+    a = rng.uniform(0.0, 1.0, 10000)
     lo = 2.0 ** (a - 1.0) * (x**a + y**a) - (x + y) ** a
     hi = (x + y) ** a - (x**a + y**a)
     checks.append(InvariantCheck("power_sum_concave_chain",
                                  float(max(np.max(lo), np.max(hi))), 1e-12))
-    b = rng.uniform(1.0, 8.0, n_samples)
+    b = rng.uniform(1.0, 8.0, 10000)
     lo = (x**b + y**b) - (x + y) ** b
     hi = (x + y) ** b - 2.0 ** (b - 1.0) * (x**b + y**b)
     checks.append(InvariantCheck("power_sum_convex_chain",
                                  float(max(np.max(lo), np.max(hi))), 1e-12))
-    u = rng.uniform(-4.0, 4.0, n_samples)
-    v = rng.uniform(-4.0, 4.0, n_samples)
+    u = rng.uniform(-4.0, 4.0, 10000)
+    v = rng.uniform(-4.0, 4.0, 10000)
     for q in (1.1, 1.5, 2.0):
         jq = lambda t: np.sign(t) * np.abs(t) ** (q - 1.0)
         viol = np.abs(jq(u) - jq(v)) - 2.0 ** (2.0 - q) * np.abs(u - v) ** (q - 1.0)
@@ -127,7 +127,7 @@ def _grid_checks(rng, grid: Grid) -> list[InvariantCheck]:
     checks.append(InvariantCheck(
         "bracket_free_selection", abs(bracket_l1(zero, psi) - lq_norm(psi, 1.0)), 1e-12))
     for name, f in TEST_DRIFTS().items():
-        worst = 0.0
+        worst = -np.inf
         for _ in range(50):
             a = GridFunction(grid, rng.standard_normal(grid.M))
             b = GridFunction(grid, rng.standard_normal(grid.M))
@@ -153,12 +153,11 @@ def _grid_checks(rng, grid: Grid) -> list[InvariantCheck]:
 def _semigroup_checks(rng, sg: HeatSemigroup, n_inputs: int) -> list[InvariantCheck]:
     checks = []
     grid = sg.grid
-    worst_id = worst_comp = worst_pos = worst_acc = worst_bs = 0.0
-    worst_contr = {q: 0.0 for q in (1.0, 1.5, 2.0, 3.0)}
+    # running maxima from -inf, so that each reports its worst margin, slack included
+    worst_comp = worst_pos = worst_acc = worst_bs = -np.inf
+    worst_contr = {q: -np.inf for q in (1.0, 1.5, 2.0, 3.0)}
     for _ in range(n_inputs):
         phi = GridFunction(grid, rng.standard_normal(grid.M))
-        worst_id = max(worst_id, float(np.max(np.abs(
-            apply_semigroup(sg, phi, 0.0).values - phi.values))))
         s, t = rng.uniform(0.0, 0.3, 2)
         comp = apply_semigroup(sg, apply_semigroup(sg, phi, s), t)
         both = apply_semigroup(sg, phi, s + t)
@@ -174,7 +173,6 @@ def _semigroup_checks(rng, sg: HeatSemigroup, n_inputs: int) -> list[InvariantCh
         for eps in (1.0, 1e-2, 1e-4):
             gam = GridFunction(grid, gamma_eps(phi.values, eps))
             worst_bs = max(worst_bs, -pairing(aphi, gam))
-    checks.append(InvariantCheck("semigroup_identity_at_zero", worst_id, 1e-12))
     checks.append(InvariantCheck("semigroup_composition", worst_comp, 1e-10))
     for q, w in worst_contr.items():
         checks.append(InvariantCheck(f"semigroup_contraction[q={q}]", w, 1e-10))
@@ -222,15 +220,15 @@ def _noise_solver_checks(sg: HeatSemigroup, seed: int) -> list[InvariantCheck]:
 
 
 def run_invariant_battery(
-    M: int = 127, nu: float = 1.0, seed: int = 20260101, n_samples: int = 2000,
+    M: int = 127, nu: float = 1.0, seed: int = 20260101,
 ) -> list[InvariantCheck]:
     """Run the full battery; deterministic given the seed."""
     rng = np.random.default_rng(seed)
     grid = Grid(M)
     sg = HeatSemigroup(grid, nu)
     checks = []
-    checks += _scalar_checks(rng, n_samples)
-    checks += _lemma_checks(rng, max(n_samples, 10000))
+    checks += _scalar_checks(rng)
+    checks += _lemma_checks(rng)
     checks += _grid_checks(rng, grid)
     checks += _semigroup_checks(rng, sg, 100)
     checks += _noise_solver_checks(sg, seed)

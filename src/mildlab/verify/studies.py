@@ -60,6 +60,7 @@ NUMERICAL_ZERO = 1e-10
 # Fixed study settings, recorded in each report's inputs or thresholds.
 SMALL_SET_MEASURES = (1e-1, 1e-2)   # l1: space-time measures of the small sets
 SPIKE_MARGIN = 0.1                  # contraction_extension: u0 = x^(-1/(q+margin))
+TRUNCATION_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0)  # contraction_extension: caps on that u0
 HEADROOM = 1.05                     # propagation: regression runs may exceed C by this factor
 APRIORI_SLACK = 1e-8                # apriori: numerical slack on both inequalities
 BERNOULLI_STEPS, BERNOULLI_T = 256, 1.0
@@ -255,7 +256,8 @@ def chain_rule_study(
 
         ||v(t_n)||_q^q <= ||v0||_q^q + q sum_{j<n} delta <F_j, J_q(v_j)> + tol
 
-    with the positive violation shrinking at first order in delta, plus the
+    with the largest violation over n >= 1 (n = 0 holds with equality)
+    shrinking at least at first order in delta, plus the
     discrete one-sided differentiability inequality, which is an exact
     convexity theorem at every step.
     """
@@ -272,7 +274,7 @@ def chain_rule_study(
         claim="integrated norm-power inequality violated at most O(delta); "
         "one-sided derivative inequality exact",
         inputs={"q": q, "T": T, "deltas": list(deltas)},
-        thresholds={"fd_tol": 1e-10, "ratio_low": 1.5, "ratio_high": 2.5},
+        thresholds={"fd_tol": 1e-10, "ratio_low": 1.5},
     )
     grid = sg.grid
     violations = []
@@ -287,7 +289,7 @@ def chain_rule_study(
         zeta = np.sign(v) * np.abs(v) ** (q - 1.0)
         pair = grid.h * np.sum(fvals * zeta, axis=1)
         rhs = norms_q[0] + q * delta * np.concatenate([[0.0], np.cumsum(pair[:-1])])
-        violations.append(float(np.max(norms_q - rhs)))
+        violations.append(float(np.max((norms_q - rhs)[1:])))
         fd_lhs = (norms_q[1:] - norms_q[:-1]) / delta
         fd_rhs = q * grid.h * np.sum((v[1:] - v[:-1]) / delta * zeta[:-1], axis=1)
         fd_ok &= bool(np.all(fd_lhs >= fd_rhs - 1e-10))
@@ -301,9 +303,7 @@ def chain_rule_study(
     if len(violations) >= 2 and violations[0] > 1e-12:
         ratios = [a / b for a, b in zip(violations, violations[1:]) if b > 0]
         report.fitted["violation_ratios"] = ratios
-        report.checks["violation_first_order_in_delta"] = all(
-            1.5 <= r <= 2.5 for r in ratios
-        )
+        report.checks["violation_first_order_in_delta"] = all(r >= 1.5 for r in ratios)
     else:
         report.checks["violation_at_numerical_zero"] = all(
             v <= 1e-10 for v in violations
@@ -533,7 +533,6 @@ def contraction_extension_study(
     q: float,
     path: NoisePath,
     config: SolverConfig,
-    truncation_levels: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0),
     workers: int = 1,
 ) -> StudyReport:
     """Extend the solution map from bounded data to an L^q spike by density.
@@ -544,14 +543,14 @@ def contraction_extension_study(
     """
     grid = path.grid
     spike = grid.nodes ** (-1.0 / (q + SPIKE_MARGIN))
-    data = [GridFunction(grid, np.minimum(spike, m)) for m in truncation_levels]
+    data = [GridFunction(grid, np.minimum(spike, m)) for m in TRUNCATION_LEVELS]
     report = StudyReport(
         study="contraction_extension",
         claim="solution gaps for truncated data are dominated by data gaps "
         "(contraction transfer to the L^q closure)",
         inputs={
             "drift": f.name, "q": q, "seed": path.seed,
-            "truncation_levels": list(truncation_levels),
+            "truncation_levels": list(TRUNCATION_LEVELS),
             "spike_margin": SPIKE_MARGIN,
         },
         thresholds={"slack": 1e-10, "uniqueness_tol": 2.0 * config.cauchy_tol},

@@ -1,6 +1,7 @@
 """The chunked time loop and the row-blocked transform: bits at chunk and block
 edges, the studies that reduce chunks as they come, failure mid-stream, memory,
-and the kernels rewritten to work in place, against their one-expression forms."""
+and the row-blocked DST, the cubic's closed form and the modal recursion,
+against their one-expression forms."""
 
 import tracemalloc
 from itertools import pairwise

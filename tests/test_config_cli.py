@@ -395,6 +395,32 @@ class TestCli:
             assert report["series"][f"equiintegrability_proxy_path{i}"] == [
                 0.013671875, 0.009765625]
 
+    def test_chain_rule_passes_a_violation_that_falls_faster_than_delta(self, tmp_path,
+                                                                         monkeypatch):
+        # zero datum: the violation falls 2.78-fold per halving of delta, inside
+        # the claimed O(delta) bound
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"grid": {"M": 31}, "time": {"T": 0.25, "delta": 2.0**-8},
+                                   "initial": {"kind": "zero"},
+                                   "studies": {"chain_rule": {}}}))
+        assert self.run_cli("study", "chain_rule", str(cfg)) == 0
+        report = json.loads((tmp_path / "runs" / "out" / "chain_rule" / "report.json").read_text())
+        assert report["checks"]["violation_first_order_in_delta"]
+        assert report["fitted"]["violation_ratios"][0] > 2.5
+        assert report["thresholds"] == {"fd_tol": 1e-10, "ratio_low": 1.5}
+
+    def test_chain_rule_margin_excludes_time_zero(self, tmp_path, monkeypatch):
+        # default sine datum: the inequality holds with slack at every n >= 1,
+        # and with equality at n = 0, which the margin leaves out
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = tmp_path / "default.json"
+        cfg.write_text('{"studies": {"chain_rule": {}}}')
+        assert self.run_cli("study", "chain_rule", str(cfg)) == 0
+        report = json.loads((tmp_path / "runs" / "out" / "chain_rule" / "report.json").read_text())
+        assert report["checks"]["violation_at_numerical_zero"]
+        assert all(v < -1e-3 for v in report["series"]["max_violation"])
+
     def test_study_pass_exit_zero_and_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
         cfg = write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Pinned output bytes: sha256 of the artifacts of six studies, solve and sample-noise.
+"""Pinned output bytes: sha256 of the artifacts of every study, solve and sample-noise.
 
 Each command runs through ``cli.main`` with ``--workers 1`` on a small fixed
 config.  The digests pin what the noise sampler, the solver, the L^q
@@ -15,6 +15,7 @@ import json
 import pytest
 
 from mildlab.cli import main
+from mildlab.config import STUDY_KEYS
 
 BASE = {
     "grid": {"M": 31, "nu": 1.0},
@@ -28,12 +29,22 @@ CONFIGS = {
     "moment": {"grid": {"M": 15, "nu": 1.0}, "time": {"T": 0.0625, "delta": 2.0**-8},
                "seeds": {"master": 20260101, "n_paths": 100}, "studies": {"moment": {}}},
     "apriori": {"studies": {"apriori": {}}},
+    # the zero datum's violation is positive, so the first-order check runs
+    "chain_rule": {"initial": {"kind": "zero"}, "studies": {"chain_rule": {}}},
+    "bernoulli": {"studies": {"bernoulli": {}}},
+    "eiconv": {"studies": {"eiconv": {}}},
 }
 GOLDEN = {
     "apriori": ("31ca5c8cb0ef0237a3d31476951ab2fad74bc5d1e5f87987ef22e6a3b2a5d268",
                 "dee4df1ff0a4b4b32a3de7980564a8c879c276dae936a1c2e2409dc190a0f267"),
+    "bernoulli": ("2138165ed7da3d0004a53bf4b3f2927443a2e4f3dc52bea68393d096349540e5",
+                  "1917fecf61796963b4dfa0b3fa6493dcea6d4e6e47cd9b020a4ddb2c7a9e9576"),
     "cauchy": ("49aa44de826bab9e119e3f83351fb60939c5d087530a463adc9ca60c5c07ffdb",
                "1520cdeb39b67f2eb1c8a4ad78a217d81fc23cbd6b0a59d827268e43e96aa722"),
+    "chain_rule": ("4f9885157b00e427be07d3695c9f3e2b139de29c31bc58d3a360714e23a581aa",
+                   "e3f12e08043d119f277a098eb5358760000aa16d5c5c0a08b5c59fba244449ea"),
+    "eiconv": ("66923c4378c864104649556a0c1ed1888962888423147a53630447e813c20394",
+               "b3087011eef59ce1d31e90a19726ad18df95ed26282fe1e7258a546b61b86062"),
     "l1": ("d0fde1f333c198626ecefdb4c3beb0f66a614449f27e00fbcaec663664134b61",
            "1a7e6b4e87b77ae525dfd3b7841a5284243c1fbed748f95e0f8dc321781d8700"),
     "moment": ("ae6d942f7de7be777c8d8dcde6ee49633a65c1097e56a64345d6bb27ff758c19",
@@ -122,6 +133,11 @@ def test_command_bytes_are_pinned(name, tmp_path):
     assert written == {"manifest.json", *listed}
 
 
+def test_every_study_is_pinned():
+    pinned = set(GOLDEN) | {command[1] for command in COMMANDS.values() if command[0] == "study"}
+    assert pinned == set(STUDY_KEYS)
+
+
 # solve through the generic root engine, and the check-invariants battery, which
 # runs apply_semigroup, yosida_of_yosida_array and the engine on the quartic
 ENGINE_CASES = {
@@ -134,7 +150,7 @@ ENGINE_CASES = {
 ENGINE_ARTIFACTS = {
     "check-invariants": {
         "invariants/report.json":
-            "cb342d53b900321d90dd80519de9a8727651e5a3cbae4d3f2e106f2181d27a05",
+            "3ef8504e968a91bdb48e2dbe345287764e88cfe09a53c17a3114195565f6db5a",
     },
     "solve-piecewise": {
         "solution0.json":

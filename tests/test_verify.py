@@ -300,12 +300,11 @@ class TestContractionExtension:
 
     def test_bounded_u0_saturates(self, small):
         grid, sg, paths, u0, config = small
-        # truncation levels above the spike maximum give identical data, zero gaps
-        rep = contraction_extension_study(
-            power_graph(3.0), 2.0, paths[0], config,
-            truncation_levels=(50.0, 100.0))
-        assert rep.series["data_gaps"] == [0.0]
-        assert rep.series["solution_gaps"][0] <= 1e-12
+        # at M = 31 the spike peaks near 5.2, so the levels 8 and 16 give
+        # identical data and a zero last gap
+        rep = contraction_extension_study(power_graph(3.0), 2.0, paths[0], config)
+        assert rep.series["data_gaps"][-1] == 0.0 < rep.series["data_gaps"][-2]
+        assert rep.series["solution_gaps"][-1] <= 1e-12
 
 
 class TestAprioriStudy:
@@ -445,7 +444,7 @@ class TestReportMachinery:
 
 class TestInvariantBattery:
     def test_all_pass_quickly(self):
-        checks = run_invariant_battery(M=63, n_samples=500)
+        checks = run_invariant_battery(M=63)
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert "noise_determinism" in names
