@@ -139,16 +139,16 @@ def same_grid(a, b) -> None:
 
 
 def lq_norms(values: np.ndarray, h: float, q: float) -> np.ndarray:
-    """Discrete L^q norms (h * sum |v_i|^q)^(1/q) over the last axis, q >= 1."""
-    if q < 1:
-        raise InvalidExponent(f"q must be >= 1, got {q}")
+    """Discrete L^q norms (h * sum |v_i|^q)^(1/q) over the last axis, 1 <= q < inf."""
+    if not 1 <= q < np.inf:
+        raise InvalidExponent(f"q must be >= 1 and finite, got {q}")
     # the root on an array even for one row: numpy's scalar and array powers differ in ulps
     sums = h * np.sum(np.abs(values) ** q, axis=-1, keepdims=True)
     return (sums ** (1.0 / q))[..., 0]
 
 
 def lq_norm(phi: GridFunction, q: float) -> float:
-    """Discrete L^q norm of one grid function, q >= 1."""
+    """Discrete L^q norm of one grid function, 1 <= q < inf."""
     return float(lq_norms(phi.values, phi.grid.h, q))
 
 

@@ -35,8 +35,8 @@ number lam, run on x flattened, so a scalar takes the kernels of a
 one-element array and its result is bit-equal to that element's (numpy's
 SIMD pow and sinh may round a 0-d input differently).  A lam array goes to a
 closed form as it is, and the closed form broadcasts it against x.  A
-section of the filled graph is read off left_limits (min), right_limits (max)
-or mid_values (their mean).
+section of the filled graph is read off limits, the pair (f(x-), f(x+)), or
+mid_values (their mean).
 
 This module holds the math only.  The config's drift section is checked and
 built by config.DRIFT_KEYS from the graph constructors here, and
@@ -148,23 +148,21 @@ class MonotoneGraph:
     def _check_shape(self):
         """Sampled finiteness / monotonicity / jump-sign / growth checks at build time."""
         probes = np.linspace(-_PROBE_SPAN, _PROBE_SPAN, 257)
-        probes = sorted_unique(np.concatenate([probes, self._breaks]))
-        left, right = self.left_limits(probes), self.right_limits(probes)
+        probes = sorted_unique(np.concatenate([probes, self._breaks, [0.0]]))
+        left, right = self.limits(probes)
         finite = np.isfinite(left) & np.isfinite(right)
         if not finite.all():
             raise ValueError(f"graph {self.name!r} is not finite at {probes[~finite][0]}")
         if np.any(np.diff(right) < -1e-12):
             raise ValueError(f"graph {self.name!r} is not nondecreasing")
-        b = self._breaks
-        drops = b[self.left_limits(b) > self.right_limits(b) + 1e-12]
+        drops = probes[left > right + 1e-12]  # limits differ only on a breakpoint
         if drops.size:
             raise ValueError(f"graph {self.name!r} decreases across {drops[0]}")
         bound = self.growth_constant * (1.0 + np.abs(probes) ** self.growth_exponent)
         if np.any(np.maximum(np.abs(left), np.abs(right)) > bound + 1e-9):
             raise ValueError(f"graph {self.name!r} violates its growth bound")
-        if self.zero_in_graph and not (
-            self.left_limits(0.0) <= 0.0 <= self.right_limits(0.0)
-        ):
+        zero = np.searchsorted(probes, 0.0)
+        if self.zero_in_graph and not left[zero] <= 0.0 <= right[zero]:
             raise ValueError(f"graph {self.name!r} declared 0 in f(0) but it is not")
 
     # -- one-sided limits ---------------------------------------------------
@@ -177,21 +175,20 @@ class MonotoneGraph:
                 out[mask] = fn(x[mask])
         return out
 
-    def right_limits(self, x: np.ndarray) -> np.ndarray:
-        """f(x+), vectorized."""
+    def limits(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(f(x-), f(x+)) as two new arrays of x's shape: one branch evaluation per
+        x, and a second, on the branch to its left, only for an x on a breakpoint."""
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._breaks, x, side="right")
-        return self._branch_eval(x, idx)
-
-    def left_limits(self, x: np.ndarray) -> np.ndarray:
-        """f(x-), vectorized."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._breaks, x, side="left")
-        return self._branch_eval(x, idx)
+        hi = self._branch_eval(x, idx)
+        lo = hi.copy()
+        on = np.isin(x, self._breaks)
+        lo[on] = self._branch_eval(x[on], idx[on] - 1)
+        return lo, hi
 
     def mid_values(self, x: np.ndarray) -> np.ndarray:
         """Midpoint section (f(x-) + f(x+)) / 2 of the filled graph, vectorized."""
-        return 0.5 * (self.left_limits(x) + self.right_limits(x))
+        return 0.5 * np.add(*self.limits(x))
 
 
 # -- sections ---------------------------------------------------------------
@@ -199,16 +196,14 @@ class MonotoneGraph:
 
 def section_min_abs(graph: MonotoneGraph, x) -> np.ndarray:
     """Element of [f(x-), f(x+)] with minimal absolute value, vectorized."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = graph.left_limits(x), graph.right_limits(x)
+    lo, hi = graph.limits(x)
     out = np.where(np.abs(lo) <= np.abs(hi), lo, hi)
     return np.where((lo <= 0.0) & (0.0 <= hi), 0.0, out)
 
 
 def section_max_abs(graph: MonotoneGraph, x) -> np.ndarray:
     """Element of [f(x-), f(x+)] with maximal absolute value, vectorized."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = graph.left_limits(x), graph.right_limits(x)
+    lo, hi = graph.limits(x)
     return np.where(np.abs(lo) >= np.abs(hi), lo, hi)
 
 

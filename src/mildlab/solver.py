@@ -76,8 +76,8 @@ class SolverConfig:
     cauchy_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.q < 1 or self.r < 1 or self.r > self.q:
-            raise InvalidExponents(f"need 1 <= r <= q, got q={self.q}, r={self.r}")
+        if not 1 <= self.r <= self.q < np.inf:
+            raise InvalidExponents(f"need 1 <= r <= q < inf, got q={self.q}, r={self.r}")
         sched = tuple(float(l) for l in self.lambda_schedule)
         if not sched or not all(0 < l < np.inf for l in sched):
             raise ValueError(f"lambda must be > 0 and finite, got schedule {sched}")
@@ -220,10 +220,8 @@ def inclusion_check(
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    u = u_traj.values
     g = g_traj.values
-    lo = f.left_limits(u)
-    hi = f.right_limits(u)
+    lo, hi = f.limits(u_traj.values)
     dist = np.maximum(np.maximum(lo - g, g - hi), 0.0)
     return float(np.mean(dist <= tol))
 

@@ -208,8 +208,9 @@ class TestParseConfig:
         piecewise = {"kind": "piecewise", "breakpoints": [0.0],
                      "expressions": ["x - 1", "x + 1"], "d": 1.0, "C_f": 1.0}
         g = parse_config(json.dumps({"drift": piecewise})).build_graph()
-        assert g.breakpoints == (0.0,) and g.left_limits(0.0) < g.right_limits(0.0)
-        assert g.right_limits(0.0) == 1.0
+        lo, hi = g.limits(0.0)
+        assert g.breakpoints == (0.0,) and lo < hi
+        assert hi == 1.0
         for kind, probe, want in [
             ("zero", 3.0, 0.0), ("linear", 3.0, 3.0), ("power", 2.0, 8.0),
             ("sign", 2.0, 1.0), ("sign_linear", 2.0, 3.0),

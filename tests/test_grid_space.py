@@ -281,6 +281,12 @@ class TestLqNorms:
         with pytest.raises(InvalidExponent):
             lq_norms(np.ones((2, grid.M)), grid.h, 0.99)
 
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_non_finite_exponent_rejected(self, grid, q):
+        # unchecked, q = inf would read 1.0 for any nonzero row and q = nan nan
+        with pytest.raises(InvalidExponent):
+            lq_norms(np.array([[2.0, 3.0]]), grid.h, q)
+
 
 class TestFieldSeries:
     def test_indexing_and_norms(self, grid, rng):

@@ -40,25 +40,50 @@ class TestSection:
         assert sign_graph().mid_values(0.0) == 0.0
 
     def test_sign_max_is_right_limit(self):
-        assert sign_graph().right_limits(0.0) == 1.0
+        assert sign_graph().limits(0.0)[1] == 1.0
 
     def test_continuous_branch(self):
         g = power_graph(3.0)
-        for section in (g.left_limits, g.right_limits, g.mid_values):
-            assert section(2.0) == pytest.approx(8.0, abs=1e-14)
+        for value in (*g.limits(2.0), g.mid_values(2.0)):
+            assert value == pytest.approx(8.0, abs=1e-14)
 
     def test_section_lies_in_interval(self, drifts):
         for f in drifts.values():
             for x in np.linspace(-3, 3, 41):
-                lo, hi = f.left_limits(x), f.right_limits(x)
-                for section in (f.left_limits, f.right_limits, f.mid_values):
-                    assert lo - 1e-14 <= section(x) <= hi + 1e-14
+                lo, hi = f.limits(x)
+                for value in (lo, hi, f.mid_values(x)):
+                    assert lo - 1e-14 <= value <= hi + 1e-14
 
     def test_min_max_abs_selections(self):
         g = sign_graph()
         assert section_min_abs(g, 0.0) == 0.0
         assert abs(section_max_abs(g, 0.0)) == 1.0
         assert section_min_abs(g, 2.0) == 1.0
+
+    def test_limits_beside_and_on_each_breakpoint(self):
+        # the ulp below b takes b's left branch, b and the ulp above its right
+        # one, and only b's f(b-) comes from the left: a wrong searchsorted
+        # side or left index moves one of these
+        for f in (*mid_value_graphs(), sign_graph(), generic_sign()):
+            for i, b in enumerate(f.breakpoints):
+                x = np.array([np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)])
+                left, right = f.branch_fns[i](x), f.branch_fns[i + 1](x)
+                lo, hi = f.limits(x)
+                assert lo.tolist() == [left[0], left[1], right[2]], (f.name, b)
+                assert hi.tolist() == [left[0], right[1], right[2]], (f.name, b)
+                assert section_min_abs(f, x)[[0, 2]].tolist() == [left[0], right[2]]
+                assert section_max_abs(f, x)[[0, 2]].tolist() == [left[0], right[2]]
+
+    def test_signed_zeros_on_the_sign_graphs(self):
+        for f in (sign_graph(), sign_plus_linear_graph(), generic_sign()):
+            x = np.array([-0.0, 0.0])
+            lo, hi = f.limits(x)
+            assert lo.tolist() == [-1.0, -1.0] and hi.tolist() == [1.0, 1.0], f.name
+            assert f.mid_values(x).tolist() == [0.0, 0.0], f.name
+            assert section_min_abs(f, x).tolist() == [0.0, 0.0], f.name
+            assert section_max_abs(f, x).tolist() == [-1.0, -1.0], f.name
+            for z in (-0.0, 0.0):
+                assert [float(v) for v in f.limits(z)] == [-1.0, 1.0], (f.name, z)
 
 
 def mid_value_graphs() -> list[MonotoneGraph]:
@@ -77,7 +102,7 @@ def mid_value_graphs() -> list[MonotoneGraph]:
 def jumps(f: MonotoneGraph) -> np.ndarray:
     """The breakpoints b with f(b-) < f(b+)."""
     b = np.asarray(f.breakpoints)
-    return b[f.left_limits(b) < f.right_limits(b)]
+    return b[np.less(*f.limits(b))]
 
 
 on_breakpoints = st.sampled_from([-1.0, 0.0, -0.0, 1.0])
@@ -92,7 +117,7 @@ class TestMidValues:
         x = np.array(xs)
         with np.errstate(over="ignore", invalid="ignore"):
             for f in mid_value_graphs():
-                want = 0.5 * (f.left_limits(x) + f.right_limits(x))
+                want = 0.5 * np.add(*f.limits(x))
                 assert f.mid_values(x).tobytes() == want.tobytes(), f.name
 
     def test_jump_midpoints(self):
@@ -235,7 +260,7 @@ class TestResolvent:
         _, cubic_jump, kink_jump = mid_value_graphs()
         for f, b in [(cubic_jump, 0.0), (kink_jump, -1.0), (kink_jump, 1.0)]:
             for lam in (2.0**-8, 0.1, 1.0):
-                ends = (b + lam * f.left_limits(b), b + lam * f.right_limits(b))
+                ends = tuple(b + lam * v for v in f.limits(b))
                 xs = np.concatenate([np.linspace(*ends, 101), ends])
                 assert np.all(resolvent_array(f, lam, xs) == b), (f.name, b, lam)
                 assert all(resolvent_array(f, lam, x) == b for x in ends), (f.name, b, lam)
@@ -281,8 +306,7 @@ class TestResolvent:
         inputs = []
         for f in mid_value_graphs()[1:]:
             x = rng.normal(0.0, 1.5, 3 * block - 2)
-            ends = np.array([(b + lam * f.left_limits(b), b + lam * f.right_limits(b))
-                             for b in jumps(f)])
+            ends = np.array([[b + lam * v for v in f.limits(b)] for b in jumps(f)])
             lo, hi = ends[rng.integers(len(ends), size=x[::3].size)].T
             x[::3], x[1::6] = rng.uniform(lo, hi), 0.0
             inputs.append((f, x))
@@ -331,7 +355,7 @@ class TestResolvent:
         for f in mid_value_graphs()[1:]:
             table, c = sm._graph_table(f, lam), f._knots
             lo, hi = table.x[0], table.x[-1]
-            ends = np.stack([c + lam * f.left_limits(c), c + lam * f.right_limits(c)], 1).ravel()
+            ends = np.stack([c + lam * v for v in f.limits(c)], 1).ravel()
             xs = np.concatenate([table.x[::3], ends, np.nextafter([lo, hi], 0.0),
                                  np.nextafter([lo, hi], [-np.inf, np.inf]),
                                  [lo - 1.0, hi + 1.0, -1e6, 1e6]])
@@ -488,10 +512,10 @@ class TestResolvent:
 
 def family_digests(f: MonotoneGraph) -> tuple[str, str]:
     """sha256 of a built-in graph's resolvent at a number and at a (7, 1) column
-    of levels and its one-sided limits, then of its primitive, on FAMILY_X."""
+    of levels and its limits (lo, then hi), then of its primitive, on FAMILY_X."""
     maps, primitive = hashlib.sha256(), hashlib.sha256(primitive_array(f, FAMILY_X).tobytes())
     for out in (resolvent_array(f, 0.3, FAMILY_X), resolvent_array(f, FAMILY_LAMS, FAMILY_X),
-                f.left_limits(FAMILY_X), f.right_limits(FAMILY_X)):
+                *f.limits(FAMILY_X)):
         maps.update(np.ascontiguousarray(out).tobytes())
     return maps.hexdigest(), primitive.hexdigest()
 
@@ -722,7 +746,8 @@ class TestGraphConstruction:
 
     def test_zero_in_graph_flags(self, drifts):
         for f in drifts.values():
-            assert f.left_limits(0.0) <= 0.0 <= f.right_limits(0.0)
+            lo, hi = f.limits(0.0)
+            assert lo <= 0.0 <= hi
 
     def test_declared_jumps_are_strict(self, drifts):
         for f in drifts.values():

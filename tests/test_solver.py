@@ -253,6 +253,13 @@ class TestSolveMild:
         with pytest.raises(InvalidExponents):
             SolverConfig(q=2.0, r=3.0)
 
+    @pytest.mark.parametrize("q, r", [(np.inf, 2.0), (np.nan, 2.0), (2.0, np.nan),
+                                      (np.inf, np.inf), (np.nan, np.nan)])
+    def test_non_finite_exponents_rejected(self, q, r):
+        # each would certify with a norm that means nothing
+        with pytest.raises(InvalidExponents, match="1 <= r <= q < inf"):
+            SolverConfig(q=q, r=r)
+
 
 class TestResidual:
     def test_zero_drift_residual_zero(self, smooth_path, sine_u0):
