@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_write_text, atomic_writer, json_text
 from .config import STUDY_KEYS, RunConfig, parse_config
-from .errors import MildlabError
+from .errors import MildlabError, within
 from .noise import export_noise_sidecar, export_series_csv, path_seeds, sample_path
 from .solver import solve_mild
 from .verify import (apriori_constants_study, bernoulli_study,
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers is not None and args.workers < 1:
+    if args.workers is not None and not within(args.workers, ">= 1"):
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return EXIT_ERROR
     try:

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import copy
 import json
-import math
-import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidTimeGrid, ParseError, ValidationError
+from .errors import InvalidTimeGrid, ParseError, ValidationError, within
 from .grid_space import Grid, GridFunction
 from .noise import DiffusionSpec, time_steps
 from .scalar_monotone import (MonotoneGraph, compile_branch, linear_graph,
@@ -59,8 +58,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
+    # finite as a float: math.isfinite raises on an integer too large for one
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 # Each type: its name in a violation and its test.
@@ -74,7 +74,6 @@ _TYPES = {
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
-_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 def _inherit(section: str, key: str, derive=lambda v: v):
@@ -83,9 +82,9 @@ def _inherit(section: str, key: str, derive=lambda v: v):
 
 
 # A rule is (default, type, range).  The range bounds the value, or each entry
-# of a list, as "<op> <limit>".  A default of None leaves the key unset, a
-# REQUIRED key must be given, and a callable default is computed from the
-# checked top-level sections.
+# of a list, as "<op> <limit>" (errors.within).  A default of None leaves the
+# key unset, a REQUIRED key must be given, and a callable default is computed
+# from the checked top-level sections.
 REQUIRED = object()
 _TOP = {
     "grid": ({}, "object", None),
@@ -130,15 +129,6 @@ STUDY_KEYS = {
 }
 
 
-def _in_range(value, bound: Optional[str]) -> bool:
-    """Whether a value, or each entry of a list, satisfies its "<op> <limit>" bound."""
-    if bound is None or value is None:
-        return True
-    op, limit = bound.split()
-    entries = value if isinstance(value, list) else [value]
-    return all(_COMPARE[op](x, float(limit)) for x in entries)
-
-
 def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[dict] = None) -> dict:
     """Each key's value under `rules`: the given one, else its default.
 
@@ -164,7 +154,7 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
                 continue
         noun, is_kind = _TYPES[kind]
         listed = kind == "numbers"
-        if is_kind(value) and _in_range(value, bound):
+        if is_kind(value) and (bound is None or within(value, bound)):
             values[key] = ([float(x) for x in value] if listed
                            else float(value) if kind == "number" else value)
             continue

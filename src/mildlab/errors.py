@@ -1,4 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range rule for arguments."""
+
+import functools
+import operator
+import sys
+
+import numpy as np
+
+# A bound is "<op> <limit>", as in "> 0" or ">= 1": the config's rule tables
+# and every library argument check state their ranges this way.  A value meets
+# one only if it is also finite as a float, which refuses inf, nan and an
+# integer too large for a float.
+_COMPARE = {">=": operator.ge, ">": operator.gt}
+_MAX = sys.float_info.max
+
+
+@functools.cache
+def _parse(bound: str):
+    op, limit = bound.split()
+    return _COMPARE[op], float(limit)
+
+
+def within(value, bound: str) -> bool:
+    """Whether value, or each entry of a list or array of them, is finite and meets bound."""
+    compare, limit = _parse(bound)
+    if isinstance(value, (int, float)):
+        return bool(compare(value, limit) and value <= _MAX)
+    return all(compare(v, limit) and v <= _MAX
+               for v in np.asarray(value, dtype=float).ravel().tolist())
+
+
+def require(value, bound: str, name: str, error: type[Exception] = ValueError) -> None:
+    """Raise error("<name> must be <bound>") unless value is within bound."""
+    if not within(value, bound):
+        raise error(f"{name} must be {bound}")
 
 
 class MildlabError(Exception):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidExponent
+from .errors import GridMismatch, InvalidExponent, require
 
 __all__ = [
     "Grid",
@@ -47,8 +47,7 @@ class Grid:
     M: int
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("grid needs M >= 2 interior nodes")
+        require(self.M, ">= 2", "M")
 
     @property
     def h(self) -> float:
@@ -140,8 +139,7 @@ def same_grid(a, b) -> None:
 
 def lq_norms(values: np.ndarray, h: float, q: float) -> np.ndarray:
     """Discrete L^q norms (h * sum |v_i|^q)^(1/q) over the last axis, 1 <= q < inf."""
-    if not 1 <= q < np.inf:
-        raise InvalidExponent(f"q must be >= 1 and finite, got {q}")
+    require(q, ">= 1", "q", InvalidExponent)
     # the root on an array even for one row: numpy's scalar and array powers differ in ulps
     sums = h * np.sum(np.abs(values) ** q, axis=-1, keepdims=True)
     return (sums ** (1.0 / q))[..., 0]
@@ -164,8 +162,7 @@ def duality_map(phi: GridFunction, q: float) -> GridFunction:
     Pairs to <J_q phi, phi> = ||phi||_q^q and has dual norm
     ||J_q phi||_{q'} = ||phi||_q^{q-1} with q' = q/(q-1).
     """
-    if q <= 1:
-        raise InvalidExponent(f"duality map needs q > 1, got {q}")
+    require(q, "> 1", "q", InvalidExponent)
     vals = phi.values
     return GridFunction(phi.grid, np.sign(vals) * np.abs(vals) ** (q - 1.0))
 
@@ -187,8 +184,7 @@ def gamma_eps(x, eps: float):
     Slope 2/sqrt(eps) on [-sqrt(eps)/2, sqrt(eps)/2], equal to +-1 outside;
     odd, nondecreasing, values in [-1, 1].
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    require(eps, "> 0", "eps")
     x = np.asarray(x, dtype=float)
     out = np.clip(2.0 / np.sqrt(eps) * x, -1.0, 1.0)
     return float(out) if out.ndim == 0 else out
@@ -200,8 +196,7 @@ def big_gamma0(x, eps: float):
     Equals sqrt(eps)/4 + x^2/sqrt(eps) inside the transition band and |x|
     outside; deviation from |.| is at most sqrt(eps)/4, attained at 0.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    require(eps, "> 0", "eps")
     x = np.asarray(x, dtype=float)
     root = np.sqrt(eps)
     inside = np.abs(x) <= 0.5 * root

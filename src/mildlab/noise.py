@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .atomic import atomic_write_text, atomic_writer, json_text
-from .errors import InvalidTimeGrid
+from .errors import InvalidTimeGrid, require
 from .grid_space import FieldSeries, Grid
 from .semigroup import HeatSemigroup, modal_recursion
 
@@ -56,14 +56,10 @@ class DiffusionSpec:
 
     def __post_init__(self):
         if self.weights is None:
-            if self.c < 0:
-                raise ValueError("amplitude c must be >= 0")
-            if self.gamma < 0:
-                raise ValueError("smoothness gamma must be >= 0")
+            require(self.c, ">= 0", "c")
+            require(self.gamma, ">= 0", "gamma")
         else:
-            w = np.asarray(self.weights, dtype=float)
-            if not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise ValueError("explicit weights must be finite and >= 0")
+            require(self.weights, ">= 0", "weights")
 
     def mode_weights(self, M: int) -> np.ndarray:
         if self.weights is not None:
@@ -169,10 +165,8 @@ def norm_ld_lqd(path: NoisePath, d: float, q: float) -> float:
 
     The time sum runs over the left endpoints t_0 .. t_{N-1}.
     """
-    if d < 0:
-        raise ValueError("time exponent d must be >= 0")
-    if q < 1:
-        raise ValueError("space exponent q must be >= 1")
+    require(d, ">= 0", "d")
+    require(q, ">= 1", "q")
     if d == 0:
         return 0.0
     norms = path.fields.norms(q * d)[:-1]

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteInput
+from .errors import NoConvergence, NonFiniteInput, require
 from .generic_engine import KnotTable, knot_table, resolve_on_knots, sorted_unique
 
 __all__ = [
@@ -139,10 +139,8 @@ class MonotoneGraph:
             raise ValueError("need exactly one more branch than breakpoints")
         if list(self.breakpoints) != sorted(set(self.breakpoints)):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.growth_exponent < 0:
-            raise ValueError("growth exponent d must be >= 0")
-        if self.growth_constant <= 0:
-            raise ValueError("growth constant C_f must be > 0")
+        require(self.growth_exponent, ">= 0", "growth_exponent")
+        require(self.growth_constant, "> 0", "growth_constant")
         self._check_shape()
 
     def _check_shape(self):
@@ -236,9 +234,9 @@ def resolvent_array(graph: MonotoneGraph, lam, x) -> np.ndarray:
     shape and the lam array as given, and broadcasts it elementwise; the
     generic engine solves the elements of each distinct lam apart.
     """
+    if not (isinstance(lam, float) and 0.0 < lam < math.inf):  # a float in range skips the call
+        require(lam, "> 0", "lambda")
     levels = isinstance(lam, np.ndarray) and lam.ndim > 0
-    if not ((lam > 0).all() if levels else lam > 0):
-        raise ValueError("lambda must be > 0")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise NonFiniteInput("resolvent input must be finite")
@@ -277,8 +275,7 @@ def yosida_of_yosida_array(graph: MonotoneGraph, lam: float, mu: float, x) -> np
     this deliberately does NOT use the algebraic reduction to f_{lam+mu},
     which is what tests compare it to.  lam and mu must be > 0 and finite.
     """
-    if not all(0.0 < level < np.inf for level in (lam, mu)):
-        raise ValueError("lambda must be > 0")
+    require((lam, mu), "> 0", "lambda")
     x = np.asarray(x, dtype=float)
     f_lam = lambda r: yosida_array(graph, lam, r)  # noqa: E731
     what = f"the composed Yosida resolvent of {graph.name!r}"
@@ -409,18 +406,15 @@ def zero_graph() -> MonotoneGraph:
 
 def linear_graph(c: float = 1.0) -> MonotoneGraph:
     """f(x) = c*x with c >= 0."""
-    if c < 0:
-        raise ValueError("linear coefficient must be >= 0")
+    require(c, ">= 0", "c")
     return _family(f"linear(c={c:g})", 0, c, 1.0, max(c, 1e-300))
 
 
 def power_graph(d: float, coef: float = 1.0) -> MonotoneGraph:
     """f(x) = coef * x * |x|^{d-1} for d >= 1 (x^3 is d = 3); the resolvent is
     closed-form for d = 1, 2 and 3 and from the generic engine otherwise."""
-    if d < 1:
-        raise ValueError("power drift needs d >= 1")
-    if coef <= 0:
-        raise ValueError("power coefficient must be > 0")
+    require(d, ">= 1", "d")
+    require(coef, "> 0", "coef")
     name = f"power(d={d:g})" if coef == 1.0 else f"power(d={d:g},c={coef:g})"
     return _family(name, 0, coef, d, coef)
 

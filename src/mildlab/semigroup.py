@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput, NegativeTime
+from .errors import EmptyInput, NegativeTime, require
 from .grid_space import FieldSeries, Grid, GridFunction, same_grid
 
 __all__ = ["HeatSemigroup", "apply_semigroup", "semigroup_series",
@@ -92,8 +92,7 @@ class HeatSemigroup:
     """Eigen-decomposition of the discrete Dirichlet Laplacian on a grid."""
 
     def __init__(self, grid: Grid, nu: float = 1.0):
-        if not nu > 0:
-            raise ValueError("viscosity nu must be > 0")
+        require(nu, "> 0", "nu")
         self.grid = grid
         self.nu = float(nu)
         h = grid.h
@@ -251,8 +250,7 @@ def semigroup_series(sg: HeatSemigroup, phi: GridFunction,
 
 def apply_resolvent(sg: HeatSemigroup, phi: GridFunction, eps: float) -> GridFunction:
     """(I + eps A)^{-1} phi: modewise division by 1 + eps mu_k."""
-    if not eps > 0:
-        raise ValueError("resolvent parameter eps must be > 0")
+    require(eps, "> 0", "eps")
     same_grid(phi, sg)
     coeffs = sg.to_modes(phi.values) / (1.0 + eps * sg.eigenvalues)
     return GridFunction(sg.grid, sg.from_modes(coeffs))
@@ -288,8 +286,7 @@ def convolve_series(sg: HeatSemigroup, fields: FieldSeries, delta: float) -> Fie
     Uses the one-step recursion equivalent to the substep-exact kernels:
     Chat(t_{n+1}) = e^{-mu delta} Chat(t_n) + Fhat(t_n)(1 - e^{-mu delta})/mu.
     """
-    if not delta > 0:
-        raise ValueError("delta must be > 0")
+    require(delta, "> 0", "delta")
     same_grid(fields, sg)
     if len(fields) == 0:
         raise EmptyInput("convolution needs at least one field")

@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidExponents
+from .errors import InvalidExponents, require
 from .grid_space import FieldSeries, GridFunction, same_grid
 from .noise import NoisePath
 from .scalar_monotone import MonotoneGraph, yosida_array
@@ -79,12 +79,10 @@ class SolverConfig:
         if not 1 <= self.r <= self.q < np.inf:
             raise InvalidExponents(f"need 1 <= r <= q < inf, got q={self.q}, r={self.r}")
         sched = tuple(float(l) for l in self.lambda_schedule)
-        if not sched or not all(0 < l < np.inf for l in sched):
-            raise ValueError(f"lambda must be > 0 and finite, got schedule {sched}")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("lambda schedule must be strictly decreasing")
-        if not self.cauchy_tol > 0:
-            raise ValueError("cauchy_tol must be > 0")
+        require(sched, "> 0", "lambda")
+        if not sched or any(b >= a for a, b in zip(sched, sched[1:])):
+            raise ValueError("lambda schedule must be nonempty and strictly decreasing")
+        require(self.cauchy_tol, "> 0", "cauchy_tol")
         object.__setattr__(self, "lambda_schedule", sched)
 
 
@@ -119,8 +117,9 @@ def regularized_chunks(f: MonotoneGraph, lam: float | np.ndarray, u0: GridFuncti
     many take different BLAS kernels); a call is reproducible bit for bit.
     """
     levels = np.atleast_1d(np.asarray(lam, dtype=float))
-    if levels.ndim > 1 or not levels.size or not np.all((levels > 0) & (levels < np.inf)):
-        raise ValueError("lambda must be > 0 and finite, a number or a nonempty 1-D array")
+    if levels.ndim > 1 or not levels.size:
+        raise ValueError("lambda must be > 0, a number or a nonempty 1-D array")
+    require(levels, "> 0", "lambda")
     same_grid(u0, path)
     delta = path.delta
     z = path.fields.values
@@ -218,8 +217,7 @@ def inclusion_check(
 
     Distance is vertical: max(f(u-) - g, g - f(u+), 0).
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    require(tol, "> 0", "tol")
     g = g_traj.values
     lo, hi = f.limits(u_traj.values)
     dist = np.maximum(np.maximum(lo - g, g - hi), 0.0)
@@ -232,12 +230,10 @@ def qstar(q: float, r: float, d: float) -> float:
     q >= 2:      max(r*d, 2*d + q - 2)
     1 < q < 2:   q*d
     """
-    if not q > 1:
-        raise InvalidExponents(f"need q > 1, got {q}")
+    require(q, "> 1", "q", InvalidExponents)
     if not 1 <= r <= q:
         raise InvalidExponents(f"need 1 <= r <= q, got r={r}, q={q}")
-    if d < 0:
-        raise InvalidExponents(f"need d >= 0, got {d}")
+    require(d, ">= 0", "d", InvalidExponents)
     if q >= 2:
         return max(r * d, 2.0 * d + q - 2.0)
     return q * d

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..errors import InvalidTimeGrid, StudyPrecondition
+from ..errors import InvalidTimeGrid, StudyPrecondition, require
 from ..grid_space import FieldSeries, GridFunction, big_gamma0, lq_norm, lq_norms
 from ..noise import NoisePath, norm_ld_lqd, time_steps
 from ..scalar_monotone import (MonotoneGraph, primitive_array, section_max_abs,
@@ -107,8 +107,7 @@ def cauchy_rate_study(
     The fit runs over the gaps before the first one at or below NUMERICAL_ZERO.
     paths[i] is read once, in path i's task; paths is never iterated here.
     """
-    if not q > 1:
-        raise StudyPrecondition("cauchy rate study needs q > 1")
+    require(q, "> 1", "q of the cauchy rate study", StudyPrecondition)
     if len(config.lambda_schedule) < 3:
         raise StudyPrecondition("cauchy rate study needs at least 3 lambda levels")
     rate = expected_rate(q)
@@ -261,8 +260,7 @@ def chain_rule_study(
     discrete one-sided differentiability inequality, which is an exact
     convexity theorem at every step.
     """
-    if not q > 1:
-        raise StudyPrecondition("chain rule study needs q > 1")
+    require(q, "> 1", "q of the chain rule study", StudyPrecondition)
     if not deltas:
         raise StudyPrecondition("chain rule study needs deltas, each taking at least one step")
     try:

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 _SM = "tests/test_scalar_monotone.py::"
+_DOMAINS = "tests/test_domains.py::"
 # Both limits mutants break the sign graph's build checks, which
 # test_scalar_monotone.py runs at import, so their tests live in a module
 # that builds its graph inside the test.
@@ -63,10 +64,10 @@ MUTANTS = (
            "if not 1 <= self.r <= self.q < np.inf:",
            "if not 1 <= self.r <= self.q:",
            ("tests/test_solver.py::TestSolveMild::test_non_finite_exponents_rejected",)),
-    # a non-finite norm exponent accepted
+    # the norm exponent's check dropped
     Mutant("grid_space.py",
-           "if not 1 <= q < np.inf:",
-           "if not 1 <= q:",
+           '    require(q, ">= 1", "q", InvalidExponent)\n',
+           "",
            ("tests/test_grid_space.py::TestLqNorms::test_non_finite_exponent_rejected",)),
     # the DST's sign lost
     Mutant("semigroup.py",
@@ -90,6 +91,39 @@ MUTANTS = (
            "return phi if t == 0.0 else series[0]",
            "return series[0]",
            ("tests/test_semigroup.py::TestSemigroupAxioms::test_identity_at_zero",)),
+    # the range rule without its finiteness clause lets inf through
+    Mutant("errors.py",
+           "        return bool(compare(value, limit) and value <= _MAX)\n"
+           "    return all(compare(v, limit) and v <= _MAX\n",
+           "        return bool(compare(value, limit))\n"
+           "    return all(compare(v, limit)\n",
+           (_DOMAINS + "test_refused_with_the_sites_error",)),
+    # a strict bound met by its limit
+    Mutant("errors.py",
+           '">": operator.gt',
+           '">": operator.ge',
+           (_DOMAINS + "test_refused_with_the_sites_error",)),
+    # the generic engine's stop test below one ulp of the residual
+    Mutant("generic_engine.py",
+           "stop = (dy <= tol) | (a1 <= np.fmax(ulp, x_ulp))",
+           "stop = (dy <= tol) | (a1 <= 0.5 * np.fmax(ulp, x_ulp))",
+           (_SM + "TestResolvent::test_power_newton_stops_within_ulps",)),
+    # the cubic's closed form without its Newton correction
+    Mutant("scalar_monotone.py",
+           "return s * (y - (k * y**3 + y - a) / ((3.0 * k) * y * y + 1.0))",
+           "return s * y",
+           (_SM + "TestResolvent::test_power_newton_stops_within_ulps",
+            _SM + "TestDriftFamily::test_outputs_keep_their_bits")),
+    # a written artifact left under its temp name
+    Mutant("atomic.py",
+           "        os.replace(tmp, dest)\n",
+           "",
+           ("tests/test_artifact_format.py::test_failed_binary_write_leaves_dest",)),
+    # the residual certificate adding the convolution with the wrong sign
+    Mutant("solver.py",
+           "defect = u_traj.values + conv.values",
+           "defect = u_traj.values - conv.values",
+           ("tests/test_solver.py::TestResidual",)),
 )
 
 

@@ -285,6 +285,7 @@ class TestCli:
         ("solve", '{"noise": {"c": true}}', "noise.c: must be a number"),
         ("solve", '{"seeds": {"master": true}}', "seeds.master: must be an integer"),
         ("solve", '{"time": {"T": 1e400}}', "time.T: must be a number"),
+        ("solve", '{"cauchy_tol": 1%s}' % ("0" * 400), "cauchy_tol: must be a number"),
         ("solve", '{"initial": {"kind": "values", "values": [0.0, 1.0]}}',
          "initial: expected 127 values"),
         ("solve", '{"initial": {"kind": "values", "values": ["a", "b"]}}',
