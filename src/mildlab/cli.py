@@ -73,9 +73,9 @@ class _Paths(Sequence):
     i, so only the process that indexes a path (its pool task) holds it.
     """
 
-    def __init__(self, cfg: RunConfig, sg, n: int):
+    def __init__(self, cfg: RunConfig, n: int):
         self._seeds = path_seeds(cfg.master_seed, n)
-        self._args = (sg, cfg.build_noise_spec(), cfg.T, cfg.delta)
+        self._args = (cfg.build_semigroup(), cfg.spec, cfg.T, cfg.delta)
 
     def __len__(self) -> int:
         return len(self._seeds)
@@ -84,12 +84,12 @@ class _Paths(Sequence):
         return sample_path(*self._args, int(self._seeds[i]))
 
 
-def _map_paths(cfg: RunConfig, sg, job, workers: int) -> list:
+def _map_paths(cfg: RunConfig, job, workers: int) -> list:
     """job(i, path i) for each configured path on the pool; results in path order.
 
     A task samples its own path, so only job's result crosses a process.
     """
-    paths = _Paths(cfg, sg, cfg.n_paths)
+    paths = _Paths(cfg, cfg.n_paths)
     return map_ordered(lambda i: job(i, paths[i]), range(len(paths)), workers)
 
 
@@ -98,7 +98,7 @@ def _cmd_sample_noise(args, cfg: RunConfig, out: Path, workers: int) -> int:
         export_series_csv(path.fields, path.times, out / f"noise_path{i}.csv")
         export_noise_sidecar(path, out / f"noise_path{i}.json")
 
-    _map_paths(cfg, cfg.build_semigroup(), export, workers)
+    _map_paths(cfg, export, workers)
     _write_manifest(cfg, out, "sample-noise",
                     [f"noise_path{i}{ext}" for i in range(cfg.n_paths)
                      for ext in (".csv", ".json")])
@@ -106,20 +106,17 @@ def _cmd_sample_noise(args, cfg: RunConfig, out: Path, workers: int) -> int:
 
 
 def _cmd_solve(args, cfg: RunConfig, out: Path, workers: int) -> int:
-    sg = cfg.build_semigroup()
-    graph = cfg.build_graph()
-    u0 = cfg.build_initial(sg.grid)
-    solver_cfg = cfg.solver_config()
+    graph, u0 = cfg.build_graph(), cfg.build_initial(cfg.build_semigroup().grid)
 
     def solve(i: int, path) -> bool:
-        sol = solve_mild(graph, u0, path, solver_cfg)
+        sol = solve_mild(graph, u0, path, cfg.solver)
         with atomic_writer(out / f"solution{i}_u.npy", binary=True) as fh:
             np.lib.format.write_array(fh, sol.u.values, version=(1, 0), allow_pickle=False)
         record = {"seed": path.seed, "drift": cfg.raw["drift"], **sol.certificate()}
         atomic_write_text(out / f"solution{i}.json", json_text(record))
         return sol.converged
 
-    converged = _map_paths(cfg, sg, solve, workers)
+    converged = _map_paths(cfg, solve, workers)
     _write_manifest(cfg, out, "solve",
                     [f"solution{i}{ext}" for i in range(cfg.n_paths)
                      for ext in ("_u.npy", ".json")])
@@ -139,15 +136,13 @@ def _default_forcing(sg):
 
 def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     params = cfg.studies[name]
-    sg = cfg.build_semigroup()
-    graph = cfg.build_graph()
+    sg, graph, solver = cfg.build_semigroup(), cfg.build_graph(), cfg.solver
     u0 = cfg.build_initial(sg.grid)
-    solver_cfg = cfg.solver_config()
-    paths = _Paths(cfg, sg, params.get("n_paths", 1))  # samples nothing yet
+    paths = _Paths(cfg, params.get("n_paths", 1))  # samples nothing yet
     if name == "cauchy":
-        return cauchy_rate_study(graph, params["q"], paths, solver_cfg, u0, workers=workers)
+        return cauchy_rate_study(graph, params["q"], paths, solver, u0, workers=workers)
     if name == "l1":
-        return l1_convergence_study(graph, paths, solver_cfg, u0, workers=workers)
+        return l1_convergence_study(graph, paths, solver, u0, workers=workers)
     if name == "chain_rule":
         return chain_rule_study(params["q"], sg, _default_forcing(sg), u0,
                                 T=cfg.T, deltas=tuple(params["deltas"]))
@@ -156,17 +151,16 @@ def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
     if name == "eiconv":
         return eiconv_demo(n_max=params["n_max"])
     if name == "moment":
-        return moment_study(graph, params["q"], cfg.p, paths, solver_cfg, u0,
-                            workers=workers)
+        return moment_study(graph, params["q"], cfg.p, paths, solver, u0, workers=workers)
     if name == "propagation":
-        return propagation_study(graph, cfg.q, cfg.r, cfg.d, paths, solver_cfg, u0,
+        return propagation_study(graph, solver.q, solver.r, cfg.d, paths, solver, u0,
                                  frozen_constant=params["frozen_constant"],
                                  workers=workers)
     if name == "contraction_extension":
-        return contraction_extension_study(graph, cfg.q, paths[0], solver_cfg, workers=workers)
+        return contraction_extension_study(graph, solver.q, paths[0], solver, workers=workers)
     if name == "apriori":
         return apriori_constants_study(graph, tuple(params["qs_linear"]),
-                                       tuple(params["qs_square"]), paths, solver_cfg, u0,
+                                       tuple(params["qs_square"]), paths, solver, u0,
                                        workers=workers)
 
 
@@ -189,7 +183,8 @@ def _cmd_study(args, cfg: RunConfig, out: Path, workers: int) -> int:
 
 
 def _cmd_check_invariants(args, cfg: RunConfig, out: Path, workers: int) -> int:
-    checks = run_invariant_battery(M=cfg.M, nu=cfg.nu, seed=cfg.master_seed)
+    sg = cfg.build_semigroup()
+    checks = run_invariant_battery(M=sg.grid.M, nu=sg.nu, seed=cfg.master_seed)
     payload = {"checks": [{**asdict(c), "passed": c.passed} for c in checks],
                "all_passed": all(c.passed for c in checks)}
     atomic_write_text(out / "invariants" / "report.json", json_text(payload))

@@ -26,9 +26,11 @@ absent drift, noise or initial section takes the whole section shown above;
 a given one takes per-key defaults instead (noise c = gamma = 1, initial
 amplitude = 1), and noise weights exclude c and gamma.  The drift graph and
 the initial datum are built once, while parsing; whatever building raises
-(say, a malformed branch expression) is a violation.  A study subcommand
-refuses to run unless its section is present under "studies".  The number
-of worker processes is the CLI's --workers, not a config key.
+(say, a malformed branch expression) is a violation.  The semigroup, the
+noise spec and the solver config are built once the config is valid.  A
+study subcommand refuses to run unless its section is present under
+"studies".  The number of worker processes is the CLI's --workers, not a
+config key.
 """
 
 from __future__ import annotations
@@ -257,53 +259,37 @@ def _from_kind(table: dict, where: str, spec: dict, problems: list, *args):
 class RunConfig:
     """Validated run parameters; `raw` is the canonical merged mapping.
 
-    Made by parse_config, which also builds the graph and the initial datum
-    (_graph, _u0, which replace() carries over) that build_graph() and
-    build_initial() return.  `studies` holds each present study's
-    parameters, defaults filled in.
+    Made by parse_config, which builds each object the config describes once:
+    the noise `spec`, the `solver` config, and the semigroup, graph and
+    initial datum (_sg, _graph, _u0, which replace() carries over) that
+    build_semigroup(), build_graph() and build_initial() return.  `studies`
+    holds each present study's parameters, defaults filled in.
     """
 
-    M: int
-    nu: float
     T: float
     delta: float
-    noise: dict
-    q: float
-    r: float
     p: float
     d: float
-    lambda_schedule: tuple[float, ...]
-    cauchy_tol: float
     master_seed: int
     n_paths: int
     output_dir: str
-    studies: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
-    _graph: Optional[MonotoneGraph] = field(default=None, repr=False, compare=False)
-    _u0: Optional[GridFunction] = field(default=None, repr=False, compare=False)
-
-    def build_grid(self) -> Grid:
-        return Grid(self.M)
+    spec: DiffusionSpec
+    solver: SolverConfig
+    studies: dict
+    raw: dict
+    _sg: HeatSemigroup = field(repr=False, compare=False)
+    _graph: MonotoneGraph = field(repr=False, compare=False)
+    _u0: GridFunction = field(repr=False, compare=False)
 
     def build_semigroup(self) -> HeatSemigroup:
-        return HeatSemigroup(self.build_grid(), self.nu)
+        return self._sg
 
     def build_graph(self) -> MonotoneGraph:
         return self._graph
 
-    def build_noise_spec(self) -> DiffusionSpec:
-        return DiffusionSpec.from_dict(self.noise)
-
     def build_initial(self, grid: Grid) -> GridFunction:
         """The datum on the config's grid; the solver rejects any other `grid`."""
         return self._u0
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            q=self.q, r=self.r,
-            lambda_schedule=self.lambda_schedule,
-            cauchy_tol=self.cauchy_tol,
-        )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -367,12 +353,12 @@ def parse_config(text: str) -> RunConfig:
 
     raw.update({name: top[name] for name in ("grid", "time", "exponents", "seeds")})
     return RunConfig(
-        M=M, nu=grid["nu"], T=T, delta=delta,
-        noise=raw["noise"],
-        q=exponents["q"], r=exponents["r"], p=exponents["p"], d=exponents["d"],
-        lambda_schedule=tuple(schedule),
-        cauchy_tol=top["cauchy_tol"],
+        T=T, delta=delta, p=exponents["p"], d=exponents["d"],
         master_seed=top["seeds"]["master"], n_paths=top["seeds"]["n_paths"],
         output_dir=top["output_dir"],
-        studies=studies, raw=raw, _graph=graph, _u0=u0,
+        spec=DiffusionSpec.from_dict(raw["noise"]),
+        solver=SolverConfig(q=exponents["q"], r=exponents["r"], lambda_schedule=schedule,
+                            cauchy_tol=top["cauchy_tol"]),
+        studies=studies, raw=raw,
+        _sg=HeatSemigroup(u0.grid, grid["nu"]), _graph=graph, _u0=u0,
     )

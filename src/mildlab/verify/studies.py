@@ -325,6 +325,7 @@ def bernoulli_study(n_samples: int = 1000, seed: int = 0) -> StudyReport:
     nonnegative step functions and asserts the linear bound, plus the exact
     closed form y = y0 + c t / 2 for constant g.
     """
+    require(n_samples, ">= 1", "n_samples of the bernoulli study", StudyPrecondition)
     rng = np.random.default_rng(seed)
     n_steps = BERNOULLI_STEPS
     delta = BERNOULLI_T / n_steps
@@ -368,6 +369,7 @@ def eiconv_demo(n_max: int = 1024) -> StudyReport:
     decays like n^(-1/2), against the non-equiintegrable spike family
     f_n = n 1_[0,1/n] it stays exactly 1.
     """
+    require(n_max, ">= 1", "n_max of the eiconv demo", StudyPrecondition)
     ns = [2**j for j in range(int(np.log2(n_max)) + 1)]
     cells = EICONV_CELLS
     mid = (np.arange(cells) + 0.5) / cells

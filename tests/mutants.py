@@ -124,6 +124,37 @@ MUTANTS = (
            "defect = u_traj.values + conv.values",
            "defect = u_traj.values - conv.values",
            ("tests/test_solver.py::TestResidual",)),
+    # the moment study never finding two levels' estimates apart
+    Mutant("verify/studies.py",
+           "stable = False",
+           "pass",
+           ("tests/test_verify.py::TestMoment::test_lambda_dependent_estimates_are_unstable",)),
+    # a graph that falls across a breakpoint while each branch rises
+    Mutant("scalar_monotone.py",
+           '        if drops.size:\n'
+           '            raise ValueError(f"graph {self.name!r} decreases across {drops[0]}")\n',
+           "",
+           (_SM + "TestGraphConstruction::test_drop_at_a_breakpoint_rejected",)),
+    # a count below 1 taken: bernoulli_study(0) passes having checked nothing
+    Mutant("verify/studies.py",
+           'require(n_samples, ">= 1", "n_samples of the bernoulli study", StudyPrecondition)',
+           "pass",
+           (_DOMAINS + "test_an_integer_count_below_one_is_refused",)),
+    Mutant("verify/studies.py",
+           'require(n_max, ">= 1", "n_max of the eiconv demo", StudyPrecondition)',
+           "pass",
+           (_DOMAINS + "test_an_integer_count_below_one_is_refused",)),
+    # a JSON array read as an empty config
+    Mutant("config.py",
+           "    if not isinstance(data, dict):\n"
+           '        raise ParseError("top level must be a JSON object")\n',
+           "",
+           ("tests/test_config_cli.py::TestParseConfig::test_non_object_rejected",)),
+    # check-invariants exiting 1 without naming the failed check
+    Mutant("cli.py",
+           'print(f"FAIL {c.name}: violation {c.violation:.3e} > {c.tolerance:.3e}")',
+           "pass",
+           ("tests/test_config_cli.py::TestCli::test_failed_invariant_printed_and_exit_one",)),
 )
 
 

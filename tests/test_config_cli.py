@@ -58,12 +58,13 @@ def assert_u_npy_header(path, shape):
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config("{}")
-        assert cfg.M == 127
-        assert cfg.nu == 1.0
+        sg = cfg.build_semigroup()
+        assert sg.grid.M == 127
+        assert sg.nu == 1.0
         assert cfg.T == 1.0
         assert cfg.delta == 2.0**-10
-        assert cfg.lambda_schedule[0] == 0.25
-        assert len(cfg.lambda_schedule) == 7
+        assert cfg.solver.lambda_schedule[0] == 0.25
+        assert len(cfg.solver.lambda_schedule) == 7
 
     def test_q_constraint_echoed(self):
         with pytest.raises(ValidationError) as err:
@@ -111,6 +112,16 @@ class TestParseConfig:
     def test_unknown_study_rejected(self):
         with pytest.raises(ValidationError, match="unknown study"):
             parse_config(json.dumps({"studies": {"nope": {}}}))
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("[]", ParseError, "^top level must be a JSON object$"),
+        ('"grid"', ParseError, "^top level must be a JSON object$"),
+        ('{"studies": {"cauchy": []}}', ValidationError, r"^studies\.cauchy: must be an object$"),
+        ('{"studies": {"moment": 3}}', ValidationError, r"^studies\.moment: must be an object$"),
+    ])
+    def test_non_object_rejected(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_config(text)
 
     def test_study_unknown_key_rejected(self):
         with pytest.raises(ValidationError) as err:
@@ -173,7 +184,7 @@ class TestParseConfig:
             parse_config(json.dumps({"grid": {"M": 3}, "noise": noise}))
         assert err.value.violations == [f"noise: {named} would take no effect beside weights"]
         cfg = parse_config(json.dumps({"grid": {"M": 3}, "noise": {"weights": [1, 1, 1]}}))
-        assert cfg.build_noise_spec().weights == (1.0, 1.0, 1.0)
+        assert cfg.spec.weights == (1.0, 1.0, 1.0)
 
     def test_builders(self):
         cfg = parse_config(json.dumps(SMALL_CONFIG))
@@ -184,16 +195,38 @@ class TestParseConfig:
         assert cfg.build_graph() is graph
         u0 = cfg.build_initial(sgp.grid)
         assert u0.values.shape == (21,)
-        assert cfg.build_initial(cfg.build_grid()) is u0
-        solver_cfg = cfg.solver_config()
-        assert solver_cfg.lambda_schedule == (0.25, 0.125, 0.0625)
+        assert cfg.build_initial(sgp.grid) is u0
+        assert cfg.solver.lambda_schedule == (0.25, 0.125, 0.0625)
+
+    def test_semigroup_spec_and_solver_built_once(self, tmp_path, monkeypatch):
+        # parse_config builds each once; a solve through main builds only those of
+        # its own parse, since the commands and the sampler read the config's objects
+        from mildlab.noise import DiffusionSpec
+        from mildlab.semigroup import HeatSemigroup
+        from mildlab.solver import SolverConfig
+
+        built = []
+        for cls, hook in [(HeatSemigroup, "__init__"), (DiffusionSpec, "__post_init__"),
+                          (SolverConfig, "__post_init__")]:
+            def counted(self, *args, _original=getattr(cls, hook), _name=cls.__name__):
+                built.append(_name)
+                _original(self, *args)
+            monkeypatch.setattr(cls, hook, counted)
+        parse_config(json.dumps(SMALL_CONFIG))
+        assert sorted(built) == ["DiffusionSpec", "HeatSemigroup", "SolverConfig"]
+        built.clear()
+        assert main(["solve", str(write_config(tmp_path)), "--workers", "1",
+                     "--output-root", str(tmp_path)]) in (0, 2)
+        assert sorted(built) == ["DiffusionSpec", "HeatSemigroup", "SolverConfig"]
 
     def test_replaced_config_builds_the_same_graph_and_datum(self):
         cfg = parse_config("{}")
         again = dataclasses.replace(cfg, n_paths=2)
         assert again.n_paths == 2
         assert again.build_graph() is cfg.build_graph()
-        assert again.build_initial(again.build_grid()) is cfg.build_initial(cfg.build_grid())
+        assert again.build_semigroup() is cfg.build_semigroup()
+        grid = cfg.build_semigroup().grid
+        assert again.build_initial(grid) is cfg.build_initial(grid)
 
     def test_initial_kinds(self):
         for kind, extra in [("zero", {}), ("sine", {"amplitude": 2.0}),
@@ -201,7 +234,7 @@ class TestParseConfig:
                             ("values", {"values": [0.0] * 21})]:
             cfg = parse_config(json.dumps({**SMALL_CONFIG,
                                            "initial": {"kind": kind, **extra}}))
-            u0 = cfg.build_initial(cfg.build_grid())
+            u0 = cfg.build_initial(cfg.build_semigroup().grid)
             assert np.all(np.isfinite(u0.values))
 
     def test_drift_from_declarative_spec(self):
@@ -248,6 +281,28 @@ class TestCli:
         assert self.run_cli("check-invariants", str(cfg)) == 0
         report = json.loads((tmp_path / "run" / "invariants" / "report.json").read_text())
         assert report["all_passed"] is True
+
+    def test_failed_invariant_printed_and_exit_one(self, tmp_path, capsys, monkeypatch):
+        import mildlab.cli
+        from mildlab.verify.invariants import InvariantCheck
+
+        checks = [InvariantCheck("held", 0.0, 1e-12), InvariantCheck("broken", 2.5, 1e-3)]
+        monkeypatch.setattr(mildlab.cli, "run_invariant_battery", lambda **kwargs: checks)
+        cfg = write_config(tmp_path)
+        assert main(["check-invariants", str(cfg), "--output-root", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL broken: violation 2.500e+00 > 1.000e-03", "invariants: 1/2 passed"]
+        report = json.loads((tmp_path / "run" / "invariants" / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert [c["passed"] for c in report["checks"]] == [True, False]
+
+    def test_unwritable_output_root_exits_one(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the output root would be a directory")
+        cfg = write_config(tmp_path)
+        assert main(["sample-noise", str(cfg), "--workers", "1",
+                     "--output-root", str(blocker)]) == 1
+        assert re.match(r"^I/O error: \[Errno \d+\] ", capsys.readouterr().err)
 
     def test_study_requires_config_section(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
@@ -468,9 +523,8 @@ class TestCli:
         for i, seed in enumerate(path_seeds(cfg.master_seed, cfg.n_paths)):
             record = json.loads((tmp_path / "run" / f"solution{i}.json").read_text())
             assert set(record) == {"seed", "drift"} | certified
-            path = sample_path(sg, cfg.build_noise_spec(), cfg.T, cfg.delta, int(seed))
-            sol = solve_mild(cfg.build_graph(), cfg.build_initial(sg.grid), path,
-                             cfg.solver_config())
+            path = sample_path(sg, cfg.spec, cfg.T, cfg.delta, int(seed))
+            sol = solve_mild(cfg.build_graph(), cfg.build_initial(sg.grid), path, cfg.solver)
             assert record == {"seed": int(seed), "drift": cfg.raw["drift"],
                               **{name: getattr(sol, name) for name in certified}}
 
@@ -523,14 +577,15 @@ class TestCli:
         cfg = parse_config(cfg_file.read_text())
         config = json.loads((run / "manifest.json").read_text())["config"]
         graph = parse_config(json.dumps(config)).build_graph()
-        sg, u0 = cfg.build_semigroup(), cfg.build_initial(cfg.build_grid())
+        sg = cfg.build_semigroup()
+        u0 = cfg.build_initial(sg.grid)
         for i, seed in enumerate(path_seeds(cfg.master_seed, cfg.n_paths)):
             lam = json.loads((run / f"solution{i}.json").read_text())["final_lambda"]
-            path = sample_path(sg, cfg.build_noise_spec(), cfg.T, cfg.delta, int(seed))
+            path = sample_path(sg, cfg.spec, cfg.T, cfg.delta, int(seed))
             assert_u_npy_header(run / f"solution{i}_u.npy", (path.n_steps + 1, config["grid"]["M"]))
             u = np.load(run / f"solution{i}_u.npy", allow_pickle=False)
             g = yosida_array(graph, lam, u)
-            sol = solve_mild(cfg.build_graph(), u0, path, cfg.solver_config())
+            sol = solve_mild(cfg.build_graph(), u0, path, cfg.solver)
             assert g.tobytes() == sol.g.values.tobytes()
             export_series_csv(sol.u, path.times, tmp_path / "u.csv")
             rows = np.loadtxt(tmp_path / "u.csv", delimiter=",", skiprows=1)
@@ -719,10 +774,10 @@ class TestCli:
         calls = []
         monkeypatch.setattr(mildlab.cli, "sample_path",
                             lambda *args: calls.append(args[-1]) or sample_path(*args))
-        paths = mildlab.cli._Paths(cfg, sg, 3)
+        paths = mildlab.cli._Paths(cfg, 3)
         assert len(paths) == 3 and calls == []
         seeds = [int(s) for s in path_seeds(cfg.master_seed, 3)]
-        spec = cfg.build_noise_spec()
+        spec = cfg.spec
         for i, seed in enumerate(seeds):
             want = sample_path(sg, spec, cfg.T, cfg.delta, seed)
             assert paths[i].mode_values.tobytes() == want.mode_values.tobytes()
@@ -733,7 +788,7 @@ class TestCli:
         assert [p.seed for p in eager] == seeds
 
         args = (cfg.build_graph(), cfg.studies["cauchy"]["q"])
-        rest = (cfg.solver_config(), cfg.build_initial(sg.grid))
+        rest = (cfg.solver, cfg.build_initial(sg.grid))
         cauchy_rate_study(*args, paths, *rest).save(tmp_path / "lazy")
         cauchy_rate_study(*args, eager, *rest).save(tmp_path / "list")
         for name in ("report.json", "series.csv"):

@@ -29,7 +29,8 @@ from mildlab.scalar_monotone import (linear_graph, piecewise_graph, power_graph,
 from mildlab.semigroup import HeatSemigroup, apply_resolvent, convolve_series
 from mildlab.solver import (SolverConfig, inclusion_check, qstar,
                             regularized_chunks)
-from mildlab.verify.studies import chain_rule_study, cauchy_rate_study
+from mildlab.verify.studies import (bernoulli_study, chain_rule_study, cauchy_rate_study,
+                                    eiconv_demo)
 
 
 @functools.cache
@@ -116,7 +117,13 @@ DOMAINS = (
     Domain("chain_rule_study", "q of the chain rule study", "> 1", StudyPrecondition,
            lambda w, v: chain_rule_study(v, w.sg, lambda t: np.zeros((t.size, w.grid.M)),
                                          w.phi, T=0.125, deltas=(2.0**-5, 2.0**-6))),
+    Domain("bernoulli_study", "n_samples of the bernoulli study", ">= 1", StudyPrecondition,
+           lambda w, v: bernoulli_study(v)),
+    Domain("eiconv_demo", "n_max of the eiconv demo", ">= 1", StudyPrecondition,
+           lambda w, v: eiconv_demo(v)),
 )
+# rows whose argument is a count: the accepted value is the integer bound
+COUNTS = ("Grid", "bernoulli_study", "eiconv_demo")
 IDS = [d.site for d in DOMAINS]
 
 
@@ -156,8 +163,8 @@ def test_message_names_the_argument_and_its_bound(domain):
 @pytest.mark.parametrize("domain", DOMAINS, ids=IDS)
 def test_the_bound_itself_or_just_past_it_is_accepted(domain):
     value = inside(domain.bound)
-    if domain.site == "Grid":
-        value = 2
+    if domain.site in COUNTS:
+        value = int(value)
     domain.call(world(), value)
 
 
@@ -183,3 +190,13 @@ class TestRule:
             errors.require(np.inf, ">= 1", "q", InvalidExponent)
         with pytest.raises(ValueError, match="^tol must be > 0$"):
             errors.require([1.0, 0.0], "> 0", "tol")
+
+
+@pytest.mark.parametrize("site, n", [("bernoulli_study", 0), ("bernoulli_study", -3),
+                                     ("eiconv_demo", 0)])
+def test_an_integer_count_below_one_is_refused(site, n):
+    # unchecked, bernoulli_study(0) would pass having checked no sample and
+    # eiconv_demo(0) would overflow; the rows above reach the bound with floats only
+    domain = next(d for d in DOMAINS if d.site == site)
+    with pytest.raises(StudyPrecondition, match=f"^{re.escape(domain.name)} must be >= 1$"):
+        domain.call(world(), n)

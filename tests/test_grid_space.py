@@ -298,6 +298,11 @@ class TestFieldSeries:
         assert series.sup_norm(2.0) == pytest.approx(max(
             lq_norm(series[i], 2.0) for i in range(5)))
 
+    @pytest.mark.parametrize("shape", [(0,), (7,), (3, 6), (2, 3, 7)])
+    def test_values_must_be_times_by_nodes(self, shape):
+        with pytest.raises(ValueError, match=r"^series must have shape \(n_times, M\)$"):
+            FieldSeries(Grid(7), np.zeros(shape))
+
     def test_subtraction(self, grid, rng):
         a = FieldSeries(grid, rng.standard_normal((3, grid.M)))
         b = FieldSeries(grid, rng.standard_normal((3, grid.M)))

@@ -720,6 +720,28 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="nondecreasing"):
             piecewise_graph("bad", [], [lambda x: -x], 1.0, 1.0)
 
+    @pytest.mark.parametrize("breakpoints, n_branches, message", [
+        ([0.0], 1, "^need exactly one more branch than breakpoints$"),
+        ([1.0, 0.0], 3, "^breakpoints must be strictly increasing$"),
+        ([0.0, 0.0], 3, "^breakpoints must be strictly increasing$"),
+    ])
+    def test_malformed_breakpoints_rejected(self, breakpoints, n_branches, message):
+        with pytest.raises(ValueError, match=message):
+            piecewise_graph("bad", breakpoints, [lambda x: x] * n_branches, 1.0, 1.0)
+
+    def test_drop_at_a_breakpoint_rejected(self):
+        # each branch rises and the right limits rise across the probes, so
+        # only the breakpoint's two limits show f falling from 10 to 5
+        with pytest.raises(ValueError, match="^graph 'steep' decreases across 0.0$"):
+            piecewise_graph("steep", [0.0], [lambda x: 100 * x + 10, lambda x: x + 5],
+                            1.0, 1000.0)
+
+    def test_zero_outside_a_graph_declared_through_it_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^graph 'lifted' declared 0 in f\(0\) but it is not$"):
+            piecewise_graph("lifted", [], [lambda x: x + 1.0], 1.0, 2.0)
+        piecewise_graph("lifted", [], [lambda x: x + 1.0], 1.0, 2.0, zero_in_graph=False)
+
     def test_downward_jump_rejected(self):
         with pytest.raises(ValueError):
             piecewise_graph(

@@ -9,8 +9,8 @@ import pytest
 from mildlab.errors import StudyPrecondition
 from mildlab.grid_space import Grid, GridFunction
 from mildlab.noise import DiffusionSpec, path_seeds, sample_path
-from mildlab.scalar_monotone import (compile_branch, piecewise_graph, power_graph,
-                                     primitive_array, sign_graph, zero_graph)
+from mildlab.scalar_monotone import (compile_branch, linear_graph, piecewise_graph,
+                                     power_graph, primitive_array, sign_graph, zero_graph)
 from mildlab.semigroup import HeatSemigroup
 from mildlab.solver import SolverConfig
 from mildlab.verify import (StudyReport, apriori_constants_study,
@@ -234,6 +234,21 @@ class TestMoment:
         rep = moment_study(power_graph(3.0), 2.0, 2.0, paths, config, u0)
         assert rep.verdict == "pass"
         assert len(rep.series["estimates"]) == 4
+
+    def test_lambda_dependent_estimates_are_unstable(self, small):
+        # from a zero datum a steep linear drift's Yosida levels, about x / lam,
+        # damp u by factors many standard errors apart
+        grid, sg, _, _, _ = small
+        spec = DiffusionSpec(c=1.0, gamma=2.0)
+        paths = [sample_path(sg, spec, 0.25, 2.0**-7, int(s)) for s in path_seeds(79, 100)]
+        config = SolverConfig(lambda_schedule=SCHEDULE[:3])
+        zero = GridFunction(grid, np.zeros(grid.M))
+        rep = moment_study(linear_graph(1e3), 2.0, 2.0, paths, config, zero)
+        assert rep.checks == {"lambda_variation_within_3se": False,
+                              "bounded_by_apriori_constant": True}
+        assert rep.verdict == "fail"
+        ests, ses = rep.series["estimates"], rep.series["standard_errors"]
+        assert ests[0] - ests[-1] > 3.0 * np.hypot(ses[0], ses[-1])
 
     def test_degenerate_drift_exactly_lambda_free(self, small):
         grid, sg, _, u0, _ = small
