@@ -46,6 +46,7 @@ from .verify import (apriori_constants_study, bernoulli_study,
                      l1_convergence_study, moment_study, propagation_study,
                      run_invariant_battery)
 from .verify.report import StudyReport, config_digest, map_ordered
+from .verify.studies import MOMENT_PATHS
 
 EXIT_PASS, EXIT_ERROR, EXIT_INCONCLUSIVE = 0, 1, 2
 
@@ -135,23 +136,23 @@ def _default_forcing(sg):
 
 
 def _run_study(name: str, cfg: RunConfig, workers: int) -> StudyReport:
-    params = cfg.studies[name]
+    """The study at the run's own q, delta and paths (each sampled when indexed)."""
     sg, graph, solver = cfg.build_semigroup(), cfg.build_graph(), cfg.solver
-    u0 = cfg.build_initial(sg.grid)
-    paths = _Paths(cfg, params.get("n_paths", 1))  # samples nothing yet
+    u0, params = cfg.build_initial(sg.grid), cfg.studies[name]
+    paths = _Paths(cfg, max(cfg.n_paths, MOMENT_PATHS) if name == "moment" else cfg.n_paths)
     if name == "cauchy":
-        return cauchy_rate_study(graph, params["q"], paths, solver, u0, workers=workers)
+        return cauchy_rate_study(graph, solver.q, paths, solver, u0, workers=workers)
     if name == "l1":
         return l1_convergence_study(graph, paths, solver, u0, workers=workers)
     if name == "chain_rule":
-        return chain_rule_study(params["q"], sg, _default_forcing(sg), u0,
-                                T=cfg.T, deltas=tuple(params["deltas"]))
+        return chain_rule_study(solver.q, sg, _default_forcing(sg), u0,
+                                T=cfg.T, deltas=(2.0 * cfg.delta, cfg.delta))
     if name == "bernoulli":
-        return bernoulli_study(n_samples=params["n_samples"], seed=cfg.master_seed)
+        return bernoulli_study(seed=cfg.master_seed)
     if name == "eiconv":
-        return eiconv_demo(n_max=params["n_max"])
+        return eiconv_demo()
     if name == "moment":
-        return moment_study(graph, params["q"], cfg.p, paths, solver, u0, workers=workers)
+        return moment_study(graph, solver.q, cfg.p, paths, solver, u0, workers=workers)
     if name == "propagation":
         return propagation_study(graph, solver.q, solver.r, cfg.d, paths, solver, u0,
                                  frozen_constant=params["frozen_constant"],

@@ -29,8 +29,9 @@ the initial datum are built once, while parsing; whatever building raises
 (say, a malformed branch expression) is a violation.  The semigroup, the
 noise spec and the solver config are built once the config is valid.  A
 study subcommand refuses to run unless its section is present under
-"studies".  The number of worker processes is the CLI's --workers, not a
-config key.
+"studies"; a section holds only what the run chooses (STUDY_KEYS), and a
+study takes q, the paths and delta from the run itself.  The number of
+worker processes is the CLI's --workers, not a config key.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import copy
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -78,15 +78,9 @@ _TYPES = {
 }
 
 
-def _inherit(section: str, key: str, derive=lambda v: v):
-    """A default taken from a checked top-level key (None while that key is invalid)."""
-    return lambda top: None if top[section][key] is None else derive(top[section][key])
-
-
 # A rule is (default, type, range).  The range bounds the value, or each entry
 # of a list, as "<op> <limit>" (errors.within).  A default of None leaves the
-# key unset, a REQUIRED key must be given, and a callable default is computed
-# from the checked top-level sections.
+# key unset, and a REQUIRED key must be given.
 REQUIRED = object()
 _TOP = {
     "grid": ({}, "object", None),
@@ -111,27 +105,18 @@ _SECTIONS = {
     "noise": {"c": (None, "number", ">= 0"), "gamma": (None, "number", ">= 0"),
               "weights": (None, "numbers", ">= 0")},
 }
-_N_PATHS = (_inherit("seeds", "n_paths"), "int", ">= 1")
-_Q_ABOVE_1 = (_inherit("exponents", "q"), "number", "> 1")
-# Each study's name and the rules of the keys its section under "studies" accepts.
+# Each study's name and the rules of the keys its section under "studies"
+# accepts: only what a run chooses.  q, the paths and delta are the run's own.
 STUDY_KEYS = {
-    "cauchy": {"n_paths": _N_PATHS, "q": _Q_ABOVE_1},
-    "l1": {"n_paths": _N_PATHS},
-    "chain_rule": {"q": _Q_ABOVE_1,
-                   "deltas": (_inherit("time", "delta", lambda d: [2.0 * d, d]),
-                              "numbers", "> 0")},
-    "bernoulli": {"n_samples": (1000, "int", ">= 1")},
-    "eiconv": {"n_max": (1024, "int", ">= 1")},
-    "moment": {"n_paths": (_inherit("seeds", "n_paths", lambda n: max(n, 100)), "int", ">= 100"),
-               "q": (_inherit("exponents", "q"), "number", ">= 1")},
-    "propagation": {"n_paths": _N_PATHS, "frozen_constant": (None, "number", None)},
+    "cauchy": {}, "l1": {}, "chain_rule": {}, "bernoulli": {}, "eiconv": {}, "moment": {},
+    "propagation": {"frozen_constant": (None, "number", "> 0")},
     "contraction_extension": {},
-    "apriori": {"n_paths": _N_PATHS, "qs_linear": ([1.5, 2.0, 3.0], "numbers", ">= 1"),
+    "apriori": {"qs_linear": ([1.5, 2.0, 3.0], "numbers", ">= 1"),
                 "qs_square": ([2.0, 4.0], "numbers", ">= 2")},
 }
 
 
-def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[dict] = None) -> dict:
+def _check(body: dict, rules: dict, where: str, problems: list) -> dict:
     """Each key's value under `rules`: the given one, else its default.
 
     Reports unknown keys and every value of the wrong type or out of range;
@@ -150,7 +135,7 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
             problems.append(f"{prefix}{key}: required")
             continue
         else:
-            value = default(top) if callable(default) else copy.deepcopy(default)
+            value = copy.deepcopy(default)
             if value is None:
                 values[key] = None
                 continue
@@ -165,14 +150,6 @@ def _check(body: dict, rules: dict, where: str, problems: list, top: Optional[di
         problems.append(f"{prefix}{key}: must be {noun}{in_range}"
                         + ("" if key in body else f" (its default {value!r})"))
     return values
-
-
-def _divides(delta: float, T: float) -> bool:
-    """Whether a step of `delta` takes at least one step and lands on the horizon T."""
-    try:
-        return time_steps(T, delta) >= 1
-    except InvalidTimeGrid:
-        return False
 
 
 class _KeyFault(ValueError):
@@ -309,8 +286,11 @@ def parse_config(text: str) -> RunConfig:
     grid, time_sec, exponents = top["grid"], top["time"], top["exponents"]
     M, T, delta = grid["M"], time_sec["T"], time_sec["delta"]
 
-    if None not in (T, delta) and not _divides(delta, T):
-        problems.append("time.delta: must divide the horizon T")
+    if None not in (T, delta):
+        try:
+            time_steps(T, delta)  # at least one step, landing on T
+        except InvalidTimeGrid:
+            problems.append("time.delta: must divide the horizon T")
     if None not in (exponents["q"], exponents["r"]) and exponents["r"] > exponents["q"]:
         problems.append("exponents.r: r <= q (a (q,r)-mild solution requires q >= r)")
     weights = top["noise"]["weights"]
@@ -340,11 +320,8 @@ def parse_config(text: str) -> RunConfig:
             problems.append(f"studies.{name}: must be an object")
         else:
             # given values pass through unconverted, so reports record them as written
-            checked = _check(body, STUDY_KEYS[name], f"studies.{name}", problems, top)
+            checked = _check(body, STUDY_KEYS[name], f"studies.{name}", problems)
             studies[name] = {**checked, **body}
-            deltas = checked.get("deltas")   # chain_rule's refinement steps
-            if None not in (deltas, T) and not (deltas and all(_divides(d, T) for d in deltas)):
-                problems.append(f"studies.{name}.deltas: must be nonempty, each dividing T")
             if name == "apriori" and checked["qs_linear"] == checked["qs_square"] == []:
                 problems.append("studies.apriori: qs_linear and qs_square must not both be empty")
 

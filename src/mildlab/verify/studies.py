@@ -63,8 +63,9 @@ SPIKE_MARGIN = 0.1                  # contraction_extension: u0 = x^(-1/(q+margi
 TRUNCATION_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0)  # contraction_extension: caps on that u0
 HEADROOM = 1.05                     # propagation: regression runs may exceed C by this factor
 APRIORI_SLACK = 1e-8                # apriori: numerical slack on both inequalities
-BERNOULLI_STEPS, BERNOULLI_T = 256, 1.0
-EICONV_CELLS = 2**16
+MOMENT_PATHS = 100                  # moment: the smallest ensemble
+BERNOULLI_SAMPLES, BERNOULLI_STEPS, BERNOULLI_T = 1000, 256, 1.0
+EICONV_N_MAX, EICONV_CELLS = 1024, 2**16
 
 
 def expected_rate(q: float) -> float:
@@ -318,25 +319,25 @@ def _extremal_path(y0: float, g: np.ndarray, delta: float) -> np.ndarray:
     return y
 
 
-def bernoulli_study(n_samples: int = 1000, seed: int = 0) -> StudyReport:
+def bernoulli_study(seed: int = 0) -> StudyReport:
     """Integral inequality y^2 <= y0^2 + int g y  =>  y <= y0 + 2 int g.
 
     Builds the extremal trajectory by forward substitution on random
     nonnegative step functions and asserts the linear bound, plus the exact
     closed form y = y0 + c t / 2 for constant g.
     """
-    require(n_samples, ">= 1", "n_samples of the bernoulli study", StudyPrecondition)
     rng = np.random.default_rng(seed)
     n_steps = BERNOULLI_STEPS
     delta = BERNOULLI_T / n_steps
     report = StudyReport(
         study="bernoulli_inequality",
         claim="extremal solution of y^2 = y0^2 + int g*y stays below y0 + 2 int g",
-        inputs={"n_samples": n_samples, "seed": seed, "n_steps": n_steps, "T": BERNOULLI_T},
+        inputs={"n_samples": BERNOULLI_SAMPLES, "seed": seed, "n_steps": n_steps,
+                "T": BERNOULLI_T},
         thresholds={"slack": 1e-8},
     )
     worst = -np.inf
-    for _ in range(n_samples):
+    for _ in range(BERNOULLI_SAMPLES):
         g = rng.uniform(0.0, 2.0, size=n_steps)
         y0 = rng.uniform(0.1, 2.0)
         y = _extremal_path(y0, g, delta)
@@ -362,15 +363,15 @@ def bernoulli_study(n_samples: int = 1000, seed: int = 0) -> StudyReport:
     return report.finalize()
 
 
-def eiconv_demo(n_max: int = 1024) -> StudyReport:
-    """Pairings <f_n, g_n> on [0,1]: equiintegrable family vs spike control.
+def eiconv_demo() -> StudyReport:
+    """Pairings <f_n, g_n> on [0,1] for n = 1, 2, 4, ..., EICONV_N_MAX: equiintegrable
+    family vs spike control.
 
     g_n = 1_[0,1/n] shrinks; against a fixed integrable density the pairing
     decays like n^(-1/2), against the non-equiintegrable spike family
     f_n = n 1_[0,1/n] it stays exactly 1.
     """
-    require(n_max, ">= 1", "n_max of the eiconv demo", StudyPrecondition)
-    ns = [2**j for j in range(int(np.log2(n_max)) + 1)]
+    ns = [2**j for j in range(EICONV_N_MAX.bit_length())]
     cells = EICONV_CELLS
     mid = (np.arange(cells) + 0.5) / cells
     width = 1.0 / cells
@@ -384,7 +385,7 @@ def eiconv_demo(n_max: int = 1024) -> StudyReport:
         study="equiintegrable_pairing_limit",
         claim="pairing against shrinking-support indicators vanishes for an "
         "equiintegrable family and stays ~1 for the concentrating control",
-        inputs={"n_max": n_max, "cells": cells},
+        inputs={"n_max": EICONV_N_MAX, "cells": cells},
         thresholds={"family_relative_tail": 0.1, "control_window": 0.1},
         series={"n": ns, "family_pairing": fam, "control_pairing": control,
                 "zero_pairing": [0.0 for _ in ns]},
@@ -416,8 +417,8 @@ def moment_study(
     (||u0||_q + sup_t ||z||_q + 4 sum delta ||fmax(z)||_q)^p.
     paths[i] is read once, in path i's task; paths is never iterated here.
     """
-    if len(paths) < 100:
-        raise StudyPrecondition("moment study needs at least 100 paths")
+    if len(paths) < MOMENT_PATHS:
+        raise StudyPrecondition(f"moment study needs at least {MOMENT_PATHS} paths")
     grid = u0.grid
     report = StudyReport(
         study="moment_stability",
@@ -488,6 +489,9 @@ def propagation_study(
     a regression test: no path may exceed the frozen C times the headroom.
     paths[i] is read once, in path i's task; paths is never iterated here.
     """
+    if frozen_constant is not None:
+        require(frozen_constant, "> 0", "frozen_constant of the propagation study",
+                StudyPrecondition)
     qs = qstar(q, r, d)
     if qs < q:
         raise StudyPrecondition(f"propagation study needs q* >= q, got q*={qs}")

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 _SM = "tests/test_scalar_monotone.py::"
 _DOMAINS = "tests/test_domains.py::"
+_CLI = "tests/test_config_cli.py::TestCli::"
 # Both limits mutants break the sign graph's build checks, which
 # test_scalar_monotone.py runs at import, so their tests live in a module
 # that builds its graph inside the test.
@@ -135,15 +136,32 @@ MUTANTS = (
            '            raise ValueError(f"graph {self.name!r} decreases across {drops[0]}")\n',
            "",
            (_SM + "TestGraphConstruction::test_drop_at_a_breakpoint_rejected",)),
-    # a count below 1 taken: bernoulli_study(0) passes having checked nothing
+    # q <= 1 taken by the studies, the one place that states their q > 1
     Mutant("verify/studies.py",
-           'require(n_samples, ">= 1", "n_samples of the bernoulli study", StudyPrecondition)',
+           'require(q, "> 1", "q of the cauchy rate study", StudyPrecondition)',
            "pass",
-           (_DOMAINS + "test_an_integer_count_below_one_is_refused",)),
+           (_DOMAINS + "test_message_names_the_argument_and_its_bound",
+            _CLI + "test_study_precondition_exits_one")),
     Mutant("verify/studies.py",
-           'require(n_max, ">= 1", "n_max of the eiconv demo", StudyPrecondition)',
+           'require(q, "> 1", "q of the chain rule study", StudyPrecondition)',
            "pass",
-           (_DOMAINS + "test_an_integer_count_below_one_is_refused",)),
+           (_DOMAINS + "test_message_names_the_argument_and_its_bound",
+            _CLI + "test_study_precondition_exits_one")),
+    # a frozen constant <= 0 run as a regression test that can only fail
+    Mutant("verify/studies.py",
+           '        require(frozen_constant, "> 0", "frozen_constant of the propagation study",\n'
+           '                StudyPrecondition)\n',
+           "        pass\n",
+           (_DOMAINS + "test_refused_with_the_sites_error",)),
+    Mutant("config.py",
+           '"frozen_constant": (None, "number", "> 0")',
+           '"frozen_constant": (None, "number", None)',
+           (_CLI + "test_malformed_config_exits_one",)),
+    # a nan met inside a knot gap's bracket taken as a residual
+    Mutant("generic_engine.py",
+           "                raise _non_finite(table.what, gap[k], y[k], fy[k])\n",
+           "                pass\n",
+           (_SM + "TestResolvent::test_nan_inside_a_knot_gap_names_graph_value_and_gap",)),
     # a JSON array read as an empty config
     Mutant("config.py",
            "    if not isinstance(data, dict):\n"
@@ -154,7 +172,7 @@ MUTANTS = (
     Mutant("cli.py",
            'print(f"FAIL {c.name}: violation {c.violation:.3e} > {c.tolerance:.3e}")',
            "pass",
-           ("tests/test_config_cli.py::TestCli::test_failed_invariant_printed_and_exit_one",)),
+           (_CLI + "test_failed_invariant_printed_and_exit_one",)),
 )
 
 

@@ -331,7 +331,7 @@ def test_criterion_12_l1_study(lab):
 def test_criterion_13_auxiliary_lemmas(lab):
     start = time.time()
     grid, sg = lab
-    bern = bernoulli_study(n_samples=1000, seed=13)
+    bern = bernoulli_study(seed=13)
     assert bern.verdict == "pass"
     assert bern.fitted["worst_margin"] <= 1e-8
 
@@ -343,7 +343,7 @@ def test_criterion_13_auxiliary_lemmas(lab):
     assert chain.verdict == "pass"
     assert chain.checks["one_sided_derivative_inequality"]
 
-    ei = eiconv_demo(n_max=1024)
+    ei = eiconv_demo()
     assert ei.verdict == "pass"
     fam = ei.series["family_pairing"]
     ctl = ei.series["control_pairing"]

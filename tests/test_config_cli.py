@@ -27,7 +27,7 @@ SMALL_CONFIG = {
     "seeds": {"master": 12, "n_paths": 2},
     "lambda_schedule": [0.25, 0.125, 0.0625],
     "output_dir": "run",
-    "studies": {"cauchy": {}, "bernoulli": {"n_samples": 30}},
+    "studies": {"cauchy": {}, "bernoulli": {}},
 }
 
 
@@ -133,13 +133,8 @@ class TestParseConfig:
         ]
 
     @pytest.mark.parametrize("study, key, value", [
-        ("cauchy", "q", "abc"),
-        ("cauchy", "n_paths", 0),
-        ("moment", "n_paths", 2.5),
-        ("bernoulli", "n_samples", True),
-        ("eiconv", "n_max", "64"),
         ("propagation", "frozen_constant", None),
-        ("chain_rule", "deltas", [0.01, "x"]),
+        ("propagation", "frozen_constant", -1.0),
         ("apriori", "qs_linear", 2.0),
         ("apriori", "qs_square", [[2.0]]),
     ])
@@ -151,15 +146,11 @@ class TestParseConfig:
 
     def test_every_study_key_accepted(self):
         studies = {
-            "cauchy": {"n_paths": 2, "q": 1.5},
-            "l1": {"n_paths": 1},
-            "chain_rule": {"q": 2, "deltas": [0.01, 0.005]},
-            "bernoulli": {"n_samples": 10},
-            "eiconv": {"n_max": 64},
-            "moment": {"n_paths": 100, "q": 2.0},
-            "propagation": {"n_paths": 3, "frozen_constant": 1.2},
+            "cauchy": {}, "l1": {}, "chain_rule": {}, "bernoulli": {}, "eiconv": {},
+            "moment": {},
+            "propagation": {"frozen_constant": 1.2},
             "contraction_extension": {},
-            "apriori": {"n_paths": 2, "qs_linear": [1.5, 2], "qs_square": []},
+            "apriori": {"qs_linear": [1.5, 2], "qs_square": []},
         }
         assert parse_config(json.dumps({"studies": studies})).studies == studies
 
@@ -325,7 +316,7 @@ class TestCli:
     @pytest.mark.parametrize("overrides, message", [
         ({"root_tol": 1e-12}, "unknown key 'root_tol'"),
         ({"workers": 2}, "top level: unknown key 'workers'"),
-        ({"studies": {"cauchy": {"q": "abc"}}}, "studies.cauchy.q: must be a number"),
+        ({"studies": {"cauchy": {"q": "abc"}}}, "studies.cauchy: unknown key 'q'"),
     ])
     def test_rejected_keys_exit_one(self, tmp_path, capsys, monkeypatch, overrides, message):
         monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
@@ -367,22 +358,8 @@ class TestCli:
          "drift: branch expression may not hold a lambda or a comprehension"),
         ("solve", '{"initial": {"kind": "sine", "amplitud": 3}}',
          "initial: unknown key 'amplitud'"),
-        ("study cauchy", '{"studies": {"cauchy": {"q": 1.0}}}',
-         "studies.cauchy.q: must be a number, q > 1"),
-        ("study cauchy", '{"exponents": {"q": 1.0, "r": 1.0}, "studies": {"cauchy": {}}}',
-         "studies.cauchy.q: must be a number, q > 1 (its default 1.0)"),
-        ("study chain_rule", '{"studies": {"chain_rule": {"q": 1}}}',
-         "studies.chain_rule.q: must be a number, q > 1"),
-        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": [0.01, 0]}}}',
-         "studies.chain_rule.deltas: must be a list of numbers, each > 0"),
-        ("study moment", '{"studies": {"moment": {"n_paths": 5}}}',
-         "studies.moment.n_paths: must be an integer, n_paths >= 100"),
-        ("study moment", '{"studies": {"moment": {"q": 0.5}}}',
-         "studies.moment.q: must be a number, q >= 1"),
-        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": []}}}',
-         "studies.chain_rule.deltas: must be nonempty, each dividing T"),
-        ("study chain_rule", '{"studies": {"chain_rule": {"deltas": [4.0]}}}',
-         "studies.chain_rule.deltas: must be nonempty, each dividing T"),
+        ("study propagation", '{"studies": {"propagation": {"frozen_constant": 0}}}',
+         "studies.propagation.frozen_constant: must be a number, frozen_constant > 0"),
         ("study apriori", '{"studies": {"apriori": {"qs_linear": [0.5]}}}',
          "studies.apriori.qs_linear: must be a list of numbers, each >= 1"),
         ("study apriori", '{"studies": {"apriori": {"qs_square": [1.0]}}}',
@@ -409,6 +386,14 @@ class TestCli:
          "error: cauchy rate study needs at least 3 lambda levels"),
         ({"drift": {"kind": "sign"}, "lambda_schedule": [0.25], "studies": {"l1": {}}},
          "error: the L^1 study needs at least 2 lambda levels"),
+        # q > 1 and 2 delta dividing T are the studies' own rules, stated once
+        ({"exponents": {"q": 1.0, "r": 1.0}, "studies": {"cauchy": {}}},
+         "error: q of the cauchy rate study must be > 1"),
+        ({"exponents": {"q": 1.0, "r": 1.0}, "studies": {"chain_rule": {}}},
+         "error: q of the chain rule study must be > 1"),
+        ({"time": {"T": 3 * 2.0**-8, "delta": 2.0**-8}, "studies": {"chain_rule": {}}},
+         "error: chain rule study needs at least one step to T: "
+         "delta=0.0078125 does not divide T=0.01171875"),
     ])
     def test_study_precondition_exits_one(self, tmp_path, capsys, monkeypatch,
                                           overrides, message):
@@ -418,6 +403,52 @@ class TestCli:
         assert self.run_cli("study", study, str(cfg)) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("study, key, value", [
+        # each restated the run's own value: exponents.q, seeds.n_paths, [2 delta, delta]
+        ("cauchy", "q", 2.0), ("chain_rule", "q", 2.0), ("moment", "q", 2.0),
+        ("cauchy", "n_paths", 2), ("l1", "n_paths", 2), ("moment", "n_paths", 100),
+        ("propagation", "n_paths", 2), ("apriori", "n_paths", 2),
+        ("chain_rule", "deltas", [2.0**-7, 2.0**-8]),
+        # counts no run changed: BERNOULLI_SAMPLES and EICONV_N_MAX
+        ("bernoulli", "n_samples", 1000), ("eiconv", "n_max", 1024),
+    ])
+    def test_removed_study_key_exits_one(self, tmp_path, capsys, monkeypatch, study, key, value):
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path / "out"))
+        cfg = write_config(tmp_path, {"studies": {study: {key: value}}})
+        assert self.run_cli("study", study, str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid config: studies.{study}: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("study, overrides, inputs", [
+        ("cauchy", {}, {"q": 1.5}),
+        ("l1", {"drift": {"kind": "sign"}}, {}),
+        ("chain_rule", {}, {"q": 1.5, "T": 0.125, "deltas": [2.0**-7, 2.0**-8]}),
+        ("bernoulli", {}, {"n_samples": 1000, "seed": 12}),
+        ("eiconv", {}, {"n_max": 1024}),
+        ("moment", {}, {"q": 1.5, "n_paths": 100}),
+        ("propagation", {}, {"q": 1.5, "r": 1.5, "d": 3.0, "mode": "calibration"}),
+        ("contraction_extension", {}, {"q": 1.5}),
+        ("apriori", {}, {"qs_linear": [1.5, 2.0, 3.0], "qs_square": [2.0, 4.0]}),
+    ])
+    def test_empty_section_runs_at_the_runs_own_values(self, tmp_path, monkeypatch,
+                                                       study, overrides, inputs):
+        # q is exponents.q, the paths are seeds.n_paths (at least 100 for moment),
+        # chain_rule steps at 2 delta and delta, and the counts are the studies' own
+        from mildlab.noise import path_seeds
+
+        monkeypatch.setenv("MILDLAB_OUTPUT_ROOT", str(tmp_path))
+        cfg = write_config(tmp_path, {"exponents": {"q": 1.5, "r": 1.5}, **overrides,
+                                      "studies": {study: {}}})
+        assert self.run_cli("study", study, str(cfg), "--workers", "1") in (0, 1, 2)
+        report = json.loads((tmp_path / "run" / study / "report.json").read_text())
+        assert {key: report["inputs"][key] for key in inputs} == inputs
+        seeds = [int(s) for s in path_seeds(12, 100 if study == "moment" else 2)]
+        if study == "contraction_extension":
+            assert report["inputs"]["seed"] == seeds[0]
+        elif study not in ("chain_rule", "bernoulli", "eiconv"):
+            assert report["inputs"]["seeds"] == seeds
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
@@ -702,7 +733,7 @@ class TestCli:
         from mildlab.noise import path_seeds
 
         payload = json.loads(json.dumps(SMALL_CONFIG))
-        payload["studies"] = {"cauchy": {"n_paths": 3}}
+        payload["seeds"]["n_paths"] = 3
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(payload))
         failing = int(path_seeds(12, 3)[1])
@@ -733,7 +764,6 @@ class TestCli:
         payload = json.loads(json.dumps(SMALL_CONFIG))
         payload["grid"]["M"] = 15
         payload["seeds"]["n_paths"] = 3
-        payload["studies"] = {"cauchy": {"n_paths": 3}}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(payload))
         sample_path = mildlab.cli.sample_path
@@ -787,7 +817,7 @@ class TestCli:
         eager = list(paths)  # iteration stops at the end
         assert [p.seed for p in eager] == seeds
 
-        args = (cfg.build_graph(), cfg.studies["cauchy"]["q"])
+        args = (cfg.build_graph(), cfg.solver.q)
         rest = (cfg.solver, cfg.build_initial(sg.grid))
         cauchy_rate_study(*args, paths, *rest).save(tmp_path / "lazy")
         cauchy_rate_study(*args, eager, *rest).save(tmp_path / "list")
@@ -887,14 +917,13 @@ def test_readme_key_tables_match_checker(header, keys):
 def test_rule_defaults_satisfy_their_own_rules():
     # a default that breaks its own type or range would only surface when a
     # config leaves that key out
-    top = {name: config._check({}, rules, name, []) for name, rules in config._SECTIONS.items()}
     tables = {"": config._TOP, **config._SECTIONS,
               **{f"studies.{name}": rules for name, rules in STUDY_KEYS.items()},
               **{f"drift {kind}": rules for kind, (rules, _) in DRIFT_KEYS.items()},
               **{f"initial {kind}": rules for kind, (rules, _) in INITIAL_KEYS.items()}}
     for where, rules in tables.items():
         problems = []
-        config._check({}, rules, where, problems, top)
+        config._check({}, rules, where, problems)
         required = [key for key, (default, _, _) in rules.items() if default is config.REQUIRED]
         assert problems == [f"{where}.{key}: required" for key in required], where
 

@@ -29,8 +29,7 @@ from mildlab.scalar_monotone import (linear_graph, piecewise_graph, power_graph,
 from mildlab.semigroup import HeatSemigroup, apply_resolvent, convolve_series
 from mildlab.solver import (SolverConfig, inclusion_check, qstar,
                             regularized_chunks)
-from mildlab.verify.studies import (bernoulli_study, chain_rule_study, cauchy_rate_study,
-                                    eiconv_demo)
+from mildlab.verify.studies import chain_rule_study, cauchy_rate_study, propagation_study
 
 
 @functools.cache
@@ -117,13 +116,13 @@ DOMAINS = (
     Domain("chain_rule_study", "q of the chain rule study", "> 1", StudyPrecondition,
            lambda w, v: chain_rule_study(v, w.sg, lambda t: np.zeros((t.size, w.grid.M)),
                                          w.phi, T=0.125, deltas=(2.0**-5, 2.0**-6))),
-    Domain("bernoulli_study", "n_samples of the bernoulli study", ">= 1", StudyPrecondition,
-           lambda w, v: bernoulli_study(v)),
-    Domain("eiconv_demo", "n_max of the eiconv demo", ">= 1", StudyPrecondition,
-           lambda w, v: eiconv_demo(v)),
+    Domain("propagation_study", "frozen_constant of the propagation study", "> 0",
+           StudyPrecondition,
+           lambda w, v: propagation_study(linear_graph(), 2.0, 2.0, 1.0, [w.path],
+                                          SolverConfig(), w.phi, frozen_constant=v)),
 )
 # rows whose argument is a count: the accepted value is the integer bound
-COUNTS = ("Grid", "bernoulli_study", "eiconv_demo")
+COUNTS = ("Grid",)
 IDS = [d.site for d in DOMAINS]
 
 
@@ -190,13 +189,3 @@ class TestRule:
             errors.require(np.inf, ">= 1", "q", InvalidExponent)
         with pytest.raises(ValueError, match="^tol must be > 0$"):
             errors.require([1.0, 0.0], "> 0", "tol")
-
-
-@pytest.mark.parametrize("site, n", [("bernoulli_study", 0), ("bernoulli_study", -3),
-                                     ("eiconv_demo", 0)])
-def test_an_integer_count_below_one_is_refused(site, n):
-    # unchecked, bernoulli_study(0) would pass having checked no sample and
-    # eiconv_demo(0) would overflow; the rows above reach the bound with floats only
-    domain = next(d for d in DOMAINS if d.site == site)
-    with pytest.raises(StudyPrecondition, match=f"^{re.escape(domain.name)} must be >= 1$"):
-        domain.call(world(), n)

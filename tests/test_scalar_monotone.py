@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import re
 import tracemalloc
 import weakref
 
@@ -472,6 +473,17 @@ class TestResolvent:
             # bracketed by [8, 8 + (30 - 17)]; its upper end is the first value met
             assert str(err.value) == ("resolvent of 'capped' meets a non-finite branch "
                                       "value f(y) = nan at y = 21.0 on knot gap 1")
+
+    def test_nan_inside_a_knot_gap_names_graph_value_and_gap(self):
+        # finite at every build probe (multiples of 1/16) and every table node
+        # (multiples of 1/64), nan in between: the bracket on the gap is finite
+        # at both ends, and the root solve inside it meets the nan
+        f = piecewise_graph("grated", [], [compile_branch("x + 0*sqrt(cos(128*pi*x))")],
+                            1.0, 1.0)
+        with pytest.raises(NoConvergence) as err:
+            resolvent_array(f, 0.5, np.array([0.15]))
+        assert re.fullmatch(r"resolvent of 'grated' meets a non-finite branch value "
+                            r"f\(y\) = nan at y = 0\.0999\d* on knot gap 1", str(err.value))
 
     def test_root_where_the_branch_is_finite_resolves(self):
         # the brackets of x = 12, 16, 17 reach y = 11, 15, 16, where the branch is

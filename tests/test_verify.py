@@ -197,18 +197,18 @@ class TestChainRule:
 
 class TestBernoulli:
     def test_zero_violations(self):
-        rep = bernoulli_study(n_samples=300, seed=5)
+        rep = bernoulli_study(seed=5)
         assert rep.verdict == "pass"
         assert rep.fitted["worst_margin"] <= 1e-8
         assert rep.checks["constant_g_matches_closed_form"]
 
     def test_deterministic(self):
-        assert bernoulli_study(50, seed=1).to_json() == bernoulli_study(50, seed=1).to_json()
+        assert bernoulli_study(seed=1).to_json() == bernoulli_study(seed=1).to_json()
 
 
 class TestEiconv:
     def test_family_vanishes_control_stays(self):
-        rep = eiconv_demo(n_max=1024)
+        rep = eiconv_demo()
         assert rep.verdict == "pass"
         fam = rep.series["family_pairing"]
         ctl = rep.series["control_pairing"]
@@ -402,7 +402,7 @@ class TestStudiesOnThePool:
 
 class TestReportMachinery:
     def test_save_and_load(self, tmp_path):
-        rep = bernoulli_study(20, seed=3)
+        rep = bernoulli_study(seed=3)
         rep.save(tmp_path / "bern")
         loaded = json.loads((tmp_path / "bern" / "report.json").read_text())
         assert loaded["verdict"] == rep.verdict
@@ -412,7 +412,7 @@ class TestReportMachinery:
 
     def test_bitwise_reproducible_artifacts(self, tmp_path):
         for d in ("a", "b"):
-            bernoulli_study(20, seed=3).save(tmp_path / d)
+            bernoulli_study(seed=3).save(tmp_path / d)
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
         assert (tmp_path / "a" / "series.csv").read_bytes() == \
